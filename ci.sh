@@ -35,6 +35,12 @@ cargo run -q --release --offline --bin fgcs -- lint --timings
 echo "== cargo test -q --offline"
 cargo test -q --offline --workspace
 
+echo "== wire benchmark package: build + harness tests (a smoke run of every workload)"
+# examples/benchmark is a package of its own (empty [workspace]), so the
+# workspace build above never compiles it. Its 18 tests build against the
+# serve API and assert zero failed or wrong replies on every workload.
+cargo test -q --release --offline --manifest-path examples/benchmark/Cargo.toml
+
 echo "== chaos smoke: fixed-seed fault campaign (invariants enforced by exit code)"
 cargo run -q --release --offline --bin fgcs -- \
   chaos --seed 20060625 --steps 2000 --machines 4 > /dev/null

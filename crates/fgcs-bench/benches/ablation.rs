@@ -1,8 +1,7 @@
 //! Ablation benches for the design choices DESIGN.md calls out:
 //!
 //! * the paper's §5.3 sparsity-optimised Eq.-3 recursion vs the dense
-//!   5-state interval-transition solver vs the holding-time-sparse compact
-//!   solver,
+//!   5-state interval-transition solver vs the production fast solver,
 //! * transient-spike folding on vs off in classification,
 //! * same-day-type history selection vs all-days history in estimation.
 //!
@@ -11,7 +10,7 @@
 use fgcs_core::classify::StateClassifier;
 use fgcs_core::model::AvailabilityModel;
 use fgcs_core::predictor::SmpPredictor;
-use fgcs_core::smp::{CompactSolver, DenseSolver, SparseSolver};
+use fgcs_core::smp::{DenseSolver, FastSolver, SparseSolver};
 use fgcs_core::state::State;
 use fgcs_core::window::{DayType, TimeWindow};
 use fgcs_runtime::bench::bench;
@@ -38,8 +37,8 @@ fn solver_ablation() {
             .temporal_reliability(State::S1, steps)
             .unwrap()
     });
-    bench("solver_ablation_2h/compact_eventlist", || {
-        CompactSolver::from_params(&params)
+    bench("solver_ablation_2h/fast", || {
+        FastSolver::new(&params)
             .temporal_reliability(State::S1, steps)
             .unwrap()
     });

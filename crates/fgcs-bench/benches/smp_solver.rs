@@ -5,7 +5,7 @@
 
 use fgcs_core::model::AvailabilityModel;
 use fgcs_core::predictor::SmpPredictor;
-use fgcs_core::smp::{CompactSolver, SparseSolver};
+use fgcs_core::smp::{FastSolver, SparseSolver};
 use fgcs_core::state::State;
 use fgcs_core::window::{DayType, TimeWindow};
 use fgcs_runtime::bench::bench;
@@ -29,8 +29,8 @@ fn main() {
                 .temporal_reliability(State::S1, steps)
                 .unwrap()
         });
-        bench(&format!("tr_solver/compact/{hours}h"), || {
-            CompactSolver::from_params(&params)
+        bench(&format!("tr_solver/fast/{hours}h"), || {
+            FastSolver::new(&params)
                 .temporal_reliability(State::S1, steps)
                 .unwrap()
         });

@@ -26,7 +26,7 @@
 //! budget of the paper oracle at every sweep horizon.
 //!
 //! `--check` also enforces *absolute* latency gates — on the fast path
-//! (`smp_solver/compact_2h` under 100 µs, `smp_solver/batched_sweep_2h`
+//! (`smp_solver/fast_2h` under 100 µs, `smp_solver/batched_sweep_2h`
 //! under 1 ms), on the 10k-host serving smoke's ingest/query p99s
 //! (`cluster_serve_10k/…`, see `fgcs_bench::cluster`), and on the deduped
 //! 1000-host scheduling sweep (`cluster_sweep_1k_hosts`) — all normalized by
@@ -43,7 +43,7 @@ use fgcs_core::batch::{predict_cluster, BatchSolver, ClusterQuery};
 use fgcs_core::cache::QhCache;
 use fgcs_core::classify::StateClassifier;
 use fgcs_core::predictor::SmpPredictor;
-use fgcs_core::smp::{CompactSolver, FastSolver, SmpParams, SolveScratch, SparseSolver};
+use fgcs_core::smp::{FastSolver, SmpParams, SolveScratch, SparseSolver};
 use fgcs_core::state::State;
 use fgcs_core::window::{DayType, TimeWindow};
 use fgcs_runtime::bench::measure;
@@ -59,9 +59,8 @@ const TARGET_SAMPLE: Duration = Duration::from_millis(5);
 /// Bench keys `--check` requires (the ISSUE-2 acceptance set, the ISSUE-3
 /// multi-horizon batching set, the ISSUE-6 fast-path set, and the ISSUE-7
 /// serving-scale set).
-const REQUIRED_KEYS: [&str; 15] = [
+const REQUIRED_KEYS: [&str; 14] = [
     "smp_solver/paper_eq3_2h",
-    "smp_solver/compact_2h",
     "smp_solver/fast_2h",
     "smp_solver/per_horizon_sweep_2h",
     "smp_solver/batched_sweep_2h",
@@ -93,7 +92,7 @@ const MIN_BATCH_SPEEDUP_X: f64 = 5.0;
 const REGRESSION_FACTOR: f64 = 1.25;
 
 /// Absolute latency gate on the production single-horizon solve
-/// (`smp_solver/compact_2h`), at `machine_factor` 1.0.
+/// (`smp_solver/fast_2h`), at `machine_factor` 1.0.
 const FAST_SOLVE_GATE_NS: f64 = 100_000.0;
 
 /// Absolute latency gate on the fast multi-horizon sweep
@@ -246,13 +245,6 @@ fn run_smoke() -> Json {
     run("smp_solver/paper_eq3_2h", &mut || {
         black_box(
             SparseSolver::new(&params)
-                .temporal_reliability(State::S1, steps)
-                .unwrap(),
-        );
-    });
-    run("smp_solver/compact_2h", &mut || {
-        black_box(
-            CompactSolver::from_params(&params)
                 .temporal_reliability(State::S1, steps)
                 .unwrap(),
         );
@@ -524,7 +516,7 @@ fn check_baseline(path: &str) -> Result<(), String> {
         }
         Ok(())
     };
-    gate("smp_solver/compact_2h", FAST_SOLVE_GATE_NS)?;
+    gate("smp_solver/fast_2h", FAST_SOLVE_GATE_NS)?;
     gate("smp_solver/batched_sweep_2h", BATCH_SWEEP_GATE_NS)?;
     gate(
         "cluster_serve_10k/ingest_day_p99_ns",

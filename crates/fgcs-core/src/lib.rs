@@ -68,8 +68,8 @@ pub use registry::{
 };
 pub use robust::{PredictionQuality, QualifiedTr, RobustPredictor, DEFAULT_PRIOR_TR};
 pub use smp::{
-    CompactSolver, DenseSolver, FastSolver, IncrementalEstimator, IntervalProbs, MarkovChain,
-    SmpParams, SojournAccumulator, SolveScratch, SparseSolver,
+    DenseSolver, FastSolver, IncrementalEstimator, IntervalProbs, MarkovChain, SmpParams,
+    SojournAccumulator, SolveScratch, SparseSolver,
 };
 pub use state::State;
 pub use window::{DayType, TimeWindow, SECS_PER_DAY};

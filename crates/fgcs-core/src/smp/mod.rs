@@ -17,7 +17,6 @@
 //!   an error-bounded (≤ 1e-12 unit-scale) contract against the
 //!   paper-order oracle.
 
-pub mod compact;
 pub mod dense;
 pub mod fast;
 pub mod incremental;
@@ -25,7 +24,6 @@ pub mod markov;
 pub mod params;
 pub mod solver;
 
-pub use compact::CompactSolver;
 pub use dense::DenseSolver;
 pub use fast::{with_thread_scratch, FastSolver, SolveScratch};
 pub use incremental::IncrementalEstimator;

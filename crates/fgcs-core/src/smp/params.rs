@@ -60,7 +60,7 @@ fn target_index(source_idx: usize, target: State) -> Option<usize> {
 ///   transition (`S1→S2` / `S2→S1`), the only lists the Eq.-3 convolution
 ///   has to scan;
 /// * `failures[i][j]` — ascending events towards failure state `S(3+j)`
-///   (diagnostics and `nnz` accounting);
+///   (part of the kernel-dedup content hash);
 /// * `direct_prefix[i]` — triple-interleaved prefix sums
 ///   `dp[3·m + j] = Σ_{l ≤ m} q_{i,S(3+j)}(l)`, making every direct-failure
 ///   term of the recursion a single O(1) load;
@@ -130,18 +130,6 @@ impl SolverKernel {
     #[must_use]
     pub(crate) fn direct_prefix(&self, source_idx: usize) -> &[f64] {
         &self.direct_prefix[source_idx]
-    }
-
-    /// Total number of nonzero kernel entries.
-    #[must_use]
-    pub(crate) fn nnz(&self) -> usize {
-        self.trans.iter().map(Vec::len).sum::<usize>()
-            + self
-                .failures
-                .iter()
-                .flat_map(|row| row.iter())
-                .map(Vec::len)
-                .sum::<usize>()
     }
 }
 
@@ -810,14 +798,6 @@ mod tests {
                 }
             }
         }
-        assert_eq!(
-            view.nnz(),
-            view.trans_events(0).len()
-                + view.trans_events(1).len()
-                + (0..2)
-                    .flat_map(|i| (0..3).map(move |j| view.failures[i][j].len()))
-                    .sum::<usize>()
-        );
     }
 
     #[test]

@@ -11,6 +11,7 @@
 //! - Serialization is via the [`ToJson`] / [`FromJson`] traits, implemented
 //!   per type (see [`crate::impl_json_struct`] for the common struct case).
 
+use std::borrow::Cow;
 use std::fmt;
 
 /// A parse or conversion error, carrying a human-readable message with
@@ -708,20 +709,21 @@ macro_rules! impl_json_enum {
 
 /// A borrowed, zero-copy view over one JSON **object** in a `&str` line.
 ///
-/// This is the serve hot path's request parser: where [`Json::parse`]
-/// builds a heap tree (a `String` per key and string value, a `Vec` per
-/// container), `JsonSlice::scan` only *validates* the text and hands out
-/// `&str` slices into the original line on demand. Field lookups rescan
-/// the object — requests are a handful of fields, so the rescan is cheaper
-/// than materializing a map — and typed getters reproduce the exact
-/// coercion rules (and error texts) of [`Json::get`].
+/// This is the serve request parser: where [`Json::parse`] builds a heap
+/// tree (a `String` per key and string value, a `Vec` per container),
+/// `JsonSlice::scan` only *validates* the text and hands out slices of the
+/// original line on demand. Field lookups rescan the object — requests are
+/// a handful of fields, so the rescan is cheaper than materializing a map
+/// — and typed getters reproduce the exact coercion rules (and error
+/// texts) of [`Json::get`].
 ///
-/// Scope: `scan` returns `None` whenever the fast path cannot represent
-/// the document *identically* to the tree parser — malformed syntax, a
-/// non-object top level, or any `\` escape inside any string (an escaped
-/// string cannot be borrowed). Callers fall back to [`Json::parse`] in
-/// that case, so the cold path keeps the tree parser's exact semantics
-/// and error messages.
+/// Strings may contain `\` escapes: the tree parser's own string rule
+/// validates them during the scan and decodes them on access, so string
+/// getters return a [`Cow`] that stays borrowed (no allocation) for
+/// escape-free text. Keys are matched after decoding; with duplicate keys
+/// the first one wins, as in [`Json::field`]. `scan` returns `None` for
+/// malformed syntax and for a non-object top level — exactly the texts for
+/// which [`Json::parse`] fails or yields something other than an object.
 #[derive(Debug, Clone, Copy)]
 pub struct JsonSlice<'a> {
     /// The full object text, trimmed: `src[0] == '{'`.
@@ -776,13 +778,15 @@ fn raw_kind(raw: &str) -> &'static str {
 }
 
 /// Validating scanner over the raw bytes: checks JSON syntax without
-/// building values, rejecting (`None`) anything outside the borrowed
-/// fast path's scope. Mirrors `Parser`'s grammar, including its lax
-/// number scan backed by an `f64` parse.
+/// building values, rejecting (`None`) what the tree parser rejects.
+/// Mirrors `Parser`'s grammar, including its lax number scan backed by an
+/// `f64` parse, and hands escaped strings to `Parser::string` itself.
 struct Scan<'a> {
     b: &'a [u8],
     i: usize,
     depth: usize,
+    /// Set when a scanned string held an escape (never cleared here).
+    escaped: bool,
 }
 
 impl<'a> Scan<'a> {
@@ -796,30 +800,41 @@ impl<'a> Scan<'a> {
         }
     }
 
-    /// Validates one string, rejecting any escape (the borrowed view
-    /// cannot decode them). Returns the content slice between the quotes.
+    /// Validates one string and returns its raw slice, quotes included
+    /// and escapes still encoded. The first `\` hands the whole string to
+    /// the tree parser's string rule, so escapes are accepted exactly when
+    /// [`Json::parse`] accepts them.
     fn string(&mut self) -> Option<&'a str> {
         if self.peek() != Some(b'"') {
             return None;
         }
+        let open = self.i;
         self.i += 1;
-        let start = self.i;
         loop {
             match self.peek()? {
                 b'"' => {
-                    let s = &self.b[start..self.i];
                     self.i += 1;
-                    // SAFETY: `b` is the byte view of the input `&str`, and
-                    // both slice bounds sit just inside ASCII `"` bytes —
-                    // escape-free string content between two char
-                    // boundaries, hence valid UTF-8.
-                    return Some(unsafe { std::str::from_utf8_unchecked(s) });
+                    break;
                 }
-                b'\\' => return None,
+                b'\\' => {
+                    self.escaped = true;
+                    let mut p = Parser {
+                        bytes: self.b,
+                        pos: open,
+                        depth: 0,
+                    };
+                    p.string().ok()?;
+                    self.i = p.pos;
+                    break;
+                }
                 c if c < 0x20 => return None,
                 _ => self.i += 1,
             }
         }
+        // SAFETY: `b` is the byte view of the input `&str`, and the slice
+        // runs from an ASCII `"` through the matching closing `"`, so it
+        // spans whole scalars of already-valid UTF-8.
+        Some(unsafe { std::str::from_utf8_unchecked(&self.b[open..self.i]) })
     }
 
     /// Validates one value and returns its raw trimmed slice.
@@ -925,18 +940,18 @@ impl<'a> Scan<'a> {
 }
 
 impl<'a> JsonSlice<'a> {
-    /// Validates `text` as a single escape-free JSON object and returns the
-    /// borrowed view, or `None` when the caller must fall back to
-    /// [`Json::parse`].
+    /// Validates `text` as a single JSON object and returns the borrowed
+    /// view, or `None` when it is malformed or not an object ([`Json::parse`]
+    /// words the reason).
     #[must_use]
     pub fn scan(text: &'a str) -> Option<JsonSlice<'a>> {
         let mut s = Scan {
             b: text.as_bytes(),
             i: 0,
             depth: 0,
+            escaped: false,
         };
         s.skip_ws();
-        let start = s.i;
         if s.peek() != Some(b'{') {
             return None;
         }
@@ -945,7 +960,6 @@ impl<'a> JsonSlice<'a> {
         if s.i != s.b.len() {
             return None;
         }
-        let _ = start;
         Some(JsonSlice { src: raw })
     }
 
@@ -964,6 +978,7 @@ impl<'a> JsonSlice<'a> {
             b: self.src.as_bytes(),
             i: 1, // past '{'
             depth: 0,
+            escaped: false,
         };
         s.skip_ws();
         if s.peek() == Some(b'}') {
@@ -971,12 +986,18 @@ impl<'a> JsonSlice<'a> {
         }
         loop {
             s.skip_ws();
+            s.escaped = false;
             let key = s.string()?;
+            let hit = if s.escaped {
+                decode(key) == name
+            } else {
+                &key[1..key.len() - 1] == name
+            };
             s.skip_ws();
             s.i += 1; // ':' (validated by scan)
             s.skip_ws();
             let value = s.value()?;
-            if key == name {
+            if hit {
                 return Some(value);
             }
             s.skip_ws();
@@ -987,14 +1008,14 @@ impl<'a> JsonSlice<'a> {
         }
     }
 
-    /// Borrowed string field (exact [`Json::get::<String>`] semantics; the
-    /// scan already guaranteed the content is escape-free).
-    pub fn get_str(&self, name: &'a str) -> Result<&'a str, SliceError<'a>> {
+    /// String field with escapes decoded (exact [`Json::get::<String>`]
+    /// semantics); borrowed unless the text holds an escape.
+    pub fn get_str(&self, name: &'a str) -> Result<Cow<'a, str>, SliceError<'a>> {
         let raw = self
             .get_raw(name)
             .ok_or(SliceError::Missing { field: name })?;
         if raw.starts_with('"') {
-            Ok(&raw[1..raw.len() - 1])
+            Ok(decode(raw))
         } else {
             Err(SliceError::Type {
                 field: name,
@@ -1005,11 +1026,11 @@ impl<'a> JsonSlice<'a> {
     }
 
     /// Optional string field: missing or `null` is `Ok(None)`.
-    pub fn get_opt_str(&self, name: &'a str) -> Result<Option<&'a str>, SliceError<'a>> {
+    pub fn get_opt_str(&self, name: &'a str) -> Result<Option<Cow<'a, str>>, SliceError<'a>> {
         match self.get_raw(name) {
             None => Ok(None),
             Some("null") => Ok(None),
-            Some(raw) if raw.starts_with('"') => Ok(Some(&raw[1..raw.len() - 1])),
+            Some(raw) if raw.starts_with('"') => Ok(Some(decode(raw))),
             Some(raw) => Err(SliceError::Type {
                 field: name,
                 want: "string",
@@ -1094,6 +1115,7 @@ impl<'a> Iterator for JsonSliceArray<'a> {
             b: self.src.as_bytes(),
             i: self.pos,
             depth: 0,
+            escaped: false,
         };
         s.skip_ws();
         match s.peek()? {
@@ -1108,6 +1130,22 @@ impl<'a> Iterator for JsonSliceArray<'a> {
         self.pos = s.i;
         Some(raw)
     }
+}
+
+/// The text of a string slice validated by `Scan::string` (quotes
+/// included): borrowed when escape-free, else decoded by the tree parser's
+/// string rule.
+fn decode(raw: &str) -> Cow<'_, str> {
+    let content = &raw[1..raw.len() - 1];
+    if !content.contains('\\') {
+        return Cow::Borrowed(content);
+    }
+    let mut p = Parser {
+        bytes: raw.as_bytes(),
+        pos: 0,
+        depth: 0,
+    };
+    Cow::Owned(p.string().expect("JsonSlice::scan validated this string"))
 }
 
 /// `f64` from a raw number slice, mirroring `as_f64` over parsed numbers.
@@ -1463,38 +1501,60 @@ mod tests {
     fn slice_accepts_plain_objects_and_borrows_fields() {
         let line = r#"{"op":"predict","host":42,"start":9.5,"init":"S1","flag":null}"#;
         let s = JsonSlice::scan(line).expect("fast path");
-        assert_eq!(s.get_str("op"), Ok("predict"));
+        assert!(matches!(s.get_str("op"), Ok(Cow::Borrowed("predict"))));
         assert_eq!(s.get_u64("host"), Ok(42));
         assert_eq!(s.get_f64("start"), Ok(9.5));
-        assert_eq!(s.get_opt_str("init"), Ok(Some("S1")));
+        assert!(matches!(
+            s.get_opt_str("init"),
+            Ok(Some(Cow::Borrowed("S1")))
+        ));
         assert_eq!(s.get_opt_str("flag"), Ok(None));
         assert_eq!(s.get_opt_str("absent"), Ok(None));
         assert_eq!(s.get_opt_u64("absent"), Ok(None));
     }
 
     #[test]
-    fn slice_rejects_everything_outside_its_scope() {
-        // Anything the borrowed view can't represent identically to the
-        // tree parser must bounce to the fallback path.
+    fn slice_rejects_malformed_and_non_object_text() {
+        // `scan` refuses exactly what the tree parser refuses, plus valid
+        // documents that are not objects.
         for bad in [
             "[1,2]",               // non-object top level
             "42",                  // scalar top level
-            r#"{"a":"x\ny"}"#,     // escape in a value
-            r#"{"a\"b":1}"#,       // escape in a key
             r#"{"a":1"#,           // truncated
             r#"{"a":1} trailing"#, // trailing garbage
             r#"{"a":tru}"#,        // bad literal
             r#"{"a":1e}"#,         // unparseable number
             r#"{"a" 1}"#,          // missing colon
+            r#"{"a":"\q"}"#,       // unknown escape
+            r#"{"a":"\ud800"}"#,   // unpaired surrogate
+            "{\"a\":\"\t\"}",      // raw control character
         ] {
             assert!(JsonSlice::scan(bad).is_none(), "accepted: {bad}");
+            assert!(
+                !matches!(Json::parse(bad), Ok(Json::Obj(_))),
+                "tree parser takes {bad} as an object"
+            );
         }
-        // …and each of those (except trailing garbage variants) must also
-        // fail or differ in the tree parser, so the fallback is never more
-        // permissive in a way the fast path hides. Spot-check the escapes:
-        // the tree parser accepts them, which is exactly why the fast path
-        // must refuse rather than mis-slice.
-        assert!(Json::parse(r#"{"a":"x\ny"}"#).is_ok());
+    }
+
+    #[test]
+    fn slice_decodes_escapes_like_the_tree_parser() {
+        let line =
+            "{\"o\\u0070\":\"p\\u0069ng\",\"s\":\"a\\\"b\\n\\u00e9\\ud83e\\udd80\",\"op\":\"x\"}";
+        let s = JsonSlice::scan(line).expect("escapes are in scope");
+        let tree = Json::parse(line).expect("tree");
+        // An escaped key matches its decoded name; the first duplicate wins.
+        let op = s.get_str("op").expect("op");
+        assert!(matches!(op, Cow::Owned(_)));
+        assert_eq!(op, tree.get::<String>("op").expect("tree op"));
+        assert_eq!(op, "ping");
+        let text = s.get_opt_str("s").expect("s").expect("present");
+        assert_eq!(text, tree.get::<String>("s").expect("tree s"));
+        assert_eq!(text, "a\"b\n\u{e9}\u{1f980}");
+        // Escapes inside nested values only need to validate.
+        let nested = "{\"x\":[\"\\u0041\",{\"\\n\":1}],\"op\":\"ping\"}";
+        let s = JsonSlice::scan(nested).expect("nested escapes are in scope");
+        assert!(matches!(s.get_str("op"), Ok(Cow::Borrowed("ping"))));
     }
 
     #[test]

@@ -14,6 +14,7 @@ use std::process::ExitCode;
 
 use fgcs::core::predictor::evaluate_window;
 use fgcs::prelude::*;
+use fgcs::serve::{horizon_grid, parse_init, parse_window};
 
 fn main() -> ExitCode {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
@@ -173,11 +174,8 @@ fn cmd_predict(args: &[String]) -> Result<(), String> {
     let trace = load_trace(args)?;
     let start: f64 = parse(args, "--start", 9.0)?;
     let hours: f64 = parse(args, "--hours", 1.0)?;
-    let init = match opt(args, "--init").unwrap_or("S1") {
-        "S1" | "s1" => State::S1,
-        "S2" | "s2" => State::S2,
-        other => return Err(format!("init must be S1 or S2, got {other}")),
-    };
+    let window = parse_window(start, hours)?;
+    let init = parse_init(opt(args, "--init").unwrap_or("S1"))?;
     let day_type = if flag(args, "--weekend") {
         DayType::Weekend
     } else {
@@ -185,7 +183,6 @@ fn cmd_predict(args: &[String]) -> Result<(), String> {
     };
     let model = AvailabilityModel::default();
     let history = trace.to_history(&model).map_err(|e| e.to_string())?;
-    let window = TimeWindow::from_hours(start, hours);
     let predictor = SmpPredictor::new(model);
 
     if flag(args, "--ci") {
@@ -214,14 +211,8 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
     let start: f64 = parse(args, "--start", 9.0)?;
     let hours: f64 = parse(args, "--hours", 2.0)?;
     let points: usize = parse(args, "--points", 12)?;
-    if points == 0 {
-        return Err("--points must be positive".into());
-    }
-    let init = match opt(args, "--init").unwrap_or("S1") {
-        "S1" | "s1" => State::S1,
-        "S2" | "s2" => State::S2,
-        other => return Err(format!("init must be S1 or S2, got {other}")),
-    };
+    let window = parse_window(start, hours)?;
+    let init = parse_init(opt(args, "--init").unwrap_or("S1"))?;
     let day_type = if flag(args, "--weekend") {
         DayType::Weekend
     } else {
@@ -229,7 +220,6 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
     };
     let model = AvailabilityModel::default();
     let history = trace.to_history(&model).map_err(|e| e.to_string())?;
-    let window = TimeWindow::from_hours(start, hours);
     let predictor = SmpPredictor::new(model);
     let curve = predictor
         .predict_tr_curve(&history, day_type, window)
@@ -244,13 +234,13 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
         return Ok(());
     }
 
+    let grid = horizon_grid(steps, points)?;
     println!(
         "machine {} — TR vs horizon, {day_type} window {window}, init {init}",
         trace.machine_id
     );
     println!("{:>10} {:>8} {:>8}", "horizon_hr", "steps", "TR");
-    for i in 1..=points {
-        let m = i * steps / points;
+    for m in grid {
         let tr = curve.tr(init, m).map_err(|e| e.to_string())?;
         let horizon_hr = m as f64 * f64::from(curve.step_secs()) / 3600.0;
         println!("{horizon_hr:>10.2} {m:>8} {tr:>8.4}");

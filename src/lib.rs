@@ -74,7 +74,7 @@ pub mod prelude {
         model::AvailabilityModel,
         predictor::{empirical_tr, SmpPredictor, TrPrediction},
         robust::{PredictionQuality, QualifiedTr, RobustPredictor},
-        smp::{CompactSolver, MarkovChain, SmpParams, SparseSolver},
+        smp::{FastSolver, MarkovChain, SmpParams, SparseSolver},
         state::State,
         window::{DayType, TimeWindow},
     };

@@ -26,17 +26,17 @@
 //!
 //! # Wire-path memory discipline
 //!
-//! The request path is allocation-free once warm. Incoming lines are
-//! scanned in place by [`JsonSlice`] — a borrowed view that never builds a
-//! tree — and replies are appended to a pooled [`JsonWriter`] whose buffer
-//! is cleared (capacity kept) between requests. Lines the borrowed scanner
-//! cannot represent (escapes, non-object top level, malformed syntax) fall
-//! back to the tree parser, which keeps the exact cold-path semantics and
-//! error bytes. Field errors on the fast path are borrowed
-//! ([`SliceError`]) and render their message only when an error reply is
-//! actually written. Both transports reuse one read buffer and one reply
-//! buffer per connection; `stats` reports the high-water marks of both
-//! pools.
+//! The request path is allocation-free once warm. Every line is scanned in
+//! place by [`JsonSlice`] — a borrowed view that never builds a tree — and
+//! replies are appended to a pooled [`JsonWriter`] whose buffer is cleared
+//! (capacity kept) between requests. The scanner decodes `\` escapes
+//! itself; only an escaped string allocates, for its decoded text. A line
+//! the scanner rejects (malformed syntax, a non-object top level) gets an
+//! error reply worded by the tree parser; nothing falls back to a second
+//! dispatcher. Field errors are borrowed ([`SliceError`]) and render their
+//! message only when the error reply is written. Both transports run one
+//! read loop that reuses one read buffer and one reply buffer per
+//! connection; `stats` reports the high-water marks of both pools.
 //!
 //! # Batch requests
 //!
@@ -79,6 +79,7 @@
 //! fsyncs + snapshots on graceful shutdown; see the fgcs-core registry
 //! docs for the durability model.
 
+use std::borrow::Cow;
 use std::fmt;
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -200,44 +201,63 @@ pub struct Server {
     oversize_lines: AtomicU64,
 }
 
-/// One request decoded on the borrowed fast path: every field is `Copy` or
-/// borrows from the input line, so decoding allocates nothing.
+/// One decoded request. Every field is `Copy`, borrows from the input line
+/// or is an ingest's decoded day, so a warm query decodes without
+/// allocating.
 enum Request<'a> {
     Ping,
     Shutdown,
     Stats,
     Health,
-    Host {
-        host: u64,
-    },
+    Host { host: u64 },
+    Batch(JsonSliceArray<'a>),
+    Op(ShardOp),
+}
+
+/// A registry-bound op, decoded the same way on its own line and inside a
+/// `batch`.
+enum ShardOp {
     Ingest {
         host: u64,
-        day_index: Option<u64>,
-        states: &'a str,
+        day_index: Option<usize>,
+        states: Vec<State>,
     },
     Predict {
-        host: u64,
-        day_type: DayType,
-        window: TimeWindow,
+        at: Coords,
         init: State,
     },
     Sweep {
-        host: u64,
-        day_type: DayType,
-        window: TimeWindow,
+        at: Coords,
         init: State,
         points: usize,
     },
-    Batch(JsonSliceArray<'a>),
 }
 
-/// A fast-path protocol error. Field-shape errors stay borrowed
-/// ([`SliceError`]); only the validators that already build owned messages
-/// ([`parse_window`] & friends) carry a `String` — and every variant
-/// formats its message only when the error reply is written.
+/// Where a `predict` or `sweep` looks.
+#[derive(Clone, Copy, PartialEq)]
+struct Coords {
+    host: u64,
+    day_type: DayType,
+    window: TimeWindow,
+}
+
+impl ShardOp {
+    fn host(&self) -> u64 {
+        match self {
+            ShardOp::Ingest { host, .. } => *host,
+            ShardOp::Predict { at, .. } | ShardOp::Sweep { at, .. } => at.host,
+        }
+    }
+}
+
+/// A protocol error. Field-shape errors stay borrowed ([`SliceError`]);
+/// only the validators that already build owned messages ([`parse_window`]
+/// & friends) carry a `String` — and every variant formats its message
+/// only when the error reply is written.
 enum WireError<'a> {
     Slice(SliceError<'a>),
-    UnknownOp(&'a str),
+    UnknownOp(Cow<'a, str>),
+    NotInBatch(Cow<'a, str>),
     Msg(String),
 }
 
@@ -246,6 +266,7 @@ impl fmt::Display for WireError<'_> {
         match self {
             WireError::Slice(e) => e.fmt(f),
             WireError::UnknownOp(op) => write!(f, "unknown op `{op}`"),
+            WireError::NotInBatch(op) => write!(f, "op `{op}` not allowed inside batch"),
             WireError::Msg(m) => f.write_str(m),
         }
     }
@@ -257,68 +278,67 @@ impl<'a> From<SliceError<'a>> for WireError<'a> {
     }
 }
 
-/// Decodes one request object. Field order and error precedence mirror the
-/// tree path exactly, so both paths reply with identical bytes.
-fn parse_request<'a>(s: &JsonSlice<'a>) -> Result<Request<'a>, WireError<'a>> {
+/// Decodes one request object. `op` is resolved first, so inside a batch
+/// (`in_batch`) a control op is refused before any of its fields are read.
+fn parse_request<'a>(s: &JsonSlice<'a>, in_batch: bool) -> Result<Request<'a>, WireError<'a>> {
     let op = s.get_str("op")?;
-    match op {
-        "ping" => Ok(Request::Ping),
-        "shutdown" => Ok(Request::Shutdown),
-        "stats" => Ok(Request::Stats),
-        "health" => Ok(Request::Health),
-        "host" => Ok(Request::Host {
-            host: s.get_u64("host")?,
-        }),
-        "ingest" => Ok(Request::Ingest {
-            host: s.get_u64("host")?,
-            day_index: s.get_opt_u64("day_index")?,
-            states: s.get_str("states")?,
-        }),
-        "predict" => {
+    Ok(match &*op {
+        "ping" => Request::Ping,
+        "ingest" => {
             let host = s.get_u64("host")?;
-            let (day_type, window, init) = slice_coords(s)?;
-            Ok(Request::Predict {
+            let day_index = s.get_opt_u64("day_index")?.map(|d| d as usize);
+            let states = decode_states(&s.get_str("states")?).map_err(WireError::Msg)?;
+            Request::Op(ShardOp::Ingest {
                 host,
-                day_type,
-                window,
-                init,
+                day_index,
+                states,
             })
+        }
+        "predict" => {
+            let (at, init) = parse_query(s)?;
+            Request::Op(ShardOp::Predict { at, init })
         }
         "sweep" => {
-            let host = s.get_u64("host")?;
-            let (day_type, window, init) = slice_coords(s)?;
+            let (at, init) = parse_query(s)?;
             let points = s.get_opt_u64("points")?.unwrap_or(12) as usize;
-            Ok(Request::Sweep {
-                host,
-                day_type,
-                window,
-                init,
-                points,
-            })
+            Request::Op(ShardOp::Sweep { at, init, points })
         }
-        "batch" => Ok(Request::Batch(s.array("ops")?)),
-        other => Err(WireError::UnknownOp(other)),
-    }
+        "stats" | "shutdown" | "batch" | "health" | "host" if in_batch => {
+            return Err(WireError::NotInBatch(op))
+        }
+        "stats" => Request::Stats,
+        "shutdown" => Request::Shutdown,
+        "health" => Request::Health,
+        "host" => Request::Host {
+            host: s.get_u64("host")?,
+        },
+        "batch" => Request::Batch(s.array("ops")?),
+        _ => return Err(WireError::UnknownOp(op)),
+    })
 }
 
-/// Borrowed twin of [`query_coords`]: same fields, same defaults, same
-/// error order.
-fn slice_coords<'a>(s: &JsonSlice<'a>) -> Result<(DayType, TimeWindow, State), WireError<'a>> {
+/// The `predict`/`sweep` query fields: `host`, `start`/`hours`
+/// (fractional hours), optional `day_type` (default weekday) and `init`
+/// (default S1), read in that order.
+fn parse_query<'a>(s: &JsonSlice<'a>) -> Result<(Coords, State), WireError<'a>> {
+    let host = s.get_u64("host")?;
     let start = s.get_f64("start")?;
     let hours = s.get_f64("hours")?;
     let day_type = match s.get_opt_str("day_type")? {
         None => DayType::Weekday,
-        Some(v) => parse_day_type(v).map_err(WireError::Msg)?,
+        Some(v) => parse_day_type(&v).map_err(WireError::Msg)?,
     };
     let init = match s.get_opt_str("init")? {
         None => State::S1,
-        Some(v) => parse_init(v).map_err(WireError::Msg)?,
+        Some(v) => parse_init(&v).map_err(WireError::Msg)?,
     };
-    Ok((
+    let window = parse_window(start, hours).map_err(WireError::Msg)?;
+    let at = Coords {
+        host,
         day_type,
-        parse_window(start, hours).map_err(WireError::Msg)?,
-        init,
-    ))
+        window,
+    };
+    Ok((at, init))
 }
 
 /// `{"ok":false,"error":…}` with the message rendered straight into the
@@ -330,9 +350,35 @@ fn write_error_line(out: &mut JsonWriter, err: &dyn fmt::Display) {
     out.raw("}\n");
 }
 
-/// The `ingest` ack, byte-identical to the tree rendering.
+/// The error reply for text [`JsonSlice`] could not take as an object: a
+/// whole request line, or one `batch` element. The tree parser words the
+/// syntax error, or names the kind of value that is not an object.
+fn write_unscanned_line(out: &mut JsonWriter, text: &str) {
+    match Json::parse(text) {
+        Err(e) => write_error_line(out, &format_args!("bad request: {e}")),
+        Ok(value) => write_error_line(
+            out,
+            &format_args!(
+                "json error: expected object with field `op`, found {}",
+                value.kind()
+            ),
+        ),
+    }
+}
+
+/// A tree document (`stats`, `health`, `sweep`) as one reply line.
+fn write_doc_line(out: &mut JsonWriter, doc: &Json) {
+    out.raw(&doc.to_string());
+    out.raw_char('\n');
+}
+
+/// The `ingest` reply: the ack, or why the day was refused.
 // lint: no-alloc
-fn write_ingest_line(out: &mut JsonWriter, ack: &IngestAck) {
+fn write_ingest_reply(out: &mut JsonWriter, ack: Result<IngestAck, RegistryError>) {
+    let ack = match ack {
+        Ok(ack) => ack,
+        Err(e) => return write_error_line(out, &e),
+    };
     out.raw("{\"ok\":true,\"op\":\"ingest\",\"host\":");
     out.u64(ack.host);
     out.raw(",\"day_index\":");
@@ -342,34 +388,21 @@ fn write_ingest_line(out: &mut JsonWriter, ack: &IngestAck) {
     out.raw("}\n");
 }
 
-/// The `predict` reply, byte-identical to the tree rendering. `degraded`
-/// appends the `"quality":"stale"` tag (the shard answered after poison
-/// recovery); a healthy shard's reply bytes are unchanged from before the
-/// hardening, so byte-compare oracles over healthy servers still hold.
-// lint: no-alloc
-fn write_predict_line(
+/// The `sweep` reply: the [`sweep_json`] document, or the error.
+fn write_sweep_reply(
     out: &mut JsonWriter,
-    host: u64,
-    window: TimeWindow,
-    day_type: DayType,
+    at: Coords,
     init: State,
-    tr: f64,
-    degraded: bool,
+    points: usize,
+    curve: Result<TrCurve, RegistryError>,
 ) {
-    out.raw("{\"ok\":true,\"op\":\"predict\",\"host\":");
-    out.u64(host);
-    out.raw(",\"window\":");
-    out.display_string(&window);
-    out.raw(",\"day_type\":");
-    out.display_string(&day_type);
-    out.raw(",\"init\":");
-    out.display_string(&init);
-    out.raw(",\"tr\":");
-    out.f64(tr);
-    if degraded {
-        out.raw(",\"quality\":\"stale\"");
+    match curve {
+        Err(e) => write_error_line(out, &e),
+        Ok(curve) => match sweep_json(&curve, at.day_type, at.window, init, points) {
+            Ok(doc) => write_doc_line(out, &doc),
+            Err(msg) => write_error_line(out, &msg),
+        },
     }
-    out.raw("}\n");
 }
 
 /// The `host` readiness reply: how many days the registry stores for one
@@ -381,29 +414,6 @@ fn write_host_line(out: &mut JsonWriter, host: u64, days: usize) {
     out.raw(",\"days\":");
     out.u64(days as u64);
     out.raw("}\n");
-}
-
-/// A batch op bound for a shard group, keyed by its slot in the reply
-/// vector.
-enum ShardOp<'a> {
-    Ingest {
-        host: u64,
-        day_index: Option<u64>,
-        states: &'a str,
-    },
-    Predict {
-        host: u64,
-        day_type: DayType,
-        window: TimeWindow,
-        init: State,
-    },
-    Sweep {
-        host: u64,
-        day_type: DayType,
-        window: TimeWindow,
-        init: State,
-        points: usize,
-    },
 }
 
 impl Server {
@@ -491,10 +501,7 @@ impl Server {
         self.read_hwm
             .fetch_max(line.len() as u64, Ordering::Relaxed);
         let before = out.len();
-        let shutdown = match catch_unwind(AssertUnwindSafe(|| match JsonSlice::scan(line) {
-            Some(slice) => self.dispatch_slice(&slice, out),
-            None => self.dispatch_tree(line, out),
-        })) {
+        let shutdown = match catch_unwind(AssertUnwindSafe(|| self.dispatch(line, out))) {
             Ok(shutdown) => shutdown,
             Err(_) => {
                 self.panics.fetch_add(1, Ordering::Relaxed);
@@ -508,486 +515,155 @@ impl Server {
         shutdown
     }
 
-    /// Fast path: the request parsed as a borrowed slice view.
-    fn dispatch_slice(&self, req: &JsonSlice<'_>, out: &mut JsonWriter) -> bool {
-        if self.debug_ops && matches!(req.get_str("op"), Ok("debug_panic")) {
+    /// Decodes one request line and writes its reply.
+    fn dispatch(&self, line: &str, out: &mut JsonWriter) -> bool {
+        let Some(req) = JsonSlice::scan(line) else {
+            write_unscanned_line(out, line);
+            return false;
+        };
+        if self.debug_ops && matches!(req.get_str("op").as_deref(), Ok("debug_panic")) {
             panic!("debug_panic op (containment test hook)");
         }
-        match parse_request(req) {
-            Err(e) => {
-                write_error_line(out, &e);
-                false
-            }
-            Ok(Request::Ping) => {
-                out.raw(PING_LINE);
-                false
-            }
+        match parse_request(&req, false) {
+            Err(e) => write_error_line(out, &e),
+            Ok(Request::Ping) => out.raw(PING_LINE),
             Ok(Request::Shutdown) => {
                 out.raw(SHUTDOWN_LINE);
-                true
+                return true;
             }
-            Ok(Request::Stats) => {
-                out.raw(&self.stats_json().to_string());
-                out.raw_char('\n');
-                false
-            }
-            Ok(Request::Health) => {
-                out.raw(&self.health_json().to_string());
-                out.raw_char('\n');
-                false
-            }
-            Ok(Request::Host { host }) => {
-                match self.registry.host_days(host) {
-                    Some(days) => write_host_line(out, host, days),
-                    None => write_error_line(out, &RegistryError::UnknownHost(host)),
-                }
-                false
-            }
-            Ok(Request::Ingest {
+            Ok(Request::Stats) => write_doc_line(out, &self.stats_json()),
+            Ok(Request::Health) => write_doc_line(out, &self.health_json()),
+            Ok(Request::Host { host }) => match self.registry.host_days(host) {
+                Some(days) => write_host_line(out, host, days),
+                None => write_error_line(out, &RegistryError::UnknownHost(host)),
+            },
+            Ok(Request::Batch(ops)) => self.run_batch(ops, out),
+            Ok(Request::Op(op)) => self.run_op(op, out),
+        }
+        false
+    }
+
+    /// One registry-bound op on its own line: the registry's scalar calls,
+    /// each taking the host's shard lock for itself.
+    fn run_op(&self, op: ShardOp, out: &mut JsonWriter) {
+        match op {
+            ShardOp::Ingest {
                 host,
                 day_index,
                 states,
-            }) => {
-                match decode_states(states) {
-                    Err(msg) => write_error_line(out, &msg),
-                    Ok(states) => {
-                        match self
-                            .registry
-                            .ingest_day(host, day_index.map(|d| d as usize), states)
-                        {
-                            Ok(ack) => write_ingest_line(out, &ack),
-                            Err(e) => write_error_line(out, &e),
-                        }
-                    }
-                }
-                false
+            } => write_ingest_reply(out, self.registry.ingest_day(host, day_index, states)),
+            ShardOp::Predict { at, init } => {
+                let tr = self.registry.predict(at.host, at.day_type, at.window, init);
+                self.write_predict_reply(out, at, init, tr);
             }
-            Ok(Request::Predict {
-                host,
-                day_type,
-                window,
-                init,
-            }) => {
-                match self.registry.predict(host, day_type, window, init) {
-                    Ok(tr) => {
-                        let degraded = self.predict_degraded(host);
-                        write_predict_line(out, host, window, day_type, init, tr, degraded);
-                    }
-                    Err(e) => write_error_line(out, &e),
-                }
-                false
-            }
-            Ok(Request::Sweep {
-                host,
-                day_type,
-                window,
-                init,
-                points,
-            }) => {
-                match self.registry.sweep(host, day_type, window) {
-                    Err(e) => write_error_line(out, &e),
-                    Ok(curve) => match sweep_json(&curve, day_type, window, init, points) {
-                        Ok(doc) => {
-                            out.raw(&doc.to_string());
-                            out.raw_char('\n');
-                        }
-                        Err(msg) => write_error_line(out, &msg),
-                    },
-                }
-                false
-            }
-            Ok(Request::Batch(ops)) => {
-                self.run_batch(ops, out);
-                false
+            ShardOp::Sweep { at, init, points } => {
+                let curve = self.registry.sweep(at.host, at.day_type, at.window);
+                write_sweep_reply(out, at, init, points, curve);
             }
         }
     }
 
-    /// The shard-batched pipeline behind the `batch` op: classify each
+    /// The shard-batched pipeline behind the `batch` op: decode each
     /// nested op, group the registry-bound ones by shard, take each shard
     /// lock once, answer `predict` runs against one `(host, day_type,
     /// window)` from a single curve solve, then emit the replies in
     /// request order.
     fn run_batch(&self, ops: JsonSliceArray<'_>, out: &mut JsonWriter) {
-        let elements: Vec<&str> = ops.collect();
-        if elements.is_empty() {
+        let mut replies: Vec<JsonWriter> = Vec::new();
+        let mut sharded: Vec<Vec<(usize, ShardOp)>> = (0..self.registry.shard_count())
+            .map(|_| Vec::new())
+            .collect();
+        for (i, raw) in ops.enumerate() {
+            let mut reply = JsonWriter::new();
+            match JsonSlice::element_object(raw).map(|el| parse_request(&el, true)) {
+                Some(Ok(Request::Op(op))) => {
+                    sharded[self.registry.shard_index(op.host())].push((i, op));
+                }
+                Some(Ok(Request::Ping)) => reply.raw(PING_LINE),
+                Some(Ok(_)) => unreachable!("parse_request refuses control ops in a batch"),
+                Some(Err(e)) => write_error_line(&mut reply, &e),
+                None => write_unscanned_line(&mut reply, raw),
+            }
+            replies.push(reply);
+        }
+        if replies.is_empty() {
             write_error_line(out, &EMPTY_BATCH);
             return;
         }
-        let mut replies: Vec<String> = vec![String::new(); elements.len()];
-        let mut sharded: Vec<Vec<(usize, ShardOp<'_>)>> = (0..self.registry.shard_count())
-            .map(|_| Vec::new())
-            .collect();
-        let mut scratch = JsonWriter::new();
-        for (i, raw) in elements.iter().enumerate() {
-            let Some(slice) = JsonSlice::element_object(raw) else {
-                // Non-object element: identical handling (and bytes) to
-                // sending it as its own request line.
-                replies[i] = self.tree_element_line(raw);
-                continue;
-            };
-            scratch.clear();
-            // Op gate first — same precedence as the tree path, which
-            // resolves `op` before any other field.
-            let op = match slice.get_str("op") {
-                Ok(op) => op,
-                Err(e) => {
-                    write_error_line(&mut scratch, &e);
-                    replies[i] = scratch.as_str().to_string();
-                    continue;
-                }
-            };
-            if matches!(op, "stats" | "shutdown" | "batch" | "health" | "host") {
-                write_error_line(
-                    &mut scratch,
-                    &format_args!("op `{op}` not allowed inside batch"),
-                );
-                replies[i] = scratch.as_str().to_string();
-                continue;
-            }
-            match parse_request(&slice) {
-                Ok(Request::Ping) => scratch.raw(PING_LINE),
-                Ok(Request::Ingest {
-                    host,
-                    day_index,
-                    states,
-                }) => {
-                    sharded[self.registry.shard_index(host)].push((
-                        i,
-                        ShardOp::Ingest {
-                            host,
-                            day_index,
-                            states,
-                        },
-                    ));
-                    continue;
-                }
-                Ok(Request::Predict {
-                    host,
-                    day_type,
-                    window,
-                    init,
-                }) => {
-                    sharded[self.registry.shard_index(host)].push((
-                        i,
-                        ShardOp::Predict {
-                            host,
-                            day_type,
-                            window,
-                            init,
-                        },
-                    ));
-                    continue;
-                }
-                Ok(Request::Sweep {
-                    host,
-                    day_type,
-                    window,
-                    init,
-                    points,
-                }) => {
-                    sharded[self.registry.shard_index(host)].push((
-                        i,
-                        ShardOp::Sweep {
-                            host,
-                            day_type,
-                            window,
-                            init,
-                            points,
-                        },
-                    ));
-                    continue;
-                }
-                // The op gate above already rejected these.
-                Ok(
-                    Request::Stats
-                    | Request::Shutdown
-                    | Request::Batch(_)
-                    | Request::Health
-                    | Request::Host { .. },
-                ) => write_error_line(
-                    &mut scratch,
-                    &format_args!("op `{op}` not allowed inside batch"),
-                ),
-                Err(e) => write_error_line(&mut scratch, &e),
-            }
-            replies[i] = scratch.as_str().to_string();
-        }
-        for (shard, ops) in sharded.iter().enumerate() {
+        for (shard, ops) in sharded.into_iter().enumerate() {
             if ops.is_empty() {
                 continue;
             }
             let mut session = self.registry.session(shard);
-            let mut k = 0;
-            while k < ops.len() {
-                match &ops[k] {
-                    (
-                        i,
-                        ShardOp::Ingest {
-                            host,
-                            day_index,
-                            states,
-                        },
-                    ) => {
-                        scratch.clear();
-                        match decode_states(states) {
-                            Err(msg) => write_error_line(&mut scratch, &msg),
-                            Ok(states) => {
-                                match session.ingest_day(
-                                    *host,
-                                    day_index.map(|d| d as usize),
-                                    states,
-                                ) {
-                                    Ok(ack) => write_ingest_line(&mut scratch, &ack),
-                                    Err(e) => write_error_line(&mut scratch, &e),
-                                }
-                            }
-                        }
-                        replies[*i] = scratch.as_str().to_string();
-                        k += 1;
+            let mut ops = ops.into_iter().peekable();
+            while let Some((i, op)) = ops.next() {
+                match op {
+                    ShardOp::Ingest {
+                        host,
+                        day_index,
+                        states,
+                    } => write_ingest_reply(
+                        &mut replies[i],
+                        session.ingest_day(host, day_index, states),
+                    ),
+                    ShardOp::Sweep { at, init, points } => {
+                        let curve = session.sweep(at.host, at.day_type, at.window);
+                        write_sweep_reply(&mut replies[i], at, init, points, curve);
                     }
-                    (
-                        i,
-                        ShardOp::Sweep {
-                            host,
-                            day_type,
-                            window,
-                            init,
-                            points,
-                        },
-                    ) => {
-                        scratch.clear();
-                        match session.sweep(*host, *day_type, *window) {
-                            Err(e) => write_error_line(&mut scratch, &e),
-                            Ok(curve) => {
-                                match sweep_json(&curve, *day_type, *window, *init, *points) {
-                                    Ok(doc) => {
-                                        scratch.raw(&doc.to_string());
-                                        scratch.raw_char('\n');
-                                    }
-                                    Err(msg) => write_error_line(&mut scratch, &msg),
-                                }
-                            }
-                        }
-                        replies[*i] = scratch.as_str().to_string();
-                        k += 1;
-                    }
-                    (
-                        i,
-                        ShardOp::Predict {
-                            host,
-                            day_type,
-                            window,
-                            init,
-                        },
-                    ) => {
+                    ShardOp::Predict { at, init } => {
                         // Maximal run of predicts against one coordinate:
                         // one curve solve answers them all, bit-identically
                         // to scalar predicts.
-                        let (h, dt, w) = (*host, *day_type, *window);
-                        let mut group: Vec<(usize, State)> = vec![(*i, *init)];
-                        let mut end = k + 1;
-                        while end < ops.len() {
-                            match &ops[end] {
-                                (
-                                    j,
-                                    ShardOp::Predict {
-                                        host,
-                                        day_type,
-                                        window,
-                                        init,
-                                    },
-                                ) if *host == h && *day_type == dt && *window == w => {
-                                    group.push((*j, *init));
-                                    end += 1;
-                                }
-                                _ => break,
-                            }
+                        let mut run = vec![(i, init)];
+                        while let Some((j, ShardOp::Predict { init, .. })) = ops.next_if(
+                            |(_, next)| matches!(next, ShardOp::Predict { at: a, .. } if *a == at),
+                        ) {
+                            run.push((j, init));
                         }
-                        let inits: Vec<State> = group.iter().map(|&(_, s)| s).collect();
-                        let results = session.predict_many(h, dt, w, &inits);
-                        for (&(j, init), res) in group.iter().zip(results) {
-                            scratch.clear();
-                            match res {
-                                Ok(tr) => {
-                                    let degraded = self.predict_degraded(h);
-                                    write_predict_line(&mut scratch, h, w, dt, init, tr, degraded);
-                                }
-                                Err(e) => write_error_line(&mut scratch, &e),
-                            }
-                            replies[j] = scratch.as_str().to_string();
+                        let inits: Vec<State> = run.iter().map(|&(_, init)| init).collect();
+                        let trs = session.predict_many(at.host, at.day_type, at.window, &inits);
+                        for ((j, init), tr) in run.into_iter().zip(trs) {
+                            self.write_predict_reply(&mut replies[j], at, init, tr);
                         }
-                        k = end;
                     }
                 }
             }
         }
-        for line in &replies {
-            out.raw(line);
+        for reply in &replies {
+            out.raw(reply.as_str());
         }
     }
 
-    /// Tree fallback: full parse, identical semantics and reply bytes.
-    fn dispatch_tree(&self, line: &str, out: &mut JsonWriter) -> bool {
-        let req = match Json::parse(line) {
-            Ok(req) => req,
-            Err(e) => {
-                write_error_line(out, &format_args!("bad request: {e}"));
-                return false;
-            }
+    /// The `predict` reply: the TR — tagged `"quality":"stale"` when the
+    /// host's shard answered after poison recovery — or the error. A
+    /// healthy shard's reply bytes are unchanged from before the
+    /// hardening, so byte-compare oracles over healthy servers still hold.
+    // lint: no-alloc
+    fn write_predict_reply(
+        &self,
+        out: &mut JsonWriter,
+        at: Coords,
+        init: State,
+        tr: Result<f64, RegistryError>,
+    ) {
+        let tr = match tr {
+            Ok(tr) => tr,
+            Err(e) => return write_error_line(out, &e),
         };
-        if let Ok(Json::Str(op)) = req.field("op") {
-            if op == "batch" {
-                self.run_batch_tree(&req, out);
-                return false;
-            }
+        out.raw("{\"ok\":true,\"op\":\"predict\",\"host\":");
+        out.u64(at.host);
+        out.raw(",\"window\":");
+        out.display_string(&at.window);
+        out.raw(",\"day_type\":");
+        out.display_string(&at.day_type);
+        out.raw(",\"init\":");
+        out.display_string(&init);
+        out.raw(",\"tr\":");
+        out.f64(tr);
+        if self.predict_degraded(at.host) {
+            out.raw(",\"quality\":\"stale\"");
         }
-        match self.handle_op_json(&req, false) {
-            Ok((json, shutdown)) => {
-                out.raw(&json.to_string());
-                out.raw_char('\n');
-                shutdown
-            }
-            Err(msg) => {
-                write_error_line(out, &msg);
-                false
-            }
-        }
-    }
-
-    /// `batch` on the tree path: sequential per-element handling (the cold
-    /// path skips shard grouping), same reply bytes as
-    /// [`run_batch`](Server::run_batch).
-    fn run_batch_tree(&self, req: &Json, out: &mut JsonWriter) {
-        let ops = match req.field("ops") {
-            Err(e) => {
-                write_error_line(out, &e);
-                return;
-            }
-            Ok(Json::Arr(ops)) => ops,
-            Ok(other) => {
-                write_error_line(
-                    out,
-                    &format_args!("json error: ops: expected array, found {}", other.kind()),
-                );
-                return;
-            }
-        };
-        if ops.is_empty() {
-            write_error_line(out, &EMPTY_BATCH);
-            return;
-        }
-        for el in ops {
-            match self.handle_op_json(el, true) {
-                Ok((json, _)) => {
-                    out.raw(&json.to_string());
-                    out.raw_char('\n');
-                }
-                Err(msg) => write_error_line(out, &msg),
-            }
-        }
-    }
-
-    /// One reply line for a non-object batch element — routed through the
-    /// tree path so the bytes match sending the element standalone.
-    fn tree_element_line(&self, raw: &str) -> String {
-        let mut w = JsonWriter::new();
-        let _ = self.dispatch_tree(raw, &mut w);
-        w.as_str().to_string()
-    }
-
-    /// One parsed (tree) op. `in_batch` rejects the control ops that may
-    /// not nest.
-    fn handle_op_json(&self, req: &Json, in_batch: bool) -> Result<(Json, bool), String> {
-        let op: String = req.get("op").map_err(|e| e.to_string())?;
-        if self.debug_ops && op == "debug_panic" {
-            panic!("debug_panic op (containment test hook)");
-        }
-        if in_batch
-            && matches!(
-                op.as_str(),
-                "stats" | "shutdown" | "batch" | "health" | "host"
-            )
-        {
-            return Err(format!("op `{op}` not allowed inside batch"));
-        }
-        match op.as_str() {
-            "ping" => Ok((ok_reply("ping", vec![]), false)),
-            "shutdown" => Ok((ok_reply("shutdown", vec![]), true)),
-            "stats" => Ok((self.stats_json(), false)),
-            "health" => Ok((self.health_json(), false)),
-            "host" => {
-                let host: u64 = req.get("host").map_err(|e| e.to_string())?;
-                let days = self
-                    .registry
-                    .host_days(host)
-                    .ok_or_else(|| RegistryError::UnknownHost(host).to_string())?;
-                Ok((
-                    ok_reply(
-                        "host",
-                        vec![
-                            ("host".into(), Json::U64(host)),
-                            ("days".into(), Json::U64(days as u64)),
-                        ],
-                    ),
-                    false,
-                ))
-            }
-            "ingest" => {
-                let host: u64 = req.get("host").map_err(|e| e.to_string())?;
-                let day_index: Option<u64> = req.get_opt("day_index").map_err(|e| e.to_string())?;
-                let states: String = req.get("states").map_err(|e| e.to_string())?;
-                let states = decode_states(&states)?;
-                let ack = self
-                    .registry
-                    .ingest_day(host, day_index.map(|d| d as usize), states)
-                    .map_err(|e| e.to_string())?;
-                Ok((
-                    ok_reply(
-                        "ingest",
-                        vec![
-                            ("host".into(), Json::U64(ack.host)),
-                            ("day_index".into(), Json::U64(ack.day_index as u64)),
-                            ("days".into(), Json::U64(ack.days as u64)),
-                        ],
-                    ),
-                    false,
-                ))
-            }
-            "predict" => {
-                let host: u64 = req.get("host").map_err(|e| e.to_string())?;
-                let (day_type, window, init) = query_coords(req)?;
-                let tr = self
-                    .registry
-                    .predict(host, day_type, window, init)
-                    .map_err(|e| e.to_string())?;
-                let mut fields = vec![
-                    ("host".into(), Json::U64(host)),
-                    ("window".into(), Json::Str(window.to_string())),
-                    ("day_type".into(), Json::Str(day_type.to_string())),
-                    ("init".into(), Json::Str(init.to_string())),
-                    ("tr".into(), Json::F64(tr)),
-                ];
-                if self.predict_degraded(host) {
-                    fields.push(("quality".into(), Json::Str("stale".into())));
-                }
-                Ok((ok_reply("predict", fields), false))
-            }
-            "sweep" => {
-                let host: u64 = req.get("host").map_err(|e| e.to_string())?;
-                let (day_type, window, init) = query_coords(req)?;
-                let points: Option<u64> = req.get_opt("points").map_err(|e| e.to_string())?;
-                let points = points.unwrap_or(12) as usize;
-                let curve = self
-                    .registry
-                    .sweep(host, day_type, window)
-                    .map_err(|e| e.to_string())?;
-                // The reply is exactly the `fgcs sweep --json` document so
-                // serve answers can be byte-compared against the CLI.
-                Ok((sweep_json(&curve, day_type, window, init, points)?, false))
-            }
-            other => Err(format!("unknown op `{other}`")),
-        }
+        out.raw("}\n");
     }
 
     /// The `stats` reply document: registry counters, kernel-dedup
@@ -1109,25 +785,30 @@ impl Server {
 
     /// Oneshot batch mode: handles request lines from `input` until EOF or
     /// a `shutdown` op, writing one reply line each to `output`. Returns
-    /// whether a `shutdown` op was seen.
+    /// whether a `shutdown` op was seen. On exit the WALs are fsynced and
+    /// fresh snapshots written.
+    pub fn serve_lines(&self, input: impl BufRead, output: impl Write) -> std::io::Result<bool> {
+        let shutdown = self.serve_stream(input, output)?;
+        self.finalize();
+        Ok(shutdown)
+    }
+
+    /// The request loop of both transports: handles lines from `input`
+    /// until EOF or a `shutdown` op, writing each reply to `output` before
+    /// reading the next line. Returns whether a `shutdown` op was seen.
     ///
     /// One read buffer and one reply buffer serve the whole stream: both
     /// are cleared (capacity kept) between requests, so a warm request
     /// costs no per-line allocation — and the read buffer never grows past
     /// `max_line_bytes` (oversized lines are drained and answered with a
     /// structured `too_large` reply).
-    pub fn serve_lines(
-        &self,
-        mut input: impl BufRead,
-        mut output: impl Write,
-    ) -> std::io::Result<bool> {
+    fn serve_stream(&self, mut input: impl BufRead, mut output: impl Write) -> io::Result<bool> {
         let mut buf: Vec<u8> = Vec::new();
         let mut out = JsonWriter::new();
-        let mut saw_shutdown = false;
-        loop {
+        let shutdown = loop {
             out.clear();
             let shutdown = match read_bounded_line(&mut input, &mut buf, self.max_line_bytes)? {
-                LineRead::Eof => break,
+                LineRead::Eof => break false,
                 LineRead::TooLarge => {
                     self.write_too_large(&mut out);
                     false
@@ -1148,13 +829,11 @@ impl Server {
             };
             output.write_all(out.as_str().as_bytes())?;
             if shutdown {
-                saw_shutdown = true;
-                break;
+                break true;
             }
-        }
+        };
         output.flush()?;
-        self.finalize();
-        Ok(saw_shutdown)
+        Ok(shutdown)
     }
 
     /// Renders the `too_large` shed reply and counts the rejection.
@@ -1204,62 +883,25 @@ impl Server {
         Ok(())
     }
 
+    /// One TCP connection: [`serve_stream`](Server::serve_stream) under
+    /// read and write deadlines, so a peer that stops sending *or* stops
+    /// draining replies releases this thread at the timeout. Replies go
+    /// straight to the unbuffered socket. Any I/O error, deadline expiry
+    /// included, just closes the connection; a `shutdown` op also stops
+    /// the accept loop.
     fn handle_conn(
         &self,
         stream: TcpStream,
         shutdown: &AtomicBool,
         addr: SocketAddr,
     ) -> std::io::Result<()> {
-        // Deadlines on both directions: a peer that stops sending *or*
-        // stops draining replies releases this thread at the timeout.
         stream.set_read_timeout(self.read_timeout)?;
         stream.set_write_timeout(self.read_timeout)?;
-        let mut reader = BufReader::new(stream.try_clone()?);
-        let mut writer = stream;
-        let mut buf: Vec<u8> = Vec::new();
-        let mut out = JsonWriter::new();
-        loop {
-            out.clear();
-            let stop = match read_bounded_line(&mut reader, &mut buf, self.max_line_bytes) {
-                // Deadline expiry is a *clean* close, not an error: the
-                // peer idled past the read timeout.
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                    ) =>
-                {
-                    break
-                }
-                Err(e) => return Err(e),
-                Ok(LineRead::Eof) => break,
-                Ok(LineRead::TooLarge) => {
-                    self.write_too_large(&mut out);
-                    false
-                }
-                Ok(LineRead::Line) => match std::str::from_utf8(&buf) {
-                    Err(_) => {
-                        out.raw(BAD_UTF8_LINE);
-                        false
-                    }
-                    Ok(text) => {
-                        let trimmed = text.trim();
-                        if trimmed.is_empty() {
-                            continue;
-                        }
-                        self.handle_line_into(trimmed, &mut out)
-                    }
-                },
-            };
-            writer.write_all(out.as_str().as_bytes())?;
-            writer.flush()?;
-            if stop {
-                shutdown.store(true, Ordering::SeqCst);
-                // Unblock the accept loop; the flag makes it exit before
-                // serving the wake-up connection.
-                let _ = TcpStream::connect(addr);
-                break;
-            }
+        if self.serve_stream(BufReader::new(stream.try_clone()?), &stream)? {
+            shutdown.store(true, Ordering::SeqCst);
+            // Unblock the accept loop; the flag makes it exit before
+            // serving the wake-up connection.
+            let _ = TcpStream::connect(addr);
         }
         Ok(())
     }
@@ -1405,16 +1047,18 @@ fn ok_reply(op: &str, rest: Vec<(String, Json)>) -> Json {
 /// Decodes a digit-per-sample state string (`'1'`–`'5'` for S1–S5), the
 /// wire encoding of one day of classified samples.
 pub fn decode_states(digits: &str) -> Result<Vec<State>, String> {
-    digits
+    // Validate first, then map in one exactly-sized pass: an ingest line
+    // carries a whole day (14 400 digits at the paper's 6-s period).
+    if let Some(bad) = digits.bytes().find(|b| !matches!(b, b'1'..=b'5')) {
+        return Err(format!(
+            "invalid state digit {:?} (expected 1-5)",
+            bad as char
+        ));
+    }
+    Ok(digits
         .bytes()
-        .map(|b| match b {
-            b'1'..=b'5' => Ok(State::from_index((b - b'1') as usize)),
-            other => Err(format!(
-                "invalid state digit {:?} (expected 1-5)",
-                other as char
-            )),
-        })
-        .collect()
+        .map(|b| State::ALL[usize::from(b - b'1')])
+        .collect())
 }
 
 /// Encodes one day of states as the wire digit string (inverse of
@@ -1425,26 +1069,6 @@ pub fn encode_states(states: &[State]) -> String {
         .iter()
         .map(|s| char::from(b'1' + s.index() as u8))
         .collect()
-}
-
-/// Shared query-coordinate parsing for `predict`/`sweep` requests:
-/// `start`/`hours` (fractional hours), optional `day_type` (default
-/// weekday) and `init` (default S1).
-fn query_coords(req: &Json) -> Result<(DayType, TimeWindow, State), String> {
-    let start: f64 = req.get("start").map_err(|e| e.to_string())?;
-    let hours: f64 = req.get("hours").map_err(|e| e.to_string())?;
-    let day_type = match req
-        .get_opt::<String>("day_type")
-        .map_err(|e| e.to_string())?
-    {
-        None => DayType::Weekday,
-        Some(s) => parse_day_type(&s)?,
-    };
-    let init = match req.get_opt::<String>("init").map_err(|e| e.to_string())? {
-        None => State::S1,
-        Some(s) => parse_init(&s)?,
-    };
-    Ok((day_type, parse_window(start, hours)?, init))
 }
 
 /// Parses `"weekday"`/`"weekend"` (the [`DayType`] display strings).
@@ -1465,8 +1089,8 @@ pub fn parse_init(s: &str) -> Result<State, String> {
     }
 }
 
-/// Validating counterpart of [`TimeWindow::from_hours`]: protocol input
-/// must produce an error line, never a panic.
+/// Validating counterpart of [`TimeWindow::from_hours`]: protocol and CLI
+/// input must produce an error, never a panic.
 pub fn parse_window(start: f64, hours: f64) -> Result<TimeWindow, String> {
     if !start.is_finite() || !hours.is_finite() || start < 0.0 || hours <= 0.0 {
         return Err(format!("invalid window: start {start}h + {hours}h"));
@@ -1479,7 +1103,8 @@ pub fn parse_window(start: f64, hours: f64) -> Result<TimeWindow, String> {
     if len_secs == 0 {
         return Err(format!("window too short: {hours}h rounds to 0s"));
     }
-    if start_secs + len_secs > 2 * SECS_PER_DAY {
+    // In u64: a huge `hours` saturates `len_secs` near u32::MAX.
+    if u64::from(start_secs) + u64::from(len_secs) > 2 * u64::from(SECS_PER_DAY) {
         return Err(format!(
             "window may cross at most one midnight: {start}h + {hours}h"
         ));
@@ -1487,8 +1112,26 @@ pub fn parse_window(start: f64, hours: f64) -> Result<TimeWindow, String> {
     Ok(TimeWindow::new(start_secs, len_secs))
 }
 
+/// The horizons, in steps, of an evenly spaced `points`-point grid over a
+/// `steps`-step window (`i * steps / points` for `i` in `1..=points`). A
+/// grid finer than the window's steps would only repeat step indices, so
+/// that is refused along with an empty grid — which also bounds what one
+/// request can make the server allocate.
+pub fn horizon_grid(steps: usize, points: usize) -> Result<impl Iterator<Item = usize>, String> {
+    if points == 0 {
+        return Err("points must be positive".into());
+    }
+    if points > steps {
+        return Err(format!(
+            "points must be at most the window's {steps} steps, got {points}"
+        ));
+    }
+    Ok((1..=points).map(move |i| i * steps / points))
+}
+
 /// Renders a TR-vs-horizon sweep as a single JSON document: the evenly
-/// spaced horizon grid of `fgcs sweep`, machine-readable.
+/// spaced horizon grid of `fgcs sweep` ([`horizon_grid`]),
+/// machine-readable.
 ///
 /// This is the **shared** formatter behind both the `fgcs sweep --json`
 /// CLI and the serve `sweep` reply — one code path, so the two outputs are
@@ -1500,13 +1143,10 @@ pub fn sweep_json(
     init: State,
     points: usize,
 ) -> Result<Json, String> {
-    if points == 0 {
-        return Err("points must be positive".into());
-    }
     let steps = curve.horizon_steps();
+    let grid = horizon_grid(steps, points)?;
     let mut rows = Vec::with_capacity(points);
-    for i in 1..=points {
-        let m = i * steps / points;
+    for m in grid {
         let tr = curve.tr(init, m).map_err(|e| e.to_string())?;
         let horizon_hr = m as f64 * f64::from(curve.step_secs()) / 3600.0;
         rows.push(Json::Obj(vec![
@@ -1646,6 +1286,9 @@ mod tests {
         assert!(parse_window(9.0, f64::NAN).is_err());
         assert!(parse_window(23.0, 26.0).is_err());
         assert!(parse_window(0.0, 1e-9).is_err());
+        // `len_secs` saturates near u32::MAX; the bound must not wrap.
+        assert!(parse_window(9.0, 1e12).is_err());
+        assert!(parse_window(23.9, f64::MAX).is_err());
     }
 
     #[test]
@@ -1786,9 +1429,9 @@ mod tests {
     }
 
     #[test]
-    fn tree_fallback_replies_match_the_fast_path() {
-        // An escaped `"S1"` forces the escape-free scanner to bail; the
-        // tree path must answer with exactly the bytes of the literal twin.
+    fn escaped_requests_match_their_literal_twins() {
+        // An escaped `"S1"` is decoded by the scanner: the reply must be
+        // exactly the bytes of the literal twin.
         let s = warm_server(3, 4);
         let fast =
             s.handle_line(r#"{"op":"predict","host":3,"start":9.0,"hours":2.0,"init":"S1"}"#);
@@ -1797,8 +1440,8 @@ mod tests {
         );
         assert_eq!(fast.line, slow.line);
 
-        // Same equivalence through a batch: escapes anywhere in the line
-        // route the whole batch through the tree path.
+        // Same equivalence through a batch, whose elements are decoded by
+        // the same scanner.
         let fast = s.handle_line(
             r#"{"op":"batch","ops":[{"op":"ping"},{"op":"predict","host":3,"start":9.0,"hours":2.0,"init":"S1"}]}"#,
         );

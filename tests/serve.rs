@@ -307,6 +307,45 @@ fn abrupt_disconnects_do_not_wedge_the_server() {
     });
 }
 
+#[test]
+fn oversized_sweep_grids_and_windows_get_error_replies() {
+    // A 2^53-point sweep grid once reached `Vec::with_capacity(points)`
+    // and aborted the process; a 1e12-hour window once overflowed the
+    // midnight check. Both must be plain error replies on a connection
+    // that keeps serving.
+    let server = server_with_shards(2);
+    let (_, lines) = ingest_stream(5, 3, 3);
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral");
+    let addr = listener.local_addr().expect("addr");
+    std::thread::scope(|scope| {
+        let serve = scope.spawn(|| server.serve_tcp(&listener));
+        let mut client = Client::connect(addr);
+        for line in &lines {
+            let reply = client.roundtrip(line);
+            assert!(reply.contains("\"ok\":true"), "{reply}");
+        }
+        let reply = client.roundtrip(
+            r#"{"op":"sweep","host":3,"start":9.0,"hours":2.0,"points":9007199254740992}"#,
+        );
+        assert_eq!(
+            reply,
+            r#"{"ok":false,"error":"points must be at most the window's 1200 steps, got 9007199254740992"}"#
+        );
+        let reply = client.roundtrip(r#"{"op":"predict","host":3,"start":9.0,"hours":1e12}"#);
+        assert_eq!(
+            reply,
+            r#"{"ok":false,"error":"window may cross at most one midnight: 9h + 1000000000000h"}"#
+        );
+        assert_eq!(
+            client.roundtrip(r#"{"op":"ping"}"#),
+            r#"{"ok":true,"op":"ping"}"#
+        );
+        let bye = client.roundtrip(r#"{"op":"shutdown"}"#);
+        assert!(bye.contains("\"op\":\"shutdown\""), "{bye}");
+        serve.join().expect("serve thread").expect("clean shutdown");
+    });
+}
+
 struct Client {
     reader: BufReader<TcpStream>,
     writer: TcpStream,
@@ -326,5 +365,182 @@ impl Client {
         let mut reply = String::new();
         self.reader.read_line(&mut reply).expect("recv");
         reply.trim_end().to_string()
+    }
+}
+
+/// Golden replies for request lines outside the plain escape-free object
+/// shape: escapes in keys and values, non-object top levels, bad syntax,
+/// nesting past the parser's depth limit, duplicate keys, numeric edge
+/// cases, and batches mixing all of these. The lines run in table order
+/// against one server holding 8 generated days of host 3; only the last
+/// one (an escaped `shutdown`) stops the service.
+#[test]
+fn hostile_lines_get_pinned_replies() {
+    let deep = format!("{}{}", "[".repeat(600), "]".repeat(600));
+    let table: Vec<(String, &[&str])> = vec![
+        (
+            "{\"op\":\"p\\u0069ng\"}".into(),
+            &[r#"{"ok":true,"op":"ping"}"#],
+        ),
+        (
+            "{\"o\\u0070\":\"ping\"}".into(),
+            &[r#"{"ok":true,"op":"ping"}"#],
+        ),
+        (
+            "{\"op\":\"predict\",\"host\":3,\"start\":9.0,\"hours\":2.0,\"init\":\"\\u0053\\u0032\"}".into(),
+            &[r#"{"ok":true,"op":"predict","host":3,"window":"09:00+2.00h","day_type":"weekday","init":"S2","tr":0.6053628769820925}"#],
+        ),
+        (
+            "{\"op\":\"predict\",\"host\":3,\"start\":9.0,\"hours\":2.0,\"day_type\":\"week\\u0065nd\"}".into(),
+            &[r#"{"ok":true,"op":"predict","host":3,"window":"09:00+2.00h","day_type":"weekend","init":"S1","tr":1}"#],
+        ),
+        (
+            "{\"op\":\"predict\",\"host\":3,\"start\":9.0,\"hours\":2.0,\"init\":\"S\\u0033\"}".into(),
+            &[r#"{"ok":false,"error":"init must be S1 or S2, got S3"}"#],
+        ),
+        (
+            "{\"op\":\"n\\u00f6pe\\n\"}".into(),
+            &[r#"{"ok":false,"error":"unknown op `nöpe\n`"}"#],
+        ),
+        (
+            "{\"op\":\"\\u0000\"}".into(),
+            &[r#"{"ok":false,"error":"unknown op `\u0000`"}"#],
+        ),
+        (
+            "{\"op\":\"sweep\",\"host\":3,\"start\":9.0,\"hours\":1.0,\"points\":3,\"init\":\"\\/S2\"}".into(),
+            &[r#"{"ok":false,"error":"init must be S1 or S2, got /S2"}"#],
+        ),
+        (
+            "{\"op\":\"sweep\",\"host\":3,\"start\":9.0,\"hours\":1.0,\"points\":3,\"init\":\"s\\u0032\"}".into(),
+            &[r#"{"window":"09:00+1.00h","day_type":"weekday","init":"S2","step_secs":6,"horizon_steps":600,"points":[{"steps":200,"horizon_hr":0.3333333333333333,"tr":0.7862395807553241},{"steps":400,"horizon_hr":0.6666666666666666,"tr":0.7221353907230748},{"steps":600,"horizon_hr":1,"tr":0.6794471239996749}]}"#],
+        ),
+        (
+            "{\"op\":\"ingest\",\"host\":4,\"day_index\":0,\"states\":\"1\\u00329\"}".into(),
+            &[r#"{"ok":false,"error":"invalid state digit '9' (expected 1-5)"}"#],
+        ),
+        (
+            "[1,2]".into(),
+            &[r#"{"ok":false,"error":"json error: expected object with field `op`, found array"}"#],
+        ),
+        (
+            "5".into(),
+            &[r#"{"ok":false,"error":"json error: expected object with field `op`, found number"}"#],
+        ),
+        (
+            "\"ping\"".into(),
+            &[r#"{"ok":false,"error":"json error: expected object with field `op`, found string"}"#],
+        ),
+        (
+            "null".into(),
+            &[r#"{"ok":false,"error":"json error: expected object with field `op`, found null"}"#],
+        ),
+        (
+            "not json".into(),
+            &[r#"{"ok":false,"error":"bad request: json error: expected `null` at byte 0"}"#],
+        ),
+        (
+            "{\"op\":\"ping\"}x".into(),
+            &[r#"{"ok":false,"error":"bad request: json error: trailing characters after document at byte 13"}"#],
+        ),
+        (
+            "{\"op\":\"ping\",}".into(),
+            &[r#"{"ok":false,"error":"bad request: json error: expected `\"` at byte 13"}"#],
+        ),
+        (
+            "{\"op\":\"\\ud800\"}".into(),
+            &[r#"{"ok":false,"error":"bad request: json error: unpaired high surrogate at byte 13"}"#],
+        ),
+        (
+            "{\"op\":\"\\q\"}".into(),
+            &[r#"{"ok":false,"error":"bad request: json error: invalid escape sequence at byte 8"}"#],
+        ),
+        (
+            "{\"op\":\"pi\tng\"}".into(),
+            &[r#"{"ok":false,"error":"bad request: json error: control character in string at byte 9"}"#],
+        ),
+        (
+            deep.clone(),
+            &[r#"{"ok":false,"error":"bad request: json error: document nested too deeply at byte 512"}"#],
+        ),
+        (
+            format!("{{\"op\":\"ping\",\"x\":{deep}}}"),
+            &[r#"{"ok":false,"error":"bad request: json error: document nested too deeply at byte 528"}"#],
+        ),
+        (
+            "{\"op\":\"ping\",\"op\":\"shutdown\"}".into(),
+            &[r#"{"ok":true,"op":"ping"}"#],
+        ),
+        (
+            "{\"op\":\"host\",\"host\":3,\"host\":\"three\"}".into(),
+            &[r#"{"ok":true,"op":"host","host":3,"days":8}"#],
+        ),
+        (
+            "{\"op\":\"predict\",\"host\":3,\"start\":-0,\"hours\":2.0}".into(),
+            &[r#"{"ok":true,"op":"predict","host":3,"window":"00:00+2.00h","day_type":"weekday","init":"S1","tr":1}"#],
+        ),
+        (
+            "{\"op\":\"predict\",\"host\":3,\"start\":9.0,\"hours\":1e309}".into(),
+            &[r#"{"ok":false,"error":"invalid window: start 9h + infh"}"#],
+        ),
+        (
+            "{\"op\":\"host\",\"host\":18446744073709551616}".into(),
+            &[r#"{"ok":false,"error":"json error: host: expected unsigned integer, found number"}"#],
+        ),
+        (
+            "{\"op\":\"host\",\"host\":-0}".into(),
+            &[r#"{"ok":false,"error":"unknown host 0"}"#],
+        ),
+        (
+            "{\"op\":\"b\\u0061tch\",\"ops\":[]}".into(),
+            &[r#"{"ok":false,"error":"batch needs at least one op"}"#],
+        ),
+        (
+            "{\"op\":\"batch\",\"ops\":\"\\u005b\\u005d\"}".into(),
+            &[r#"{"ok":false,"error":"json error: ops: expected array, found string"}"#],
+        ),
+        (
+            "{\"op\":\"batch\",\"ops\":[{\"op\":\"p\\u0069ng\"},[1],5,\"x\",null,{\"op\":\"st\\u0061ts\"},{\"op\":\"shutdown\"},{\"op\":\"predict\",\"host\":3,\"start\":9.0,\"hours\":2.0,\"init\":\"\\u0053\\u0031\"},{\"op\":\"predict\",\"host\":3,\"start\":9.0,\"hours\":2.0},{}]}".into(),
+            &[
+                r#"{"ok":true,"op":"ping"}"#,
+                r#"{"ok":false,"error":"json error: expected object with field `op`, found array"}"#,
+                r#"{"ok":false,"error":"json error: expected object with field `op`, found number"}"#,
+                r#"{"ok":false,"error":"json error: expected object with field `op`, found string"}"#,
+                r#"{"ok":false,"error":"json error: expected object with field `op`, found null"}"#,
+                r#"{"ok":false,"error":"op `stats` not allowed inside batch"}"#,
+                r#"{"ok":false,"error":"op `shutdown` not allowed inside batch"}"#,
+                r#"{"ok":true,"op":"predict","host":3,"window":"09:00+2.00h","day_type":"weekday","init":"S1","tr":0.6210692850819619}"#,
+                r#"{"ok":true,"op":"predict","host":3,"window":"09:00+2.00h","day_type":"weekday","init":"S1","tr":0.6210692850819619}"#,
+                r#"{"ok":false,"error":"json error: missing field `op`"}"#,
+            ],
+        ),
+        (
+            "{\"o\\u0070\":\"batch\",\"ops\":[{\"op\":\"ping\"},{\"op\":\"ingest\",\"host\":4,\"states\":\"\\u0031\"},{\"\\u006fp\":\"predict\",\"h\\u006fst\":3,\"start\":9.5,\"hours\":1.0,\"init\":\"S2\"},{\"op\":\"batch\",\"ops\":[]}]}".into(),
+            &[
+                r#"{"ok":true,"op":"ping"}"#,
+                r#"{"ok":true,"op":"ingest","host":4,"day_index":0,"days":1}"#,
+                r#"{"ok":true,"op":"predict","host":3,"window":"09:30+1.00h","day_type":"weekday","init":"S2","tr":0.7989669749156962}"#,
+                r#"{"ok":false,"error":"op `batch` not allowed inside batch"}"#,
+            ],
+        ),
+        (
+            "{\"op\":\"batch\",\"ops\":[{\"op\":\"ping\"},]}".into(),
+            &[r#"{"ok":false,"error":"bad request: json error: unexpected character `]` at byte 35"}"#],
+        ),
+        (
+            "{\"op\":\"sh\\u0075tdown\"}".into(),
+            &[r#"{"ok":true,"op":"shutdown"}"#],
+        ),
+    ];
+    let (_, lines) = ingest_stream(42, 8, 3);
+    let server = server_with_shards(4);
+    for line in &lines {
+        let reply = server.handle_line(line);
+        assert!(reply.line.contains("\"ok\":true"), "{}", reply.line);
+    }
+    let last = table.len() - 1;
+    for (i, (request, want)) in table.iter().enumerate() {
+        let reply = server.handle_line(request);
+        assert_eq!(reply.line, want.join("\n"), "request: {request}");
+        assert_eq!(reply.shutdown, i == last, "request: {request}");
     }
 }
