@@ -28,8 +28,10 @@
 //! `--check` also enforces *absolute* latency gates — on the fast path
 //! (`smp_solver/fast_2h` under 100 µs, `smp_solver/batched_sweep_2h`
 //! under 1 ms), on the 10k-host serving smoke's ingest/query p99s
-//! (`cluster_serve_10k/…`, see `fgcs_bench::cluster`), and on the deduped
-//! 1000-host scheduling sweep (`cluster_sweep_1k_hosts`) — all normalized by
+//! (`cluster_serve_10k/…`, see `fgcs_bench::cluster`), on the deduped
+//! 1000-host scheduling sweep (`cluster_sweep_1k_hosts`), and on the durable
+//! ingest's byte path (`ingest_bytes/…`: one 14 400-sample ingest line
+//! scanned and decoded, one WAL frame built in memory) — all normalized by
 //! the baseline's `machine_factor` (the run's measured speed on a fixed
 //! arithmetic workload relative to the reference machine), so the gates
 //! track code quality rather than host speed.
@@ -43,11 +45,13 @@ use fgcs_core::batch::{predict_cluster, BatchSolver, ClusterQuery};
 use fgcs_core::cache::QhCache;
 use fgcs_core::classify::StateClassifier;
 use fgcs_core::predictor::SmpPredictor;
+use fgcs_core::registry::encode_wal_record;
 use fgcs_core::smp::{FastSolver, SmpParams, SolveScratch, SparseSolver};
-use fgcs_core::state::State;
+use fgcs_core::state::{self, State};
 use fgcs_core::window::{DayType, TimeWindow};
 use fgcs_runtime::bench::measure;
-use fgcs_runtime::json::Json;
+use fgcs_runtime::json::{Json, JsonSlice};
+use fgcs_runtime::wal;
 use fgcs_trace::{TraceConfig, TraceGenerator};
 
 /// Samples per bench; the median of these is what lands in the baseline.
@@ -57,9 +61,9 @@ const SAMPLES: usize = 7;
 const TARGET_SAMPLE: Duration = Duration::from_millis(5);
 
 /// Bench keys `--check` requires (the ISSUE-2 acceptance set, the ISSUE-3
-/// multi-horizon batching set, the ISSUE-6 fast-path set, and the ISSUE-7
-/// serving-scale set).
-const REQUIRED_KEYS: [&str; 14] = [
+/// multi-horizon batching set, the ISSUE-6 fast-path set, the ISSUE-7
+/// serving-scale set, and the durable-ingest byte path).
+const REQUIRED_KEYS: [&str; 16] = [
     "smp_solver/paper_eq3_2h",
     "smp_solver/fast_2h",
     "smp_solver/per_horizon_sweep_2h",
@@ -74,6 +78,8 @@ const REQUIRED_KEYS: [&str; 14] = [
     "cluster_serve_10k/ingest_day_p99_ns",
     "cluster_serve_10k/query_p50_ns",
     "cluster_serve_10k/query_p99_ns",
+    "ingest_bytes/scan_decode_14k",
+    "ingest_bytes/wal_frame_14k",
 ];
 
 /// Enabled-vs-disabled overhead budget for the instrumented Fig. 5 sweep.
@@ -139,6 +145,19 @@ const SERVE_QUERY_P99_GATE_NS: f64 = 84_000.0;
 /// per remaining host; the whole sweep must finish well under the cost of
 /// 1000 independent solves.
 const CLUSTER_SWEEP_GATE_NS: f64 = 27_000_000.0;
+
+/// Absolute gate on reading one 14 400-sample ingest line
+/// (`ingest_bytes/scan_decode_14k`: `JsonSlice::scan`, the `states` lookup
+/// and the digit decode), at `machine_factor` 1.0. Every pass runs a block
+/// at a time; a pass that falls back to a per-byte loop costs more than
+/// the gate.
+const SCAN_DECODE_GATE_NS: f64 = 1_750.0;
+
+/// Absolute gate on building one 14 400-sample WAL frame in memory
+/// (`ingest_bytes/wal_frame_14k`: record encode, slicing-by-8 CRC, frame),
+/// at `machine_factor` 1.0. A bytewise CRC or a per-state encode loop
+/// costs more than the gate.
+const WAL_FRAME_GATE_NS: f64 = 7_250.0;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -328,6 +347,29 @@ fn run_smoke() -> Json {
     });
     run("trace_gen/machine_day_lab", &mut || {
         black_box(generator.generate_days(1));
+    });
+
+    // The durable ingest's byte path on one paper-scale day: reading the
+    // request line, and building the WAL frame the registry writes.
+    let day_states = history.days()[1].log.states();
+    assert_eq!(day_states.len(), 14_400);
+    let mut digits = Vec::new();
+    state::encode_digits(day_states, &mut digits);
+    let ingest_line = format!(
+        "{{\"op\":\"ingest\",\"host\":17,\"day_index\":3,\"states\":\"{}\"}}",
+        String::from_utf8(digits).expect("digits are ASCII")
+    );
+    run("ingest_bytes/scan_decode_14k", &mut || {
+        let request = JsonSlice::scan(black_box(&ingest_line)).expect("valid line");
+        let digits = request.get_str("states").expect("states field");
+        black_box(state::decode_digits(digits.as_bytes()).expect("valid digits"));
+    });
+    let (mut record, mut frame) = (Vec::new(), Vec::new());
+    run("ingest_bytes/wal_frame_14k", &mut || {
+        encode_wal_record(&mut record, 17, 3, black_box(day_states));
+        frame.clear();
+        wal::frame_into(&mut frame, &record).expect("frame fits");
+        black_box(&frame);
     });
 
     // The ISSUE-7 serving-scale smoke: 10k hosts through the sharded
@@ -524,6 +566,8 @@ fn check_baseline(path: &str) -> Result<(), String> {
     )?;
     gate("cluster_serve_10k/query_p99_ns", SERVE_QUERY_P99_GATE_NS)?;
     gate("cluster_sweep_1k_hosts", CLUSTER_SWEEP_GATE_NS)?;
+    gate("ingest_bytes/scan_decode_14k", SCAN_DECODE_GATE_NS)?;
+    gate("ingest_bytes/wal_frame_14k", WAL_FRAME_GATE_NS)?;
     Ok(())
 }
 

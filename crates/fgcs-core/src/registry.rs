@@ -31,26 +31,29 @@
 //!
 //! **Durability.** With [`RegistryConfig::data_dir`] set, every ingest is
 //! written ahead to a per-shard [`fgcs_runtime::wal`] log *before* it is
-//! applied (`shard-N.wal`, one CRC-framed JSON record per day), fsynced
-//! at [`RegistryConfig::fsync_every`] and compacted into a periodic
+//! applied (`shard-N.wal`, one CRC-framed JSON record per day) and fsynced
+//! at [`RegistryConfig::fsync_every`]. Every
+//! [`RegistryConfig::snapshot_every`] records the shard also writes a
 //! whole-shard snapshot (`shard-N.snap`, written to a temp file and
-//! atomically renamed) every [`RegistryConfig::snapshot_every`] records.
+//! atomically renamed). The snapshot is a second copy, not a compaction:
+//! nothing truncates the WAL, which keeps every record ever appended.
 //! [`ShardedRegistry::recover`] pools every `(host, day)` found in any
-//! snapshot or WAL file, sorts each host's days, and replays them through
-//! the ordinary ingest path — so recovered predictions are **bit-identical**
-//! to an uninterrupted run over the surviving records (the recovery ≡
-//! replay invariant; property-tested below and in `tests/recovery.rs`).
-//! A torn or corrupt WAL tail is truncated, never fatal; a missing
-//! snapshot only means a longer replay.
+//! snapshot or WAL file (each frame decoded in place by `JsonSlice` and
+//! the [`crate::state`] digit codec), sorts each host's days, and replays
+//! them through the ordinary ingest path — so recovered predictions are
+//! **bit-identical** to an uninterrupted run over the surviving records
+//! (the recovery ≡ replay invariant; property-tested below and in
+//! `tests/recovery.rs`). A torn or corrupt WAL tail is truncated, never
+//! fatal; a missing snapshot loses nothing the WAL still holds.
 
 use std::collections::{BTreeMap, HashMap};
-use std::io;
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use fgcs_runtime::fault::FaultInjector;
-use fgcs_runtime::json::{Json, JsonWriter};
+use fgcs_runtime::json::JsonSlice;
 use fgcs_runtime::shard::shard_of;
 use fgcs_runtime::wal::{self, WalWriter};
 
@@ -61,7 +64,7 @@ use crate::log::{DayLog, HistoryStore, StateLog};
 use crate::model::AvailabilityModel;
 use crate::predictor::{solve_memo_key, SmpPredictor, SolverPolicy};
 use crate::smp::{IncrementalEstimator, SmpParams};
-use crate::state::State;
+use crate::state::{self, State};
 use crate::window::{DayType, TimeWindow};
 
 /// Configuration for a [`ShardedRegistry`].
@@ -250,7 +253,7 @@ struct Shard {
     wal: Option<WalWriter>,
     /// Reusable WAL record serialization buffer (no allocation on the
     /// append hot path).
-    wal_buf: JsonWriter,
+    wal_buf: Vec<u8>,
     /// Snapshot file path (`None` when not durable).
     snap_path: Option<PathBuf>,
     /// WAL appends since the last snapshot.
@@ -267,7 +270,7 @@ impl Shard {
             qh: QhCache::with_dedup(qh_capacity, Arc::clone(dedup)),
             log: Vec::new(),
             wal: None,
-            wal_buf: JsonWriter::new(),
+            wal_buf: Vec::new(),
             snap_path: None,
             records_since_snapshot: 0,
             snapshots_written: 0,
@@ -435,7 +438,7 @@ impl ShardedRegistry {
             let Shard { wal, wal_buf, .. } = &mut *shard;
             if let Some(wal) = wal.as_mut() {
                 encode_wal_record(wal_buf, host, idx, &states);
-                wal.append(wal_buf.as_str().as_bytes())?;
+                wal.append(wal_buf)?;
                 shard.records_since_snapshot += 1;
                 fgcs_runtime::counter_add!("core.registry.wal_appends", 1);
             }
@@ -869,37 +872,27 @@ impl ShardedRegistry {
         let wal_records = shard.wal.as_ref().map_or(0, WalWriter::records);
         let tmp = path.with_extension("snap.tmp");
         let mut file = std::io::BufWriter::new(std::fs::File::create(&tmp)?);
-        let mut buf = JsonWriter::new();
-        buf.raw("{\"schema\":\"fgcs-snap-v1\",\"step_secs\":");
-        buf.u64(u64::from(self.model.monitor_period_secs));
-        buf.raw(",\"wal_records\":");
-        buf.u64(wal_records);
-        buf.raw(",\"hosts\":");
-        buf.u64(shard.hosts.len() as u64);
-        buf.raw("}");
-        wal::write_frame(&mut file, buf.as_str().as_bytes())?;
+        let mut buf = Vec::new();
+        let _ = write!(
+            buf,
+            "{{\"schema\":\"fgcs-snap-v1\",\"step_secs\":{},\"wal_records\":{wal_records},\"hosts\":{}}}",
+            self.model.monitor_period_secs,
+            shard.hosts.len()
+        );
+        wal::write_frame(&mut file, &buf)?;
         let mut hosts: Vec<&u64> = shard.hosts.keys().collect();
         hosts.sort_unstable();
         for host in hosts {
-            let entry = &shard.hosts[host];
             buf.clear();
-            buf.raw("{\"host\":");
-            buf.u64(*host);
-            buf.raw(",\"days\":[");
-            for (d, day) in entry.history.days().iter().enumerate() {
-                if d > 0 {
-                    buf.raw(",");
-                }
-                buf.raw("{\"i\":");
-                buf.u64(day.day_index as u64);
-                buf.raw(",\"s\":\"");
-                for s in day.log.states() {
-                    buf.raw_char(char::from(b'1' + s.index() as u8));
-                }
-                buf.raw("\"}");
+            let _ = write!(buf, "{{\"host\":{host},\"days\":[");
+            for (d, day) in shard.hosts[host].history.days().iter().enumerate() {
+                let sep = if d > 0 { "," } else { "" };
+                let _ = write!(buf, "{sep}{{\"i\":{},\"s\":\"", day.day_index);
+                state::encode_digits(day.log.states(), &mut buf);
+                buf.extend_from_slice(b"\"}");
             }
-            buf.raw("]}");
-            wal::write_frame(&mut file, buf.as_str().as_bytes())?;
+            buf.extend_from_slice(b"]}");
+            wal::write_frame(&mut file, &buf)?;
         }
         let file = file
             .into_inner()
@@ -990,32 +983,28 @@ impl ShardedRegistry {
     }
 }
 
-/// Serializes one ingest as a WAL record. Reuses the shard's buffer —
-/// the append hot path allocates nothing.
+/// Serializes one ingest as a WAL record,
+/// `{"host":..,"day_index":..,"states":".."}` with one digit per sample
+/// ([`state::encode_digits`]), into a reused buffer: the append hot path
+/// allocates nothing once the buffer has grown to a day.
 // lint: no-alloc
-fn encode_wal_record(buf: &mut JsonWriter, host: u64, day_index: usize, states: &[State]) {
+pub fn encode_wal_record(buf: &mut Vec<u8>, host: u64, day_index: usize, states: &[State]) {
     buf.clear();
-    buf.raw("{\"host\":");
-    buf.u64(host);
-    buf.raw(",\"day_index\":");
-    buf.u64(day_index as u64);
-    buf.raw(",\"states\":\"");
-    for s in states {
-        buf.raw_char(char::from(b'1' + s.index() as u8));
-    }
-    buf.raw("\"}");
+    let _ = write!(
+        buf,
+        "{{\"host\":{host},\"day_index\":{day_index},\"states\":\""
+    );
+    state::encode_digits(states, buf);
+    buf.extend_from_slice(b"\"}");
 }
 
-/// Decodes the digit-per-sample state string used by WAL records and
-/// snapshot host frames.
-fn decode_state_digits(digits: &str) -> Result<Vec<State>, ()> {
-    digits
-        .bytes()
-        .map(|b| match b {
-            b'1'..=b'5' => Ok(State::from_index((b - b'1') as usize)),
-            _ => Err(()),
-        })
-        .collect()
+/// Decodes one stored day's digits; an empty day is as invalid as a bad
+/// digit (ingest never stores one).
+fn decode_day(digits: &str) -> Result<Vec<State>, ()> {
+    match state::decode_digits(digits.as_bytes()) {
+        Ok(states) if !states.is_empty() => Ok(states),
+        _ => Err(()),
+    }
 }
 
 /// Pools one parsed `(host, day)` unless that coordinate is already
@@ -1040,18 +1029,10 @@ fn pool_wal_record(
     pool: &mut BTreeMap<u64, BTreeMap<usize, Vec<State>>>,
 ) -> Result<(), ()> {
     let text = std::str::from_utf8(payload).map_err(|_| ())?;
-    let json = Json::parse(text).map_err(|_| ())?;
-    let host = json.field("host").ok().and_then(Json::as_u64).ok_or(())?;
-    let day = json
-        .field("day_index")
-        .ok()
-        .and_then(Json::as_u64)
-        .ok_or(())?;
-    let digits: String = json.get("states").map_err(|_| ())?;
-    let states = decode_state_digits(&digits)?;
-    if states.is_empty() {
-        return Err(());
-    }
+    let record = JsonSlice::scan(text).ok_or(())?;
+    let host = record.get_u64("host").map_err(|_| ())?;
+    let day = record.get_u64("day_index").map_err(|_| ())?;
+    let states = decode_day(&record.get_str("states").map_err(|_| ())?)?;
     pool_day(pool, host, day as usize, states);
     Ok(())
 }
@@ -1063,18 +1044,12 @@ fn pool_snapshot_host(
     pool: &mut BTreeMap<u64, BTreeMap<usize, Vec<State>>>,
 ) -> Result<(), ()> {
     let text = std::str::from_utf8(payload).map_err(|_| ())?;
-    let json = Json::parse(text).map_err(|_| ())?;
-    let host = json.field("host").ok().and_then(Json::as_u64).ok_or(())?;
-    let Json::Arr(days) = json.field("days").map_err(|_| ())? else {
-        return Err(());
-    };
-    for day in days {
-        let idx = day.field("i").ok().and_then(Json::as_u64).ok_or(())?;
-        let digits: String = day.get("s").map_err(|_| ())?;
-        let states = decode_state_digits(&digits)?;
-        if states.is_empty() {
-            return Err(());
-        }
+    let frame = JsonSlice::scan(text).ok_or(())?;
+    let host = frame.get_u64("host").map_err(|_| ())?;
+    for raw in frame.array("days").map_err(|_| ())? {
+        let day = JsonSlice::element_object(raw).ok_or(())?;
+        let idx = day.get_u64("i").map_err(|_| ())?;
+        let states = decode_day(&day.get_str("s").map_err(|_| ())?)?;
         pool_day(pool, host, idx as usize, states);
     }
     Ok(())

@@ -91,9 +91,53 @@ impl std::fmt::Display for State {
     }
 }
 
+/// Validation block of [`decode_digits`]: long enough for the fold to
+/// vectorize, short enough that a bad day stops early.
+const DIGIT_BLOCK: usize = 64;
+
+/// Appends one day of states as its digit text, one ASCII digit per sample
+/// (`S1` → `b'1'`, …, `S5` → `b'5'`). This is the encoding of the wire's
+/// `ingest` `states` field, of every WAL record and of every snapshot day.
+// lint: no-alloc
+pub fn encode_digits(states: &[State], out: &mut Vec<u8>) {
+    out.extend(states.iter().map(|&s| b'1' + s as u8));
+}
+
+/// Decodes digit text written by [`encode_digits`]. `Err(at)` is the byte
+/// offset of the first byte outside `b'1'..=b'5'`; every byte before it is
+/// an ASCII digit, so `at` is a char boundary of UTF-8 input.
+pub fn decode_digits(digits: &[u8]) -> Result<Vec<State>, usize> {
+    // Branch-free fold per block (LLVM turns it into vector compares);
+    // only the block test between blocks can exit early.
+    let valid = |block: &[u8]| {
+        block
+            .iter()
+            .fold(true, |ok, &b| ok & (b.wrapping_sub(b'1') < 5))
+    };
+    let mut blocks = digits.chunks_exact(DIGIT_BLOCK);
+    if !(blocks.all(valid) && valid(blocks.remainder())) {
+        let at = digits.iter().position(|&b| b.wrapping_sub(b'1') >= 5);
+        return Err(at.expect("validation found a bad digit"));
+    }
+    Ok(digits.iter().map(|&b| digit_state(b)).collect())
+}
+
+/// The state of one validated digit. The match is exhaustive without a
+/// panic arm, so the map compiles to a clamp rather than a bounds check.
+fn digit_state(b: u8) -> State {
+    match b.wrapping_sub(b'1') {
+        0 => State::S1,
+        1 => State::S2,
+        2 => State::S3,
+        3 => State::S4,
+        _ => State::S5,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fgcs_runtime::rng::{Rng, Xoshiro256};
 
     #[test]
     fn index_round_trips() {
@@ -125,5 +169,41 @@ mod tests {
     fn display_matches_paper_names() {
         assert_eq!(State::S1.to_string(), "S1");
         assert_eq!(State::S5.to_string(), "S5");
+    }
+
+    /// The codec's contract spelled out one state at a time.
+    fn reference_digits(states: &[State]) -> Vec<u8> {
+        states.iter().map(|s| b"12345"[s.index()]).collect()
+    }
+
+    #[test]
+    fn digit_codec_round_trips_random_days() {
+        let mut rng = Xoshiro256::seed_from_u64(2006);
+        let lengths = (0..=64).chain([DIGIT_BLOCK * 3 - 1, 14_400]);
+        for len in lengths {
+            let day: Vec<State> = (0..len)
+                .map(|_| State::from_index(rng.range_usize(0, 5)))
+                .collect();
+            let mut digits = b"prefix".to_vec();
+            encode_digits(&day, &mut digits);
+            assert_eq!(&digits[..6], b"prefix", "encode appends");
+            assert_eq!(digits[6..], reference_digits(&day), "len {len}");
+            assert_eq!(decode_digits(&digits[6..]), Ok(day), "len {len}");
+        }
+    }
+
+    #[test]
+    fn digit_codec_rejects_each_bad_byte_at_its_offset() {
+        for len in [65usize, 200] {
+            let good = vec![b'3'; len];
+            for at in 0..=64 {
+                for bad in ["0", "6", "a", "é", "😀"] {
+                    let mut text = good.clone();
+                    text.splice(at..at + 1, bad.bytes());
+                    assert_eq!(decode_digits(&text), Err(at), "{bad:?} at {at} of {len}");
+                }
+            }
+        }
+        assert_eq!(decode_digits(b""), Ok(Vec::new()));
     }
 }

@@ -777,6 +777,9 @@ fn raw_kind(raw: &str) -> &'static str {
     }
 }
 
+/// Bytes [`Scan`] tests per step while skipping plain string text.
+const STRING_BLOCK: usize = 32;
+
 /// Validating scanner over the raw bytes: checks JSON syntax without
 /// building values, rejecting (`None`) what the tree parser rejects.
 /// Mirrors `Parser`'s grammar, including its lax number scan backed by an
@@ -810,6 +813,19 @@ impl<'a> Scan<'a> {
         }
         let open = self.i;
         self.i += 1;
+        // Skip whole blocks of plain text (no `"`, `\` or control byte)
+        // with a branch-free fold that LLVM vectorizes; the byte loop then
+        // walks only the block holding the first such byte. Bytes >= 0x80
+        // are plain: the input is a `&str`, so multibyte chars are valid.
+        while let Some(block) = self.b.get(self.i..self.i + STRING_BLOCK) {
+            let special = block.iter().fold(0u8, |hit, &c| {
+                hit | u8::from(c == b'"') | u8::from(c == b'\\') | u8::from(c < 0x20)
+            });
+            if special != 0 {
+                break;
+            }
+            self.i += STRING_BLOCK;
+        }
         loop {
             match self.peek()? {
                 b'"' => {
@@ -974,6 +990,12 @@ impl<'a> JsonSlice<'a> {
     /// The first value stored under `name`, as its raw text slice.
     #[must_use]
     pub fn get_raw(&self, name: &str) -> Option<&'a str> {
+        self.lookup(name).map(|(raw, _)| raw)
+    }
+
+    /// [`get_raw`](JsonSlice::get_raw), plus whether the value's text holds
+    /// a `\` escape (so an escape-free string is never searched again).
+    fn lookup(&self, name: &str) -> Option<(&'a str, bool)> {
         let mut s = Scan {
             b: self.src.as_bytes(),
             i: 1, // past '{'
@@ -988,17 +1010,14 @@ impl<'a> JsonSlice<'a> {
             s.skip_ws();
             s.escaped = false;
             let key = s.string()?;
-            let hit = if s.escaped {
-                decode(key) == name
-            } else {
-                &key[1..key.len() - 1] == name
-            };
+            let hit = decode(key, s.escaped) == name;
             s.skip_ws();
             s.i += 1; // ':' (validated by scan)
             s.skip_ws();
+            s.escaped = false;
             let value = s.value()?;
             if hit {
-                return Some(value);
+                return Some((value, s.escaped));
             }
             s.skip_ws();
             match s.peek()? {
@@ -1011,11 +1030,11 @@ impl<'a> JsonSlice<'a> {
     /// String field with escapes decoded (exact [`Json::get::<String>`]
     /// semantics); borrowed unless the text holds an escape.
     pub fn get_str(&self, name: &'a str) -> Result<Cow<'a, str>, SliceError<'a>> {
-        let raw = self
-            .get_raw(name)
+        let (raw, escaped) = self
+            .lookup(name)
             .ok_or(SliceError::Missing { field: name })?;
         if raw.starts_with('"') {
-            Ok(decode(raw))
+            Ok(decode(raw, escaped))
         } else {
             Err(SliceError::Type {
                 field: name,
@@ -1027,11 +1046,10 @@ impl<'a> JsonSlice<'a> {
 
     /// Optional string field: missing or `null` is `Ok(None)`.
     pub fn get_opt_str(&self, name: &'a str) -> Result<Option<Cow<'a, str>>, SliceError<'a>> {
-        match self.get_raw(name) {
-            None => Ok(None),
-            Some("null") => Ok(None),
-            Some(raw) if raw.starts_with('"') => Ok(Some(decode(raw))),
-            Some(raw) => Err(SliceError::Type {
+        match self.lookup(name) {
+            None | Some(("null", _)) => Ok(None),
+            Some((raw, escaped)) if raw.starts_with('"') => Ok(Some(decode(raw, escaped))),
+            Some((raw, _)) => Err(SliceError::Type {
                 field: name,
                 want: "string",
                 found: raw_kind(raw),
@@ -1134,11 +1152,11 @@ impl<'a> Iterator for JsonSliceArray<'a> {
 
 /// The text of a string slice validated by `Scan::string` (quotes
 /// included): borrowed when escape-free, else decoded by the tree parser's
-/// string rule.
-fn decode(raw: &str) -> Cow<'_, str> {
-    let content = &raw[1..raw.len() - 1];
-    if !content.contains('\\') {
-        return Cow::Borrowed(content);
+/// string rule. `escaped` is the scan's verdict on whether the text holds
+/// a `\`.
+fn decode(raw: &str, escaped: bool) -> Cow<'_, str> {
+    if !escaped {
+        return Cow::Borrowed(&raw[1..raw.len() - 1]);
     }
     let mut p = Parser {
         bytes: raw.as_bytes(),
@@ -1555,6 +1573,54 @@ mod tests {
         let nested = "{\"x\":[\"\\u0041\",{\"\\n\":1}],\"op\":\"ping\"}";
         let s = JsonSlice::scan(nested).expect("nested escapes are in scope");
         assert!(matches!(s.get_str("op"), Ok(Cow::Borrowed("ping"))));
+    }
+
+    #[test]
+    fn slice_string_skip_agrees_with_the_tree_parser_at_every_offset() {
+        // One special piece of text — a bare quote, an escape (valid or
+        // not), a control byte, a multibyte char, or nothing — at each
+        // offset of a long key and of a long value, so it lands at every
+        // position of a skipped block and in the tail after the last one.
+        let specials = [
+            "", "\"", "\\", "\\\"", "\\\\", "\\n", "\\q", "\\u00e9", "\u{1}", "\t", "\u{1f}",
+            "\u{7f}", "é", "😀",
+        ];
+        let tree_object = |line: &str| match Json::parse(line) {
+            Ok(Json::Obj(pairs)) => Some(pairs),
+            _ => None,
+        };
+        for at in 0..=96 {
+            for special in specials {
+                let long = format!("{}{special}{}", "a".repeat(at), "b".repeat(97 - at));
+                let key_line = format!("{{\"{long}\":\"v\",\"k\":\"w\"}}");
+                let value_line = format!("{{\"z\":1,\"k\":\"{long}\"}}");
+                for line in [&key_line, &value_line] {
+                    let slice = JsonSlice::scan(line);
+                    let tree = tree_object(line);
+                    assert_eq!(
+                        slice.is_some(),
+                        tree.is_some(),
+                        "scan and parse disagree on {special:?} at {at}: {line:?}"
+                    );
+                    let (Some(slice), Some(pairs)) = (slice, tree) else {
+                        continue;
+                    };
+                    for (key, value) in &pairs {
+                        if let Json::Str(text) = value {
+                            let got = slice.get_str(key).expect("string field");
+                            assert_eq!(got, text.as_str(), "{special:?} at {at}: {line:?}");
+                        }
+                    }
+                }
+                // A line cut anywhere inside the long value is unterminated.
+                for cut in (value_line.len() - long.len() - 2)..value_line.len() {
+                    if let Some(head) = value_line.get(..cut) {
+                        assert!(JsonSlice::scan(head).is_none(), "{head:?}");
+                        assert!(tree_object(head).is_none(), "{head:?}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

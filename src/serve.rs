@@ -90,7 +90,7 @@ use std::time::Duration;
 
 use fgcs_core::batch::TrCurve;
 use fgcs_core::registry::{IngestAck, RegistryConfig, RegistryError, ShardedRegistry};
-use fgcs_core::state::State;
+use fgcs_core::state::{self, State};
 use fgcs_core::window::{DayType, TimeWindow, SECS_PER_DAY};
 use fgcs_runtime::json::{Json, JsonSlice, JsonSliceArray, JsonWriter, SliceError};
 
@@ -1045,30 +1045,26 @@ fn ok_reply(op: &str, rest: Vec<(String, Json)>) -> Json {
 }
 
 /// Decodes a digit-per-sample state string (`'1'`–`'5'` for S1–S5), the
-/// wire encoding of one day of classified samples.
+/// wire encoding of one day of classified samples
+/// ([`fgcs_core::state::decode_digits`]). The error names the first
+/// character that is not a digit.
 pub fn decode_states(digits: &str) -> Result<Vec<State>, String> {
-    // Validate first, then map in one exactly-sized pass: an ingest line
-    // carries a whole day (14 400 digits at the paper's 6-s period).
-    if let Some(bad) = digits.bytes().find(|b| !matches!(b, b'1'..=b'5')) {
-        return Err(format!(
+    state::decode_digits(digits.as_bytes()).map_err(|at| {
+        let bad = digits.get(at..).and_then(|rest| rest.chars().next());
+        format!(
             "invalid state digit {:?} (expected 1-5)",
-            bad as char
-        ));
-    }
-    Ok(digits
-        .bytes()
-        .map(|b| State::ALL[usize::from(b - b'1')])
-        .collect())
+            bad.unwrap_or(char::REPLACEMENT_CHARACTER)
+        )
+    })
 }
 
 /// Encodes one day of states as the wire digit string (inverse of
 /// [`decode_states`]).
 #[must_use]
 pub fn encode_states(states: &[State]) -> String {
-    states
-        .iter()
-        .map(|s| char::from(b'1' + s.index() as u8))
-        .collect()
+    let mut digits = Vec::with_capacity(states.len());
+    state::encode_digits(states, &mut digits);
+    String::from_utf8(digits).expect("state digits are ASCII")
 }
 
 /// Parses `"weekday"`/`"weekend"` (the [`DayType`] display strings).

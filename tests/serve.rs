@@ -419,6 +419,14 @@ fn hostile_lines_get_pinned_replies() {
             &[r#"{"ok":false,"error":"invalid state digit '9' (expected 1-5)"}"#],
         ),
         (
+            "{\"op\":\"ingest\",\"host\":1,\"states\":\"1é\"}".into(),
+            &[r#"{"ok":false,"error":"invalid state digit 'é' (expected 1-5)"}"#],
+        ),
+        (
+            "{\"op\":\"ingest\",\"host\":1,\"states\":\"12😀\"}".into(),
+            &[r#"{"ok":false,"error":"invalid state digit '😀' (expected 1-5)"}"#],
+        ),
+        (
             "[1,2]".into(),
             &[r#"{"ok":false,"error":"json error: expected object with field `op`, found array"}"#],
         ),
