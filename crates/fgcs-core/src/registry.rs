@@ -1225,22 +1225,31 @@ mod tests {
 
     #[test]
     fn sweep_matches_predict_tr_curve_bitwise() {
-        let reg = ShardedRegistry::new(config(3));
-        let mut rng = Xoshiro256::seed_from_u64(5);
-        let mut oracle_history = HistoryStore::new();
-        for day in 0..8 {
-            let states = random_day(&mut rng, 14_400);
-            oracle_history.push_day(DayLog::new(day, StateLog::new(6, states.clone())));
-            reg.ingest_day(3, Some(day), states).unwrap();
-        }
-        let window = TimeWindow::from_hours(23.0, 2.0); // cross-midnight
-        let oracle = SmpPredictor::new(AvailabilityModel::default());
-        let want = oracle
-            .predict_tr_curve(&oracle_history, DayType::Weekday, window)
-            .unwrap();
-        let got = reg.sweep(3, DayType::Weekday, window).unwrap();
-        for init in [S1, S2] {
-            assert_eq!(want.curve(init).unwrap(), got.curve(init).unwrap());
+        for policy in [SolverPolicy::Fast, SolverPolicy::PaperOracle] {
+            let reg = ShardedRegistry::new(RegistryConfig {
+                solver_policy: policy,
+                ..config(3)
+            });
+            let mut rng = Xoshiro256::seed_from_u64(5);
+            let mut oracle_history = HistoryStore::new();
+            for day in 0..8 {
+                let states = random_day(&mut rng, 14_400);
+                oracle_history.push_day(DayLog::new(day, StateLog::new(6, states.clone())));
+                reg.ingest_day(3, Some(day), states).unwrap();
+            }
+            let window = TimeWindow::from_hours(23.0, 2.0); // cross-midnight
+            let oracle = SmpPredictor::new(AvailabilityModel::default()).with_solver_policy(policy);
+            let want = oracle
+                .predict_tr_curve(&oracle_history, DayType::Weekday, window)
+                .unwrap();
+            let got = reg.sweep(3, DayType::Weekday, window).unwrap();
+            for init in [S1, S2] {
+                let (w, g) = (want.curve(init).unwrap(), got.curve(init).unwrap());
+                assert_eq!(w.len(), g.len(), "{policy:?}");
+                for (m, (w, g)) in w.iter().zip(g).enumerate() {
+                    assert_eq!(w.to_bits(), g.to_bits(), "{policy:?} {init} m {m}");
+                }
+            }
         }
     }
 
@@ -1412,36 +1421,52 @@ mod tests {
 
     #[test]
     fn predict_many_matches_scalar_predicts_bitwise() {
-        let reg = ShardedRegistry::new(config(3));
-        let mut rng = Xoshiro256::seed_from_u64(71);
-        for day in 0..7 {
-            reg.ingest_day(5, Some(day), random_day(&mut rng, 14_400))
-                .unwrap();
-        }
-        let window = TimeWindow::from_hours(10.0, 1.5);
-        let inits = [S1, S2, S1, S3, S2];
-        let scalars: Vec<_> = inits
-            .iter()
-            .map(|&init| reg.predict(5, DayType::Weekday, window, init))
-            .collect();
-        let mut s = reg.session(reg.shard_index(5));
-        let batched = s.predict_many(5, DayType::Weekday, window, &inits);
-        drop(s);
-        for (i, (want, got)) in scalars.iter().zip(&batched).enumerate() {
-            match (want, got) {
-                (Ok(w), Ok(g)) => assert_eq!(w.to_bits(), g.to_bits(), "slot {i}"),
-                (Err(w), Err(g)) => assert_eq!(w, g, "slot {i}"),
-                (w, g) => panic!("slot {i} diverged: {w:?} vs {g:?}"),
+        for policy in [SolverPolicy::Fast, SolverPolicy::PaperOracle] {
+            let cfg = RegistryConfig {
+                solver_policy: policy,
+                ..config(3)
+            };
+            let reg = ShardedRegistry::new(cfg.clone());
+            // Fed the same days, a second registry answers the batch with a
+            // cold solve memo: its values come from the curve solve, where
+            // `reg`'s batch is served from the memo its scalar predicts
+            // fill.
+            let cold = ShardedRegistry::new(cfg);
+            let mut rng = Xoshiro256::seed_from_u64(71);
+            for day in 0..7 {
+                let states = random_day(&mut rng, 14_400);
+                reg.ingest_day(5, Some(day), states.clone()).unwrap();
+                cold.ingest_day(5, Some(day), states).unwrap();
             }
+            let window = TimeWindow::from_hours(10.0, 1.5);
+            let inits = [S1, S2, S1, S3, S2];
+            let scalars: Vec<_> = inits
+                .iter()
+                .map(|&init| reg.predict(5, DayType::Weekday, window, init))
+                .collect();
+            for (memo, r) in [("warm", &reg), ("cold", &cold)] {
+                let mut s = r.session(r.shard_index(5));
+                let batched = s.predict_many(5, DayType::Weekday, window, &inits);
+                drop(s);
+                for (i, (want, got)) in scalars.iter().zip(&batched).enumerate() {
+                    match (want, got) {
+                        (Ok(w), Ok(g)) => {
+                            assert_eq!(w.to_bits(), g.to_bits(), "{policy:?} {memo} slot {i}");
+                        }
+                        (Err(w), Err(g)) => assert_eq!(w, g, "{policy:?} {memo} slot {i}"),
+                        (w, g) => panic!("{policy:?} {memo} slot {i} diverged: {w:?} vs {g:?}"),
+                    }
+                }
+            }
+            // Unknown-host groups error per slot like scalar predicts do.
+            let mut s = reg.session(reg.shard_index(404));
+            let missing = s.predict_many(404, DayType::Weekday, window, &[S1, S3]);
+            assert!(matches!(missing[0], Err(RegistryError::UnknownHost(404))));
+            assert!(matches!(
+                missing[1],
+                Err(RegistryError::Core(CoreError::FailureInitialState(S3)))
+            ));
         }
-        // Unknown-host groups error per slot like scalar predicts do.
-        let mut s = reg.session(reg.shard_index(404));
-        let missing = s.predict_many(404, DayType::Weekday, window, &[S1, S3]);
-        assert!(matches!(missing[0], Err(RegistryError::UnknownHost(404))));
-        assert!(matches!(
-            missing[1],
-            Err(RegistryError::Core(CoreError::FailureInitialState(S3)))
-        ));
     }
 
     #[test]
