@@ -16,14 +16,11 @@
 //! the registry disabled vs enabled — and exports it as
 //! `metrics_overhead_pct`, which `--check` asserts stays below 5 %.
 //!
-//! The multi-horizon pair — `smp_solver/per_horizon_sweep_2h` (16
-//! independent paper-order Eq.-3 solves) vs
-//! `smp_solver/batched_oracle_sweep_2h` (one [`BatchSolver`] pass answering
-//! all 16) — feeds the exported `batch_sweep_speedup_x` ratio, which
-//! `--check` asserts stays ≥ 5×. Before timing, the batched answers are
-//! asserted bit-identical to the standalone solves, and the fast-path
-//! solver ([`FastSolver`]) is asserted within its 1e-12 unit-scale error
-//! budget of the paper oracle at every sweep horizon.
+//! Before anything is timed, the fast-path solver ([`FastSolver`]) is
+//! asserted within its 1e-12 unit-scale error budget of one paper-order
+//! [`SparseSolver::tr_curve`] run: its curve at every horizon up to the
+//! 2-hour window and its scalar solve at each of the 16 sweep horizons,
+//! from both initial states.
 //!
 //! `--check` also enforces *absolute* latency gates — on the fast path
 //! (`smp_solver/fast_2h` under 100 µs, `smp_solver/batched_sweep_2h`
@@ -41,7 +38,7 @@ use std::time::Duration;
 
 use fgcs_bench::cluster::{run_cluster_serve, ClusterServeConfig};
 use fgcs_bench::{smp_error, Testbed};
-use fgcs_core::batch::{predict_cluster, BatchSolver, ClusterQuery};
+use fgcs_core::batch::{predict_cluster, ClusterQuery};
 use fgcs_core::cache::QhCache;
 use fgcs_core::classify::StateClassifier;
 use fgcs_core::predictor::SmpPredictor;
@@ -63,12 +60,11 @@ const TARGET_SAMPLE: Duration = Duration::from_millis(5);
 /// Bench keys `--check` requires (the ISSUE-2 acceptance set, the ISSUE-3
 /// multi-horizon batching set, the ISSUE-6 fast-path set, the ISSUE-7
 /// serving-scale set, and the durable-ingest byte path).
-const REQUIRED_KEYS: [&str; 16] = [
+const REQUIRED_KEYS: [&str; 15] = [
     "smp_solver/paper_eq3_2h",
     "smp_solver/fast_2h",
     "smp_solver/per_horizon_sweep_2h",
     "smp_solver/batched_sweep_2h",
-    "smp_solver/batched_oracle_sweep_2h",
     "cluster_sweep_1k_hosts",
     "qh_estimation/2h",
     "predictor/cached_qh",
@@ -85,13 +81,8 @@ const REQUIRED_KEYS: [&str; 16] = [
 /// Enabled-vs-disabled overhead budget for the instrumented Fig. 5 sweep.
 const OVERHEAD_BUDGET_PCT: f64 = 5.0;
 
-/// Horizon count for the Fig. 5-style multi-horizon sweep pair.
+/// Horizon count for the Fig. 5-style multi-horizon sweeps.
 const SWEEP_HORIZONS: usize = 16;
-
-/// Minimum batched-vs-per-horizon speedup `--check` accepts. The op-count
-/// ratio alone (Σ (i·M/16)² vs M² for evenly spaced horizons) is ≈ 5.8×,
-/// so this floor holds without relying on the blocked-convolve constant.
-const MIN_BATCH_SPEEDUP_X: f64 = 5.0;
 
 /// A bench present in both baselines may grow at most this much before
 /// `--against` reports a regression.
@@ -211,36 +202,31 @@ fn run_smoke() -> Json {
     let generator = TraceGenerator::new(TraceConfig::lab_machine(1));
 
     // Evenly spaced horizons up to the 2-hour window — the Fig. 5-style
-    // sweep the batch engine is built for. Guard the acceptance criterion
-    // before any timing: the batched curve must reproduce each standalone
-    // paper-order solve bit for bit.
+    // sweep. The fast path relaxes bit-identity but must stay inside its
+    // 1e-12 unit-scale budget against the paper-order oracle at every
+    // horizon, from both initial states — asserted before anything is
+    // timed, against one oracle run.
     let horizons: Vec<usize> = (1..=SWEEP_HORIZONS)
         .map(|i| i * steps / SWEEP_HORIZONS)
         .collect();
-    let batched = BatchSolver::new(&params)
-        .tr_at_horizons(State::S1, &horizons)
-        .unwrap();
-    for (&m, &tr) in horizons.iter().zip(&batched) {
-        let standalone = SparseSolver::new(&params)
-            .temporal_reliability(State::S1, m)
-            .unwrap();
-        assert_eq!(
-            tr.to_bits(),
-            standalone.to_bits(),
-            "batched TR at horizon {m} differs from the standalone solve"
-        );
-    }
-    // The fast path relaxes bit-identity but must stay inside its 1e-12
-    // unit-scale budget against the paper-order oracle at every horizon,
-    // from both initial states — asserted before anything is timed.
+    let oracle = SparseSolver::new(&params).tr_curve(steps).unwrap();
     let fast = FastSolver::new(&params);
-    let oracle = SparseSolver::new(&params);
+    let fast_curve = fast.tr_curve(steps).unwrap();
+    let within_budget = |f: f64, o: f64| (f - o).abs() <= FAST_ERROR_BUDGET * o.abs().max(1.0);
     for init in [State::S1, State::S2] {
+        let (f_curve, o_curve) = (fast_curve.curve(init).unwrap(), oracle.curve(init).unwrap());
+        assert_eq!(f_curve.len(), o_curve.len());
+        for (m, (&f, &o)) in f_curve.iter().zip(o_curve).enumerate() {
+            assert!(
+                within_budget(f, o),
+                "fast TR curve at init {init} horizon {m} outside budget: {f} vs {o}"
+            );
+        }
         for &m in &horizons {
             let f = fast.temporal_reliability(init, m).unwrap();
-            let o = oracle.temporal_reliability(init, m).unwrap();
+            let o = oracle.tr(init, m).unwrap();
             assert!(
-                (f - o).abs() <= FAST_ERROR_BUDGET * o.abs().max(1.0),
+                within_budget(f, o),
                 "fast TR at init {init} horizon {m} outside budget: {f} vs {o}"
             );
         }
@@ -292,13 +278,6 @@ fn run_smoke() -> Json {
         for &m in &horizons {
             black_box(curve.tr(State::S1, m).unwrap());
         }
-    });
-    run("smp_solver/batched_oracle_sweep_2h", &mut || {
-        black_box(
-            BatchSolver::new(&params)
-                .tr_at_horizons(State::S1, &horizons)
-                .unwrap(),
-        );
     });
     run("qh_estimation/2h", &mut || {
         black_box(SmpParams::estimate(&refs, model.monitor_period_secs, steps));
@@ -387,17 +366,6 @@ fn run_smoke() -> Json {
     );
     benches.extend(serve_report.baseline_entries());
 
-    let median = |name: &str| {
-        benches
-            .iter()
-            .find(|(k, _)| k == name)
-            .and_then(|(_, v)| as_finite_number(v))
-            .expect("bench just ran")
-    };
-    let speedup =
-        median("smp_solver/per_horizon_sweep_2h") / median("smp_solver/batched_oracle_sweep_2h");
-    println!("batch_sweep_speedup_x: {speedup:.2}");
-
     let calibration = measure(SAMPLES, TARGET_SAMPLE, &mut || {
         black_box(calibration_workload());
     });
@@ -412,7 +380,6 @@ fn run_smoke() -> Json {
         ("samples_per_bench".into(), Json::U64(SAMPLES as u64)),
         ("unit".into(), Json::Str("median ns/op".into())),
         ("benches".into(), Json::Obj(benches)),
-        ("batch_sweep_speedup_x".into(), Json::F64(speedup)),
         ("machine_factor".into(), Json::F64(machine_factor)),
         ("metrics_overhead_pct".into(), Json::F64(overhead)),
     ])
@@ -526,13 +493,6 @@ fn check_baseline(path: &str) -> Result<(), String> {
     if overhead >= OVERHEAD_BUDGET_PCT {
         return Err(format!(
             "metrics overhead {overhead:.2}% exceeds the {OVERHEAD_BUDGET_PCT}% budget"
-        ));
-    }
-    let speedup = as_finite_number(field("batch_sweep_speedup_x")?)
-        .ok_or("`batch_sweep_speedup_x` is not finite")?;
-    if speedup < MIN_BATCH_SPEEDUP_X {
-        return Err(format!(
-            "batched sweep speedup {speedup:.2}x is below the {MIN_BATCH_SPEEDUP_X}x floor"
         ));
     }
     let machine_factor =

@@ -13,7 +13,6 @@
 use std::time::Instant;
 
 use fgcs_bench::Testbed;
-use fgcs_core::batch::BatchSolver;
 use fgcs_core::model::AvailabilityModel;
 use fgcs_core::predictor::SmpPredictor;
 use fgcs_core::smp::{SmpParams, SparseSolver};
@@ -105,45 +104,5 @@ fn main() {
     println!(
         "# overhead for a 10-hour job: {:.6}% (paper: < 0.006%)",
         100.0 * (last_total_ms / 1000.0) / ten_hours_secs
-    );
-
-    // A TR-vs-horizon curve (Fig. 5-style sweep) asked the naive way pays
-    // one Eq.-3 recursion per horizon; the batch engine answers every
-    // horizon from a single pass at the largest one. Same kernel, same
-    // bits — only the schedule of the recursion changes.
-    let window = TimeWindow::from_hours(8.0, 2.0);
-    let steps = window.steps(step);
-    let params = predictor
-        .estimate_params(&history, DayType::Weekday, window)
-        .expect("history covers window");
-    let horizons: Vec<usize> = (1..=16).map(|i| i * steps / 16).collect();
-    let reps = 5u32;
-    let t = Instant::now();
-    for _ in 0..reps {
-        for &m in &horizons {
-            std::hint::black_box(
-                SparseSolver::new(&params)
-                    .temporal_reliability(State::S1, m)
-                    .expect("horizon within run"),
-            );
-        }
-    }
-    let per_horizon_ms = t.elapsed().as_secs_f64() * 1000.0 / f64::from(reps);
-    let t = Instant::now();
-    for _ in 0..reps {
-        std::hint::black_box(
-            BatchSolver::new(&params)
-                .tr_at_horizons(State::S1, &horizons)
-                .expect("horizons within run"),
-        );
-    }
-    let batched_ms = t.elapsed().as_secs_f64() * 1000.0 / f64::from(reps);
-    println!(
-        "\n# multi-horizon sweep, {} horizons <= 2 h:",
-        horizons.len()
-    );
-    println!(
-        "#   per-horizon solves: {per_horizon_ms:.3} ms   batched: {batched_ms:.3} ms   speedup: {:.1}x",
-        per_horizon_ms / batched_ms
     );
 }

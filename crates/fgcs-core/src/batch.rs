@@ -1,19 +1,19 @@
-//! Batched multi-horizon temporal-reliability queries.
+//! Multi-horizon TR curves and cluster-wide fan-out.
 //!
 //! The Eq.-3 recursion is *prefix-closed*: computing `P_{init,j}(M)`
 //! necessarily computes `P_{init,j}(m)` for every `m ≤ M` along the way, in
 //! the exact same floating-point operation order a standalone solve at `m`
 //! would use. One `O(M²)` run therefore answers a whole sweep of `N`
-//! horizons — bit-identically to `N` independent solves — for the cost of
-//! the longest one, where the independent sweep would pay
-//! `Σᵢ (i·M/N)² ≈ M²·N/3`.
+//! horizons for the cost of the longest one, where the independent sweep
+//! would pay `Σᵢ (i·M/N)² ≈ M²·N/3`.
 //!
-//! * [`BatchSolver`] — the paper-order recursion restructured over flat
-//!   state-arrays with blocked accumulation (single accumulator per target,
-//!   so the summation order — and thus every bit of the result — matches
-//!   [`crate::smp::SparseSolver`] exactly).
 //! * [`TrCurve`] — the materialized `TR(m)` curve for both operational
-//!   initial states; one curve answers any horizon ≤ M in O(1).
+//!   initial states, built by `tr_curve` on either solver; one curve
+//!   answers any horizon ≤ M in O(1).
+//!   [`SparseSolver::tr_curve`](crate::smp::SparseSolver::tr_curve) is
+//!   bit-identical to standalone paper-order solves;
+//!   [`FastSolver::tr_curve`](crate::smp::FastSolver::tr_curve) to
+//!   standalone fast solves.
 //! * [`predict_cluster`] / [`evaluate_cluster`] — machine-level fan-out of
 //!   TR queries and train/test evaluations across
 //!   [`fgcs_runtime::parallel`], with deterministic result ordering.
@@ -22,26 +22,8 @@ use crate::cache::QhCache;
 use crate::error::CoreError;
 use crate::log::HistoryStore;
 use crate::predictor::{evaluate_window, SmpPredictor, WindowEvaluation};
-use crate::smp::SmpParams;
 use crate::state::State;
 use crate::window::{DayType, TimeWindow};
-
-/// Terms per accumulation block. The value only affects speed: each block
-/// is a constant-trip-count loop the compiler can unroll and keep free of
-/// bounds checks, while all products still feed one accumulator in the
-/// original `l = 1..=m` order, preserving bit-identical results.
-const BLOCK: usize = 8;
-
-/// The six per-step curves `P_{init,j}(m)` for `m = 0..=M`,
-/// `init ∈ {S1, S2}`, `j ∈ {S3, S4, S5}` — the raw output of one batched
-/// recursion run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct IntervalCurves {
-    /// `p1[j][m]` = `P_{S1,S(3+j)}(m)`.
-    pub p1: [Vec<f64>; 3],
-    /// `p2[j][m]` = `P_{S2,S(3+j)}(m)`.
-    pub p2: [Vec<f64>; 3],
-}
 
 /// A materialized temporal-reliability curve: `TR(m)` for `m = 0..=M` from
 /// both operational initial states, answering any horizon within the run
@@ -54,33 +36,13 @@ pub struct TrCurve {
 }
 
 impl TrCurve {
-    /// Builds the curve from the six interval-probability curves, applying
-    /// paper Eq. 2 (`TR = 1 − Σⱼ P_{init,j}`) at every step. The clamp
-    /// sequence mirrors [`crate::smp::SparseSolver::temporal_reliability`]
-    /// exactly, so curve values are bit-identical to standalone solves.
-    #[must_use]
-    pub fn from_interval_curves(step_secs: u32, curves: &IntervalCurves) -> TrCurve {
-        TrCurve::from_raw_curves(step_secs, &curves.p1, &curves.p2)
-    }
-
-    /// Shared constructor for solvers that hold the six curves in raw
-    /// array form.
-    pub(crate) fn from_raw_curves(
-        step_secs: u32,
-        p1: &[Vec<f64>; 3],
-        p2: &[Vec<f64>; 3],
-    ) -> TrCurve {
-        TrCurve::from_rows(
-            step_secs,
-            [&p1[0], &p1[1], &p1[2]],
-            [&p2[0], &p2[1], &p2[2]],
-        )
-    }
-
-    /// Constructor over borrowed planar rows (the scratch-arena layout of
-    /// [`crate::smp::SolveScratch`]'s six planes).
-    pub(crate) fn from_rows(step_secs: u32, p1: [&[f64]; 3], p2: [&[f64]; 3]) -> TrCurve {
-        let tr_of = |rows: [&[f64]; 3]| -> Vec<f64> {
+    /// Constructor over the paper-order solver's planar curves
+    /// (`p1[j][m]` = `P_{S1,S(3+j)}(m)`), applying paper Eq. 2
+    /// (`TR = 1 − Σⱼ P_{init,j}`) at every step. The clamp sequence mirrors
+    /// [`crate::smp::SparseSolver::temporal_reliability`] exactly, so curve
+    /// values are bit-identical to standalone solves.
+    pub(crate) fn from_planar(step_secs: u32, p1: &[Vec<f64>; 3], p2: &[Vec<f64>; 3]) -> TrCurve {
+        let tr_of = |rows: &[Vec<f64>; 3]| -> Vec<f64> {
             (0..rows[0].len())
                 .map(|m| {
                     let sum = rows[0][m] + rows[1][m] + rows[2][m];
@@ -160,154 +122,6 @@ impl TrCurve {
     }
 }
 
-/// The paper-order Eq.-3 solver restructured for batched queries: flat
-/// per-curve arrays, blocked inner accumulation, and curve (rather than
-/// scalar) outputs.
-#[derive(Debug, Clone, Copy)]
-pub struct BatchSolver<'a> {
-    params: &'a SmpParams,
-}
-
-impl<'a> BatchSolver<'a> {
-    /// Wraps the estimated parameters.
-    #[must_use]
-    pub fn new(params: &'a SmpParams) -> BatchSolver<'a> {
-        BatchSolver { params }
-    }
-
-    /// One convolution step of the recursion:
-    /// `Σ_{l=1..m} q_tr(l)·p_other(m−l) + q_direct(l)`, accumulated in the
-    /// exact `l = 1..=m` order of the paper solver. The blocks exist only
-    /// to give the compiler constant-trip-count inner loops; a single
-    /// accumulator keeps the floating-point association unchanged.
-    #[inline]
-    fn convolve(q_tr: &[f64], q_direct: &[f64], p_other: &[f64], m: usize) -> f64 {
-        let mut acc = 0.0;
-        let qt = &q_tr[1..=m];
-        let qd = &q_direct[1..=m];
-        // Term l = k+1 multiplies p_other[m-1-k]: the p window walks
-        // backwards as the q window walks forwards.
-        let mut p_end = m;
-        let blocks = m / BLOCK;
-        for c in 0..blocks {
-            let qt_b = &qt[c * BLOCK..(c + 1) * BLOCK];
-            let qd_b = &qd[c * BLOCK..(c + 1) * BLOCK];
-            let p_b = &p_other[p_end - BLOCK..p_end];
-            for k in 0..BLOCK {
-                acc += qt_b[k] * p_b[BLOCK - 1 - k] + qd_b[k];
-            }
-            p_end -= BLOCK;
-        }
-        for k in blocks * BLOCK..m {
-            acc += qt[k] * p_other[p_end - 1] + qd[k];
-            p_end -= 1;
-        }
-        acc
-    }
-
-    /// The shared recursion body over any six mutable rows (heap-backed
-    /// curves or scratch-arena planes alike), in the paper's exact
-    /// summation order.
-    fn run_rows(&self, p1: &mut [&mut [f64]; 3], p2: &mut [&mut [f64]; 3], steps: usize) {
-        let q1 = self.params.row(0);
-        let q2 = self.params.row(1);
-        for m in 1..=steps {
-            for j in 0..3 {
-                let acc1 = Self::convolve(&q1[0], &q1[j + 1], &*p2[j], m);
-                let acc2 = Self::convolve(&q2[0], &q2[j + 1], &*p1[j], m);
-                p1[j][m] = acc1.clamp(0.0, 1.0);
-                p2[j][m] = acc2.clamp(0.0, 1.0);
-            }
-        }
-    }
-
-    /// Runs the recursion once up to `steps` and returns all six
-    /// `P_{init,j}(m)` curves. Every value is bit-identical to what
-    /// [`crate::smp::SparseSolver`] computes at the same `m`.
-    pub fn interval_curves(&self, steps: usize) -> Result<IntervalCurves, CoreError> {
-        if steps > self.params.horizon() {
-            return Err(CoreError::HorizonTooLong {
-                requested: steps,
-                available: self.params.horizon(),
-            });
-        }
-        fgcs_runtime::counter_add!("core.batch.runs", 1);
-        fgcs_runtime::counter_add!("core.batch.steps", steps as u64);
-        let mut p1: [Vec<f64>; 3] = [
-            vec![0.0; steps + 1],
-            vec![0.0; steps + 1],
-            vec![0.0; steps + 1],
-        ];
-        let mut p2: [Vec<f64>; 3] = [
-            vec![0.0; steps + 1],
-            vec![0.0; steps + 1],
-            vec![0.0; steps + 1],
-        ];
-        {
-            let [a, b, c] = &mut p1;
-            let [d, e, f] = &mut p2;
-            self.run_rows(
-                &mut [a.as_mut_slice(), b.as_mut_slice(), c.as_mut_slice()],
-                &mut [d.as_mut_slice(), e.as_mut_slice(), f.as_mut_slice()],
-                steps,
-            );
-        }
-        Ok(IntervalCurves { p1, p2 })
-    }
-
-    /// The materialized `TR(m)` curve from a single recursion run whose
-    /// six streams live in the caller's [`crate::smp::SolveScratch`] arena — only the
-    /// two output curves are allocated. Bit-identical to [`Self::tr_curve`]
-    /// (same convolution, same order, same clamps).
-    pub fn tr_curve_with(
-        &self,
-        scratch: &mut crate::smp::SolveScratch,
-        steps: usize,
-    ) -> Result<TrCurve, CoreError> {
-        if steps > self.params.horizon() {
-            return Err(CoreError::HorizonTooLong {
-                requested: steps,
-                available: self.params.horizon(),
-            });
-        }
-        fgcs_runtime::counter_add!("core.batch.runs", 1);
-        fgcs_runtime::counter_add!("core.batch.steps", steps as u64);
-        let [a, b, c, d, e, f] = scratch.six_planes(steps);
-        let mut p1 = [a, b, c];
-        let mut p2 = [d, e, f];
-        self.run_rows(&mut p1, &mut p2, steps);
-        Ok(TrCurve::from_rows(
-            self.params.step_secs(),
-            [&*p1[0], &*p1[1], &*p1[2]],
-            [&*p2[0], &*p2[1], &*p2[2]],
-        ))
-    }
-
-    /// The materialized `TR(m)` curve for `m = 0..=steps`, both initial
-    /// states, from a single recursion run (thread-local scratch arena).
-    pub fn tr_curve(&self, steps: usize) -> Result<TrCurve, CoreError> {
-        crate::smp::with_thread_scratch(|scratch| self.tr_curve_with(scratch, steps))
-    }
-
-    /// Answers a whole sweep of horizons from one recursion run at the
-    /// longest of them. Results are aligned with `horizons` (which need not
-    /// be sorted) and bit-identical to independent solves at each horizon.
-    pub fn tr_at_horizons(&self, init: State, horizons: &[usize]) -> Result<Vec<f64>, CoreError> {
-        if init.is_failure() {
-            return Err(CoreError::FailureInitialState(init));
-        }
-        let Some(&max) = horizons.iter().max() else {
-            return Ok(Vec::new());
-        };
-        fgcs_runtime::histogram_record!("core.batch.sweep_size", horizons.len() as u64);
-        let curve = self.tr_curve(max)?;
-        Ok(horizons
-            .iter()
-            .map(|&m| curve.tr(init, m).expect("m <= max horizon by construction"))
-            .collect())
-    }
-}
-
 /// One machine's TR query in a cluster-wide sweep.
 #[derive(Debug, Clone, Copy)]
 pub struct ClusterQuery<'a> {
@@ -369,7 +183,7 @@ pub fn evaluate_cluster(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::smp::SparseSolver;
+    use crate::smp::{SmpParams, SparseSolver};
     use State::*;
 
     /// A kernel with S1 <-> S2 churn and failure leaks at several holding
@@ -396,8 +210,8 @@ mod tests {
     #[test]
     fn batched_curve_is_bit_identical_to_standalone_solves() {
         let params = churn_kernel(120);
-        let batch = BatchSolver::new(&params).tr_curve(120).unwrap();
         let paper = SparseSolver::new(&params);
+        let batch = paper.tr_curve(120).unwrap();
         for init in [S1, S2] {
             for m in 0..=120usize {
                 let batched = batch.tr(init, m).unwrap();
@@ -412,50 +226,21 @@ mod tests {
     }
 
     #[test]
-    fn interval_curves_match_paper_solver_bitwise() {
-        let params = churn_kernel(90);
-        let curves = BatchSolver::new(&params).interval_curves(90).unwrap();
-        let paper = SparseSolver::new(&params);
-        for m in [1usize, 17, 43, 90] {
-            let probs = paper.interval_probabilities(m).unwrap();
-            for j in 0..3 {
-                assert_eq!(curves.p1[j][m].to_bits(), probs.p1[j].to_bits());
-                assert_eq!(curves.p2[j][m].to_bits(), probs.p2[j].to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn sweep_answers_match_order_and_values() {
-        let params = churn_kernel(100);
-        let solver = BatchSolver::new(&params);
-        let horizons = [50usize, 10, 100, 1, 0, 77];
-        let sweep = solver.tr_at_horizons(S1, &horizons).unwrap();
-        assert_eq!(sweep.len(), horizons.len());
-        let paper = SparseSolver::new(&params);
-        for (i, &m) in horizons.iter().enumerate() {
-            let standalone = paper.temporal_reliability(S1, m).unwrap();
-            assert_eq!(sweep[i].to_bits(), standalone.to_bits());
-        }
-    }
-
-    #[test]
-    fn empty_sweep_and_error_paths() {
+    fn tr_curve_error_paths() {
         let params = churn_kernel(20);
-        let solver = BatchSolver::new(&params);
-        assert_eq!(solver.tr_at_horizons(S1, &[]).unwrap(), Vec::<f64>::new());
+        let solver = SparseSolver::new(&params);
         assert!(matches!(
-            solver.tr_at_horizons(S3, &[5]),
-            Err(CoreError::FailureInitialState(S3))
-        ));
-        assert!(matches!(
-            solver.tr_at_horizons(S1, &[21]),
+            solver.tr_curve(21),
             Err(CoreError::HorizonTooLong {
                 requested: 21,
                 available: 20
             })
         ));
         let curve = solver.tr_curve(20).unwrap();
+        assert!(matches!(
+            curve.tr(S3, 5),
+            Err(CoreError::FailureInitialState(S3))
+        ));
         assert!(matches!(
             curve.tr(S1, 21),
             Err(CoreError::HorizonTooLong { .. })
@@ -468,7 +253,7 @@ mod tests {
     #[test]
     fn tr_curve_starts_at_one_and_is_monotone() {
         let params = churn_kernel(150);
-        let curve = BatchSolver::new(&params).tr_curve(150).unwrap();
+        let curve = SparseSolver::new(&params).tr_curve(150).unwrap();
         for init in [S1, S2] {
             let c = curve.curve(init).unwrap();
             assert_eq!(c[0], 1.0);

@@ -49,10 +49,7 @@ pub mod smp;
 pub mod state;
 pub mod window;
 
-pub use batch::{
-    evaluate_cluster, predict_cluster, BatchSolver, ClusterQuery, EvalQuery, IntervalCurves,
-    TrCurve,
-};
+pub use batch::{evaluate_cluster, predict_cluster, ClusterQuery, EvalQuery, TrCurve};
 pub use cache::{KernelDedup, QhCache};
 pub use classify::StateClassifier;
 pub use error::CoreError;

@@ -16,7 +16,7 @@
 //!    removing one of the two event scans per step.
 //! 3. **Event-cursor convolution.** The remaining operational-transition
 //!    convolution scans the sorted `(holding, mass)` event list once per
-//!    step for all three targets at a time (the paper-order solvers scan
+//!    step for all three targets at a time (the paper-order solver scans
 //!    per target), with a cursor bounding the `l ≤ m` range instead of a
 //!    per-event branch.
 //!
@@ -90,21 +90,6 @@ impl SolveScratch {
         p1.fill(0.0);
         rest.fill(0.0);
         (p1, rest)
-    }
-
-    /// Six zeroed planar streams of `steps + 1` slots each (the layout the
-    /// batched paper-order solver uses).
-    pub(crate) fn six_planes(&mut self, steps: usize) -> [&mut [f64]; 6] {
-        let n = steps + 1;
-        if self.buf.len() < 6 * n {
-            self.buf.resize(6 * n, 0.0);
-        }
-        let mut chunks = self.buf[..6 * n].chunks_exact_mut(n);
-        std::array::from_fn(|_| {
-            let plane = chunks.next().expect("exactly six planes");
-            plane.fill(0.0);
-            plane
-        })
     }
 }
 
@@ -188,12 +173,6 @@ impl<'a> FastSolver<'a> {
     #[must_use]
     pub fn new(params: &'a SmpParams) -> FastSolver<'a> {
         FastSolver { params }
-    }
-
-    /// The horizon the kernel resolves.
-    #[must_use]
-    pub fn horizon(&self) -> usize {
-        self.params.horizon()
     }
 
     fn check_horizon(&self, steps: usize) -> Result<(), CoreError> {
@@ -301,28 +280,6 @@ impl<'a> FastSolver<'a> {
     pub fn tr_curve(&self, steps: usize) -> Result<TrCurve, CoreError> {
         with_thread_scratch(|scratch| self.tr_curve_with(scratch, steps))
     }
-
-    /// The whole reliability curve `TR(m)` for `m = 0..=steps` from one
-    /// initial state.
-    pub fn reliability_curve(&self, init: State, steps: usize) -> Result<Vec<f64>, CoreError> {
-        if init.is_failure() {
-            return Err(CoreError::FailureInitialState(init));
-        }
-        self.check_horizon(steps)?;
-        with_thread_scratch(|scratch| {
-            let streams = self.run(scratch, steps);
-            let p = match init {
-                State::S1 => streams.p1,
-                _ => streams.p2,
-            };
-            Ok((0..=steps)
-                .map(|m| {
-                    let b = 3 * m;
-                    (1.0 - (p[b] + p[b + 1] + p[b + 2])).clamp(0.0, 1.0)
-                })
-                .collect())
-        })
-    }
 }
 
 #[cfg(test)]
@@ -398,16 +355,17 @@ mod tests {
     }
 
     #[test]
-    fn curves_match_reliability_curve_and_oracle() {
+    fn tr_curve_matches_scalar_solves_and_oracle() {
         let params = estimated_params();
         let fast = FastSolver::new(&params);
         let oracle = SparseSolver::new(&params);
         let curve = fast.tr_curve(200).unwrap();
-        let direct = fast.reliability_curve(S1, 200).unwrap();
-        let oracle_curve = oracle.reliability_curve(S1, 200).unwrap();
+        let oracle_curve = oracle.tr_curve(200).unwrap();
         for m in 0..=200usize {
-            assert_eq!(curve.tr(S1, m).unwrap().to_bits(), direct[m].to_bits());
-            assert!(within_budget(direct[m], oracle_curve[m]), "m = {m}");
+            let direct = fast.temporal_reliability(S1, m).unwrap();
+            assert_eq!(curve.tr(S1, m).unwrap().to_bits(), direct.to_bits());
+            let o = oracle_curve.tr(S1, m).unwrap();
+            assert!(within_budget(direct, o), "m = {m}");
         }
     }
 
@@ -426,7 +384,7 @@ mod tests {
                 available: 399
             })
         ));
-        assert!(fast.reliability_curve(S5, 10).is_err());
+        assert!(fast.tr_curve(10).unwrap().curve(S5).is_err());
         assert!(fast.tr_curve(400).is_err());
     }
 

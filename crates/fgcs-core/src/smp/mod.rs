@@ -6,7 +6,8 @@
 //!   logs,
 //! * [`solver`] — the sparse recursion of paper Eq. 3, which computes the
 //!   six interval transition probabilities `P_{1,j}`, `P_{2,j}`
-//!   (`j ∈ {3,4,5}`) needed for temporal reliability,
+//!   (`j ∈ {3,4,5}`) needed for temporal reliability: the one paper-order
+//!   recursion, kept as the bitwise oracle,
 //! * [`dense`] — a general 5-state interval-transition solver used to
 //!   cross-validate the sparse one and as the ablation baseline,
 //! * [`incremental`] — the O(1)-per-sample online estimator backing the
@@ -16,6 +17,10 @@
 //!   [`fast::SolveScratch`] arena, O(1) prefix-sum holding-time terms, and
 //!   an error-bounded (≤ 1e-12 unit-scale) contract against the
 //!   paper-order oracle.
+//!
+//! Both [`SparseSolver`] and [`FastSolver`] answer one horizon
+//! (`temporal_reliability`) or, from one run, the whole `TR(m)` curve
+//! (`tr_curve`, see [`crate::batch::TrCurve`]).
 
 pub mod dense;
 pub mod fast;

@@ -492,7 +492,7 @@ impl SmpParams {
     }
 
     /// Raw kernel row for a source state index (0 → S1, 1 → S2), in target
-    /// order `[other, S3, S4, S5]`. Used by the paper-order solvers.
+    /// order `[other, S3, S4, S5]`. Used by the paper-order solver.
     #[must_use]
     pub(crate) fn row(&self, source_idx: usize) -> &[Vec<f64>; 4] {
         &self.kernel[source_idx]

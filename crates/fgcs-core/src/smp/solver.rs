@@ -14,6 +14,7 @@
 //! superlinear computation-time growth the paper measures in Figure 4.
 //! Temporal reliability is then `TR = 1 - Σ_j P_{init,j}(T/d)` (Eq. 2).
 
+use crate::batch::TrCurve;
 use crate::error::CoreError;
 use crate::state::State;
 
@@ -155,21 +156,15 @@ impl<'a> SparseSolver<'a> {
         Ok((1.0 - probs.failure_probability(init)).clamp(0.0, 1.0))
     }
 
-    /// The whole reliability curve `TR(m)` for `m = 0..=steps` (an
-    /// extension beyond the paper: useful for schedulers comparing horizons
-    /// without re-running the recursion).
-    pub fn reliability_curve(&self, init: State, steps: usize) -> Result<Vec<f64>, CoreError> {
-        if init.is_failure() {
-            return Err(CoreError::FailureInitialState(init));
-        }
+    /// The materialized [`TrCurve`]: `TR(m)` for `m = 0..=steps` from both
+    /// operational initial states, from one run of the recursion (an
+    /// extension beyond the paper: schedulers compare horizons without
+    /// re-running it). The run to `steps` computes every `P_{init,j}(m)`
+    /// exactly as a run to `m` would, so each value is bit-identical to
+    /// [`Self::temporal_reliability`] at `m`.
+    pub fn tr_curve(&self, steps: usize) -> Result<TrCurve, CoreError> {
         let (p1, p2) = self.run(steps)?;
-        let row = match init {
-            State::S1 => &p1,
-            _ => &p2,
-        };
-        Ok((0..=steps)
-            .map(|m| (1.0 - (row[0][m] + row[1][m] + row[2][m])).clamp(0.0, 1.0))
-            .collect())
+        Ok(TrCurve::from_planar(self.params.step_secs(), &p1, &p2))
     }
 }
 
@@ -202,7 +197,8 @@ mod tests {
     fn one_shot_failure_shows_up_after_holding_time() {
         let p = kernel_one_shot(10, 0.4);
         let s = SparseSolver::new(&p);
-        let curve = s.reliability_curve(S1, 10).unwrap();
+        let curve = s.tr_curve(10).unwrap();
+        let curve = curve.curve(S1).unwrap();
         assert_eq!(curve[0], 1.0);
         assert_eq!(curve[2], 1.0); // before the holding time elapses
         assert!((curve[3] - 0.6).abs() < 1e-12);
@@ -249,8 +245,9 @@ mod tests {
         kernel[1][2][5] = 0.2; // S2 -> S4 at 5
         let p = SmpParams::from_kernel(6, kernel);
         let s = SparseSolver::new(&p);
+        let curves = s.tr_curve(horizon).unwrap();
         for init in [S1, S2] {
-            let curve = s.reliability_curve(init, horizon).unwrap();
+            let curve = curves.curve(init).unwrap();
             for w in curve.windows(2) {
                 assert!(w[1] <= w[0] + 1e-12, "TR increased: {} -> {}", w[0], w[1]);
             }
@@ -272,7 +269,8 @@ mod tests {
         kernel[1][1][1] = 1.0;
         let p = SmpParams::from_kernel(6, kernel);
         let s = SparseSolver::new(&p);
-        let curve = s.reliability_curve(S1, 5).unwrap();
+        let curve = s.tr_curve(5).unwrap();
+        let curve = curve.curve(S1).unwrap();
         assert_eq!(curve[0], 1.0);
         assert_eq!(curve[1], 1.0); // at m=1 we are in S2, still operational
         assert!((curve[2] - 0.0).abs() < 1e-12);

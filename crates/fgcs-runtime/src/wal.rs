@@ -20,8 +20,12 @@
 //! payload, to the OS in one `write(2)` before it returns — a `kill -9`
 //! loses nothing already appended; only an OS/machine crash can lose
 //! the un-fsynced suffix, and recovery then still sees a clean prefix.
-//! The CRC runs slicing-by-8: eight input bytes per table step instead
-//! of one.
+//! A failed `write` or `sync_data` stops the writer: the file may end in
+//! a partial frame, which recovery cuts together with everything behind
+//! it, so every later `append` and `sync` errors without touching the
+//! file until the log is reopened ([`WalWriter::open_truncated`] cuts the
+//! partial frame). The CRC runs slicing-by-8: eight input bytes per
+//! table step instead of one.
 //!
 //! For crash-point testing the writer accepts a [`FaultInjector`]
 //! (`wal.*` streams): torn writes persist only a prefix of the frame
@@ -282,6 +286,9 @@ pub struct WalWriter {
     /// The frame being appended, header and payload contiguous so it goes
     /// out in one `write`. Reused: a warm append allocates nothing.
     frame: Vec<u8>,
+    /// Set by a failed `write` or `sync_data`; sticky until the log is
+    /// reopened.
+    failed: bool,
     /// Test-only fault wiring: `(injector, stream)` for the `wal.*`
     /// decision streams, keyed by record index.
     faults: Option<(FaultInjector, u64)>,
@@ -299,6 +306,7 @@ impl WalWriter {
             synced: existing_records,
             fsync_every,
             frame: Vec::new(),
+            failed: false,
             faults: None,
         })
     }
@@ -326,6 +334,7 @@ impl WalWriter {
             synced: existing_records,
             fsync_every,
             frame: Vec::new(),
+            failed: false,
             faults: None,
         };
         use std::io::Seek;
@@ -356,16 +365,21 @@ impl WalWriter {
     /// Appends one record, returning its index. The frame is built in a
     /// reused buffer and handed to the OS in one `write`, before this
     /// returns (a process kill cannot lose it); it reaches the platter at
-    /// the fsync cadence.
+    /// the fsync cadence. Errors without writing once a write or sync has
+    /// failed.
     // lint: no-alloc
     pub fn append(&mut self, payload: &[u8]) -> io::Result<u64> {
+        if self.failed {
+            return Err(stopped());
+        }
         self.frame.clear();
         frame_into(&mut self.frame, payload)?;
-        if self.faults.is_some() {
-            self.append_faulty()?;
+        let written = if self.faults.is_some() {
+            self.append_faulty()
         } else {
-            self.file.write_all(&self.frame)?;
-        }
+            self.file.write_all(&self.frame)
+        };
+        written.inspect_err(|_| self.failed = true)?;
         let index = self.records;
         self.records += 1;
         if self.fsync_every > 0 && self.records - self.synced >= self.fsync_every {
@@ -392,12 +406,22 @@ impl WalWriter {
         self.file.write_all(frame)
     }
 
-    /// Flushes appended frames to stable storage.
+    /// Flushes appended frames to stable storage. Errors without syncing
+    /// once a write or sync has failed.
     pub fn sync(&mut self) -> io::Result<()> {
-        self.file.sync_data()?;
+        if self.failed {
+            return Err(stopped());
+        }
+        self.file.sync_data().inspect_err(|_| self.failed = true)?;
         self.synced = self.records;
         Ok(())
     }
+}
+
+/// The error of a writer stopped by an earlier failed write or sync.
+#[cold]
+fn stopped() -> io::Error {
+    io::Error::other("WAL writer stopped by an earlier failed write or sync; reopen the log")
 }
 
 #[cfg(test)]
@@ -593,6 +617,48 @@ mod tests {
         for (i, rec) in back.records.iter().enumerate() {
             assert_eq!(rec, format!("rec-{i}").as_bytes());
         }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_failed_write_stops_the_writer_until_reopen() {
+        // A failed write can leave a partial frame at the end of the file.
+        // Recovery truncates there, so a frame appended behind it would be
+        // acked and then lost: after the failure the file must not grow.
+        let plan = FaultPlan {
+            wal_torn_write_rate: 0.05,
+            ..FaultPlan::none(77)
+        };
+        let path = tmp("stop-after-failure");
+        let mut w = WalWriter::open(&path, 1, 0)
+            .expect("open")
+            .with_faults(FaultInjector::new(plan), 3);
+        let mut acked = 0u64;
+        while w.append(format!("rec-{acked}").as_bytes()).is_ok() {
+            acked += 1;
+            assert!(acked < 10_000, "torn write never fired");
+        }
+        let torn_len = std::fs::metadata(&path).expect("meta").len();
+        for i in 0..3 {
+            assert!(w.append(format!("late-{i}").as_bytes()).is_err());
+        }
+        assert_eq!(std::fs::metadata(&path).expect("meta").len(), torn_len);
+        assert!(w.sync().is_err(), "a stopped writer must not report a sync");
+        assert_eq!(w.records(), acked);
+        drop(w);
+        let back = read_wal(&path).expect("read");
+        assert_eq!(back.records.len() as u64, acked);
+        for (i, rec) in back.records.iter().enumerate() {
+            assert_eq!(rec, format!("rec-{i}").as_bytes());
+        }
+        // Reopening cuts the partial frame; appends resume behind the
+        // acked records.
+        let mut w = WalWriter::open_truncated(&path, 1, back.valid_bytes, acked).expect("reopen");
+        w.append(b"after-reopen").expect("append");
+        let back = read_wal(&path).expect("read");
+        assert_eq!(back.damage, None);
+        assert_eq!(back.records.len() as u64, acked + 1);
+        assert_eq!(back.records[acked as usize], b"after-reopen");
         std::fs::remove_file(&path).ok();
     }
 

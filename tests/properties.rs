@@ -4,7 +4,7 @@
 //! derived deterministically from the property name and case index, so a
 //! failure report reproduces by re-running the same test binary.
 
-use fgcs::core::smp::{DenseSolver, FastSolver, SmpParams, SparseSolver};
+use fgcs::core::smp::{DenseSolver, FastSolver, IntervalProbs, SmpParams, SparseSolver};
 use fgcs::core::{AvailabilityModel, LoadSample, State, StateClassifier};
 use fgcs::runtime::check::{check, ensure, Gen};
 
@@ -44,9 +44,9 @@ fn random_states(g: &mut Gen, max_index: usize, min_len: usize, max_len: usize) 
 fn tr_is_probability_and_monotone() {
     check("tr_is_probability_and_monotone", CASES, |g| {
         let params = random_kernel(g, 24);
-        let solver = SparseSolver::new(&params);
+        let curves = SparseSolver::new(&params).tr_curve(24).unwrap();
         for init in [State::S1, State::S2] {
-            let curve = solver.reliability_curve(init, 24).unwrap();
+            let curve = curves.curve(init).unwrap();
             ensure(curve[0] == 1.0, format!("curve starts at {}", curve[0]))?;
             for pair in curve.windows(2) {
                 ensure(
@@ -67,16 +67,21 @@ fn tr_is_probability_and_monotone() {
 fn interval_probability_curves_are_monotone_in_horizon() {
     // Eq. 3's P_{init,j}(m) is the probability of *ever* having entered
     // failure state j within m steps — a non-decreasing function of m.
-    // The batched engine exposes the whole curve from one pass, making
-    // this property directly checkable.
-    use fgcs::core::batch::BatchSolver;
+    // One standalone solve per horizon gives the curves.
     check(
         "interval_probability_curves_are_monotone_in_horizon",
         CASES,
         |g| {
             let params = random_kernel(g, 24);
-            let curves = BatchSolver::new(&params).interval_curves(24).unwrap();
-            for (init, rows) in [("S1", &curves.p1), ("S2", &curves.p2)] {
+            let solver = SparseSolver::new(&params);
+            let probs: Vec<IntervalProbs> = (0..=24)
+                .map(|m| solver.interval_probabilities(m).unwrap())
+                .collect();
+            let rows = |of: fn(&IntervalProbs) -> [f64; 3]| -> [Vec<f64>; 3] {
+                std::array::from_fn(|j| probs.iter().map(|p| of(p)[j]).collect())
+            };
+            let (p1, p2) = (rows(|p| p.p1), rows(|p| p.p2));
+            for (init, rows) in [("S1", &p1), ("S2", &p2)] {
                 for (j, row) in rows.iter().enumerate() {
                     ensure(row[0] == 0.0, format!("P_{{{init},S{}}}(0) != 0", j + 3))?;
                     for (m, pair) in row.windows(2).enumerate() {
@@ -104,14 +109,13 @@ fn interval_probability_curves_are_monotone_in_horizon() {
 
 #[test]
 fn batched_tr_curve_matches_standalone_solves_bitwise() {
-    use fgcs::core::batch::BatchSolver;
     check(
         "batched_tr_curve_matches_standalone_solves_bitwise",
         CASES,
         |g| {
             let params = random_kernel(g, 20);
-            let curve = BatchSolver::new(&params).tr_curve(20).unwrap();
             let solver = SparseSolver::new(&params);
+            let curve = solver.tr_curve(20).unwrap();
             for init in [State::S1, State::S2] {
                 for m in 0..=20usize {
                     let batched = curve.tr(init, m).unwrap();
@@ -220,12 +224,14 @@ fn fast_solver_stays_within_error_budget_of_paper_oracle() {
 }
 
 fn fast_matches_oracle_everywhere(params: &SmpParams) -> Result<(), String> {
-    let fast = FastSolver::new(params);
-    let oracle = SparseSolver::new(params);
+    let fast_curves = FastSolver::new(params).tr_curve(params.horizon()).unwrap();
+    let oracle_curves = SparseSolver::new(params)
+        .tr_curve(params.horizon())
+        .unwrap();
     for init in [State::S1, State::S2] {
-        let fast_curve = fast.reliability_curve(init, params.horizon()).unwrap();
-        let oracle_curve = oracle.reliability_curve(init, params.horizon()).unwrap();
-        for (m, (f, o)) in fast_curve.iter().zip(&oracle_curve).enumerate() {
+        let fast_curve = fast_curves.curve(init).unwrap();
+        let oracle_curve = oracle_curves.curve(init).unwrap();
+        for (m, (f, o)) in fast_curve.iter().zip(oracle_curve).enumerate() {
             ensure(
                 (f - o).abs() <= 1e-12 * o.abs().max(1.0),
                 format!("init {init} horizon {m}: fast {f} vs oracle {o}"),
