@@ -24,7 +24,9 @@
 //!
 //! `--check` also enforces *absolute* latency gates — on the fast path
 //! (`smp_solver/fast_2h` under 100 µs, `smp_solver/batched_sweep_2h`
-//! under 1 ms), on the 10k-host serving smoke's ingest/query p99s
+//! under 1 ms), on kernel estimation (`qh_estimation/2h`, the full scan,
+//! and `qh_estimation/rebuild_2h`, the incremental estimator's rebuild),
+//! on the 10k-host serving smoke's ingest/query p99s
 //! (`cluster_serve_10k/…`, see `fgcs_bench::cluster`), on the deduped
 //! 1000-host scheduling sweep (`cluster_sweep_1k_hosts`), and on the durable
 //! ingest's byte path (`ingest_bytes/…`: one 14 400-sample ingest line
@@ -43,7 +45,7 @@ use fgcs_core::cache::QhCache;
 use fgcs_core::classify::StateClassifier;
 use fgcs_core::predictor::SmpPredictor;
 use fgcs_core::registry::encode_wal_record;
-use fgcs_core::smp::{FastSolver, SmpParams, SolveScratch, SparseSolver};
+use fgcs_core::smp::{FastSolver, IncrementalEstimator, SmpParams, SolveScratch, SparseSolver};
 use fgcs_core::state::{self, State};
 use fgcs_core::window::{DayType, TimeWindow};
 use fgcs_runtime::bench::measure;
@@ -59,14 +61,16 @@ const TARGET_SAMPLE: Duration = Duration::from_millis(5);
 
 /// Bench keys `--check` requires (the ISSUE-2 acceptance set, the ISSUE-3
 /// multi-horizon batching set, the ISSUE-6 fast-path set, the ISSUE-7
-/// serving-scale set, and the durable-ingest byte path).
-const REQUIRED_KEYS: [&str; 15] = [
+/// serving-scale set, the durable-ingest byte path, and the incremental
+/// kernel rebuild).
+const REQUIRED_KEYS: [&str; 16] = [
     "smp_solver/paper_eq3_2h",
     "smp_solver/fast_2h",
     "smp_solver/per_horizon_sweep_2h",
     "smp_solver/batched_sweep_2h",
     "cluster_sweep_1k_hosts",
     "qh_estimation/2h",
+    "qh_estimation/rebuild_2h",
     "predictor/cached_qh",
     "classify/whole_day_offline",
     "trace_gen/machine_day_lab",
@@ -95,6 +99,20 @@ const FAST_SOLVE_GATE_NS: f64 = 100_000.0;
 /// Absolute latency gate on the fast multi-horizon sweep
 /// (`smp_solver/batched_sweep_2h`), at `machine_factor` 1.0.
 const BATCH_SWEEP_GATE_NS: f64 = 1_000_000.0;
+
+/// Absolute gate on estimating one 2-h kernel from the history's weekday
+/// windows (`qh_estimation/2h`: `SmpParams::estimate`), at
+/// `machine_factor` 1.0. The sparse estimator costs O(runs log runs) and
+/// sits near half the gate; zero-filling and walking dense per-step rows
+/// costs several times the gate.
+const QH_ESTIMATION_GATE_NS: f64 = 7_000.0;
+
+/// Absolute gate on rebuilding one 2-h kernel from a synced incremental
+/// estimator (`qh_estimation/rebuild_2h`: `IncrementalEstimator::params`,
+/// the registry's path after an ingest), at `machine_factor` 1.0. As for
+/// the full scan, a rebuild that walks every step of the horizon costs
+/// several times the gate.
+const QH_REBUILD_GATE_NS: f64 = 5_000.0;
 
 /// Median ns of [`calibration_workload`] on the reference machine the gate
 /// constants were tuned against (a ~3 GHz desktop core; the workload is
@@ -281,6 +299,13 @@ fn run_smoke() -> Json {
     });
     run("qh_estimation/2h", &mut || {
         black_box(SmpParams::estimate(&refs, model.monitor_period_secs, steps));
+    });
+    let mut estimator =
+        IncrementalEstimator::new(model.monitor_period_secs, DayType::Weekday, window, None);
+    estimator.sync(&history);
+    assert_eq!(estimator.params().as_ref(), Some(&params));
+    run("qh_estimation/rebuild_2h", &mut || {
+        black_box(estimator.params());
     });
     run("predictor/cached_qh", &mut || {
         black_box(
@@ -520,6 +545,8 @@ fn check_baseline(path: &str) -> Result<(), String> {
     };
     gate("smp_solver/fast_2h", FAST_SOLVE_GATE_NS)?;
     gate("smp_solver/batched_sweep_2h", BATCH_SWEEP_GATE_NS)?;
+    gate("qh_estimation/2h", QH_ESTIMATION_GATE_NS)?;
+    gate("qh_estimation/rebuild_2h", QH_REBUILD_GATE_NS)?;
     gate(
         "cluster_serve_10k/ingest_day_p99_ns",
         SERVE_INGEST_P99_GATE_NS,

@@ -56,8 +56,10 @@ struct DedupEntry {
 /// shared history into one solve plus 999 table hits.
 ///
 /// Entries hold only `Weak` handles: dropping the last consumer (e.g.
-/// [`QhCache::invalidate_host`] or LRU eviction) makes the entry dead, and
-/// [`purge_dead`](KernelDedup::purge_dead) sweeps it out.
+/// [`QhCache::invalidate_host`] or LRU eviction) makes the entry dead. An
+/// LRU eviction prunes the dropped kernel's bucket at once, and
+/// [`purge_dead`](KernelDedup::purge_dead) sweeps the whole table (after
+/// `invalidate_host` and `clear`).
 #[derive(Default)]
 pub struct KernelDedup {
     stripes: [Mutex<HashMap<u64, Vec<DedupEntry>>>; DEDUP_STRIPES],
@@ -135,6 +137,18 @@ impl KernelDedup {
         let ptr = Arc::as_ptr(params);
         if let Some(entry) = bucket.iter_mut().find(|e| e.weak.as_ptr() == ptr) {
             entry.memo.insert(key, value);
+        }
+    }
+
+    /// Removes the dead entries of one hash bucket — what an LRU eviction
+    /// calls for the bucket of the kernel it dropped.
+    pub(crate) fn prune(&self, hash: u64) {
+        let mut stripe = self.stripe(hash);
+        if let Some(bucket) = stripe.get_mut(&hash) {
+            bucket.retain(|e| e.weak.strong_count() > 0);
+            if bucket.is_empty() {
+                stripe.remove(&hash);
+            }
         }
     }
 
@@ -218,11 +232,13 @@ struct QhKey {
 /// queries via interior mutability (all methods take `&self`).
 ///
 /// Values are held behind [`Arc`] so a hit hands back the cached kernel
-/// without cloning the (multi-kilobyte) holding-time vectors. Since
-/// [`SmpParams`] now precomputes its sparse solver view (sorted event
-/// lists and direct-failure prefix sums) at construction, a cache hit
-/// also skips that preprocessing: the fast solver runs straight off the
-/// shared kernel with no per-query setup.
+/// without cloning its event lists. Since [`SmpParams`] keeps its solver
+/// view (sorted event lists, merged failure events, row totals) from
+/// construction, a cache hit also skips that preprocessing: the fast
+/// solver runs straight off the shared kernel with no per-query setup.
+/// A kernel's size follows its sojourn events, not its horizon, so the
+/// capacity bounds the cache's bytes as well as its entries; an evicted
+/// kernel's dedup entry is pruned with it.
 pub struct QhCache {
     inner: Mutex<LruCache<QhKey, Arc<SmpParams>>>,
     dedup: Arc<KernelDedup>,
@@ -323,11 +339,21 @@ impl QhCache {
         // content-equal kernel (when one is alive), so hosts with identical
         // Q/H windows share one `Arc` — and one solve memo.
         let params = self.dedup.intern(compute()?);
-        let mut cache = self.lock();
-        if cache.put(key, Arc::clone(&params)).is_some() {
+        let evicted = {
+            let mut cache = self.lock();
+            let evicted = cache.put(key, Arc::clone(&params));
+            fgcs_runtime::gauge_set!("core.qh_cache.entries", cache.len() as f64);
+            evicted
+        };
+        if let Some((_, old)) = evicted {
             fgcs_runtime::counter_add!("core.qh_cache.evictions", 1);
+            // The evicted kernel may have been its interned entry's last
+            // consumer: drop it, then prune its bucket, so the entry and
+            // its memo go with it.
+            let hash = old.content_hash();
+            drop(old);
+            self.dedup.prune(hash);
         }
-        fgcs_runtime::gauge_set!("core.qh_cache.entries", cache.len() as f64);
         Ok(params)
     }
 
@@ -379,9 +405,10 @@ impl QhCache {
         dropped
     }
 
-    /// Drops every entry.
+    /// Drops every entry, and every dedup entry no other consumer holds.
     pub fn clear(&self) {
         self.lock().clear();
+        self.dedup.purge_dead();
     }
 
     /// Number of kernels currently cached.
@@ -702,6 +729,44 @@ mod tests {
         assert_eq!(cache.dedup().entries(), 1, "host 2 still holds the Arc");
         cache.invalidate_host(2);
         assert_eq!(cache.dedup().entries(), 0, "last consumer gone");
+    }
+
+    /// Live plus dead entries across every stripe.
+    fn dedup_slots(dedup: &KernelDedup) -> usize {
+        dedup
+            .stripes
+            .iter()
+            .map(|s| s.lock().unwrap().values().map(Vec::len).sum::<usize>())
+            .sum()
+    }
+
+    #[test]
+    fn lru_eviction_prunes_dedup_entries() {
+        // Distinct kernels through a small cache: each eviction drops the
+        // last consumer of a kernel, and its dedup entry (with its memo)
+        // must go too, or the table grows with every kernel ever seen.
+        let cache = QhCache::new(4);
+        let p = predictor();
+        let w = TimeWindow::new(0, 600);
+        for host in 0..1000u64 {
+            let params = cache
+                .get_or_compute(&p, host, 5, DayType::Weekday, w, || {
+                    let mut kernel: [[Vec<f64>; 4]; 2] = Default::default();
+                    for col in kernel.iter_mut().flatten() {
+                        *col = vec![0.0; 11];
+                    }
+                    kernel[0][1][3] = (host + 1) as f64 * 1e-4;
+                    Ok(Arc::new(SmpParams::from_kernel(6, kernel)))
+                })
+                .unwrap();
+            cache.dedup().memo_put(&params, 1, 0.5);
+        }
+        assert_eq!(cache.len(), 4);
+        assert_eq!(cache.dedup().entries(), 4);
+        let slots = dedup_slots(cache.dedup());
+        assert!(slots <= 4, "{slots} dedup entries for 4 live kernels");
+        cache.clear();
+        assert_eq!(dedup_slots(cache.dedup()), 0, "clear purges the table");
     }
 
     #[test]

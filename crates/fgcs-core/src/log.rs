@@ -353,6 +353,14 @@ impl HistoryStore {
     /// Returns `None` when the logs do not cover the window.
     #[must_use]
     pub fn window_states(&self, pos: usize, window: TimeWindow) -> Option<Vec<State>> {
+        self.window_parts(pos, window)
+            .map(|(head, tail)| [head, tail].concat())
+    }
+
+    /// [`window_states`](HistoryStore::window_states) as borrowed parts:
+    /// the samples from day `pos`, then those from the next day (empty
+    /// unless the window is stitched).
+    fn window_parts(&self, pos: usize, window: TimeWindow) -> Option<(&[State], &[State])> {
         let day = self.days.get(pos)?;
         let step = day.log.step_secs();
         let start = window.start_step(step);
@@ -363,7 +371,7 @@ impl HistoryStore {
         // is the next day's first sample — continues into the next
         // chronological day.
         if start + steps < day.log.len() {
-            return Some(day.log.states()[start..start + steps + 1].to_vec());
+            return Some((&day.log.states()[start..start + steps + 1], &[]));
         }
         let next = self.days.get(pos + 1)?;
         if next.day_index != day.day_index + 1 || next.log.step_secs() != step {
@@ -374,10 +382,7 @@ impl HistoryStore {
         if rest > next.log.len() {
             return None;
         }
-        let mut out = Vec::with_capacity(steps + 1);
-        out.extend_from_slice(&day.log.states()[start..]);
-        out.extend_from_slice(&next.log.states()[..rest]);
-        Some(out)
+        Some((&day.log.states()[start..], &next.log.states()[..rest]))
     }
 
     /// The window state sequences of the most recent `max_days` days of the
@@ -393,24 +398,46 @@ impl HistoryStore {
         window: TimeWindow,
         max_days: Option<usize>,
     ) -> Vec<Vec<State>> {
-        if max_days == Some(0) {
-            return Vec::new();
-        }
         let mut out = Vec::new();
+        self.for_each_recent_window(day_type, window, max_days, |states| {
+            out.push(states.to_vec());
+        });
+        out
+    }
+
+    /// Calls `f` on each window [`recent_windows`](HistoryStore::recent_windows)
+    /// returns, in the same order, and returns how many there were. A
+    /// window inside one day's log is borrowed from it; a stitched one is
+    /// copied into a buffer reused across days.
+    pub(crate) fn for_each_recent_window(
+        &self,
+        day_type: DayType,
+        window: TimeWindow,
+        max_days: Option<usize>,
+        mut f: impl FnMut(&[State]),
+    ) -> usize {
+        let mut found = 0;
+        let mut stitched = Vec::new();
         for pos in (0..self.days.len()).rev() {
+            if max_days.is_some_and(|n| found >= n) {
+                break;
+            }
             if self.days[pos].day_type != day_type {
                 continue;
             }
-            if let Some(states) = self.window_states(pos, window) {
-                out.push(states);
-                if let Some(n) = max_days {
-                    if out.len() >= n {
-                        break;
-                    }
+            if let Some((head, tail)) = self.window_parts(pos, window) {
+                if tail.is_empty() {
+                    f(head);
+                } else {
+                    stitched.clear();
+                    stitched.extend_from_slice(head);
+                    stitched.extend_from_slice(tail);
+                    f(&stitched);
                 }
+                found += 1;
             }
         }
-        out
+        found
     }
 
     /// Splits the store into (training, test) parts by a `train:test` ratio,

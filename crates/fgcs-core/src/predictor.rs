@@ -9,7 +9,7 @@ use crate::cache::QhCache;
 use crate::error::CoreError;
 use crate::log::HistoryStore;
 use crate::model::AvailabilityModel;
-use crate::smp::{FastSolver, IntervalProbs, SmpParams, SparseSolver};
+use crate::smp::{FastSolver, IntervalProbs, SmpParams, SojournAccumulator, SparseSolver};
 use crate::state::State;
 use crate::window::{DayType, TimeWindow};
 
@@ -169,21 +169,24 @@ impl SmpPredictor {
         let _span = fgcs_runtime::time_span!("core.estimate_params_ns");
         fgcs_runtime::counter_add!("core.qh_estimations", 1);
         let step = self.model.monitor_period_secs;
-        let mut slices = history.recent_windows(day_type, window, self.max_history_days);
+        // The windows go straight from the history logs into the tallies;
+        // only a window stitched across midnight is copied.
+        let mut acc = SojournAccumulator::new(step, window.steps(step));
+        let mut push = |states: &[State]| acc.push_window(states);
+        let mut days =
+            history.for_each_recent_window(day_type, window, self.max_history_days, &mut push);
         if !self.same_day_type_only {
             let other = match day_type {
                 DayType::Weekday => DayType::Weekend,
                 DayType::Weekend => DayType::Weekday,
             };
-            slices.extend(history.recent_windows(other, window, self.max_history_days));
+            days += history.for_each_recent_window(other, window, self.max_history_days, &mut push);
         }
-        if slices.is_empty() {
+        if days == 0 {
             return Err(CoreError::EmptyHistory { window });
         }
-        fgcs_runtime::histogram_record!("core.history_window_days", slices.len() as u64);
-        let horizon = window.steps(step);
-        let refs: Vec<&[State]> = slices.iter().map(Vec::as_slice).collect();
-        Ok(SmpParams::estimate(&refs, step, horizon))
+        fgcs_runtime::histogram_record!("core.history_window_days", days as u64);
+        Ok(acc.finish())
     }
 
     /// Predicts the temporal reliability for `window` on a day of

@@ -10,10 +10,12 @@
 //!    triple-interleaved planes (`plane[3·m + j]`), so each convolution
 //!    term loads one cache line holding all three targets and a
 //!    steady-state solve allocates nothing.
-//! 2. **O(1) direct-failure terms.** The inner sum
-//!    `Σ_{l ≤ m} q_{i,S(3+j)}(l)` is a prefix-sum lookup precomputed in
-//!    [`SmpParams`] ([`SolverKernel`](super::params) `direct_prefix`),
-//!    removing one of the two event scans per step.
+//! 2. **O(1) amortized direct-failure terms.** The inner sum
+//!    `Σ_{l ≤ m} q_{i,S(3+j)}(l)` is a running sum that a cursor advances
+//!    over each source's failure events, merged by holding time in
+//!    [`SmpParams`] ([`SolverKernel`](super::params) `direct`): one cursor
+//!    per source, each event added once per solve, and no per-step table
+//!    in the kernel. This removes one of the two event scans per step.
 //! 3. **Event-cursor convolution.** The remaining operational-transition
 //!    convolution scans the sorted `(holding, mass)` event list once per
 //!    step for all three targets at a time (the paper-order solver scans
@@ -144,6 +146,25 @@ fn convolve3(events: &[(usize, f64)], other: &[f64], m: usize, direct: [f64; 3])
     ]
 }
 
+/// Adds the direct-failure events with holding time `l ≤ m` not yet
+/// summed into `sums`, moving `cursor` past them. Events arrive in
+/// ascending holding order, so each target's sum takes its masses in
+/// ascending `l`: the additions a running prefix sum over `l = 1..=m`
+/// makes, minus its exact `+ 0.0` no-ops.
+// lint: no-alloc
+#[inline]
+fn advance_direct(events: &[(usize, [f64; 3])], cursor: &mut usize, m: usize, sums: &mut [f64; 3]) {
+    while let Some(&(l, masses)) = events.get(*cursor) {
+        if l > m {
+            break;
+        }
+        sums[0] += masses[0];
+        sums[1] += masses[1];
+        sums[2] += masses[2];
+        *cursor += 1;
+    }
+}
+
 thread_local! {
     static THREAD_SCRATCH: RefCell<SolveScratch> = RefCell::new(SolveScratch::new());
 }
@@ -160,8 +181,8 @@ pub fn with_thread_scratch<R>(f: impl FnOnce(&mut SolveScratch) -> R) -> R {
 
 /// The fast Eq.-3 solver over a precomputed [`SmpParams`] kernel view.
 ///
-/// Construction is free (the event lists and prefix sums already live in
-/// the params, shared through the `QhCache`'s `Arc`); a solve costs
+/// Construction is free (the event lists already live in the params,
+/// shared through the `QhCache`'s `Arc`); a solve costs
 /// `O(steps · nnz)` with no allocation when given a warm scratch.
 #[derive(Debug, Clone, Copy)]
 pub struct FastSolver<'a> {
@@ -194,12 +215,15 @@ impl<'a> FastSolver<'a> {
         let view = self.params.solver_kernel();
         let ev1 = view.trans_events(0);
         let ev2 = view.trans_events(1);
-        let d1 = view.direct_prefix(0);
-        let d2 = view.direct_prefix(1);
+        let f1 = view.direct_events(0);
+        let f2 = view.direct_events(1);
         let (p1, p2) = scratch.planes(steps);
         // Cursors bounding the `holding ≤ m` prefix of each event list.
         let mut end1 = 0usize;
         let mut end2 = 0usize;
+        // Direct-failure mass through step m, `Σ_{l ≤ m} q_{i,S(3+j)}(l)`.
+        let (mut d1, mut d2) = ([0.0f64; 3], [0.0f64; 3]);
+        let (mut c1, mut c2) = (0usize, 0usize);
         for m in 1..=steps {
             while end1 < ev1.len() && ev1[end1].0 <= m {
                 end1 += 1;
@@ -207,10 +231,11 @@ impl<'a> FastSolver<'a> {
             while end2 < ev2.len() && ev2[end2].0 <= m {
                 end2 += 1;
             }
+            advance_direct(f1, &mut c1, m, &mut d1);
+            advance_direct(f2, &mut c2, m, &mut d2);
             let b = 3 * m;
-            // Direct-failure mass: one prefix-sum load per target.
-            let acc1 = convolve3(&ev1[..end1], p2, m, [d1[b], d1[b + 1], d1[b + 2]]);
-            let acc2 = convolve3(&ev2[..end2], p1, m, [d2[b], d2[b + 1], d2[b + 2]]);
+            let acc1 = convolve3(&ev1[..end1], p2, m, d1);
+            let acc2 = convolve3(&ev2[..end2], p1, m, d2);
             p1[b] = acc1[0].clamp(0.0, 1.0);
             p1[b + 1] = acc1[1].clamp(0.0, 1.0);
             p1[b + 2] = acc1[2].clamp(0.0, 1.0);

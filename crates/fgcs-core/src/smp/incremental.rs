@@ -14,14 +14,14 @@
 //!
 //! 1. The decomposition is shared code (`decompose_window`), so the exact
 //!    same runs are produced; and
-//! 2. every tally update is an integer addition in `f64` (or on integer
-//!    types), which is exact and order-independent — folding days
-//!    oldest-first gives the same tallies as the oracle's
-//!    most-recent-first scan.
+//! 2. each run adds one integer tally key, and the keys are sorted before
+//!    use, so their order does not matter — folding days oldest-first
+//!    gives the same sorted tallies as the oracle's most-recent-first
+//!    scan.
 //!
-//! The product-limit transform and `SolverKernel` build then run on
-//! bit-equal tallies, so the resulting [`SmpParams`] compare equal with
-//! `==` (which is what the property tests assert).
+//! The product-limit transform then runs on bit-equal tallies, and the
+//! resulting [`SmpParams`] compare equal with `==` (which is what the
+//! property tests assert).
 //!
 //! **Finality rule.** A day at position `pos` is folded only once
 //! [`crate::log::HistoryStore::window_states`] can no longer change its
@@ -33,11 +33,12 @@
 //!
 //! **Cost.** `sync` after one appended day decomposes at most one window
 //! slice (≤ 2 days of samples, independent of history length), so the
-//! update is O(1) per sample amortized. Building [`SmpParams`] allocates
-//! the kernel arrays and replays the retained runs — that is the "kernel
-//! rebuild", and callers (the sharded registry) cache the built params so a
-//! rebuild happens only when the retained-day set rolls over (a new day
-//! qualified or an old one slid out of `max_days`).
+//! update is O(1) per sample amortized. Building [`SmpParams`] replays the
+//! `R` retained runs and sorts their tallies — the "kernel rebuild", in
+//! O(R log R) time and O(R) memory, independent of the window's horizon.
+//! Callers (the sharded registry) cache the built params so a rebuild
+//! happens only when the retained-day set rolls over (a new day qualified
+//! or an old one slid out of `max_days`).
 
 use std::collections::VecDeque;
 
@@ -189,10 +190,12 @@ impl IncrementalEstimator {
             return None;
         }
         let horizon = self.window.steps(self.step_secs);
-        let mut acc = SojournAccumulator::new(self.step_secs, horizon);
         let keep = self.max_days.unwrap_or(self.deltas.len());
         let skip = self.deltas.len().saturating_sub(keep);
-        for delta in self.deltas.iter().skip(skip) {
+        let kept = || self.deltas.iter().skip(skip);
+        let runs = kept().map(|d| d.runs.len()).sum();
+        let mut acc = SojournAccumulator::with_capacity(self.step_secs, horizon, runs);
+        for delta in kept() {
             for &run in &delta.runs {
                 acc.record(run);
             }

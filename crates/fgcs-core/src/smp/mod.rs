@@ -2,8 +2,8 @@
 //!
 //! * [`params`] — estimation of the SMP parameters (the transition matrix
 //!   `Q` and holding-time mass functions `H`, stored jointly as the
-//!   semi-Markov kernel `q_{i,k}(l) = Q_i(k) · H_{i,k}(l)`) from history
-//!   logs,
+//!   semi-Markov kernel `q_{i,k}(l) = Q_i(k) · H_{i,k}(l)`, kept as its
+//!   sparse nonzero events) from history logs,
 //! * [`solver`] — the sparse recursion of paper Eq. 3, which computes the
 //!   six interval transition probabilities `P_{1,j}`, `P_{2,j}`
 //!   (`j ∈ {3,4,5}`) needed for temporal reliability: the one paper-order
@@ -14,7 +14,7 @@
 //!   sharded serving registry, bitwise-verified against the full-scan
 //!   [`params`] oracle,
 //! * [`fast`] — the production solver: SoA interval streams in a reusable
-//!   [`fast::SolveScratch`] arena, O(1) prefix-sum holding-time terms, and
+//!   [`fast::SolveScratch`] arena, cursor-summed direct-failure terms, and
 //!   an error-bounded (≤ 1e-12 unit-scale) contract against the
 //!   paper-order oracle.
 //!

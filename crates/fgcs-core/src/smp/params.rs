@@ -23,12 +23,18 @@
 //! window's start time-of-day, which matches how the predictor is invoked
 //! (the initial state is the state observed at submission time).
 //!
-//! Besides the raw kernel, [`SmpParams`] carries a derived `SolverKernel`:
-//! sorted `(holding, mass)` event lists, prefix sums of the direct-failure
-//! mass, and per-row `Q` totals. These are built once at estimation (or
-//! deserialization) time, so every solve and every `Qh` lookup afterwards is
-//! allocation-free and O(1) per term — and a cached `Arc<SmpParams>` shares
-//! them across all consumers.
+//! The kernel is stored sparsely too: each of the eight rows `q_{i,k}(·)`
+//! is its ascending list of nonzero `(holding, mass)` events — tens of
+//! entries for a 2-h window, where a dense row has `horizon + 1`. The
+//! estimator tallies one `(holding, target)` event and one capped at-risk
+//! end per sojourn run and evaluates the product-limit only at the event
+//! holding times, so a build costs O(runs log runs) time and O(runs)
+//! memory, whatever the horizon. Alongside the rows, [`SmpParams`] keeps
+//! the solver's view (the failure rows merged by holding time, and the row
+//! totals `Q_i(k)`), so every solve and every `Qh` lookup afterwards is
+//! allocation-free, and a cached `Arc<SmpParams>` shares it across all
+//! consumers. Dense rows are built only on demand, for the paper-order
+//! oracle and the JSON form.
 
 use std::sync::OnceLock;
 
@@ -53,127 +59,150 @@ fn target_index(source_idx: usize, target: State) -> Option<usize> {
     targets_of(source_idx).iter().position(|&t| t == target)
 }
 
-/// Precomputed solver-facing view of the kernel, derived from the raw
-/// `q_{i,k}(l)` arrays once per estimate and shared by every solve:
+/// The sparse kernel and the solver-facing view derived from it:
 ///
-/// * `trans[i]` — ascending `(holding, mass)` events of the operational
-///   transition (`S1→S2` / `S2→S1`), the only lists the Eq.-3 convolution
-///   has to scan;
-/// * `failures[i][j]` — ascending events towards failure state `S(3+j)`
-///   (part of the kernel-dedup content hash);
-/// * `direct_prefix[i]` — triple-interleaved prefix sums
-///   `dp[3·m + j] = Σ_{l ≤ m} q_{i,S(3+j)}(l)`, making every direct-failure
-///   term of the recursion a single O(1) load;
+/// * `rows[i][k]` — the ascending nonzero `(holding, mass)` events of
+///   `q_{i,k}`, targets in `[other, S3, S4, S5]` order. This *is* the
+///   kernel: equality, the content hash, [`SmpParams::kernel_at`] and the
+///   holding-time pmfs read it. `rows[i][0]` is the operational transition
+///   (`S1→S2` / `S2→S1`), the only list the Eq.-3 convolution scans;
+/// * `direct[i]` — the three failure rows merged by holding time `l ≥ 1`,
+///   `(l, [q_{i,S3}(l), q_{i,S4}(l), q_{i,S5}(l)])`, so one cursor per
+///   source yields the direct-failure term of every recursion step;
 /// * `q_total[i][k]` — the embedded transition probabilities
-///   `Q_i(k) = Σ_l q_{i,k}(l)`, making [`SmpParams::q`] and the
+///   `Q_i(k) = Σ_{l ≥ 1} q_{i,k}(l)`, making [`SmpParams::q`] and the
 ///   holding-time pmf normalisers O(1).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub(crate) struct SolverKernel {
-    trans: [Vec<(usize, f64)>; 2],
-    failures: [[Vec<(usize, f64)>; 3]; 2],
-    direct_prefix: [Vec<f64>; 2],
+    rows: [[Vec<(usize, f64)>; 4]; 2],
+    direct: [Vec<(usize, [f64; 3])>; 2],
     q_total: [[f64; 4]; 2],
 }
 
 impl SolverKernel {
-    /// Builds the derived structures from the raw kernel arrays.
-    fn build(kernel: &[[Vec<f64>; 4]; 2], horizon: usize) -> SolverKernel {
-        let mut trans: [Vec<(usize, f64)>; 2] = Default::default();
-        let mut failures: [[Vec<(usize, f64)>; 3]; 2] = Default::default();
-        let mut direct_prefix: [Vec<f64>; 2] = Default::default();
-        let mut q_total = [[0.0_f64; 4]; 2];
-        for i in 0..2 {
-            for (l, &v) in kernel[i][0].iter().enumerate() {
-                if v != 0.0 {
-                    trans[i].push((l, v));
-                }
-            }
-            for j in 0..3 {
-                for (l, &v) in kernel[i][j + 1].iter().enumerate() {
-                    if v != 0.0 {
-                        failures[i][j].push((l, v));
-                    }
-                }
-            }
-            // Prefix sums accumulate every l in ascending order — the same
-            // nonzero additions (zeros are exact no-ops) the event-cursor
-            // formulation performs, so downstream sums are bit-equal.
-            let mut dp = vec![0.0_f64; 3 * (horizon + 1)];
-            for m in 1..=horizon {
-                for j in 0..3 {
-                    dp[3 * m + j] = dp[3 * (m - 1) + j] + kernel[i][j + 1][m];
-                }
-            }
-            direct_prefix[i] = dp;
-            for k in 0..4 {
-                // Same reduction order as `kernel[i][k][1..].iter().sum()`.
-                q_total[i][k] = kernel[i][k][1..].iter().sum();
+    /// Appends the masses `q_{i,k}(l)` of every target `k` at one holding
+    /// time `l`; holding times arrive in ascending order per source. Zero
+    /// masses are not stored.
+    fn push(&mut self, source_idx: usize, l: usize, masses: [f64; 4]) {
+        for (row, &v) in self.rows[source_idx].iter_mut().zip(&masses) {
+            if v != 0.0 {
+                row.push((l, v));
             }
         }
-        SolverKernel {
-            trans,
-            failures,
-            direct_prefix,
-            q_total,
+        let failures = [masses[1], masses[2], masses[3]];
+        if l >= 1 && failures.iter().any(|&v| v != 0.0) {
+            self.direct[source_idx].push((l, failures));
         }
+    }
+
+    /// Reserves room for the events of source `i`'s holding-time groups
+    /// (see [`event_groups`]), so each row is allocated once.
+    fn reserve(
+        &mut self,
+        source_idx: usize,
+        groups: impl Iterator<Item = (usize, [usize; 4], usize)>,
+    ) {
+        let (mut rows, mut direct) = ([0usize; 4], 0usize);
+        for (_, counts, _) in groups {
+            for (row, &count) in rows.iter_mut().zip(&counts) {
+                *row += usize::from(count > 0);
+            }
+            direct += usize::from(counts[1..] != [0; 3]);
+        }
+        for (row, n) in self.rows[source_idx].iter_mut().zip(rows) {
+            row.reserve_exact(n);
+        }
+        self.direct[source_idx].reserve_exact(direct);
+    }
+
+    /// Fills in the row totals once every event is in.
+    fn seal(mut self, horizon: usize) -> SolverKernel {
+        // Same bits as the dense row sum `q(1..=horizon).iter().sum()`:
+        // `f64: Sum` starts from −0.0, its first term (zero or not) moves
+        // the sum off −0.0, and after that the skipped zeros are exact
+        // no-ops. Only horizon 0, an empty range, keeps the −0.0.
+        let start = if horizon == 0 { -0.0 } else { 0.0 };
+        for (totals, rows) in self.q_total.iter_mut().zip(&self.rows) {
+            for (total, row) in totals.iter_mut().zip(rows) {
+                *total = row
+                    .iter()
+                    .filter(|&&(l, _)| l >= 1)
+                    .fold(start, |sum, &(_, v)| sum + v);
+            }
+        }
+        self
+    }
+
+    /// Builds the sparse kernel from dense rows of `horizon + 1` entries.
+    fn from_dense(kernel: &[[Vec<f64>; 4]; 2], horizon: usize) -> SolverKernel {
+        let mut sparse = SolverKernel::default();
+        for (i, row) in kernel.iter().enumerate() {
+            let [other, s3, s4, s5] = row;
+            for (l, (((&a, &b), &c), &d)) in other.iter().zip(s3).zip(s4).zip(s5).enumerate() {
+                sparse.push(i, l, [a, b, c, d]);
+            }
+        }
+        sparse.seal(horizon)
     }
 
     /// Ascending `(holding, mass)` events of the operational transition out
     /// of source `i`.
     #[must_use]
     pub(crate) fn trans_events(&self, source_idx: usize) -> &[(usize, f64)] {
-        &self.trans[source_idx]
+        &self.rows[source_idx][0]
     }
 
-    /// Triple-interleaved direct-failure prefix sums for source `i`:
-    /// `dp[3·m + j] = Σ_{l ≤ m} q_{i,S(3+j)}(l)`.
+    /// Ascending direct-failure events of source `i`:
+    /// `(l, [q_{i,S3}(l), q_{i,S4}(l), q_{i,S5}(l)])` for each `l ≥ 1` with
+    /// any failure mass.
     #[must_use]
-    pub(crate) fn direct_prefix(&self, source_idx: usize) -> &[f64] {
-        &self.direct_prefix[source_idx]
+    pub(crate) fn direct_events(&self, source_idx: usize) -> &[(usize, [f64; 3])] {
+        &self.direct[source_idx]
     }
 }
 
 /// The estimated SMP parameters: the sparse semi-Markov kernel
 /// `q_{i,k}(l)` for `i ∈ {S1, S2}`, `k ∈ {other, S3, S4, S5}` and
-/// `l ∈ 1..=horizon` steps, plus the precomputed `SolverKernel` view.
+/// `l ∈ 1..=horizon` steps, with its precomputed solver view.
 #[derive(Debug, Clone)]
 pub struct SmpParams {
     step_secs: u32,
     horizon: usize,
-    /// `kernel[i][k][l]`; index `l = 0` is unused and kept at 0 so that the
-    /// solver can index by holding time directly.
-    kernel: [[Vec<f64>; 4]; 2],
     /// Number of sojourns observed per source state (diagnostics).
     sojourns: [usize; 2],
-    /// Derived, not serialized: rebuilt from `kernel` on deserialization.
-    solver: SolverKernel,
+    /// The kernel's nonzero events and the views derived from them.
+    kernel: SolverKernel,
     /// Lazy FNV-1a content hash (the kernel-dedup lookup key). Derived, so
     /// excluded from equality and serialization.
     hash: OnceLock<u64>,
 }
 
-// Manual equality over the content fields only. `solver` is a pure function
-// of `(kernel, horizon)` and `hash` is a lazy memo — including either would
-// make content-equal values compare unequal depending on what has been
-// computed so far (`OnceLock` equality compares `get()` results).
+// Manual equality over the content fields only. The merged failure events
+// and row totals are pure functions of `(rows, horizon)` and `hash` is a
+// lazy memo — including the memo would make content-equal values compare
+// unequal depending on what has been computed so far (`OnceLock` equality
+// compares `get()` results).
 impl PartialEq for SmpParams {
     fn eq(&self, other: &SmpParams) -> bool {
         self.step_secs == other.step_secs
             && self.horizon == other.horizon
             && self.sojourns == other.sojourns
-            && self.kernel == other.kernel
+            && self.kernel.rows == other.kernel.rows
     }
 }
 
-// `solver` is derived state, so the JSON form carries only the four
-// original fields (same wire layout `impl_json_struct!` produced before the
-// derived view existed) and rebuilds the view on parse.
+// The JSON form carries the kernel as dense `horizon + 1` rows (the layout
+// `impl_json_struct!` produced for the dense kernel) and rebuilds the
+// sparse kernel on parse.
 impl ToJson for SmpParams {
     fn to_json(&self) -> Json {
         Json::Obj(vec![
             ("step_secs".to_string(), self.step_secs.to_json()),
             ("horizon".to_string(), self.horizon.to_json()),
-            ("kernel".to_string(), self.kernel.to_json()),
+            (
+                "kernel".to_string(),
+                [self.dense_row(0), self.dense_row(1)].to_json(),
+            ),
             ("sojourns".to_string(), self.sojourns.to_json()),
         ])
     }
@@ -195,17 +224,18 @@ impl FromJson for SmpParams {
                 }
             }
         }
-        Ok(SmpParams::from_parts(step_secs, horizon, kernel, sojourns))
+        Ok(SmpParams::from_parts(step_secs, horizon, &kernel, sojourns))
     }
 }
 
 /// A borrowed view of the holding-time mass function
 /// `H_{i,k}(l) = q_{i,k}(l) / Q_i(k)`: values are produced on demand from
-/// the kernel row and its precomputed total, so taking the pmf allocates
-/// nothing.
+/// the kernel row's events and its precomputed total, so taking the pmf
+/// allocates nothing.
 #[derive(Debug, Clone, Copy)]
 pub struct HoldingPmf<'a> {
-    masses: &'a [f64],
+    events: &'a [(usize, f64)],
+    len: usize,
     total: f64,
 }
 
@@ -213,13 +243,13 @@ impl HoldingPmf<'_> {
     /// Number of entries (`horizon + 1`; index 0 is the unused `l = 0`).
     #[must_use]
     pub fn len(&self) -> usize {
-        self.masses.len()
+        self.len
     }
 
     /// Whether the view has no entries (never true for a valid kernel).
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.masses.is_empty()
+        self.len == 0
     }
 
     /// `H(l)` — the probability the holding time is exactly `l` steps,
@@ -229,12 +259,25 @@ impl HoldingPmf<'_> {
     /// Panics when `l >= self.len()`.
     #[must_use]
     pub fn value(&self, l: usize) -> f64 {
-        self.masses[l] / self.total
+        assert!(
+            l < self.len,
+            "holding time {l} outside the pmf's {} entries",
+            self.len
+        );
+        let mass = self
+            .events
+            .binary_search_by_key(&l, |&(at, _)| at)
+            .map_or(0.0, |i| self.events[i].1);
+        mass / self.total
     }
 
     /// Iterates `H(l)` for `l = 0..len`.
     pub fn iter(&self) -> impl Iterator<Item = f64> + '_ {
-        self.masses.iter().map(|v| v / self.total)
+        let mut events = self.events.iter().peekable();
+        (0..self.len).map(move |l| {
+            let mass = events.next_if(|&&(at, _)| at == l).map_or(0.0, |&(_, v)| v);
+            mass / self.total
+        })
     }
 }
 
@@ -268,6 +311,29 @@ pub(crate) enum SojournRun {
     },
 }
 
+/// Samples compared per step of the run scan in [`decompose_window`].
+const RUN_BLOCK: usize = 32;
+
+/// Index of the last sample of the run that starts at `start`.
+fn run_end(window: &[State], start: usize) -> usize {
+    let state = window[start];
+    let mut next = start + 1;
+    // Skip whole blocks of `state` with a branch-free fold that LLVM turns
+    // into vector compares; only the block where the run ends is searched
+    // sample by sample.
+    while let Some(block) = window.get(next..next + RUN_BLOCK) {
+        if block.iter().fold(false, |leaves, &s| leaves | (s != state)) {
+            let offset = block.iter().position(|&s| s != state).unwrap_or(0);
+            return next + offset - 1;
+        }
+        next += RUN_BLOCK;
+    }
+    while window.get(next) == Some(&state) {
+        next += 1;
+    }
+    next - 1
+}
+
 /// Decomposes one window slice into its operational sojourn runs, emitting
 /// each through `emit` in left-to-right order. Runs starting in failure
 /// states are not emitted (they carry no kernel information).
@@ -275,12 +341,8 @@ pub(crate) fn decompose_window(window: &[State], emit: &mut impl FnMut(SojournRu
     let len = window.len();
     let mut start = 0;
     while start < len {
-        let state = window[start];
-        let mut end = start;
-        while end + 1 < len && window[end + 1] == state {
-            end += 1;
-        }
-        if let Some(source_idx) = SOURCES.iter().position(|&s| s == state) {
+        let end = run_end(window, start);
+        if let Some(source_idx) = SOURCES.iter().position(|&s| s == window[start]) {
             if end + 1 < len {
                 emit(SojournRun::Completed {
                     source_idx,
@@ -298,24 +360,33 @@ pub(crate) fn decompose_window(window: &[State], emit: &mut impl FnMut(SojournRu
     }
 }
 
+/// A tally key is `source << SOURCE_SHIFT | e << TAG_BITS | tag` for one
+/// informative sojourn: it was at risk for holding times `1..=e` (`e`
+/// capped at the horizon), and `tag` is the target index `k` of the
+/// transition observed at `e`, or [`CENSORED`] when none was. Sorting keys
+/// groups them by source, then holding time, with the transitions at a
+/// holding time ahead of the sojourns censored there.
+const TAG_BITS: u32 = 3;
+/// Tag of a sojourn that left no transition within the horizon.
+const CENSORED: u64 = 4;
+/// Bit holding the source index. Sojourn ends fit below it: an end is at
+/// most the length of the window slice it came from.
+const SOURCE_SHIFT: u32 = 63;
+
 /// Streaming single-pass estimator for [`SmpParams`]: feed window slices
 /// one at a time, then [`finish`](SojournAccumulator::finish).
 ///
-/// Unlike a batch formulation that first materializes per-window sojourn
-/// lists, the accumulator decomposes each window in place and updates the
-/// event and at-risk tallies directly — `push_window` performs no heap
-/// allocation, and `finish` converts the tallies into the kernel inside the
-/// buffers they were counted in. This is the shape an O(1)-per-sample
-/// online update (ROADMAP item 1) extends.
+/// The accumulator decomposes each window in place and tallies one key per
+/// informative sojourn run — its capped end and its target, if observed —
+/// so the tallies grow with the runs seen, never with the horizon.
+/// `finish` sorts them and runs the product-limit over the event holding
+/// times only.
 #[derive(Debug, Clone)]
 pub struct SojournAccumulator {
     step_secs: u32,
     horizon: usize,
-    /// `events[i][k][l]` — transition counts (exact in f64 for any
-    /// realistic tally); reused as kernel storage by `finish`.
-    events: [[Vec<f64>; 4]; 2],
-    /// Difference array for the at-risk counts.
-    risk_diff: [Vec<i64>; 2],
+    /// One key per informative sojourn of either source (see [`TAG_BITS`]).
+    tallies: Vec<u64>,
     sojourns: [usize; 2],
 }
 
@@ -327,45 +398,45 @@ impl SojournAccumulator {
     #[must_use]
     pub fn new(step_secs: u32, horizon: usize) -> SojournAccumulator {
         assert!(step_secs > 0, "step must be positive");
-        let col = || vec![0.0_f64; horizon + 1];
         SojournAccumulator {
             step_secs,
             horizon,
-            events: [[col(), col(), col(), col()], [col(), col(), col(), col()]],
-            risk_diff: [vec![0i64; horizon + 2], vec![0i64; horizon + 2]],
+            tallies: Vec::new(),
             sojourns: [0usize; 2],
         }
     }
 
+    /// An empty accumulator with room for the tallies of `runs` sojourn
+    /// runs, for callers that know how many they will replay.
+    pub(crate) fn with_capacity(step_secs: u32, horizon: usize, runs: usize) -> SojournAccumulator {
+        let mut acc = SojournAccumulator::new(step_secs, horizon);
+        acc.tallies.reserve_exact(runs);
+        acc
+    }
+
     /// Folds one window slice (the `steps + 1` fence-post samples of one
     /// historical day's window) into the tallies. Slices shorter than 2
-    /// samples contribute nothing. Allocation-free.
+    /// samples contribute nothing.
     pub fn push_window(&mut self, window: &[State]) {
         decompose_window(window, &mut |run| self.record(run));
     }
 
     /// Folds one decomposed sojourn run into the tallies — the single tally
     /// rule shared by [`push_window`](SojournAccumulator::push_window) and
-    /// the incremental estimator's per-day replay. Event counts are integer
-    /// additions in `f64` (exact for any realistic tally), so replaying runs
-    /// in any order yields bitwise-identical tallies.
+    /// the incremental estimator's per-day replay. `finish` sorts the
+    /// tallies, so replaying runs in any order yields bitwise-identical
+    /// parameters.
     pub(crate) fn record(&mut self, run: SojournRun) {
-        match run {
+        let (source_idx, end, tag) = match run {
             SojournRun::Completed {
                 source_idx,
                 duration,
                 target,
             } => {
                 self.sojourns[source_idx] += 1;
-                let capped = duration.min(self.horizon);
-                if capped >= 1 {
-                    self.risk_diff[source_idx][1] += 1;
-                    self.risk_diff[source_idx][capped + 1] -= 1;
-                }
-                if duration <= self.horizon {
-                    if let Some(k) = target_index(source_idx, target) {
-                        self.events[source_idx][k][duration] += 1.0;
-                    }
+                match target_index(source_idx, target) {
+                    Some(k) if duration <= self.horizon => (source_idx, duration, k as u64),
+                    _ => (source_idx, duration.min(self.horizon), CENSORED),
                 }
             }
             SojournRun::Censored {
@@ -374,13 +445,16 @@ impl SojournAccumulator {
             } => {
                 // The final sample gives no transition information, so the
                 // run is only informative with at least one at-risk step.
-                if at_risk >= 1 {
-                    self.sojourns[source_idx] += 1;
-                    let capped = at_risk.min(self.horizon);
-                    self.risk_diff[source_idx][1] += 1;
-                    self.risk_diff[source_idx][capped + 1] -= 1;
+                if at_risk == 0 {
+                    return;
                 }
+                self.sojourns[source_idx] += 1;
+                (source_idx, at_risk.min(self.horizon), CENSORED)
             }
+        };
+        if end >= 1 {
+            self.tallies
+                .push((source_idx as u64) << SOURCE_SHIFT | (end as u64) << TAG_BITS | tag);
         }
     }
 
@@ -390,55 +464,73 @@ impl SojournAccumulator {
         self.sojourns
     }
 
-    /// Converts the tallies into estimated parameters. The event-count
-    /// buffers are transformed into the kernel in place — no intermediate
-    /// arrays are allocated.
+    /// Converts the tallies into estimated parameters: the product-limit
+    /// estimate `q_{i,k}(l) = S_i(l−1) · h_{i,k}(l)` with
+    /// `S_i(l) = S_i(l−1) · (1 − Σ_k h_{i,k}(l))`, evaluated at the event
+    /// holding times only. Between them every hazard is 0, so `q` is 0 and
+    /// `S` is multiplied by exactly 1.0: skipping those steps gives the
+    /// bits of the step-by-step recursion.
     #[must_use]
     pub fn finish(self) -> SmpParams {
         let SojournAccumulator {
             step_secs,
             horizon,
-            mut events,
-            risk_diff,
+            mut tallies,
             sojourns,
         } = self;
-        // Product-limit: q_{i,k}(l) = S_i(l-1) * h_{i,k}(l),
-        // S_i(l) = S_i(l-1) * (1 - Σ_k h_{i,k}(l)).
-        for i in 0..2 {
-            let mut at_risk: i64 = 0;
+        tallies.sort_unstable();
+        let split = tallies.partition_point(|&key| key >> SOURCE_SHIFT == 0);
+        let mut kernel = SolverKernel::default();
+        for (i, keys) in [&tallies[..split], &tallies[split..]]
+            .into_iter()
+            .enumerate()
+        {
+            kernel.reserve(i, event_groups(keys));
             let mut survival = 1.0_f64;
-            for l in 1..=horizon {
-                at_risk += risk_diff[i][l];
-                if at_risk <= 0 {
-                    // No information at longer durations; clear any residual
-                    // counts so they cannot read as kernel mass.
-                    for col in &mut events[i] {
-                        for v in &mut col[l..] {
-                            *v = 0.0;
-                        }
-                    }
-                    break;
-                }
+            for (l, counts, at_risk) in event_groups(keys) {
                 let n = at_risk as f64;
                 let mut total_hazard = 0.0;
-                for col in &mut events[i] {
-                    let h = col[l] / n;
-                    col[l] = survival * h;
+                let masses = counts.map(|count| {
+                    let h = count as f64 / n;
                     total_hazard += h;
-                }
+                    survival * h
+                });
                 survival *= (1.0 - total_hazard).max(0.0);
+                kernel.push(i, l, masses);
             }
         }
-        let solver = SolverKernel::build(&events, horizon);
         SmpParams {
             step_secs,
             horizon,
-            kernel: events,
             sojourns,
-            solver,
+            kernel: kernel.seal(horizon),
             hash: OnceLock::new(),
         }
     }
+}
+
+/// The holding times of one source's sorted tallies that saw a transition,
+/// ascending: `(l, transitions per target at l, sojourns at risk at l)`.
+/// A sojourn is at risk at `l` when its end is at least `l`, so the count
+/// is the number of keys from the first one at `l` onwards — never 0,
+/// since the transitions' own sojourns are among them.
+fn event_groups(keys: &[u64]) -> impl Iterator<Item = (usize, [usize; 4], usize)> + '_ {
+    let end_of = |key: u64| ((key << 1) >> (TAG_BITS + 1)) as usize;
+    let mut start = 0;
+    std::iter::from_fn(move || loop {
+        let l = end_of(*keys.get(start)?);
+        let group = start;
+        let mut counts = [0usize; 4];
+        while let Some(&key) = keys.get(start).filter(|&&key| end_of(key) == l) {
+            if let Some(count) = counts.get_mut((key & ((1 << TAG_BITS) - 1)) as usize) {
+                *count += 1;
+            }
+            start += 1;
+        }
+        if counts != [0; 4] {
+            return Some((l, counts, keys.len() - group));
+        }
+    })
 }
 
 impl SmpParams {
@@ -476,7 +568,7 @@ impl SmpParams {
     }
 
     /// Kernel value `q_{from,to}(holding)`; 0 for unrepresentable pairs or
-    /// out-of-range holding times.
+    /// out-of-range holding times. A binary search over the row's events.
     #[must_use]
     pub fn kernel_at(&self, from: State, to: State, holding: usize) -> f64 {
         let Some(i) = SOURCES.iter().position(|&s| s == from) else {
@@ -488,21 +580,31 @@ impl SmpParams {
         if holding == 0 || holding > self.horizon {
             return 0.0;
         }
-        self.kernel[i][k][holding]
+        let row = &self.kernel.rows[i][k];
+        row.binary_search_by_key(&holding, |&(l, _)| l)
+            .map_or(0.0, |at| row[at].1)
     }
 
-    /// Raw kernel row for a source state index (0 → S1, 1 → S2), in target
-    /// order `[other, S3, S4, S5]`. Used by the paper-order solver.
+    /// Dense kernel rows of a source state index (0 → S1, 1 → S2), in
+    /// target order `[other, S3, S4, S5]`, each of `horizon + 1` entries
+    /// indexed by holding time. Built on demand for the paper-order solver
+    /// and the JSON form.
     #[must_use]
-    pub(crate) fn row(&self, source_idx: usize) -> &[Vec<f64>; 4] {
-        &self.kernel[source_idx]
+    pub(crate) fn dense_row(&self, source_idx: usize) -> [Vec<f64>; 4] {
+        std::array::from_fn(|k| {
+            let mut col = vec![0.0; self.horizon + 1];
+            for &(l, v) in &self.kernel.rows[source_idx][k] {
+                col[l] = v;
+            }
+            col
+        })
     }
 
-    /// The precomputed solver-facing view (event lists, prefix sums,
-    /// row totals).
+    /// The precomputed solver-facing view (event lists, merged failure
+    /// events, row totals).
     #[must_use]
     pub(crate) fn solver_kernel(&self) -> &SolverKernel {
-        &self.solver
+        &self.kernel
     }
 
     /// The embedded transition probability `Q_i(k) = Σ_l q_{i,k}(l)`,
@@ -518,7 +620,7 @@ impl SmpParams {
         let Some(k) = target_index(i, to) else {
             return 0.0;
         };
-        self.solver.q_total[i][k]
+        self.kernel.q_total[i][k]
     }
 
     /// The holding-time mass function `H_{i,k}(l) = q_{i,k}(l) / Q_i(k)` for
@@ -529,18 +631,19 @@ impl SmpParams {
     pub fn holding_pmf(&self, from: State, to: State) -> Option<HoldingPmf<'_>> {
         let i = SOURCES.iter().position(|&s| s == from)?;
         let k = target_index(i, to)?;
-        let total = self.solver.q_total[i][k];
+        let total = self.kernel.q_total[i][k];
         if total <= 0.0 {
             return None;
         }
         Some(HoldingPmf {
-            masses: &self.kernel[i][k],
+            events: &self.kernel.rows[i][k],
+            len: self.horizon + 1,
             total,
         })
     }
 
-    /// Builds parameters directly from a kernel (used by tests and the
-    /// noise-free analytic fixtures).
+    /// Builds parameters directly from a dense kernel (used by tests and
+    /// the noise-free analytic fixtures).
     ///
     /// # Panics
     /// Panics if the rows have inconsistent lengths.
@@ -552,36 +655,33 @@ impl SmpParams {
                 assert_eq!(col.len(), horizon + 1, "inconsistent kernel row lengths");
             }
         }
-        SmpParams::from_parts(step_secs, horizon, kernel, [0, 0])
+        SmpParams::from_parts(step_secs, horizon, &kernel, [0, 0])
     }
 
-    /// Internal constructor that (re)builds the derived solver view.
+    /// Internal constructor from dense rows of `horizon + 1` entries.
     fn from_parts(
         step_secs: u32,
         horizon: usize,
-        kernel: [[Vec<f64>; 4]; 2],
+        kernel: &[[Vec<f64>; 4]; 2],
         sojourns: [usize; 2],
     ) -> SmpParams {
-        let solver = SolverKernel::build(&kernel, horizon);
         SmpParams {
             step_secs,
             horizon,
-            kernel,
             sojourns,
-            solver,
+            kernel: SolverKernel::from_dense(kernel, horizon),
             hash: OnceLock::new(),
         }
     }
 
     /// FNV-1a hash of the estimate's content — the kernel-dedup lookup key.
     ///
-    /// Hashes the compact solver view (the nonzero `(holding, mass)` events,
-    /// which together with `horizon` determine the full kernel arrays) plus
-    /// `step_secs` and the sojourn counts, word-wise over the `f64` bit
-    /// patterns. Computed once on first use and memoized; equal content
-    /// always hashes equal, and the dedup table falls back to full
-    /// [`PartialEq`] on hash match, so collisions cost a comparison, never
-    /// correctness.
+    /// Hashes the kernel's nonzero `(holding, mass)` events (which together
+    /// with `horizon` determine the dense kernel) plus `step_secs` and the
+    /// sojourn counts, word-wise over the `f64` bit patterns. Computed once
+    /// on first use and memoized; equal content always hashes equal, and
+    /// the dedup table falls back to full [`PartialEq`] on hash match, so
+    /// collisions cost a comparison, never correctness.
     #[must_use]
     pub fn content_hash(&self) -> u64 {
         *self.hash.get_or_init(|| {
@@ -593,18 +693,11 @@ impl SmpParams {
             word(self.horizon as u64);
             word(self.sojourns[0] as u64);
             word(self.sojourns[1] as u64);
-            for i in 0..2 {
-                word(self.solver.trans[i].len() as u64);
-                for &(l, v) in &self.solver.trans[i] {
+            for row in self.kernel.rows.iter().flatten() {
+                word(row.len() as u64);
+                for &(l, v) in row {
                     word(l as u64);
                     word(v.to_bits());
-                }
-                for j in 0..3 {
-                    word(self.solver.failures[i][j].len() as u64);
-                    for &(l, v) in &self.solver.failures[i][j] {
-                        word(l as u64);
-                        word(v.to_bits());
-                    }
                 }
             }
             h
@@ -615,6 +708,7 @@ impl SmpParams {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fgcs_runtime::check::{check, ensure, Gen};
     use State::*;
 
     #[test]
@@ -625,8 +719,10 @@ mod tests {
         // S1 completes after 2 steps to S2; S2 completes after 3 steps to
         // S1; the trailing single-sample S1 run has no at-risk time.
         assert_eq!(acc.sojourn_counts(), [1, 1]);
-        assert_eq!(acc.events[0][0][2], 1.0);
-        assert_eq!(acc.events[1][0][3], 1.0);
+        assert_eq!(
+            acc.tallies,
+            [2 << TAG_BITS, 1 << SOURCE_SHIFT | 3 << TAG_BITS]
+        );
     }
 
     #[test]
@@ -636,9 +732,7 @@ mod tests {
         acc.push_window(&w);
         assert_eq!(acc.sojourn_counts(), [1, 0]);
         // Censored: at-risk for 3 steps, no event recorded anywhere.
-        assert!(acc.events.iter().flatten().flatten().all(|&v| v == 0.0));
-        assert_eq!(acc.risk_diff[0][1], 1);
-        assert_eq!(acc.risk_diff[0][4], -1);
+        assert_eq!(acc.tallies, [3 << TAG_BITS | CENSORED]);
     }
 
     #[test]
@@ -649,7 +743,13 @@ mod tests {
         // S1 completes to S3 after 1 step; the S3 run is skipped; the S2
         // run is censored with 1 at-risk step.
         assert_eq!(acc.sojourn_counts(), [1, 1]);
-        assert_eq!(acc.events[0][1][1], 1.0);
+        assert_eq!(
+            acc.tallies,
+            [
+                1 << TAG_BITS | 1,
+                1 << SOURCE_SHIFT | 1 << TAG_BITS | CENSORED
+            ]
+        );
     }
 
     #[test]
@@ -787,12 +887,20 @@ mod tests {
         let p = SmpParams::estimate(&[&day], 6, 79);
         let view = p.solver_kernel();
         for (i, from) in [S1, S2].into_iter().enumerate() {
-            let dp = view.direct_prefix(i);
+            // The fast solver's cursor: direct-failure mass through step m.
+            let events = view.direct_events(i);
+            let (mut dp, mut cursor) = ([0.0_f64; 3], 0);
             for m in 0..=p.horizon() {
+                while let Some(&(_, masses)) = events.get(cursor).filter(|e| e.0 <= m) {
+                    for (d, q) in dp.iter_mut().zip(masses) {
+                        *d += q;
+                    }
+                    cursor += 1;
+                }
                 for (j, to) in [S3, S4, S5].into_iter().enumerate() {
                     let cum: f64 = (1..=m).map(|l| p.kernel_at(from, to, l)).sum();
                     assert!(
-                        (dp[3 * m + j] - cum).abs() < 1e-15,
+                        (dp[j] - cum).abs() < 1e-15,
                         "prefix mismatch at i={i} m={m} j={j}"
                     );
                 }
@@ -880,5 +988,266 @@ mod tests {
         let text = fgcs_runtime::json::to_string(&p);
         let bad = text.replace("\"horizon\":19", "\"horizon\":7");
         assert!(fgcs_runtime::json::from_str::<SmpParams>(&bad).is_err());
+    }
+
+    #[test]
+    fn json_bytes_are_pinned() {
+        // Three days of S1 runs into S2, S3 or S4, S2 runs into S1 or S5,
+        // and censored tails: masses on both rows and several failure
+        // targets, survival below 1, and dense zeros around the mass.
+        let day_a = [S1, S1, S1, S2, S2, S1, S1, S1, S1, S4, S1, S1];
+        let day_b = [S1, S1, S1, S4, S2, S2, S2, S5, S1, S1, S1, S1];
+        let day_c = [S1, S1, S2, S2, S2, S1, S1, S1, S3, S3, S1, S1, S1];
+        let p = SmpParams::estimate(&[&day_a, &day_b, &day_c], 6, 5);
+        assert_eq!(
+            fgcs_runtime::json::to_string(&p),
+            JSON_GOLDEN,
+            "the SmpParams JSON form changed"
+        );
+        let back: SmpParams = fgcs_runtime::json::from_str(JSON_GOLDEN).unwrap();
+        assert_eq!(back, p);
+        assert_eq!(back.content_hash(), p.content_hash());
+    }
+
+    const JSON_GOLDEN: &str = concat!(
+        "{\"step_secs\":6,\"horizon\":5,\"kernel\":[",
+        "[[0,0,0.14285714285714285,0.17142857142857146,0,0],[0,0,0,0.17142857142857146,0,0],",
+        "[0,0,0,0.17142857142857146,0.3428571428571428,0],[0,0,0,0,0,0]],",
+        "[[0,0,0.3333333333333333,0.33333333333333337,0,0],[0,0,0,0,0,0],[0,0,0,0,0,0],",
+        "[0,0,0,0.33333333333333337,0,0]]],\"sojourns\":[8,3]}"
+    );
+
+    /// The dense estimator as it stood before the kernel went sparse: a
+    /// per-sample run scan, `horizon + 1` tallies per (source, target),
+    /// the product-limit over every step, and the event lists, row totals
+    /// and content hash rescanned from the dense arrays. It is the bitwise
+    /// reference for [`SmpParams::estimate`].
+    mod dense_reference {
+        use super::*;
+
+        pub(super) struct Reference {
+            pub(super) kernel: [[Vec<f64>; 4]; 2],
+            pub(super) sojourns: [usize; 2],
+            pub(super) q_total: [[f64; 4]; 2],
+            pub(super) hash: u64,
+        }
+
+        impl Reference {
+            pub(super) fn kernel_at(&self, from: State, to: State, holding: usize) -> f64 {
+                let Some(i) = SOURCES.iter().position(|&s| s == from) else {
+                    return 0.0;
+                };
+                let Some(k) = target_index(i, to) else {
+                    return 0.0;
+                };
+                let horizon = self.kernel[0][0].len() - 1;
+                if holding == 0 || holding > horizon {
+                    return 0.0;
+                }
+                self.kernel[i][k][holding]
+            }
+
+            pub(super) fn q(&self, from: State, to: State) -> f64 {
+                let Some(i) = SOURCES.iter().position(|&s| s == from) else {
+                    return 0.0;
+                };
+                let Some(k) = target_index(i, to) else {
+                    return 0.0;
+                };
+                self.q_total[i][k]
+            }
+        }
+
+        pub(super) fn estimate(windows: &[&[State]], step_secs: u32, horizon: usize) -> Reference {
+            let col = || vec![0.0_f64; horizon + 1];
+            let mut events = [[col(), col(), col(), col()], [col(), col(), col(), col()]];
+            let mut risk_diff = [vec![0i64; horizon + 2], vec![0i64; horizon + 2]];
+            let mut sojourns = [0usize; 2];
+            for window in windows {
+                let len = window.len();
+                let mut start = 0;
+                while start < len {
+                    let state = window[start];
+                    let mut end = start;
+                    while end + 1 < len && window[end + 1] == state {
+                        end += 1;
+                    }
+                    if let Some(i) = SOURCES.iter().position(|&s| s == state) {
+                        if end + 1 < len {
+                            let duration = end + 1 - start;
+                            sojourns[i] += 1;
+                            let capped = duration.min(horizon);
+                            if capped >= 1 {
+                                risk_diff[i][1] += 1;
+                                risk_diff[i][capped + 1] -= 1;
+                            }
+                            if duration <= horizon {
+                                if let Some(k) = target_index(i, window[end + 1]) {
+                                    events[i][k][duration] += 1.0;
+                                }
+                            }
+                        } else if end > start {
+                            sojourns[i] += 1;
+                            let capped = (end - start).min(horizon);
+                            risk_diff[i][1] += 1;
+                            risk_diff[i][capped + 1] -= 1;
+                        }
+                    }
+                    start = end + 1;
+                }
+            }
+            for i in 0..2 {
+                let mut at_risk: i64 = 0;
+                let mut survival = 1.0_f64;
+                for l in 1..=horizon {
+                    at_risk += risk_diff[i][l];
+                    if at_risk <= 0 {
+                        for col in &mut events[i] {
+                            for v in &mut col[l..] {
+                                *v = 0.0;
+                            }
+                        }
+                        break;
+                    }
+                    let n = at_risk as f64;
+                    let mut total_hazard = 0.0;
+                    for col in &mut events[i] {
+                        let h = col[l] / n;
+                        col[l] = survival * h;
+                        total_hazard += h;
+                    }
+                    survival *= (1.0 - total_hazard).max(0.0);
+                }
+            }
+            let mut q_total = [[0.0_f64; 4]; 2];
+            let mut lists: [[Vec<(usize, f64)>; 4]; 2] = Default::default();
+            for i in 0..2 {
+                for k in 0..4 {
+                    q_total[i][k] = events[i][k][1..].iter().sum();
+                    for (l, &v) in events[i][k].iter().enumerate() {
+                        if v != 0.0 {
+                            lists[i][k].push((l, v));
+                        }
+                    }
+                }
+            }
+            const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+            const PRIME: u64 = 0x0000_0100_0000_01b3;
+            let mut h = OFFSET;
+            let mut word = |w: u64| h = (h ^ w).wrapping_mul(PRIME);
+            word(u64::from(step_secs));
+            word(horizon as u64);
+            word(sojourns[0] as u64);
+            word(sojourns[1] as u64);
+            for row in &lists {
+                for list in row {
+                    word(list.len() as u64);
+                    for &(l, v) in list {
+                        word(l as u64);
+                        word(v.to_bits());
+                    }
+                }
+            }
+            Reference {
+                kernel: events,
+                sojourns,
+                q_total,
+                hash: h,
+            }
+        }
+    }
+
+    /// Random windows built from runs over all five states: failure-state
+    /// runs, censored operational tails, single-sample windows and, with
+    /// `windows` 0, empty input.
+    fn random_windows(g: &mut Gen) -> Vec<Vec<State>> {
+        const WEIGHTED: [State; 9] = [S1, S1, S1, S2, S2, S3, S4, S5, S1];
+        let windows = g.usize_in(0, 6);
+        (0..windows)
+            .map(|_| {
+                let len = g.usize_in(0, 160);
+                let mut w = Vec::with_capacity(len);
+                while w.len() < len {
+                    let state = *g.pick(&WEIGHTED);
+                    let run = g.usize_in(1, 70).min(len - w.len());
+                    w.resize(w.len() + run, state);
+                }
+                w
+            })
+            .collect()
+    }
+
+    #[test]
+    fn estimate_matches_dense_reference_bitwise() {
+        check("estimate_matches_dense_reference", 400, |g| {
+            let windows = random_windows(g);
+            let longest = windows.iter().map(Vec::len).max().unwrap_or(0);
+            // Horizon 0, horizons shorter than some sojourns, and horizons
+            // past every window.
+            let horizon = match g.usize_in(0, 4) {
+                0 => 0,
+                1 => g.usize_in(1, 12),
+                2 => longest.saturating_sub(1),
+                _ => longest + g.usize_in(0, 40),
+            };
+            let refs: Vec<&[State]> = windows.iter().map(Vec::as_slice).collect();
+            let p = SmpParams::estimate(&refs, 6, horizon);
+            let r = dense_reference::estimate(&refs, 6, horizon);
+            let ctx = format!("horizon {horizon}, windows {windows:?}");
+            ensure(p.sojourn_counts() == r.sojourns, &ctx)?;
+            for from in State::ALL {
+                for to in State::ALL {
+                    for l in 0..=horizon + 1 {
+                        let (a, b) = (p.kernel_at(from, to, l), r.kernel_at(from, to, l));
+                        ensure(
+                            a.to_bits() == b.to_bits(),
+                            format!("kernel_at({from}, {to}, {l}): {a} vs {b}; {ctx}"),
+                        )?;
+                    }
+                    let (a, b) = (p.q(from, to), r.q(from, to));
+                    ensure(
+                        a.to_bits() == b.to_bits(),
+                        format!("q({from}, {to}): {a} vs {b}; {ctx}"),
+                    )?;
+                    let pmf = p.holding_pmf(from, to);
+                    ensure(
+                        pmf.is_some() == (b > 0.0),
+                        format!("holding_pmf({from}, {to}) presence; {ctx}"),
+                    )?;
+                    if let Some(pmf) = pmf {
+                        let i = SOURCES.iter().position(|&s| s == from).unwrap();
+                        let row = &r.kernel[i][target_index(i, to).unwrap()];
+                        ensure(pmf.len() == row.len(), &ctx)?;
+                        for (l, (v, w)) in pmf.iter().zip(row).enumerate() {
+                            let want = w / b;
+                            ensure(
+                                v.to_bits() == want.to_bits()
+                                    && pmf.value(l).to_bits() == want.to_bits(),
+                                format!("H_{{{from},{to}}}({l}): {v} vs {want}; {ctx}"),
+                            )?;
+                        }
+                    }
+                }
+            }
+            ensure(p.content_hash() == r.hash, format!("content_hash; {ctx}"))?;
+            // The reference's dense rows through the JSON form: equal
+            // content, equal hash, and the same bytes back out.
+            let json = Json::Obj(vec![
+                ("step_secs".to_string(), 6u32.to_json()),
+                ("horizon".to_string(), horizon.to_json()),
+                ("kernel".to_string(), r.kernel.to_json()),
+                ("sojourns".to_string(), r.sojourns.to_json()),
+            ]);
+            let from_ref = SmpParams::from_json(&json).map_err(|e| e.to_string())?;
+            ensure(from_ref == p, format!("==; {ctx}"))?;
+            ensure(
+                from_ref.content_hash() == r.hash,
+                format!("content_hash via JSON; {ctx}"),
+            )?;
+            ensure(
+                fgcs_runtime::json::to_string(&p) == json.to_string(),
+                format!("JSON bytes; {ctx}"),
+            )
+        });
     }
 }

@@ -93,10 +93,10 @@ impl<'a> SparseSolver<'a> {
             "core.solver.sparse_iterations",
             3 * (steps as u64) * (steps as u64 + 1) / 2
         );
-        // Kernel rows: row(0) = from S1 with targets [S2, S3, S4, S5],
-        // row(1) = from S2 with targets [S1, S3, S4, S5].
-        let q1 = self.params.row(0);
-        let q2 = self.params.row(1);
+        // Dense kernel rows: from S1 with targets [S2, S3, S4, S5], from
+        // S2 with targets [S1, S3, S4, S5].
+        let q1 = self.params.dense_row(0);
+        let q2 = self.params.dense_row(1);
 
         let mut p1: [Vec<f64>; 3] = [
             vec![0.0; steps + 1],

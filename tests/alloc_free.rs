@@ -1,4 +1,5 @@
-//! The zero-allocation steady-state contract of the fast solver path.
+//! The zero-allocation steady-state contract of the fast solver path, and
+//! the memory bound of kernel estimation.
 //!
 //! A counting `#[global_allocator]` wraps the system allocator; after one
 //! warm solve has sized the [`SolveScratch`] arena (and lazily registered
@@ -6,6 +7,10 @@
 //! must not touch the allocator at all. This is the property that makes
 //! the scheduler's steady-state polling loop heap-quiet, and it is the
 //! acceptance criterion the scratch-arena refactor was built around.
+//!
+//! The allocator also counts requested bytes, which pins estimation memory
+//! to the sojourn runs it sees: the same windows cost the same bytes at
+//! any horizon past their longest sojourn.
 //!
 //! Counting is per thread, gated by a thread-local flag, so the harness
 //! can run these tests in parallel without one test's setup allocations
@@ -20,17 +25,20 @@ use fgcs::core::State;
 std::thread_local! {
     static TRACKING: Cell<bool> = const { Cell::new(false) };
     static THREAD_ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static THREAD_BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
-/// System allocator wrapper that counts every allocating entry point made
-/// from a thread whose `TRACKING` flag is set.
+/// System allocator wrapper that counts every allocating entry point, and
+/// the bytes each one requests, made from a thread whose `TRACKING` flag
+/// is set.
 struct CountingAlloc;
 
-fn note_alloc() {
+fn note_alloc(bytes: usize) {
     // try_with: allocations during thread teardown must not panic.
     let _ = TRACKING.try_with(|t| {
         if t.get() {
             let _ = THREAD_ALLOCS.try_with(|c| c.set(c.get() + 1));
+            let _ = THREAD_BYTES.try_with(|c| c.set(c.get() + bytes as u64));
         }
     });
 }
@@ -41,7 +49,7 @@ fn note_alloc() {
 unsafe impl GlobalAlloc for CountingAlloc {
     // SAFETY: forwards the caller's layout to `System.alloc` verbatim.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note_alloc();
+        note_alloc(layout.size());
         System.alloc(layout)
     }
 
@@ -52,13 +60,13 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
     // SAFETY: forwards pointer, layout, and size to `System.realloc`.
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note_alloc();
+        note_alloc(new_size);
         System.realloc(ptr, layout, new_size)
     }
 
     // SAFETY: forwards the caller's layout to `System.alloc_zeroed`.
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        note_alloc();
+        note_alloc(layout.size());
         System.alloc_zeroed(layout)
     }
 }
@@ -67,13 +75,23 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static GLOBAL: CountingAlloc = CountingAlloc;
 
 /// Runs `f` with this thread's allocation tracking enabled and returns
-/// `(f(), allocations made by this thread inside f)`.
-fn count_allocations<T>(f: impl FnOnce() -> T) -> (T, u64) {
+/// `(f(), allocations made by this thread inside f, bytes they requested)`.
+/// A `realloc` counts as one allocation of its new size.
+fn measure_allocations<T>(f: impl FnOnce() -> T) -> (T, u64, u64) {
     THREAD_ALLOCS.with(|c| c.set(0));
+    THREAD_BYTES.with(|c| c.set(0));
     TRACKING.with(|t| t.set(true));
     let out = f();
     TRACKING.with(|t| t.set(false));
     let n = THREAD_ALLOCS.with(|c| c.get());
+    let bytes = THREAD_BYTES.with(|c| c.get());
+    (out, n, bytes)
+}
+
+/// Runs `f` with this thread's allocation tracking enabled and returns
+/// `(f(), allocations made by this thread inside f)`.
+fn count_allocations<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let (out, n, _) = measure_allocations(f);
     (out, n)
 }
 
@@ -147,5 +165,53 @@ fn interval_probabilities_with_is_also_allocation_free() {
     assert_eq!(
         allocs, 0,
         "warm interval-probability solves must not allocate"
+    );
+}
+
+/// Windows of 1 201 samples (a 2-h window at d = 6 s) built from seeded
+/// runs over all five states, every run — the censored tails included —
+/// at most 200 steps long.
+fn short_sojourn_windows() -> Vec<Vec<State>> {
+    let mut seed = 0x2006_u64;
+    let mut draw = |n: u64| {
+        seed = seed
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        (seed >> 33) % n
+    };
+    (0..12)
+        .map(|_| {
+            let mut w: Vec<State> = Vec::with_capacity(1201);
+            while w.len() < 1201 {
+                // A new state each run, so runs never merge into longer
+                // sojourns.
+                let last = w.last().map_or(0, |s| s.index() + 1);
+                let state = State::ALL[(last + draw(4) as usize) % 5];
+                let run = (1 + draw(200) as usize).min(1201 - w.len());
+                w.resize(w.len() + run, state);
+            }
+            w
+        })
+        .collect()
+}
+
+#[test]
+fn estimate_memory_follows_runs_not_horizon() {
+    let windows = short_sojourn_windows();
+    let refs: Vec<&[State]> = windows.iter().map(Vec::as_slice).collect();
+    let measure = |horizon: usize| {
+        let (params, calls, bytes) = measure_allocations(|| SmpParams::estimate(&refs, 6, horizon));
+        assert!(params.sojourn_counts()[0] > 0);
+        (params, calls, bytes)
+    };
+    let (short, short_calls, short_bytes) = measure(200);
+    let (long, long_calls, long_bytes) = measure(14_400);
+    // Same runs, same sojourns within both horizons: the same kernel
+    // events, so the same allocations, byte for byte.
+    assert_eq!(short.q(State::S1, State::S3), long.q(State::S1, State::S3));
+    assert_eq!(
+        (long_calls, long_bytes),
+        (short_calls, short_bytes),
+        "estimation memory grew with the horizon (200 -> 14 400 steps)"
     );
 }

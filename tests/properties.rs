@@ -6,6 +6,7 @@
 
 use fgcs::core::smp::{DenseSolver, FastSolver, IntervalProbs, SmpParams, SparseSolver};
 use fgcs::core::{AvailabilityModel, LoadSample, State, StateClassifier};
+use fgcs::prelude::{DayType, SmpPredictor, TimeWindow, TraceConfig, TraceGenerator};
 use fgcs::runtime::check::{check, ensure, Gen};
 
 const CASES: u64 = 64;
@@ -239,6 +240,118 @@ fn fast_matches_oracle_everywhere(params: &SmpParams) -> Result<(), String> {
         }
     }
     Ok(())
+}
+
+/// The fast-vs-oracle contract at every horizon, plus the shape of a TR
+/// curve: inside [0, 1] and non-increasing, for the fast path and the
+/// oracle alike. One oracle run serves every check.
+fn assert_numeric_edge(params: &SmpParams) {
+    let steps = params.horizon();
+    let fast = FastSolver::new(params).tr_curve(steps).unwrap();
+    let oracle = SparseSolver::new(params).tr_curve(steps).unwrap();
+    for init in [State::S1, State::S2] {
+        let (f_curve, o_curve) = (fast.curve(init).unwrap(), oracle.curve(init).unwrap());
+        assert_eq!(f_curve.len(), steps + 1);
+        for (m, (f, o)) in f_curve.iter().zip(o_curve).enumerate() {
+            assert!(
+                (f - o).abs() <= 1e-12 * o.abs().max(1.0),
+                "{init} at m = {m}: fast {f} vs oracle {o}"
+            );
+        }
+        for curve in [f_curve, o_curve] {
+            assert!(curve.iter().all(|tr| (0.0..=1.0).contains(tr)));
+            for (m, pair) in curve.windows(2).enumerate() {
+                assert!(
+                    pair[1] <= pair[0],
+                    "{init}: TR rises at m = {}: {} -> {}",
+                    m + 1,
+                    pair[0],
+                    pair[1]
+                );
+            }
+        }
+    }
+}
+
+/// A kernel holding only the given `(source, target, holding, mass)`
+/// entries, target index in `[other, S3, S4, S5]` order.
+fn kernel_of(horizon: usize, entries: &[(usize, usize, usize, f64)]) -> SmpParams {
+    let mut kernel: [[Vec<f64>; 4]; 2] = Default::default();
+    for row in &mut kernel {
+        for col in row.iter_mut() {
+            *col = vec![0.0; horizon + 1];
+        }
+    }
+    for &(i, k, l, v) in entries {
+        kernel[i][k][l] = v;
+    }
+    SmpParams::from_kernel(6, kernel)
+}
+
+#[test]
+fn numeric_edge_full_day_window_from_generated_days() {
+    // A 24-h window at d = 6 s: the 14 400-step horizon, estimated from
+    // three weeks of a generated lab machine.
+    let model = AvailabilityModel::default();
+    let history = TraceGenerator::new(TraceConfig::lab_machine(4))
+        .generate_days(21)
+        .to_history(&model)
+        .unwrap();
+    let window = TimeWindow::from_hours(0.0, 24.0);
+    let params = SmpPredictor::new(model)
+        .estimate_params(&history, DayType::Weekday, window)
+        .unwrap();
+    assert_eq!(params.horizon(), 14_400);
+    assert!(params.sojourn_counts()[0] > 0);
+    assert_numeric_edge(&params);
+}
+
+#[test]
+fn numeric_edge_single_event_kernel() {
+    for (i, k, l) in [(0, 1, 1), (1, 3, 9), (0, 0, 4), (1, 2, 16)] {
+        assert_numeric_edge(&kernel_of(16, &[(i, k, l, 0.375)]));
+    }
+}
+
+#[test]
+fn numeric_edge_subnormal_masses() {
+    let tiny: f64 = 1e-310;
+    assert!(tiny > 0.0 && !tiny.is_normal());
+    let params = kernel_of(
+        40,
+        &[
+            (0, 0, 2, 0.5),
+            (0, 1, 3, tiny),
+            (1, 0, 5, tiny),
+            (1, 3, 7, tiny),
+        ],
+    );
+    // The kernel keeps the subnormal masses: they are nonzero.
+    assert_eq!(params.kernel_at(State::S1, State::S3, 3), tiny);
+    assert_eq!(params.kernel_at(State::S2, State::S1, 5), tiny);
+    assert_eq!(params.q(State::S2, State::S5), tiny);
+    let probs = FastSolver::new(&params).interval_probabilities(40).unwrap();
+    assert!(probs.p1[0] > 0.0 && probs.p2[2] > 0.0);
+    assert_numeric_edge(&params);
+}
+
+#[test]
+fn numeric_edge_near_certain_failure() {
+    let eps = 1e-15;
+    let params = kernel_of(
+        64,
+        &[
+            (0, 1, 1, 1.0 - eps),
+            (0, 0, 1, eps / 2.0),
+            (1, 2, 2, 1.0 - 2.0 * eps),
+            (1, 0, 3, eps),
+        ],
+    );
+    assert_numeric_edge(&params);
+    let tr = FastSolver::new(&params)
+        .temporal_reliability(State::S1, 64)
+        .unwrap();
+    assert!(tr < 1e-14, "TR {tr}");
 }
 
 #[test]
