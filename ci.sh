@@ -109,12 +109,11 @@ grep -q '"log_records":10' "$serve_tmp/tcp_out.jsonl" || {
   tail -1 "$serve_tmp/tcp_out.jsonl"
   exit 1
 }
-echo "== serve throughput smoke: pipelined batch stream == sequential bytes, ops/sec floor"
+echo "== serve batch smoke: pipelined batch stream == sequential bytes"
 # The same op stream (10 ingests + 2000 predicts) sent two ways against two
 # fresh servers: as individual lines, and as 40-op `batch` requests
 # pipelined over one TCP connection. The reply streams must be
-# byte-identical, and the batched run must clear a conservative
-# throughput floor (catastrophic-regression tripwire, not a benchmark).
+# byte-identical.
 awk 'BEGIN { for (i = 0; i < 2000; i++) {
   start = 6 + (i % 4) * 3;
   printf "{\"op\":\"predict\",\"host\":1,\"start\":%d.0,\"hours\":2.0}\n", start;
@@ -146,22 +145,12 @@ start_server
 echo '{"op":"shutdown"}' | "$fgcs_bin" query "$addr" > /dev/null
 wait "$server_pid"
 start_server
-t0=$(date +%s%N)
 "$fgcs_bin" query --pipelined "$addr" < "$serve_tmp/batch_in.jsonl" > "$serve_tmp/batch_out.jsonl"
-t1=$(date +%s%N)
 echo '{"op":"shutdown"}' | "$fgcs_bin" query "$addr" > /dev/null
 wait "$server_pid"
 if ! cmp -s "$serve_tmp/seq_out.jsonl" "$serve_tmp/batch_out.jsonl"; then
   echo "pipelined batch reply stream diverged from sequential requests:"
   diff "$serve_tmp/seq_out.jsonl" "$serve_tmp/batch_out.jsonl" | head -20 || true
-  exit 1
-fi
-n_ops=$(wc -l < "$serve_tmp/seq_in.jsonl")
-ops_per_sec=$(awk -v n="$n_ops" -v t0="$t0" -v t1="$t1" \
-  'BEGIN { printf "%d", n * 1e9 / (t1 - t0) }')
-echo "-- $n_ops ops over one pipelined connection: $ops_per_sec ops/sec"
-if [ "$ops_per_sec" -lt 500 ]; then
-  echo "batched serve throughput $ops_per_sec ops/sec is below the 500 ops/sec floor"
   exit 1
 fi
 echo "== crash-recovery smoke: kill -9 a durable server mid-stream, recovered sweep == offline replay"
@@ -215,30 +204,28 @@ rm -rf "$serve_tmp"
 echo "== cargo doc --offline --workspace --no-deps (warnings denied)"
 RUSTDOCFLAGS="-D warnings" cargo doc -q --offline --workspace --no-deps
 
-echo "== bench smoke -> BENCH_baseline.json (hard fast-path gates + check against the previous baseline)"
+echo "== bench smoke -> BENCH_baseline.json (hard gates + 1.25x check against the committed baseline)"
+# Both files hold ns/op at machine_factor 1.0, so they compare key by key;
+# the check runs once.
 prev_baseline=$(mktemp)
 cp BENCH_baseline.json "$prev_baseline"
-bench_ok=0
-for attempt in 1 2 3; do
-  cargo run -q --release --offline -p fgcs-bench --bin bench_smoke -- --out BENCH_baseline.json
-  # --against flags >1.25x growth on keys present in both baselines; a
-  # noisy run can trip it, so retry before declaring a real regression.
-  if cargo run -q --release --offline -p fgcs-bench --bin bench_smoke -- \
-      --check BENCH_baseline.json --against "$prev_baseline"; then
-    bench_ok=1
-    break
-  fi
-  echo "-- regression flagged on attempt $attempt; re-running to rule out noise"
-done
+cargo run -q --release --offline -p fgcs-bench --bin bench_smoke -- --out BENCH_baseline.json
+cargo run -q --release --offline -p fgcs-bench --bin bench_smoke -- \
+  --check BENCH_baseline.json --against "$prev_baseline"
 rm -f "$prev_baseline"
-if [ "$bench_ok" != 1 ]; then
-  echo "bench regression persisted across 3 runs"
-  exit 1
-fi
 
-echo "== scale bench: cluster_serve at 100k hosts, p50/p99 merged into BENCH_baseline.json"
-cargo run -q --release --offline -p fgcs-bench --bin cluster_serve -- \
-  --hosts 100000 --merge BENCH_baseline.json
-cargo run -q --release --offline -p fgcs-bench --bin bench_smoke -- --check BENCH_baseline.json
+echo "== wire gate: each examples/benchmark workload once, checked against BENCH_wire.json"
+# BENCHMARK.json's command at the settings BENCH_wire.json was measured
+# at. Each workload must answer every request correctly, keep rss_mb
+# within 1.05x of its committed median and server_cpu_us and setup_s
+# within 3x (bench_smoke's module docs give the reasons).
+mkdir -p .bench_out
+rm -f .bench_out/ci-wire.jsonl
+for workload in query_hot ingest_durable day_rollover cold_window; do
+  cargo run --release --offline --quiet --manifest-path examples/benchmark/Cargo.toml -- \
+    --workload "$workload" --seed 1 --seconds 15 --trace 0 --json .bench_out/ci-wire.jsonl
+done
+cargo run -q --release --offline -p fgcs-bench --bin bench_smoke -- \
+  --wire .bench_out/ci-wire.jsonl --against BENCH_wire.json
 
 echo "CI OK"

@@ -1,8 +1,5 @@
 //! Shared harness utilities for the experiment binaries that regenerate
-//! the paper's tables and figures (see DESIGN.md §4 for the index), plus
-//! the [`cluster`] scale workload behind the `cluster_serve` binary.
-
-pub mod cluster;
+//! the paper's tables and figures (see DESIGN.md §4 for the index).
 
 use fgcs_core::log::HistoryStore;
 use fgcs_core::model::AvailabilityModel;

@@ -1623,6 +1623,77 @@ mod tests {
     }
 
     #[test]
+    fn recovery_from_a_wal_frame_damaged_mid_file() {
+        // Pins today's rule for damage before the tail: the first bad
+        // frame ends the log, so every later frame is lost unless a
+        // snapshot still holds its day.
+        let host = 3u64;
+        let days: Vec<Vec<State>> = {
+            let mut rng = Xoshiro256::seed_from_u64(53);
+            (0..4).map(|_| random_day(&mut rng, 300)).collect()
+        };
+        let frame_len = |wal: &[u8], at: usize| {
+            8 + u32::from_le_bytes(wal[at..at + 4].try_into().unwrap()) as usize
+        };
+        for snapshot_after_day_3 in [false, true] {
+            let dir = TempDir::new(&format!("mid-file-{snapshot_after_day_3}"));
+            let cfg = || RegistryConfig {
+                snapshot_every: 0,
+                ..durable_config(dir.path(), 1)
+            };
+            {
+                let reg = ShardedRegistry::open(cfg()).unwrap();
+                for (day, states) in days.iter().enumerate() {
+                    reg.ingest_day(host, Some(day), states.clone()).unwrap();
+                }
+                if snapshot_after_day_3 {
+                    reg.snapshot_all().unwrap();
+                }
+            }
+            let snap_path = dir.path().join("shard-0.snap");
+            assert_eq!(snap_path.exists(), snapshot_after_day_3);
+            // Flip one payload byte of the second frame.
+            let wal_path = dir.path().join("shard-0.wal");
+            let mut wal = std::fs::read(&wal_path).unwrap();
+            let frame0_end = frame_len(&wal, 0);
+            wal[frame0_end + 8 + 5] ^= 0x01;
+            std::fs::write(&wal_path, &wal).unwrap();
+
+            let back = ShardedRegistry::open(cfg()).unwrap();
+            let file_len = || std::fs::metadata(&wal_path).unwrap().len() as usize;
+            assert_eq!(file_len(), frame0_end, "the log is cut after frame 0");
+            if snapshot_after_day_3 {
+                assert_eq!(
+                    back.host_days(host),
+                    Some(4),
+                    "the snapshot keeps every day"
+                );
+                let oracle = ShardedRegistry::new(config(1));
+                for (day, states) in days.iter().enumerate() {
+                    oracle.ingest_day(host, Some(day), states.clone()).unwrap();
+                }
+                assert_eq!(fingerprint(&back, &[host]), fingerprint(&oracle, &[host]));
+                continue;
+            }
+            assert_eq!(back.host_days(host), Some(1), "only day 0 survives");
+            back.ingest_day(host, Some(1), days[1].clone()).unwrap();
+            let appended = file_len();
+            assert_eq!(
+                appended,
+                frame0_end + frame_len(&std::fs::read(&wal_path).unwrap(), frame0_end)
+            );
+            drop(back);
+            let again = ShardedRegistry::open(cfg()).unwrap();
+            assert_eq!(
+                again.host_days(host),
+                Some(2),
+                "the append after the cut survives"
+            );
+            assert_eq!(file_len(), appended);
+        }
+    }
+
+    #[test]
     fn crash_points_recover_the_acked_prefix_bit_identically() {
         // The tentpole property: for seeded crash points (torn WAL
         // appends injected between append and fsync, plus lost

@@ -82,22 +82,6 @@ pub fn measure<R>(
     }
 }
 
-/// Returns the `q`-quantile (0.0 ≤ q ≤ 1.0) of an **ascending-sorted**
-/// latency sample using the nearest-rank method.
-///
-/// Nearest-rank keeps the result an actually-observed latency (no
-/// interpolation), which is what the serving p50/p99 gates want: a p99 that
-/// was never measured can't regress. Returns 0 for an empty sample.
-pub fn percentile(sorted_ns: &[u64], q: f64) -> u64 {
-    debug_assert!(sorted_ns.windows(2).all(|w| w[0] <= w[1]));
-    if sorted_ns.is_empty() {
-        return 0;
-    }
-    let q = q.clamp(0.0, 1.0);
-    let rank = ((q * sorted_ns.len() as f64).ceil() as usize).max(1);
-    sorted_ns[rank.min(sorted_ns.len()) - 1]
-}
-
 fn fmt_ns(ns: f64) -> String {
     if ns < 1_000.0 {
         format!("{ns:.1} ns")
@@ -135,50 +119,6 @@ mod tests {
         assert!(m.min_ns.is_finite() && m.min_ns > 0.0);
         assert!(m.min_ns <= m.median_ns);
         assert!(m.iters >= 1);
-    }
-
-    #[test]
-    fn percentile_nearest_rank() {
-        assert_eq!(percentile(&[], 0.99), 0);
-        assert_eq!(percentile(&[7], 0.0), 7);
-        assert_eq!(percentile(&[7], 1.0), 7);
-        let v: Vec<u64> = (1..=100).collect();
-        assert_eq!(percentile(&v, 0.50), 50);
-        assert_eq!(percentile(&v, 0.99), 99);
-        assert_eq!(percentile(&v, 1.0), 100);
-        // Small samples: p99 of 10 points is the max.
-        let v: Vec<u64> = (1..=10).collect();
-        assert_eq!(percentile(&v, 0.99), 10);
-    }
-
-    #[test]
-    fn percentile_tiny_and_tied_sets() {
-        // n=1: every quantile is the sole sample.
-        for q in [0.0, 0.01, 0.5, 0.99, 1.0] {
-            assert_eq!(percentile(&[42], q), 42, "n=1 q={q}");
-        }
-        // n=2: nearest-rank puts everything at or below p50 on the first
-        // sample and everything above on the second.
-        assert_eq!(percentile(&[10, 20], 0.0), 10);
-        assert_eq!(percentile(&[10, 20], 0.25), 10);
-        assert_eq!(percentile(&[10, 20], 0.50), 10);
-        assert_eq!(percentile(&[10, 20], 0.51), 20);
-        assert_eq!(percentile(&[10, 20], 0.99), 20);
-        assert_eq!(percentile(&[10, 20], 1.0), 20);
-        // Fully tied set: every quantile is the tied value.
-        let tied = [5u64; 9];
-        for q in [0.0, 0.5, 0.99, 1.0] {
-            assert_eq!(percentile(&tied, q), 5, "tied q={q}");
-        }
-        // Mostly tied with one outlier: the outlier only surfaces at the
-        // very top rank (p99 of n=3 rounds up to rank 3).
-        assert_eq!(percentile(&[5, 5, 100], 0.50), 5);
-        assert_eq!(percentile(&[5, 5, 100], 0.66), 5);
-        assert_eq!(percentile(&[5, 5, 100], 0.67), 100);
-        assert_eq!(percentile(&[5, 5, 100], 0.99), 100);
-        // Out-of-range quantiles clamp instead of panicking.
-        assert_eq!(percentile(&[10, 20], -3.0), 10);
-        assert_eq!(percentile(&[10, 20], 7.0), 20);
     }
 
     #[test]
