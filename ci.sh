@@ -15,9 +15,6 @@ cargo fmt --check
 echo "== cargo clippy --offline --workspace --all-targets -- -D warnings"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
-echo "== cargo clippy (bench-harness targets)"
-cargo clippy --offline -p fgcs-bench --all-targets --features bench-harness -- -D warnings
-
 echo "== cargo check fgcs-runtime without the metrics feature (no-op macro path)"
 cargo check -q --offline -p fgcs-runtime --no-default-features
 
@@ -57,38 +54,31 @@ if [ "$zero_out" != "$plain_out" ]; then
   exit 1
 fi
 
-echo "== serve smoke: oneshot batch sweep must match offline fgcs sweep --json byte-for-byte"
+echo "== serve smoke: TCP server round trip (streamed ingest -> sweep == offline; clean shutdown)"
+# The same check over `serve --oneshot` is
+# tests/cli.rs::cli_oneshot_serve_matches_offline_sweep_bytes.
 fgcs_bin=target/release/fgcs
 serve_tmp=$(mktemp -d)
 "$fgcs_bin" generate --seed 7 --days 10 --out "$serve_tmp" > /dev/null
 "$fgcs_bin" encode "$serve_tmp/machine-0.json" --host 1 > "$serve_tmp/reqs.jsonl"
-{
-  cat "$serve_tmp/reqs.jsonl"
-  echo '{"op":"sweep","host":1,"start":9.0,"hours":2.0,"points":12}'
-  echo '{"op":"shutdown"}'
-} | "$fgcs_bin" serve --oneshot > "$serve_tmp/oneshot.jsonl"
-grep '^{"window"' "$serve_tmp/oneshot.jsonl" > "$serve_tmp/sweep_serve.json"
 "$fgcs_bin" sweep "$serve_tmp/machine-0.json" --start 9.0 --hours 2.0 --json \
   > "$serve_tmp/sweep_cli.json"
-if ! cmp -s "$serve_tmp/sweep_serve.json" "$serve_tmp/sweep_cli.json"; then
-  echo "oneshot serve sweep diverged from offline fgcs sweep --json:"
-  diff "$serve_tmp/sweep_serve.json" "$serve_tmp/sweep_cli.json" || true
-  exit 1
-fi
-
-echo "== serve smoke: TCP server round trip (streamed ingest -> sweep == offline; clean shutdown)"
-timeout 120 "$fgcs_bin" serve --port 0 --metrics-out metrics_export.json \
-  > "$serve_tmp/server.log" &
-server_pid=$!
-addr=""
-for _ in $(seq 1 100); do
-  addr=$(sed -n 's/^listening on //p' "$serve_tmp/server.log" 2>/dev/null || true)
-  [ -n "$addr" ] && break
-  sleep 0.1
-done
-if [ -z "$addr" ]; then
-  echo "server never announced its address:"; cat "$serve_tmp/server.log"; exit 1
-fi
+# Starts `fgcs serve` on an ephemeral port; sets $server_pid and $addr.
+start_server() {
+  : > "$serve_tmp/server.log"
+  timeout 120 "$fgcs_bin" serve --port 0 "$@" > "$serve_tmp/server.log" &
+  server_pid=$!
+  addr=""
+  for _ in $(seq 1 100); do
+    addr=$(sed -n 's/^listening on //p' "$serve_tmp/server.log" 2>/dev/null || true)
+    [ -n "$addr" ] && break
+    sleep 0.1
+  done
+  if [ -z "$addr" ]; then
+    echo "server never announced its address:"; cat "$serve_tmp/server.log"; exit 1
+  fi
+}
+start_server --metrics-out metrics_export.json
 {
   cat "$serve_tmp/reqs.jsonl"
   echo '{"op":"sweep","host":1,"start":9.0,"hours":2.0,"points":12}'
@@ -104,7 +94,7 @@ if ! grep '^{"window"' "$serve_tmp/tcp_out.jsonl" | cmp -s - "$serve_tmp/sweep_c
   echo "TCP serve sweep diverged from offline fgcs sweep --json"
   exit 1
 fi
-grep -q '"log_records":10' "$serve_tmp/tcp_out.jsonl" || {
+grep '"op":"stats"' "$serve_tmp/tcp_out.jsonl" | grep -q '"days":10' || {
   echo "server stats did not account for the 10 streamed ingests:"
   tail -1 "$serve_tmp/tcp_out.jsonl"
   exit 1
@@ -123,23 +113,6 @@ awk 'NR % 40 == 1 { if (NR > 1) print out "]}"; out = "{\"op\":\"batch\",\"ops\"
      { out = out "," $0 }
      END { if (out != "") print out "]}" }' \
   "$serve_tmp/seq_in.jsonl" > "$serve_tmp/batch_in.jsonl"
-wait_for_addr() {
-  addr=""
-  for _ in $(seq 1 100); do
-    addr=$(sed -n 's/^listening on //p' "$serve_tmp/server.log" 2>/dev/null || true)
-    [ -n "$addr" ] && break
-    sleep 0.1
-  done
-  if [ -z "$addr" ]; then
-    echo "server never announced its address:"; cat "$serve_tmp/server.log"; exit 1
-  fi
-}
-start_server() {
-  : > "$serve_tmp/server.log"
-  timeout 120 "$fgcs_bin" serve --port 0 "$@" > "$serve_tmp/server.log" &
-  server_pid=$!
-  wait_for_addr
-}
 start_server
 "$fgcs_bin" query --pipelined "$addr" < "$serve_tmp/seq_in.jsonl" > "$serve_tmp/seq_out.jsonl"
 echo '{"op":"shutdown"}' | "$fgcs_bin" query "$addr" > /dev/null
@@ -153,50 +126,9 @@ if ! cmp -s "$serve_tmp/seq_out.jsonl" "$serve_tmp/batch_out.jsonl"; then
   diff "$serve_tmp/seq_out.jsonl" "$serve_tmp/batch_out.jsonl" | head -20 || true
   exit 1
 fi
-echo "== crash-recovery smoke: kill -9 a durable server mid-stream, recovered sweep == offline replay"
-# Stream the first 6 of 10 encoded days into `serve --data-dir` in lockstep
-# (every sent day is acknowledged), then SIGKILL the server — no flush, no
-# shutdown op. A fresh process recovering from the WAL must hold exactly
-# the 6 acknowledged days, and its sweep must be byte-identical to an
-# offline oneshot replay of the same 6 ingest lines.
-# No `timeout` wrapper here: kill -9 must hit the serve process itself —
-# SIGKILLing a wrapper would orphan the server still holding the WAL (and
-# this stage's stdio pipes, wedging the CI step).
-: > "$serve_tmp/server.log"
-"$fgcs_bin" serve --port 0 --data-dir "$serve_tmp/wal" > "$serve_tmp/server.log" &
-server_pid=$!
-wait_for_addr
-head -6 "$serve_tmp/reqs.jsonl" | "$fgcs_bin" query "$addr" > "$serve_tmp/acks.jsonl"
-acked=$(grep -c '"ok":true' "$serve_tmp/acks.jsonl")
-if [ "$acked" != 6 ]; then
-  echo "expected 6 acknowledged ingests before the kill, got $acked:"
-  cat "$serve_tmp/acks.jsonl"
-  exit 1
-fi
-kill -9 "$server_pid" 2>/dev/null || true
-wait "$server_pid" 2>/dev/null || true
-{
-  echo '{"op":"host","host":1}'
-  echo '{"op":"sweep","host":1,"start":9.0,"hours":2.0,"points":12}'
-} | "$fgcs_bin" serve --oneshot --data-dir "$serve_tmp/wal" > "$serve_tmp/recovered.jsonl"
-grep -q '"days":6' "$serve_tmp/recovered.jsonl" || {
-  echo "recovered registry does not hold exactly the 6 acknowledged days:"
-  cat "$serve_tmp/recovered.jsonl"
-  exit 1
-}
-{
-  head -6 "$serve_tmp/reqs.jsonl"
-  echo '{"op":"sweep","host":1,"start":9.0,"hours":2.0,"points":12}'
-} | "$fgcs_bin" serve --oneshot > "$serve_tmp/replayed.jsonl"
-grep '^{"window"' "$serve_tmp/recovered.jsonl" > "$serve_tmp/recovered_sweep.json"
-grep '^{"window"' "$serve_tmp/replayed.jsonl" > "$serve_tmp/replay_sweep.json"
-if ! cmp -s "$serve_tmp/recovered_sweep.json" "$serve_tmp/replay_sweep.json"; then
-  echo "recovered sweep diverged from the offline replay after kill -9:"
-  diff "$serve_tmp/recovered_sweep.json" "$serve_tmp/replay_sweep.json" || true
-  exit 1
-fi
-
 echo "== serve chaos smoke: byte-faulted client + kill -9, recovery invariant enforced by exit code"
+# The lockstep form (every ingest acked, then kill -9, recovered sweep ==
+# offline replay) is tests/recovery.rs::kill_minus_nine_loses_no_acknowledged_ingest.
 "$fgcs_bin" chaos --serve --seed 20060625 --machines 3 --days 6
 
 rm -rf "$serve_tmp"

@@ -1,7 +1,8 @@
-//! Bench smoke mode: bounded-iteration versions of the micro-bench
-//! workloads, emitting `BENCH_baseline.json` with one ns/op figure per
-//! bench — the perf-trajectory artifact CI regenerates and checks on
-//! every run — plus the check on the wire benchmark's result lines.
+//! Bench smoke: the workspace's micro-benchmarks, each bounded to a few
+//! milliseconds per sample, emitting `BENCH_baseline.json` with one ns/op
+//! figure per bench — the perf-trajectory artifact CI regenerates and
+//! checks on every run — plus the check on the wire benchmark's result
+//! lines.
 //!
 //! ```text
 //! bench_smoke [--out PATH]                 # run the benches, write the baseline
@@ -11,11 +12,13 @@
 //! bench_smoke --wire RESULTS --out REF     # write each workload's medians to REF
 //! ```
 //!
-//! Unlike the `--features bench-harness` targets (tuned for comparing
-//! solvers at many window lengths), the smoke run keeps each measurement to
-//! a few milliseconds so the whole suite stays CI-cheap. It also measures
-//! the metrics subsystem's overhead on a miniature Fig. 5 sweep — run with
-//! the registry disabled vs enabled — and exports it as
+//! It is the workspace's one micro-timer; the figure bins time the
+//! paper's figures (`fig4_overhead`: solve time against window length and
+//! the solver ablation). Besides the solver, estimation, query and ingest
+//! keys it times the online `StateManager::observe` step
+//! (`state_manager/online_step`, the §7.1 monitoring overhead). It also
+//! measures the metrics subsystem's overhead on a miniature Fig. 5 sweep —
+//! run with the registry disabled vs enabled — and exports it as
 //! `metrics_overhead_pct`, which `--check` asserts stays below 5 %.
 //!
 //! Before anything is timed, the fast-path solver ([`FastSolver`]) is
@@ -66,9 +69,9 @@ use fgcs_core::registry::encode_wal_record;
 use fgcs_core::smp::{FastSolver, IncrementalEstimator, SmpParams, SolveScratch, SparseSolver};
 use fgcs_core::state::{self, State};
 use fgcs_core::window::{DayType, TimeWindow};
-use fgcs_runtime::bench::measure;
 use fgcs_runtime::json::{Json, JsonSlice};
 use fgcs_runtime::wal;
+use fgcs_sim::state_manager::StateManager;
 use fgcs_trace::{TraceConfig, TraceGenerator};
 
 /// Baseline schema: v2 files hold ns/op at `machine_factor` 1.0, v1 files
@@ -89,9 +92,10 @@ const TARGET_SAMPLE: Duration = Duration::from_millis(2);
 const UNIT: &str = "fastest-sample ns/op at machine_factor 1.0";
 
 /// Bench keys `--check` requires: the solvers, kernel estimation, the
-/// cached query, the 1000-host sweep, classification, trace generation
-/// and the durable ingest's byte path.
-const REQUIRED_KEYS: [&str; 12] = [
+/// cached query, the 1000-host sweep, classification, the online
+/// state-manager step, trace generation and the durable ingest's byte
+/// path.
+const REQUIRED_KEYS: [&str; 13] = [
     "smp_solver/paper_eq3_2h",
     "smp_solver/fast_2h",
     "smp_solver/per_horizon_sweep_2h",
@@ -101,6 +105,7 @@ const REQUIRED_KEYS: [&str; 12] = [
     "qh_estimation/rebuild_2h",
     "predictor/cached_qh",
     "classify/whole_day_offline",
+    "state_manager/online_step",
     "trace_gen/machine_day_lab",
     "ingest_bytes/scan_decode_14k",
     "ingest_bytes/wal_frame_14k",
@@ -249,6 +254,11 @@ fn run_smoke() -> Json {
     let refs: Vec<&[State]> = windows.iter().map(Vec::as_slice).collect();
     let day = trace.day_samples(0).to_vec();
     let classifier = StateClassifier::new(model);
+    // The §7.1 monitoring step: one sample of the day per call, cycling.
+    // The manager closes a day into its history every 14 400 calls, so
+    // the figure includes that amortized append.
+    let mut manager = StateManager::new(model, 0);
+    let mut sample_index = 0;
     let generator = TraceGenerator::new(TraceConfig::lab_machine(1));
 
     // Evenly spaced horizons up to the 2-hour window — the Fig. 5-style
@@ -403,6 +413,14 @@ fn run_smoke() -> Json {
             }),
         ),
         (
+            "state_manager/online_step",
+            Box::new(|| {
+                let sample = day[sample_index % day.len()];
+                sample_index += 1;
+                black_box(manager.observe(sample.alive.then_some(sample)));
+            }),
+        ),
+        (
             "trace_gen/machine_day_lab",
             Box::new(|| {
                 black_box(generator.generate_days(1));
@@ -464,17 +482,27 @@ type Bench<'a> = (&'static str, Box<dyn FnMut() + Send + 'a>);
 /// 4.04 over twelve runs on a 2-vCPU VM, which moved every figure by the
 /// same amount); on fresh threads it held to 2.62-2.84.
 fn time_round_robin(benches: &mut [Bench<'_>]) -> (Vec<(&'static str, f64)>, f64) {
-    let iters: Vec<u64> = benches
-        .iter_mut()
-        .map(|(_, f)| measure(1, TARGET_SAMPLE, &mut || f()).iters)
-        .collect();
-    let time_ns = |iters: u64, f: &mut dyn FnMut()| {
+    let batch = |iters: u64, f: &mut dyn FnMut()| {
         let start = Instant::now();
         for _ in 0..iters {
             f();
         }
-        start.elapsed().as_nanos() as f64 / iters as f64
+        start.elapsed()
     };
+    // Each bench's iterations per sample: doubled until one batch lasts
+    // TARGET_SAMPLE.
+    let iters: Vec<u64> = benches
+        .iter_mut()
+        .map(|(_, f)| {
+            let mut iters = 1;
+            while batch(iters, f) < TARGET_SAMPLE && iters < 1 << 30 {
+                iters *= 2;
+            }
+            iters
+        })
+        .collect();
+    let time_ns =
+        |iters: u64, f: &mut dyn FnMut()| batch(iters, f).as_nanos() as f64 / iters as f64;
     let mut fastest = vec![(f64::INFINITY, f64::INFINITY); benches.len()];
     for _ in 0..SAMPLES {
         std::thread::scope(|scope| {

@@ -1,6 +1,10 @@
 //! Figure 4: computation time of the availability prediction vs the time
 //! window length — both the Q/H (kernel) estimation alone and the whole
-//! prediction (estimation + TR recursion).
+//! prediction (estimation + TR recursion), the latter with the paper's
+//! solver (`total_ms`) and with the production [`FastSolver`]
+//! (`fast_total_ms`). A closing line times the three solvers
+//! ([`DenseSolver`], the paper-order [`SparseSolver`], [`FastSolver`]) on
+//! one 2-hour kernel, solve only — the solver ablation.
 //!
 //! Paper shape: total time grows superlinearly (measured exponent ≈ 1.85)
 //! with the number of recursive steps; the Q/H estimation is a small
@@ -8,16 +12,34 @@
 //! hardware (milliseconds today) — giving the headline "< 0.006 % of a
 //! 10-hour job" overhead.
 //!
+//! Every figure is the fastest of [`REPS`] calls: noise on a shared
+//! machine only ever adds time.
+//!
 //! Run: `cargo run --release -p fgcs-bench --bin fig4_overhead [--step SECS]`
 
+use std::hint::black_box;
 use std::time::Instant;
 
 use fgcs_bench::Testbed;
 use fgcs_core::model::AvailabilityModel;
 use fgcs_core::predictor::SmpPredictor;
-use fgcs_core::smp::{SmpParams, SparseSolver};
+use fgcs_core::smp::{DenseSolver, FastSolver, SparseSolver};
 use fgcs_core::state::State;
 use fgcs_core::window::{DayType, TimeWindow};
+
+/// Calls per timed figure.
+const REPS: u32 = 5;
+
+/// Wall-clock milliseconds of the fastest of [`REPS`] `f` calls.
+fn fastest_ms<R>(mut f: impl FnMut() -> R) -> f64 {
+    (0..REPS)
+        .map(|_| {
+            let t = Instant::now();
+            black_box(f());
+            t.elapsed().as_secs_f64() * 1000.0
+        })
+        .fold(f64::INFINITY, f64::min)
+}
 
 fn main() {
     let _metrics = fgcs_bench::MetricsExport::from_args();
@@ -44,11 +66,16 @@ fn main() {
         coarse.to_history(&model).expect("steps match")
     };
     let predictor = SmpPredictor::new(model);
+    let estimate = |window| {
+        predictor
+            .estimate_params(&history, DayType::Weekday, window)
+            .expect("history covers window")
+    };
 
     println!("# Figure 4: prediction computation time vs window length (d = {step}s)");
     println!(
-        "{:>10} {:>8} {:>14} {:>14}",
-        "window_hr", "steps", "qh_ms", "total_ms"
+        "{:>10} {:>8} {:>14} {:>14} {:>14}",
+        "window_hr", "steps", "qh_ms", "total_ms", "fast_total_ms"
     );
     let mut xs = Vec::new();
     let mut ys = Vec::new();
@@ -56,33 +83,17 @@ fn main() {
         let window = TimeWindow::from_hours(8.0, f64::from(hours));
         let steps = window.steps(step);
 
-        // Q/H estimation alone.
-        let t0 = Instant::now();
-        let reps = 5;
-        let mut params: Option<SmpParams> = None;
-        for _ in 0..reps {
-            params = Some(
-                predictor
-                    .estimate_params(&history, DayType::Weekday, window)
-                    .expect("history covers window"),
-            );
-        }
-        let qh_ms = t0.elapsed().as_secs_f64() * 1000.0 / f64::from(reps);
-
-        // Whole prediction.
-        let t1 = Instant::now();
-        for _ in 0..reps {
-            let p = predictor
-                .estimate_params(&history, DayType::Weekday, window)
-                .expect("history covers window");
-            let _ = SparseSolver::new(&p).temporal_reliability(State::S1, steps);
-        }
-        let total_ms = t1.elapsed().as_secs_f64() * 1000.0 / f64::from(reps);
-        drop(params);
+        let qh_ms = fastest_ms(|| estimate(window));
+        let total_ms = fastest_ms(|| {
+            SparseSolver::new(&estimate(window)).temporal_reliability(State::S1, steps)
+        });
+        let fast_total_ms = fastest_ms(|| {
+            FastSolver::new(&estimate(window)).temporal_reliability(State::S1, steps)
+        });
 
         println!(
-            "{:>10} {:>8} {:>14.3} {:>14.3}",
-            hours, steps, qh_ms, total_ms
+            "{:>10} {:>8} {:>14.3} {:>14.3} {:>14.3}",
+            hours, steps, qh_ms, total_ms, fast_total_ms
         );
         xs.push((steps as f64).ln());
         ys.push(total_ms.max(1e-6).ln());
@@ -104,5 +115,19 @@ fn main() {
     println!(
         "# overhead for a 10-hour job: {:.6}% (paper: < 0.006%)",
         100.0 * (last_total_ms / 1000.0) / ten_hours_secs
+    );
+
+    // Solver ablation: the dense 5-state solver, the paper's §5.3
+    // sparsity-optimised recursion and the fast solver on one kernel.
+    let window = TimeWindow::from_hours(8.0, 2.0);
+    let steps = window.steps(step);
+    let params = estimate(window);
+    let dense_ms =
+        fastest_ms(|| DenseSolver::from_params(&params).temporal_reliability(State::S1, steps));
+    let paper_ms = fastest_ms(|| SparseSolver::new(&params).temporal_reliability(State::S1, steps));
+    let fast_ms = fastest_ms(|| FastSolver::new(&params).temporal_reliability(State::S1, steps));
+    println!(
+        "# solver ablation, 2 h ({steps} steps, one kernel, solve only): \
+         dense {dense_ms:.3} ms, paper-order {paper_ms:.3} ms, fast {fast_ms:.3} ms"
     );
 }

@@ -1,4 +1,4 @@
-//! Multi-horizon TR curves and cluster-wide fan-out.
+//! Multi-horizon TR curves and the cluster-wide evaluation fan-out.
 //!
 //! The Eq.-3 recursion is *prefix-closed*: computing `P_{init,j}(M)`
 //! necessarily computes `P_{init,j}(m)` for every `m ≤ M` along the way, in
@@ -14,11 +14,10 @@
 //!   bit-identical to standalone paper-order solves;
 //!   [`FastSolver::tr_curve`](crate::smp::FastSolver::tr_curve) to
 //!   standalone fast solves.
-//! * [`predict_cluster`] / [`evaluate_cluster`] — machine-level fan-out of
-//!   TR queries and train/test evaluations across
-//!   [`fgcs_runtime::parallel`], with deterministic result ordering.
+//! * [`evaluate_cluster`] — machine-level fan-out of train/test
+//!   evaluations across [`fgcs_runtime::parallel`], with deterministic
+//!   result ordering.
 
-use crate::cache::QhCache;
 use crate::error::CoreError;
 use crate::log::HistoryStore;
 use crate::predictor::{evaluate_window, SmpPredictor, WindowEvaluation};
@@ -120,39 +119,6 @@ impl TrCurve {
             _ => &self.s2,
         })
     }
-}
-
-/// One machine's TR query in a cluster-wide sweep.
-#[derive(Debug, Clone, Copy)]
-pub struct ClusterQuery<'a> {
-    /// Stable host identifier — the kernel-cache key component.
-    pub host: u64,
-    /// The machine's monitoring history.
-    pub history: &'a HistoryStore,
-    /// The machine's state at the window start.
-    pub init: State,
-}
-
-/// Predicts TR for every machine of a cluster in parallel, in query order.
-///
-/// Each machine's Q/H estimation and solve runs on a worker thread via
-/// [`fgcs_runtime::parallel::par_map`]; the result vector is ordered
-/// exactly like `queries` regardless of thread interleaving, so the output
-/// equals the sequential loop element for element. With a [`QhCache`],
-/// repeated sweeps skip the estimation step entirely on cache hits.
-pub fn predict_cluster(
-    predictor: &SmpPredictor,
-    cache: Option<&QhCache>,
-    queries: &[ClusterQuery<'_>],
-    day_type: DayType,
-    window: TimeWindow,
-) -> Vec<Result<f64, CoreError>> {
-    fgcs_runtime::counter_add!("core.batch.cluster_sweeps", 1);
-    fgcs_runtime::histogram_record!("core.batch.sweep_size", queries.len() as u64);
-    fgcs_runtime::parallel::par_map(queries, |q| match cache {
-        Some(cache) => predictor.predict_cached(cache, q.host, q.history, day_type, window, q.init),
-        None => predictor.predict(q.history, day_type, window, q.init),
-    })
 }
 
 /// One machine's train/test evaluation in a cluster-wide sweep.

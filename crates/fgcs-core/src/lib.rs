@@ -49,7 +49,7 @@ pub mod smp;
 pub mod state;
 pub mod window;
 
-pub use batch::{evaluate_cluster, predict_cluster, ClusterQuery, EvalQuery, TrCurve};
+pub use batch::{evaluate_cluster, EvalQuery, TrCurve};
 pub use cache::{KernelDedup, QhCache};
 pub use classify::StateClassifier;
 pub use error::CoreError;
@@ -60,8 +60,7 @@ pub use predictor::{
     TrPrediction, WindowEvaluation,
 };
 pub use registry::{
-    IngestAck, IngestRecord, RegistryConfig, RegistryError, RegistryStats, ShardSession,
-    ShardedRegistry,
+    IngestAck, RegistryConfig, RegistryError, RegistryStats, ShardSession, ShardedRegistry,
 };
 pub use robust::{PredictionQuality, QualifiedTr, RobustPredictor, DEFAULT_PRIOR_TR};
 pub use smp::{

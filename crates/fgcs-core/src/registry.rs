@@ -8,9 +8,8 @@
 //! ([`fgcs_runtime::shard::shard_of`]), and each shard owns
 //!
 //! * its hosts' [`HistoryStore`]s plus their per-coordinate
-//!   [`IncrementalEstimator`]s,
-//! * a per-shard [`QhCache`] memoizing built kernels, and
-//! * an append-only ingest log ([`IngestRecord`]) for replay and audit,
+//!   [`IncrementalEstimator`]s, and
+//! * a per-shard [`QhCache`] memoizing built kernels,
 //!
 //! so operations on different shards never contend, and operations on the
 //! same shard contend only on that shard's mutex.
@@ -179,17 +178,6 @@ impl From<io::Error> for RegistryError {
     }
 }
 
-/// One entry of a shard's append-only ingest log.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct IngestRecord {
-    /// The host the day was appended to.
-    pub host: u64,
-    /// The appended day's calendar index.
-    pub day_index: usize,
-    /// Number of samples the day carried.
-    pub samples: usize,
-}
-
 /// Acknowledgement of a successful ingest.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IngestAck {
@@ -208,10 +196,9 @@ pub struct RegistryStats {
     pub shards: usize,
     /// Hosts with at least one ingested day.
     pub hosts: usize,
-    /// Total stored days across all hosts.
+    /// Total stored days across all hosts (every acknowledged ingest
+    /// appends one day, and nothing removes days).
     pub days: usize,
-    /// Total append-only log records (equals total successful ingests).
-    pub log_records: usize,
     /// Kernel interns that found an existing canonical kernel (cross-host
     /// sharing events).
     pub kernel_dedup_hits: u64,
@@ -248,7 +235,6 @@ struct Shard {
     index: usize,
     hosts: HashMap<u64, HostEntry>,
     qh: QhCache,
-    log: Vec<IngestRecord>,
     /// Write-ahead log for this shard (`None` when not durable).
     wal: Option<WalWriter>,
     /// Reusable WAL record serialization buffer (no allocation on the
@@ -268,7 +254,6 @@ impl Shard {
             index,
             hosts: HashMap::new(),
             qh: QhCache::with_dedup(qh_capacity, Arc::clone(dedup)),
-            log: Vec::new(),
             wal: None,
             wal_buf: Vec::new(),
             snap_path: None,
@@ -458,11 +443,6 @@ impl ShardedRegistry {
             est.sync(&entry.history);
         }
         let days = entry.history.len();
-        shard.log.push(IngestRecord {
-            host,
-            day_index: idx,
-            samples,
-        });
         fgcs_runtime::counter_add!("core.registry.ingested_days", 1);
         fgcs_runtime::counter_add!("core.registry.ingested_samples", samples as u64);
         if write_wal
@@ -630,15 +610,6 @@ impl ShardedRegistry {
             .map(|e| e.history.len())
     }
 
-    /// A copy of one shard's append-only ingest log.
-    ///
-    /// # Panics
-    /// Panics when `shard` is out of range.
-    #[must_use]
-    pub fn shard_log(&self, shard: usize) -> Vec<IngestRecord> {
-        self.lock(shard).log.clone()
-    }
-
     /// Aggregate counters across all shards.
     #[must_use]
     pub fn stats(&self) -> RegistryStats {
@@ -646,7 +617,6 @@ impl ShardedRegistry {
             shards: self.shards.len(),
             hosts: 0,
             days: 0,
-            log_records: 0,
             kernel_dedup_hits: 0,
             kernel_dedup_lookups: 0,
             kernel_dedup_entries: 0,
@@ -662,7 +632,6 @@ impl ShardedRegistry {
             let guard = self.lock(i);
             stats.hosts += guard.hosts.len();
             stats.days += guard.hosts.values().map(|e| e.history.len()).sum::<usize>();
-            stats.log_records += guard.log.len();
             if let Some(wal) = &guard.wal {
                 stats.durable = true;
                 stats.wal_records += wal.records();
@@ -1273,7 +1242,6 @@ mod tests {
             assert_eq!(a.to_bits(), b.to_bits(), "host {h}");
         }
         assert_eq!(one.stats().days, many.stats().days);
-        assert_eq!(one.stats().log_records, many.stats().log_records);
     }
 
     #[test]
@@ -1373,7 +1341,7 @@ mod tests {
     }
 
     #[test]
-    fn stats_and_logs_account_for_every_ingest() {
+    fn stats_account_for_every_ingest() {
         let reg = ShardedRegistry::new(config(3));
         for h in 0..5u64 {
             for d in 0..4 {
@@ -1384,14 +1352,6 @@ mod tests {
         assert_eq!(stats.shards, 3);
         assert_eq!(stats.hosts, 5);
         assert_eq!(stats.days, 20);
-        assert_eq!(stats.log_records, 20);
-        let mut seen = 0;
-        for s in 0..reg.shard_count() {
-            let log = reg.shard_log(s);
-            assert!(log.iter().all(|r| r.samples == 50));
-            seen += log.len();
-        }
-        assert_eq!(seen, 20);
     }
 
     #[test]
@@ -1528,7 +1488,6 @@ mod tests {
         }
         let back = ShardedRegistry::open(durable_config(dir.path(), 4)).unwrap();
         assert_eq!(back.stats().days, 60);
-        assert_eq!(back.stats().log_records, 60);
         assert_eq!(fingerprint(&back, &hosts), fingerprint(&oracle, &hosts));
     }
 
@@ -1766,7 +1725,7 @@ mod tests {
             Err(RegistryError::Io(_))
         ));
         assert_eq!(reg.host_days(1), None, "failed WAL append must not apply");
-        assert_eq!(reg.stats().log_records, 0);
+        assert_eq!(reg.stats().days, 0);
     }
 
     #[test]

@@ -160,67 +160,83 @@ impl Json {
     }
 }
 
-/// Compact serialization; deterministic for a given value.
+/// Compact serialization; deterministic for a given value. The same
+/// routine renders [`JsonWriter::json`].
 impl fmt::Display for Json {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Json::Null => f.write_str("null"),
-            Json::Bool(b) => f.write_str(if *b { "true" } else { "false" }),
-            Json::I64(v) => write!(f, "{v}"),
-            Json::U64(v) => write!(f, "{v}"),
-            Json::F64(v) => {
-                if v.is_finite() {
-                    // Shortest round-trip repr; `1e300` style stays parseable.
-                    write!(f, "{v}")
-                } else {
-                    // JSON has no NaN/Inf; mirror the lossy-but-valid choice
-                    // of most writers.
-                    f.write_str("null")
+        write_json(f, self)
+    }
+}
+
+/// Writes `value` as compact JSON: the one renderer behind both [`Json`]'s
+/// `Display` and [`JsonWriter`].
+fn write_json<W: fmt::Write>(out: &mut W, value: &Json) -> fmt::Result {
+    match value {
+        Json::Null => out.write_str("null"),
+        Json::Bool(b) => out.write_str(if *b { "true" } else { "false" }),
+        Json::I64(v) => write!(out, "{v}"),
+        Json::U64(v) => write!(out, "{v}"),
+        Json::F64(v) => write_f64(out, *v),
+        Json::Str(s) => write_string(out, s),
+        Json::Arr(items) => {
+            out.write_char('[')?;
+            for (i, item) in items.iter().enumerate() {
+                if i > 0 {
+                    out.write_char(',')?;
                 }
+                write_json(out, item)?;
             }
-            Json::Str(s) => write_escaped(f, s),
-            Json::Arr(items) => {
-                f.write_str("[")?;
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        f.write_str(",")?;
-                    }
-                    write!(f, "{item}")?;
+            out.write_char(']')
+        }
+        Json::Obj(pairs) => {
+            out.write_char('{')?;
+            for (i, (k, v)) in pairs.iter().enumerate() {
+                if i > 0 {
+                    out.write_char(',')?;
                 }
-                f.write_str("]")
+                write_string(out, k)?;
+                out.write_char(':')?;
+                write_json(out, v)?;
             }
-            Json::Obj(pairs) => {
-                f.write_str("{")?;
-                for (i, (k, v)) in pairs.iter().enumerate() {
-                    if i > 0 {
-                        f.write_str(",")?;
-                    }
-                    write_escaped(f, k)?;
-                    f.write_str(":")?;
-                    write!(f, "{v}")?;
-                }
-                f.write_str("}")
-            }
+            out.write_char('}')
         }
     }
 }
 
-fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
-    f.write_str("\"")?;
+/// The float rule: shortest round-trip `Display` when finite (plain
+/// digits, never an exponent); `null` otherwise, since JSON has no
+/// NaN/Inf — the lossy-but-valid choice of most writers.
+fn write_f64<W: fmt::Write>(out: &mut W, v: f64) -> fmt::Result {
+    if v.is_finite() {
+        write!(out, "{v}")
+    } else {
+        out.write_str("null")
+    }
+}
+
+/// `s` as a quoted JSON string.
+fn write_string<W: fmt::Write>(out: &mut W, s: &str) -> fmt::Result {
+    out.write_char('"')?;
+    escape_into(out, s)?;
+    out.write_char('"')
+}
+
+/// The escape table: `s`'s characters, escaped, without quotes.
+fn escape_into<W: fmt::Write>(out: &mut W, s: &str) -> fmt::Result {
     for c in s.chars() {
         match c {
-            '"' => f.write_str("\\\"")?,
-            '\\' => f.write_str("\\\\")?,
-            '\n' => f.write_str("\\n")?,
-            '\r' => f.write_str("\\r")?,
-            '\t' => f.write_str("\\t")?,
-            '\u{08}' => f.write_str("\\b")?,
-            '\u{0C}' => f.write_str("\\f")?,
-            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-            c => f.write_fmt(format_args!("{c}"))?,
+            '"' => out.write_str("\\\"")?,
+            '\\' => out.write_str("\\\\")?,
+            '\n' => out.write_str("\\n")?,
+            '\r' => out.write_str("\\r")?,
+            '\t' => out.write_str("\\t")?,
+            '\u{08}' => out.write_str("\\b")?,
+            '\u{0C}' => out.write_str("\\f")?,
+            c if (c as u32) < 0x20 => write!(out, "\\u{:04x}", c as u32)?,
+            c => out.write_char(c)?,
         }
     }
-    f.write_str("\"")
+    Ok(())
 }
 
 const MAX_DEPTH: usize = 512;
@@ -1196,9 +1212,9 @@ fn parse_raw_u64(raw: &str) -> Option<u64> {
 /// One pooled `JsonWriter` per connection replaces the build-a-`Json`-then-
 /// `to_string` reply path: [`clear`](JsonWriter::clear) between requests
 /// keeps the grown capacity, so a warm reply costs zero heap allocations.
-/// The primitive writers reproduce `Json`'s exact byte choices (shortest
-/// round-trip floats, `null` for non-finite, the same escape table), which
-/// unit tests pin against the tree writer.
+/// The primitive writers and [`json`](JsonWriter::json) go through the
+/// same routines as `Json`'s `Display` (shortest round-trip floats, `null`
+/// for non-finite, one escape table).
 #[derive(Debug, Default)]
 pub struct JsonWriter {
     buf: String,
@@ -1264,9 +1280,13 @@ impl JsonWriter {
 
     /// Appends `s` as a quoted, escaped JSON string.
     pub fn string(&mut self, s: &str) {
-        self.buf.push('"');
-        escape_into(&mut self.buf, s);
-        self.buf.push('"');
+        // Infallible: writing into a String cannot fail.
+        let _ = write_string(&mut self.buf, s);
+    }
+
+    /// Appends a whole tree document, as its `Display` renders it.
+    pub fn json(&mut self, value: &Json) {
+        let _ = write_json(&mut self.buf, value);
     }
 
     /// Appends `v`'s `Display` text as a quoted, escaped JSON string
@@ -1289,12 +1309,7 @@ impl JsonWriter {
     /// Appends a float exactly as `Json::F64` renders: shortest round-trip
     /// `Display` when finite, `null` otherwise.
     pub fn f64(&mut self, v: f64) {
-        use fmt::Write;
-        if v.is_finite() {
-            let _ = write!(self.buf, "{v}");
-        } else {
-            self.buf.push_str("null");
-        }
+        let _ = write_f64(&mut self.buf, v);
     }
 
     /// Appends a bool (as `Json::Bool` renders).
@@ -1311,28 +1326,7 @@ struct EscapingSink<'b> {
 
 impl fmt::Write for EscapingSink<'_> {
     fn write_str(&mut self, s: &str) -> fmt::Result {
-        escape_into(self.buf, s);
-        Ok(())
-    }
-}
-
-/// The escape table of `write_escaped`, appending into a `String`.
-fn escape_into(buf: &mut String, s: &str) {
-    use fmt::Write;
-    for c in s.chars() {
-        match c {
-            '"' => buf.push_str("\\\""),
-            '\\' => buf.push_str("\\\\"),
-            '\n' => buf.push_str("\\n"),
-            '\r' => buf.push_str("\\r"),
-            '\t' => buf.push_str("\\t"),
-            '\u{08}' => buf.push_str("\\b"),
-            '\u{0C}' => buf.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(buf, "\\u{:04x}", c as u32);
-            }
-            c => buf.push(c),
-        }
+        escape_into(self.buf, s)
     }
 }
 
@@ -1692,45 +1686,54 @@ mod tests {
         );
     }
 
-    // ---- JsonWriter: byte-identical to the tree writer ----
+    // ---- JsonWriter: the tree writer's bytes ----
 
     #[test]
     fn writer_matches_tree_display_for_primitives() {
-        for v in [
-            0.0,
-            -0.0,
-            1.0,
-            0.25,
-            -3.5e-9,
-            1e300,
-            f64::NAN,
-            f64::INFINITY,
+        for (v, text) in [
+            (0.0, "0"),
+            (-0.0, "-0"),
+            (1.0, "1"),
+            (0.25, "0.25"),
+            (-3.5e-9, "-0.0000000035"),
+            (1e21, "1000000000000000000000"),
+            (f64::NAN, "null"),
+            (f64::INFINITY, "null"),
         ] {
             let mut w = JsonWriter::new();
             w.f64(v);
-            assert_eq!(w.as_str(), Json::F64(v).to_string(), "f64 {v}");
+            assert_eq!(w.as_str(), text, "f64 {v}");
+            assert_eq!(Json::F64(v).to_string(), text, "f64 {v}");
         }
-        for v in [0u64, 7, u64::MAX] {
+        let huge = format!("1{}", "0".repeat(300));
+        let mut w = JsonWriter::new();
+        w.f64(1e300);
+        assert_eq!(w.as_str(), huge);
+        assert_eq!(Json::F64(1e300).to_string(), huge);
+        for (v, text) in [(0u64, "0"), (7, "7"), (u64::MAX, "18446744073709551615")] {
             let mut w = JsonWriter::new();
             w.u64(v);
-            assert_eq!(w.as_str(), Json::U64(v).to_string(), "u64 {v}");
+            assert_eq!(w.as_str(), text, "u64 {v}");
+            assert_eq!(Json::U64(v).to_string(), text, "u64 {v}");
         }
-        for s in [
-            "plain",
-            "quo\"te",
-            "back\\slash",
-            "line\nfeed",
-            "tab\there",
-            "\u{1}\u{8}\u{c}",
+        for (s, text) in [
+            ("plain", r#""plain""#),
+            ("quo\"te", r#""quo\"te""#),
+            ("back\\slash", r#""back\\slash""#),
+            ("line\nfeed", r#""line\nfeed""#),
+            ("tab\there", r#""tab\there""#),
+            ("\u{1}\u{8}\u{c}", r#""\u0001\b\f""#),
         ] {
             let mut w = JsonWriter::new();
             w.string(s);
-            assert_eq!(w.as_str(), Json::Str(s.into()).to_string(), "str {s:?}");
+            assert_eq!(w.as_str(), text, "str {s:?}");
+            assert_eq!(Json::Str(s.into()).to_string(), text, "str {s:?}");
         }
     }
 
     #[test]
     fn writer_builds_objects_identical_to_tree() {
+        let text = r#"{"ok":true,"op":"predict","host":9,"tr":0.8125}"#;
         let tree = Json::Obj(vec![
             ("ok".into(), Json::Bool(true)),
             ("op".into(), Json::Str("predict".into())),
@@ -1747,7 +1750,11 @@ mod tests {
         w.raw(",\"tr\":");
         w.f64(0.8125);
         w.raw_char('}');
-        assert_eq!(w.as_str(), tree.to_string());
+        assert_eq!(w.as_str(), text);
+        assert_eq!(tree.to_string(), text);
+        w.clear();
+        w.json(&tree);
+        assert_eq!(w.as_str(), text);
     }
 
     #[test]

@@ -14,8 +14,6 @@
 //!   (replaces `crossbeam::scope` / `parking_lot`).
 //! - [`check`] — a seeded, shrink-free property-test harness (replaces
 //!   `proptest` for the workspace's invariant suites).
-//! - [`mod@bench`] — a tiny wall-clock micro-benchmark harness (replaces
-//!   `criterion` for the `--features bench-harness` targets).
 //! - [`cache`] — a capacity-bounded O(1) LRU cache (replaces the `lru`
 //!   crate for kernel-parameter memoization).
 //! - [`fault`] — a seeded, fully deterministic fault-injection plan for
@@ -36,7 +34,6 @@
 //! byte stream on every platform, which is what makes the generated traces
 //! and the paper figures reproducible.
 
-pub mod bench;
 pub mod cache;
 pub mod check;
 pub mod dist;

@@ -368,7 +368,7 @@ fn write_unscanned_line(out: &mut JsonWriter, text: &str) {
 
 /// A tree document (`stats`, `health`, `sweep`) as one reply line.
 fn write_doc_line(out: &mut JsonWriter, doc: &Json) {
-    out.raw(&doc.to_string());
+    out.json(doc);
     out.raw_char('\n');
 }
 
@@ -681,7 +681,6 @@ impl Server {
                 ("shards".into(), Json::U64(stats.shards as u64)),
                 ("hosts".into(), Json::U64(stats.hosts as u64)),
                 ("days".into(), Json::U64(stats.days as u64)),
-                ("log_records".into(), Json::U64(stats.log_records as u64)),
                 (
                     "kernel_dedup_hits".into(),
                     Json::U64(stats.kernel_dedup_hits),

@@ -31,54 +31,6 @@ fn full_pipeline_produces_bounded_tr() {
 }
 
 #[test]
-fn cluster_sweep_matches_sequential_predictions() {
-    use fgcs::core::batch::{predict_cluster, ClusterQuery};
-    use fgcs::core::cache::QhCache;
-
-    let model = AvailabilityModel::default();
-    let histories: Vec<_> = (0..4u64)
-        .map(|seed| {
-            TraceGenerator::new(TraceConfig::lab_machine(seed + 10))
-                .generate_days(14)
-                .to_history(&model)
-                .unwrap()
-        })
-        .collect();
-    let predictor = SmpPredictor::new(model);
-    let w = TimeWindow::from_hours(9.0, 1.5);
-    let queries: Vec<ClusterQuery<'_>> = histories
-        .iter()
-        .enumerate()
-        .map(|(i, h)| ClusterQuery {
-            host: i as u64,
-            history: h,
-            init: State::S1,
-        })
-        .collect();
-
-    let sequential: Vec<f64> = histories
-        .iter()
-        .map(|h| {
-            predictor
-                .predict(h, DayType::Weekday, w, State::S1)
-                .unwrap()
-        })
-        .collect();
-
-    // Parallel sweep, uncached and cached (twice: miss pass, then hit
-    // pass) — all must agree with the sequential loop bit for bit.
-    let cache = QhCache::new(8);
-    for cache_arg in [None, Some(&cache), Some(&cache)] {
-        let swept = predict_cluster(&predictor, cache_arg, &queries, DayType::Weekday, w);
-        assert_eq!(swept.len(), sequential.len());
-        for (got, want) in swept.iter().zip(&sequential) {
-            assert_eq!(got.as_ref().unwrap().to_bits(), want.to_bits());
-        }
-    }
-    assert_eq!(cache.len(), queries.len(), "one kernel cached per host");
-}
-
-#[test]
 fn prediction_is_deterministic() {
     let (model, trace) = testbed(2, 10);
     let history = trace.to_history(&model).unwrap();
