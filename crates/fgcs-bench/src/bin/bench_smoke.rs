@@ -37,12 +37,13 @@
 //! pass. `--check` enforces *absolute* gates on those figures — on the
 //! fast path (`smp_solver/fast_2h` under 100 µs,
 //! `smp_solver/batched_sweep_2h` under 1 ms), on kernel estimation
-//! (`qh_estimation/2h`, the full scan, and `qh_estimation/rebuild_2h`,
-//! the incremental estimator's rebuild), on the deduped 1000-host
-//! scheduling sweep (`cluster_sweep_1k_hosts`), and on the durable
-//! ingest's byte path (`ingest_bytes/…`: one 14 400-sample ingest line
-//! scanned and decoded, one WAL frame built in memory) — and `--against`
-//! compares two baselines key by key.
+//! (`qh_estimation/2h`, the full scan over the stored runs, and
+//! `qh_estimation/rebuild_2h`, the incremental estimator's rebuild), on
+//! the deduped 1000-host scheduling sweep (`cluster_sweep_1k_hosts`), and
+//! on the durable ingest's byte path (`ingest_bytes/…`: one 14 400-sample
+//! ingest line scanned and decoded, one WAL frame built in memory, one day
+//! cut into the runs the history stores) — and `--against` compares two
+//! baselines key by key.
 //!
 //! `--wire` is the served path's gate. `examples/benchmark --json`
 //! appends one result line per workload run; `--against` checks each
@@ -63,10 +64,11 @@ use std::time::{Duration, Instant};
 use fgcs_bench::{smp_error, Testbed};
 use fgcs_core::cache::QhCache;
 use fgcs_core::classify::StateClassifier;
+use fgcs_core::log::StateLog;
 use fgcs_core::model::AvailabilityModel;
 use fgcs_core::predictor::SmpPredictor;
 use fgcs_core::registry::encode_wal_record;
-use fgcs_core::smp::{FastSolver, IncrementalEstimator, SmpParams, SolveScratch, SparseSolver};
+use fgcs_core::smp::{FastSolver, IncrementalEstimator, SolveScratch, SparseSolver};
 use fgcs_core::state::{self, State};
 use fgcs_core::window::{DayType, TimeWindow};
 use fgcs_runtime::json::{Json, JsonSlice};
@@ -95,7 +97,7 @@ const UNIT: &str = "fastest-sample ns/op at machine_factor 1.0";
 /// cached query, the 1000-host sweep, classification, the online
 /// state-manager step, trace generation and the durable ingest's byte
 /// path.
-const REQUIRED_KEYS: [&str; 13] = [
+const REQUIRED_KEYS: [&str; 14] = [
     "smp_solver/paper_eq3_2h",
     "smp_solver/fast_2h",
     "smp_solver/per_horizon_sweep_2h",
@@ -109,6 +111,7 @@ const REQUIRED_KEYS: [&str; 13] = [
     "trace_gen/machine_day_lab",
     "ingest_bytes/scan_decode_14k",
     "ingest_bytes/wal_frame_14k",
+    "ingest_bytes/store_day_14k",
 ];
 
 /// Enabled-vs-disabled overhead budget for the instrumented Fig. 5 sweep.
@@ -129,11 +132,12 @@ const FAST_SOLVE_GATE_NS: f64 = 100_000.0;
 /// (`smp_solver/batched_sweep_2h`), at `machine_factor` 1.0.
 const BATCH_SWEEP_GATE_NS: f64 = 1_000_000.0;
 
-/// Absolute gate on estimating one 2-h kernel from the history's weekday
-/// windows (`qh_estimation/2h`: `SmpParams::estimate`), at
-/// `machine_factor` 1.0. The sparse estimator costs O(runs log runs) and
-/// sits near half the gate; zero-filling and walking dense per-step rows
-/// costs several times the gate.
+/// Absolute gate on estimating one 2-h kernel from the 30-day history's
+/// weekday windows (`qh_estimation/2h`: `SmpPredictor::estimate_params`,
+/// the full scan behind the registry's cache misses), at `machine_factor`
+/// 1.0. The scan reads each window as the stored runs clipped to it, and
+/// the sparse estimator costs O(runs log runs); zero-filling and walking
+/// dense per-step rows costs several times the gate.
 const QH_ESTIMATION_GATE_NS: f64 = 7_000.0;
 
 /// Absolute gate on rebuilding one 2-h kernel from a synced incremental
@@ -181,6 +185,13 @@ const SCAN_DECODE_GATE_NS: f64 = 1_750.0;
 /// at `machine_factor` 1.0. A bytewise CRC or a per-state encode loop
 /// costs more than the gate.
 const WAL_FRAME_GATE_NS: f64 = 7_250.0;
+
+/// Absolute gate on storing one 14 400-sample day
+/// (`ingest_bytes/store_day_14k`: the day's samples copied and cut into
+/// runs by `StateLog::new`), at `machine_factor` 1.0. The cut tests 32
+/// samples per step and sits near half the gate; a cut that compares
+/// sample by sample costs more than twice the gate.
+const STORE_DAY_GATE_NS: f64 = 900.0;
 
 /// `BENCH_wire.json` schema.
 const WIRE_SCHEMA: &str = "fgcs-bench-wire/v1";
@@ -250,8 +261,6 @@ fn run_smoke() -> Json {
     let params = predictor
         .estimate_params(&history, DayType::Weekday, window)
         .unwrap();
-    let windows: Vec<Vec<State>> = history.recent_windows(DayType::Weekday, window, None);
-    let refs: Vec<&[State]> = windows.iter().map(Vec::as_slice).collect();
     let day = trace.day_samples(0).to_vec();
     let classifier = StateClassifier::new(model);
     // The §7.1 monitoring step: one sample of the day per call, cycling.
@@ -331,7 +340,7 @@ fn run_smoke() -> Json {
     let day_states = history.days()[1].log.states();
     assert_eq!(day_states.len(), 14_400);
     let mut digits = Vec::new();
-    state::encode_digits(day_states, &mut digits);
+    state::encode_digits(&day_states, &mut digits);
     let ingest_line = format!(
         "{{\"op\":\"ingest\",\"host\":17,\"day_index\":3,\"states\":\"{}\"}}",
         String::from_utf8(digits).expect("digits are ASCII")
@@ -386,7 +395,11 @@ fn run_smoke() -> Json {
         (
             "qh_estimation/2h",
             Box::new(|| {
-                black_box(SmpParams::estimate(&refs, model.monitor_period_secs, steps));
+                black_box(
+                    predictor
+                        .estimate_params(&history, DayType::Weekday, window)
+                        .unwrap(),
+                );
             }),
         ),
         (
@@ -437,10 +450,17 @@ fn run_smoke() -> Json {
         (
             "ingest_bytes/wal_frame_14k",
             Box::new(|| {
-                encode_wal_record(&mut record, 17, 3, black_box(day_states));
+                encode_wal_record(&mut record, 17, 3, black_box(&day_states));
                 frame.clear();
                 wal::frame_into(&mut frame, &record).expect("frame fits");
                 black_box(&frame);
+            }),
+        ),
+        (
+            "ingest_bytes/store_day_14k",
+            Box::new(|| {
+                let states = black_box(&day_states).clone();
+                black_box(StateLog::new(model.monitor_period_secs, states));
             }),
         ),
     ];
@@ -674,6 +694,7 @@ fn check_baseline(path: &str) -> Result<(), String> {
     gate("cluster_sweep_1k_hosts", CLUSTER_SWEEP_GATE_NS)?;
     gate("ingest_bytes/scan_decode_14k", SCAN_DECODE_GATE_NS)?;
     gate("ingest_bytes/wal_frame_14k", WAL_FRAME_GATE_NS)?;
+    gate("ingest_bytes/store_day_14k", STORE_DAY_GATE_NS)?;
     Ok(())
 }
 

@@ -13,15 +13,6 @@ pub enum CoreError {
         /// Samples required per day at the configured monitoring period.
         per_day: usize,
     },
-    /// A requested window extends past the end of a day log.
-    WindowOutOfRange {
-        /// The offending window.
-        window: TimeWindow,
-        /// Length of the log in samples.
-        log_len: usize,
-        /// Samples the window would need.
-        needed: usize,
-    },
     /// No history days matched the requested day type / window.
     EmptyHistory {
         /// The window that was requested.
@@ -51,14 +42,6 @@ impl std::fmt::Display for CoreError {
             CoreError::PartialDay { samples, per_day } => write!(
                 f,
                 "{samples} samples do not divide into whole days of {per_day}"
-            ),
-            CoreError::WindowOutOfRange {
-                window,
-                log_len,
-                needed,
-            } => write!(
-                f,
-                "window {window} needs {needed} samples but the log has {log_len}"
             ),
             CoreError::EmptyHistory { window } => {
                 write!(f, "no history days cover window {window}")

@@ -1,13 +1,19 @@
 //! History logs: per-day state sequences collected by the State Manager and
 //! the store the predictor draws its statistics from (paper §5).
+//!
+//! A day is stored as its sojourn runs, not its samples: the paper keeps Q
+//! and H small "thanks to the model's sparsity" (§5.3), and the history they
+//! are estimated from is sparse the same way. Every estimate reads a window
+//! as the runs of its day clipped to the window's fence posts, continued
+//! into the next day across midnight; no window is rebuilt as samples.
 
 use fgcs_runtime::impl_json_struct;
-use fgcs_runtime::json::JsonError;
+use fgcs_runtime::json::{FromJson, Json, JsonError, ToJson};
 
 use crate::classify::StateClassifier;
 use crate::error::CoreError;
 use crate::model::{AvailabilityModel, LoadSample};
-use crate::state::State;
+use crate::state::{self, State};
 use crate::window::{DayType, TimeWindow};
 
 /// What [`HistoryStore::from_samples_lossy`] did to a corrupted stream:
@@ -81,24 +87,134 @@ pub fn sanitize_samples(samples: &[LoadSample], seed: LoadSample) -> (Vec<LoadSa
     (out, repaired)
 }
 
-/// A uniformly sampled state sequence with its discretisation step.
+/// Samples compared per step of the run scan in [`runs_of`].
+const RUN_BLOCK: usize = 32;
+
+/// Index of the last sample of the run that starts at `start`.
+fn run_end<T: Copy + PartialEq>(samples: &[T], start: usize) -> usize {
+    let value = samples[start];
+    let mut next = start + 1;
+    // Skip whole blocks of `value` with a branch-free fold that LLVM turns
+    // into vector compares; only the block where the run ends is searched
+    // sample by sample.
+    while let Some(block) = samples.get(next..next + RUN_BLOCK) {
+        if block.iter().fold(false, |leaves, &s| leaves | (s != value)) {
+            let offset = block.iter().position(|&s| s != value).unwrap_or(0);
+            return next + offset - 1;
+        }
+        next += RUN_BLOCK;
+    }
+    while samples.get(next) == Some(&value) {
+        next += 1;
+    }
+    next - 1
+}
+
+/// Cuts a sample sequence into its maximal runs, `(value, length)` left to
+/// right. The one scanner behind [`StateLog::new`], [`StateLog::from_digits`]
+/// and every estimate from a `&[State]` slice.
+pub(crate) fn runs_of<T: Copy + PartialEq>(samples: &[T]) -> impl Iterator<Item = (T, usize)> + '_ {
+    let mut start = 0;
+    std::iter::from_fn(move || {
+        let &value = samples.get(start)?;
+        let end = run_end(samples, start);
+        let len = end + 1 - start;
+        start = end + 1;
+        Some((value, len))
+    })
+}
+
+/// A uniformly sampled state sequence with its discretisation step, stored
+/// as its sojourn runs: maximal stretches of one state, `(state, samples)`
+/// left to right. A classified 6-s day is 14 400 samples but only tens of
+/// runs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StateLog {
     step_secs: u32,
-    states: Vec<State>,
+    len: usize,
+    /// Non-empty and maximal (adjacent runs differ), so the derived
+    /// equality is equality of the samples.
+    runs: Vec<(State, u32)>,
 }
 
-impl_json_struct!(StateLog { step_secs, states });
+// The JSON form lists every sample, `{"step_secs":…,"states":[…]}`: the
+// layout of the per-sample log this type replaced.
+impl ToJson for StateLog {
+    fn to_json(&self) -> Json {
+        Json::Obj(vec![
+            ("step_secs".to_string(), self.step_secs.to_json()),
+            ("states".to_string(), self.states().to_json()),
+        ])
+    }
+}
+
+impl FromJson for StateLog {
+    fn from_json(v: &Json) -> Result<Self, JsonError> {
+        let step_secs: u32 = v.get("step_secs")?;
+        let states: Vec<State> = v.get("states")?;
+        if step_secs == 0 {
+            return Err(JsonError("step must be positive".to_string()).in_field("step_secs"));
+        }
+        Ok(StateLog::new(step_secs, states))
+    }
+}
 
 impl StateLog {
-    /// Wraps a state sequence sampled every `step_secs` seconds.
+    /// Wraps a state sequence sampled every `step_secs` seconds, cut into
+    /// its runs.
     ///
     /// # Panics
     /// Panics if `step_secs == 0`.
     #[must_use]
     pub fn new(step_secs: u32, states: Vec<State>) -> StateLog {
         assert!(step_secs > 0, "step must be positive");
-        StateLog { step_secs, states }
+        StateLog::from_runs(step_secs, runs_of(&states))
+    }
+
+    /// Decodes digit text written by [`state::encode_digits`] straight into
+    /// runs, never building the samples. `Err(at)` is the byte offset of the
+    /// first byte outside `b'1'..=b'5'`.
+    ///
+    /// # Panics
+    /// Panics if `step_secs == 0`.
+    pub(crate) fn from_digits(step_secs: u32, digits: &[u8]) -> Result<StateLog, usize> {
+        assert!(step_secs > 0, "step must be positive");
+        state::validate_digits(digits)?;
+        let runs = runs_of(digits).map(|(digit, n)| (state::digit_state(digit), n));
+        Ok(StateLog::from_runs(step_secs, runs))
+    }
+
+    /// A log from `(state, samples)` pieces, merging adjacent pieces of one
+    /// state and dropping empty ones. Allocates for the runs only.
+    fn from_runs(step_secs: u32, pieces: impl Iterator<Item = (State, usize)>) -> StateLog {
+        let mut log = StateLog {
+            step_secs,
+            len: 0,
+            runs: Vec::new(),
+        };
+        for (state, n) in pieces {
+            log.push_run(state, n);
+        }
+        log.runs.shrink_to_fit();
+        log
+    }
+
+    /// Appends `n` samples of `state`, extending the last run when it has
+    /// the same state.
+    fn push_run(&mut self, state: State, n: usize) {
+        if n == 0 {
+            return;
+        }
+        self.len += n;
+        let n = u32::try_from(n).expect("a run of more than u32::MAX samples");
+        match self.runs.last_mut() {
+            Some((last, m)) if *last == state => {
+                *m = m
+                    .checked_add(n)
+                    .expect("a run of more than u32::MAX samples");
+            }
+            _ => self.runs.push((state, n)),
+        }
     }
 
     /// The discretisation step in seconds.
@@ -107,49 +223,68 @@ impl StateLog {
         self.step_secs
     }
 
-    /// The state sequence.
+    /// The state sequence, expanded from the runs.
     #[must_use]
-    pub fn states(&self) -> &[State] {
-        &self.states
+    pub fn states(&self) -> Vec<State> {
+        expand(self.runs_in(0, self.len))
+    }
+
+    /// The runs, `(state, samples)` left to right: non-empty, and adjacent
+    /// runs differ.
+    #[must_use]
+    pub fn runs(&self) -> &[(State, u32)] {
+        &self.runs
+    }
+
+    /// The runs covering samples `from..to`, clipped to that range.
+    pub(crate) fn runs_in(&self, from: usize, to: usize) -> ClippedRuns<'_> {
+        ClippedRuns {
+            runs: self.runs.iter(),
+            at: 0,
+            from,
+            to,
+        }
+    }
+
+    /// Appends the digit text of the samples ([`state::encode_digits`]'s
+    /// encoding), written run by run.
+    // lint: no-alloc
+    pub(crate) fn write_digits(&self, out: &mut Vec<u8>) {
+        for &(s, n) in &self.runs {
+            out.resize(out.len() + n as usize, state::digit(s));
+        }
     }
 
     /// Number of samples.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.states.len()
+        self.len
     }
 
     /// `true` when the log holds no samples.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.states.is_empty()
-    }
-
-    /// The samples covering `window` (inclusive of both fence posts, i.e.
-    /// `window.steps() + 1` samples so that `steps` transitions are
-    /// observable), or an error if the log is too short.
-    pub fn window_slice(&self, window: TimeWindow) -> Result<&[State], CoreError> {
-        let start = window.start_step(self.step_secs);
-        let steps = window.steps(self.step_secs);
-        let end = start + steps + 1;
-        if end > self.states.len() {
-            return Err(CoreError::WindowOutOfRange {
-                window,
-                log_len: self.states.len(),
-                needed: end,
-            });
-        }
-        Ok(&self.states[start..end])
+        self.len == 0
     }
 
     /// Overwrites `len` samples starting at `start` with `state`, clamping
     /// to the log's end. Used by the noise-injection experiments (§7.3).
     pub fn overwrite(&mut self, start: usize, len: usize, state: State) {
-        let n = self.states.len();
-        let end = (start + len).min(n);
-        for s in &mut self.states[start.min(n)..end] {
-            *s = state;
+        let end = start.saturating_add(len).min(self.len);
+        if start >= end {
+            return;
         }
+        let old = std::mem::take(&mut self.runs);
+        self.len = 0;
+        let mut at = 0;
+        for (s, n) in old {
+            let (lo, hi) = (at, at + n as usize);
+            at = hi;
+            self.push_run(s, hi.min(start).saturating_sub(lo));
+            self.push_run(state, hi.min(end).saturating_sub(lo.max(start)));
+            self.push_run(s, hi.saturating_sub(lo.max(end)));
+        }
+        self.runs.shrink_to_fit();
     }
 
     /// Number of *unavailability occurrences*: transitions from an
@@ -159,7 +294,7 @@ impl StateLog {
     pub fn unavailability_occurrences(&self) -> usize {
         let mut count = 0;
         let mut prev_failure = true; // suppress counting if log starts failed
-        for &s in &self.states {
+        for &(s, _) in &self.runs {
             if s.is_failure() && !prev_failure {
                 count += 1;
             }
@@ -167,6 +302,50 @@ impl StateLog {
         }
         count
     }
+}
+
+/// The runs of one log clipped to a sample range, left to right (see
+/// [`StateLog::runs_in`]).
+#[derive(Debug)]
+pub(crate) struct ClippedRuns<'a> {
+    runs: std::slice::Iter<'a, (State, u32)>,
+    /// Sample index at which the next run starts.
+    at: usize,
+    from: usize,
+    to: usize,
+}
+
+impl Iterator for ClippedRuns<'_> {
+    type Item = (State, usize);
+
+    fn next(&mut self) -> Option<(State, usize)> {
+        while self.at < self.to {
+            let &(state, n) = self.runs.next()?;
+            let (lo, hi) = (self.at, self.at + n as usize);
+            self.at = hi;
+            let len = hi.min(self.to).saturating_sub(lo.max(self.from));
+            if len > 0 {
+                return Some((state, len));
+            }
+        }
+        None
+    }
+}
+
+/// The runs of one window, left to right: the anchor day's runs clipped to
+/// the window's fence posts, then, for a window that crosses or ends at
+/// midnight, the next day's. A run cut at midnight arrives as two pieces of
+/// one state; [`decompose_runs`](crate::smp::params::decompose_runs) merges
+/// them.
+pub(crate) type WindowRuns<'a> = std::iter::Chain<ClippedRuns<'a>, ClippedRuns<'a>>;
+
+/// The samples of `(state, samples)` pieces.
+fn expand(pieces: impl Iterator<Item = (State, usize)>) -> Vec<State> {
+    let mut out = Vec::new();
+    for (s, n) in pieces {
+        out.resize(out.len() + n, s);
+    }
+    out
 }
 
 /// One machine-day of availability states, tagged with its position in the
@@ -353,36 +532,38 @@ impl HistoryStore {
     /// Returns `None` when the logs do not cover the window.
     #[must_use]
     pub fn window_states(&self, pos: usize, window: TimeWindow) -> Option<Vec<State>> {
-        self.window_parts(pos, window)
-            .map(|(head, tail)| [head, tail].concat())
+        self.window_runs(pos, window).map(expand)
     }
 
-    /// [`window_states`](HistoryStore::window_states) as borrowed parts:
-    /// the samples from day `pos`, then those from the next day (empty
+    /// [`window_states`](HistoryStore::window_states) as runs: the runs of
+    /// day `pos` clipped to the window, then those of the next day (none
     /// unless the window is stitched).
-    fn window_parts(&self, pos: usize, window: TimeWindow) -> Option<(&[State], &[State])> {
+    pub(crate) fn window_runs(&self, pos: usize, window: TimeWindow) -> Option<WindowRuns<'_>> {
         let day = self.days.get(pos)?;
         let step = day.log.step_secs();
         let start = window.start_step(step);
-        let steps = window.steps(step);
+        let end = start + window.steps(step) + 1;
         // Windows that fit inside this day's log (including the closing
         // fence post) need no stitching; everything else — windows crossing
         // midnight, or ending exactly at midnight, whose final fence post
         // is the next day's first sample — continues into the next
         // chronological day.
-        if start + steps < day.log.len() {
-            return Some((&day.log.states()[start..start + steps + 1], &[]));
+        if end <= day.log.len() {
+            return Some(day.log.runs_in(start, end).chain(day.log.runs_in(0, 0)));
         }
         let next = self.days.get(pos + 1)?;
         if next.day_index != day.day_index + 1 || next.log.step_secs() != step {
             return None;
         }
-        let first_len = day.log.len().checked_sub(start)?;
-        let rest = (steps + 1).checked_sub(first_len)?;
-        if rest > next.log.len() {
+        let rest = end - day.log.len();
+        if start > day.log.len() || rest > next.log.len() {
             return None;
         }
-        Some((&day.log.states()[start..], &next.log.states()[..rest]))
+        Some(
+            day.log
+                .runs_in(start, day.log.len())
+                .chain(next.log.runs_in(0, rest)),
+        )
     }
 
     /// The window state sequences of the most recent `max_days` days of the
@@ -399,25 +580,22 @@ impl HistoryStore {
         max_days: Option<usize>,
     ) -> Vec<Vec<State>> {
         let mut out = Vec::new();
-        self.for_each_recent_window(day_type, window, max_days, |states| {
-            out.push(states.to_vec());
-        });
+        self.for_each_recent_window(day_type, window, max_days, |runs| out.push(expand(runs)));
         out
     }
 
-    /// Calls `f` on each window [`recent_windows`](HistoryStore::recent_windows)
-    /// returns, in the same order, and returns how many there were. A
-    /// window inside one day's log is borrowed from it; a stitched one is
-    /// copied into a buffer reused across days.
-    pub(crate) fn for_each_recent_window(
-        &self,
+    /// Calls `f` on the runs of each window
+    /// [`recent_windows`](HistoryStore::recent_windows) returns, in the same
+    /// order, and returns how many there were. The runs are read from the
+    /// stored days in place; nothing is copied.
+    pub(crate) fn for_each_recent_window<'a>(
+        &'a self,
         day_type: DayType,
         window: TimeWindow,
         max_days: Option<usize>,
-        mut f: impl FnMut(&[State]),
+        mut f: impl FnMut(WindowRuns<'a>),
     ) -> usize {
         let mut found = 0;
-        let mut stitched = Vec::new();
         for pos in (0..self.days.len()).rev() {
             if max_days.is_some_and(|n| found >= n) {
                 break;
@@ -425,15 +603,8 @@ impl HistoryStore {
             if self.days[pos].day_type != day_type {
                 continue;
             }
-            if let Some((head, tail)) = self.window_parts(pos, window) {
-                if tail.is_empty() {
-                    f(head);
-                } else {
-                    stitched.clear();
-                    stitched.extend_from_slice(head);
-                    stitched.extend_from_slice(tail);
-                    f(&stitched);
-                }
+            if let Some(runs) = self.window_runs(pos, window) {
+                f(runs);
                 found += 1;
             }
         }
@@ -476,14 +647,14 @@ impl HistoryStore {
         let mut total = 0;
         let mut prev_last_failure: Option<bool> = None;
         for day in &self.days {
-            let states = day.log.states();
+            let runs = day.log.runs();
             total += day.log.unavailability_occurrences();
-            if let (Some(false), Some(first)) = (prev_last_failure, states.first()) {
+            if let (Some(false), Some((first, _))) = (prev_last_failure, runs.first()) {
                 if first.is_failure() {
                     total += 1;
                 }
             }
-            prev_last_failure = states.last().map(|s| s.is_failure());
+            prev_last_failure = runs.last().map(|(s, _)| s.is_failure());
         }
         total
     }
@@ -495,25 +666,6 @@ mod tests {
 
     fn log_of(states: Vec<State>) -> StateLog {
         StateLog::new(6, states)
-    }
-
-    #[test]
-    fn window_slice_is_inclusive_of_fence_posts() {
-        // 1-minute day at 6s step = 10 samples.
-        let log = log_of(vec![State::S1; 14_400]);
-        let w = TimeWindow::new(60, 60); // 10 steps
-        let slice = log.window_slice(w).unwrap();
-        assert_eq!(slice.len(), 11);
-    }
-
-    #[test]
-    fn window_slice_out_of_range_errors() {
-        let log = log_of(vec![State::S1; 100]);
-        let w = TimeWindow::new(0, 6 * 200);
-        assert!(matches!(
-            log.window_slice(w),
-            Err(CoreError::WindowOutOfRange { .. })
-        ));
     }
 
     #[test]
@@ -748,6 +900,33 @@ mod tests {
     }
 
     #[test]
+    fn json_bytes_are_pinned() {
+        use State::*;
+        // Captured from the per-sample log this type replaced.
+        const GOLDEN: &str = concat!(
+            "{\"days\":[{\"day_index\":3,\"day_type\":\"Weekday\",\"log\":{\"step_secs\":6,",
+            "\"states\":[\"S2\",\"S5\",\"S5\",\"S1\",\"S1\",\"S1\",\"S4\"]}},",
+            "{\"day_index\":4,\"day_type\":\"Weekday\",\"log\":{\"step_secs\":600,",
+            "\"states\":[\"S1\"]}}]}"
+        );
+        let mut store = HistoryStore::new();
+        store.push_day(DayLog::new(3, log_of(vec![S2, S5, S5, S1, S1, S1, S4])));
+        store.push_day(DayLog::new(4, StateLog::new(600, vec![S1])));
+        assert_eq!(fgcs_runtime::json::to_string(&store), GOLDEN);
+        assert_eq!(HistoryStore::from_json(GOLDEN).unwrap(), store);
+    }
+
+    #[test]
+    fn json_rejects_a_zero_step() {
+        let err = fgcs_runtime::json::from_str::<StateLog>(r#"{"step_secs":0,"states":["S1"]}"#)
+            .unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "json error: step_secs: step must be positive"
+        );
+    }
+
+    #[test]
     fn json_persistence_round_trips() {
         let mut store = HistoryStore::new();
         store.push_day(DayLog::new(
@@ -758,5 +937,192 @@ mod tests {
         let back = HistoryStore::from_json(&json).unwrap();
         assert_eq!(store, back);
         assert!(HistoryStore::from_json("{not json").is_err());
+    }
+
+    /// The window reading as it stood before the log went run-length: the
+    /// window's samples copied out of the per-sample days (stitched across
+    /// midnight into one buffer) and cut by a per-sample scan. The
+    /// reference for [`HistoryStore::window_runs`] and `decompose_runs`.
+    mod slice_reference {
+        use super::*;
+        use crate::smp::params::SojournRun;
+
+        /// `(day_index, samples)` per stored day.
+        pub(super) type Days = [(usize, Vec<State>)];
+
+        pub(super) fn window_states(
+            days: &Days,
+            step: u32,
+            pos: usize,
+            window: TimeWindow,
+        ) -> Option<Vec<State>> {
+            let (index, day) = days.get(pos)?;
+            let start = window.start_step(step);
+            let steps = window.steps(step);
+            if start + steps < day.len() {
+                return Some(day[start..start + steps + 1].to_vec());
+            }
+            let (next_index, next) = days.get(pos + 1)?;
+            if *next_index != index + 1 {
+                return None;
+            }
+            let first_len = day.len().checked_sub(start)?;
+            let rest = (steps + 1).checked_sub(first_len)?;
+            if rest > next.len() {
+                return None;
+            }
+            Some([&day[start..], &next[..rest]].concat())
+        }
+
+        pub(super) fn decompose_window(window: &[State]) -> Vec<SojournRun> {
+            let mut out = Vec::new();
+            let len = window.len();
+            let mut start = 0;
+            while start < len {
+                let mut end = start;
+                while end + 1 < len && window[end + 1] == window[start] {
+                    end += 1;
+                }
+                let source = [State::S1, State::S2]
+                    .iter()
+                    .position(|&s| s == window[start]);
+                if let Some(source_idx) = source {
+                    out.push(if end + 1 < len {
+                        SojournRun::Completed {
+                            source_idx,
+                            duration: end + 1 - start,
+                            target: window[end + 1],
+                        }
+                    } else {
+                        SojournRun::Censored {
+                            source_idx,
+                            at_risk: end - start,
+                        }
+                    });
+                }
+                start = end + 1;
+            }
+            out
+        }
+    }
+
+    /// Seeded days at a 10-minute step (144 samples a day): runs that cross
+    /// window edges, midnight seams with equal and with different states,
+    /// truncated and empty days, and calendar gaps.
+    fn random_days(g: &mut fgcs_runtime::check::Gen) -> Vec<(usize, Vec<State>)> {
+        const WEIGHTED: [State; 8] = [
+            State::S1,
+            State::S1,
+            State::S1,
+            State::S2,
+            State::S2,
+            State::S3,
+            State::S4,
+            State::S5,
+        ];
+        let mut days: Vec<(usize, Vec<State>)> = Vec::new();
+        let mut index = 0;
+        for _ in 0..g.usize_in(1, 7) {
+            if g.bool_with(0.15) {
+                index += 1;
+            }
+            let len = if g.bool_with(0.7) {
+                144
+            } else {
+                g.usize_in(0, 144)
+            };
+            let mut day = Vec::with_capacity(len);
+            // Half the seams continue yesterday's last state.
+            let carried = days.last().and_then(|(_, d)| d.last().copied());
+            while day.len() < len {
+                let state = match carried {
+                    Some(s) if day.is_empty() && g.bool_with(0.5) => s,
+                    _ => *g.pick(&WEIGHTED),
+                };
+                let run = g.usize_in(1, 60).min(len - day.len());
+                day.resize(day.len() + run, state);
+            }
+            days.push((index, day));
+            index += 1;
+        }
+        days
+    }
+
+    #[test]
+    fn run_windows_match_the_slice_reference() {
+        use crate::smp::params::decompose_runs;
+        use fgcs_runtime::check::{check, ensure};
+        const STEP: u32 = 600;
+        check("run_windows_match_the_slice_reference", 300, |g| {
+            let days = random_days(g);
+            let mut store = HistoryStore::new();
+            for (index, states) in &days {
+                let log = StateLog::new(STEP, states.clone());
+                let ctx = format!("day {index}: {states:?}");
+                ensure(log.states() == *states && log.len() == states.len(), &ctx)?;
+                ensure(log.runs().iter().all(|&(_, n)| n > 0), &ctx)?;
+                ensure(log.runs().windows(2).all(|w| w[0].0 != w[1].0), &ctx)?;
+                let mut digits = Vec::new();
+                state::encode_digits(states, &mut digits);
+                ensure(
+                    StateLog::from_digits(STEP, &digits) == Ok(log.clone()),
+                    &ctx,
+                )?;
+                let mut written = Vec::new();
+                log.write_digits(&mut written);
+                ensure(written == digits, &ctx)?;
+                store.push_day(DayLog::new(*index, log));
+            }
+            for _ in 0..8 {
+                let start = g.usize_in(0, 144) as u32 * STEP;
+                // A quarter of the windows end exactly at midnight.
+                let len = if g.bool_with(0.25) {
+                    86_400 - start
+                } else {
+                    g.usize_in(1, 145) as u32 * STEP
+                };
+                let window = TimeWindow::new(start, len);
+                for pos in 0..days.len() {
+                    let want = slice_reference::window_states(&days, STEP, pos, window);
+                    let ctx = format!("window {window:?} at day {pos}; days {days:?}");
+                    ensure(store.window_states(pos, window) == want, &ctx)?;
+                    let mut got = Vec::new();
+                    if let Some(runs) = store.window_runs(pos, window) {
+                        decompose_runs(runs, &mut |run| got.push(run));
+                    }
+                    let want = want
+                        .as_deref()
+                        .map_or_else(Vec::new, slice_reference::decompose_window);
+                    ensure(got == want, &ctx)?;
+                }
+            }
+            Ok(())
+        });
+    }
+
+    #[test]
+    fn overwrite_matches_the_expanded_samples() {
+        use fgcs_runtime::check::{check, ensure};
+        check("overwrite_matches_the_expanded_samples", 300, |g| {
+            let days = random_days(g);
+            for (_, states) in days {
+                let mut log = log_of(states.clone());
+                let mut want = states;
+                for _ in 0..g.usize_in(1, 4) {
+                    let n = want.len();
+                    let (start, len) = (g.usize_in(0, n + 8), g.usize_in(0, 60));
+                    let state = *g.pick(&State::ALL);
+                    log.overwrite(start, len, state);
+                    let end = (start + len).min(n);
+                    for s in &mut want[start.min(n)..end] {
+                        *s = state;
+                    }
+                    let ctx = format!("overwrite({start}, {len}, {state}) of {n} samples");
+                    ensure(log.states() == want, &ctx)?;
+                    ensure(log == log_of(want.clone()), &ctx)?;
+                }
+            }
+            Ok(())
+        });
     }
 }

@@ -169,10 +169,10 @@ impl SmpPredictor {
         let _span = fgcs_runtime::time_span!("core.estimate_params_ns");
         fgcs_runtime::counter_add!("core.qh_estimations", 1);
         let step = self.model.monitor_period_secs;
-        // The windows go straight from the history logs into the tallies;
-        // only a window stitched across midnight is copied.
+        // Each window's runs go straight from the stored days into the
+        // tallies; no window is copied, stitched ones included.
         let mut acc = SojournAccumulator::new(step, window.steps(step));
-        let mut push = |states: &[State]| acc.push_window(states);
+        let mut push = |runs| acc.push_runs(runs);
         let mut days =
             history.for_each_recent_window(day_type, window, self.max_history_days, &mut push);
         if !self.same_day_type_only {

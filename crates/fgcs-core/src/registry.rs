@@ -37,9 +37,10 @@
 //! atomically renamed). The snapshot is a second copy, not a compaction:
 //! nothing truncates the WAL, which keeps every record ever appended.
 //! [`ShardedRegistry::recover`] pools every `(host, day)` found in any
-//! snapshot or WAL file (each frame decoded in place by `JsonSlice` and
-//! the [`crate::state`] digit codec), sorts each host's days, and replays
-//! them through the ordinary ingest path — so recovered predictions are
+//! snapshot or WAL file (each frame decoded in place by `JsonSlice`, each
+//! day's digits straight into the runs a [`StateLog`] stores), sorts each
+//! host's days, and replays them through the step every ingest ends
+//! with — so recovered predictions are
 //! **bit-identical** to an uninterrupted run over the surviving records
 //! (the recovery ≡ replay invariant; property-tested below and in
 //! `tests/recovery.rs`). A torn or corrupt WAL tail is truncated, never
@@ -136,6 +137,14 @@ pub enum RegistryError {
         /// The offending host.
         host: u64,
     },
+    /// A day without an explicit index was offered to a host whose last
+    /// stored day index is `usize::MAX`: no later index exists.
+    CalendarExhausted {
+        /// The offending host.
+        host: u64,
+        /// The host's most recent stored day index.
+        last: usize,
+    },
     /// The underlying estimation or solve failed.
     Core(CoreError),
     /// A durability operation (WAL append/fsync, snapshot, recovery
@@ -158,6 +167,10 @@ impl std::fmt::Display for RegistryError {
             RegistryError::EmptyDay { host } => {
                 write!(f, "host {host}: ingested day carries no samples")
             }
+            RegistryError::CalendarExhausted { host, last } => write!(
+                f,
+                "host {host}: calendar exhausted, no day index follows {last}"
+            ),
             RegistryError::Core(e) => write!(f, "{e}"),
             RegistryError::Io(e) => write!(f, "durability i/o failure: {e}"),
         }
@@ -383,72 +396,37 @@ impl ShardedRegistry {
         states: Vec<State>,
     ) -> Result<IngestAck, RegistryError> {
         let mut guard = self.shard_for(host);
-        self.ingest_day_locked(&mut guard, host, day_index, states, true)
+        self.ingest_day_locked(&mut guard, host, day_index, states)
     }
 
     /// [`ingest_day`](ShardedRegistry::ingest_day) against an already-held
     /// shard lock — the batch pipeline's entry point. Write-ahead
     /// ordering: the day is validated, appended to the shard's WAL (when
-    /// durable and `write_wal`), and only then applied in memory — an
-    /// acknowledged ingest is always at least OS-buffer durable, and a
-    /// WAL failure leaves the in-memory state untouched. Recovery replay
-    /// passes `write_wal = false` (its records are already in the log).
+    /// durable) from the samples as received, and only then cut into runs
+    /// and applied in memory — an acknowledged ingest is always at least
+    /// OS-buffer durable, and a WAL failure leaves the in-memory state
+    /// untouched.
     fn ingest_day_locked(
         &self,
         shard: &mut Shard,
         host: u64,
         day_index: Option<usize>,
         states: Vec<State>,
-        write_wal: bool,
     ) -> Result<IngestAck, RegistryError> {
         if states.is_empty() {
             return Err(RegistryError::EmptyDay { host });
         }
-        let samples = states.len();
-        let last = shard
-            .hosts
-            .get(&host)
-            .and_then(|e| e.history.days().last().map(|d| d.day_index));
-        let idx = day_index.unwrap_or_else(|| last.map(|l| l + 1).unwrap_or(0));
-        if let Some(last) = last {
-            if idx <= last {
-                return Err(RegistryError::NonMonotonicDay {
-                    host,
-                    last,
-                    offered: idx,
-                });
-            }
+        let idx = Self::day_index_locked(shard, host, day_index)?;
+        let Shard { wal, wal_buf, .. } = &mut *shard;
+        if let Some(wal) = wal.as_mut() {
+            encode_wal_record(wal_buf, host, idx, &states);
+            wal.append(wal_buf)?;
+            shard.records_since_snapshot += 1;
+            fgcs_runtime::counter_add!("core.registry.wal_appends", 1);
         }
-        if write_wal {
-            let Shard { wal, wal_buf, .. } = &mut *shard;
-            if let Some(wal) = wal.as_mut() {
-                encode_wal_record(wal_buf, host, idx, &states);
-                wal.append(wal_buf)?;
-                shard.records_since_snapshot += 1;
-                fgcs_runtime::counter_add!("core.registry.wal_appends", 1);
-            }
-        }
-        let entry = shard.hosts.entry(host).or_insert_with(|| HostEntry {
-            history: HistoryStore::new(),
-            estimators: Vec::new(),
-        });
-        entry.history.push_day(DayLog::new(
-            idx,
-            StateLog::new(self.model.monitor_period_secs, states),
-        ));
-        // Fold the new day into every live estimator now, while the ingest
-        // holds the shard lock anyway — queries then only rebuild kernels,
-        // never re-scan history.
-        for (_, est) in &mut entry.estimators {
-            est.sync(&entry.history);
-        }
-        let days = entry.history.len();
-        fgcs_runtime::counter_add!("core.registry.ingested_days", 1);
-        fgcs_runtime::counter_add!("core.registry.ingested_samples", samples as u64);
-        if write_wal
-            && self.snapshot_every > 0
-            && shard.records_since_snapshot >= self.snapshot_every
-        {
+        let log = StateLog::new(self.model.monitor_period_secs, states);
+        let ack = Self::append_day_locked(shard, host, idx, log);
+        if self.snapshot_every > 0 && shard.records_since_snapshot >= self.snapshot_every {
             // Snapshot failure is survivable: the WAL still holds every
             // record, so recovery only replays more. Count it and move on.
             if self.snapshot_shard_locked(shard).is_err() {
@@ -456,11 +434,58 @@ impl ShardedRegistry {
                 fgcs_runtime::counter_add!("core.registry.snapshot_failures", 1);
             }
         }
-        Ok(IngestAck {
+        Ok(ack)
+    }
+
+    /// The index a day offered to `host` is stored under: `day_index`, or
+    /// the host's next consecutive index (0 for a new host). The index
+    /// must strictly advance the host's calendar.
+    fn day_index_locked(
+        shard: &Shard,
+        host: u64,
+        day_index: Option<usize>,
+    ) -> Result<usize, RegistryError> {
+        let last = shard
+            .hosts
+            .get(&host)
+            .and_then(|e| e.history.days().last().map(|d| d.day_index));
+        match (last, day_index) {
+            (None, offered) => Ok(offered.unwrap_or(0)),
+            (Some(last), None) => last
+                .checked_add(1)
+                .ok_or(RegistryError::CalendarExhausted { host, last }),
+            (Some(last), Some(offered)) if offered <= last => Err(RegistryError::NonMonotonicDay {
+                host,
+                last,
+                offered,
+            }),
+            (Some(_), Some(offered)) => Ok(offered),
+        }
+    }
+
+    /// Appends a validated day to `host`'s history (creating the host) and
+    /// folds it into the host's live estimators — the step ingest and
+    /// recovery replay share.
+    fn append_day_locked(shard: &mut Shard, host: u64, idx: usize, log: StateLog) -> IngestAck {
+        let samples = log.len();
+        let entry = shard.hosts.entry(host).or_insert_with(|| HostEntry {
+            history: HistoryStore::new(),
+            estimators: Vec::new(),
+        });
+        entry.history.push_day(DayLog::new(idx, log));
+        // Fold the new day into every live estimator now, while the ingest
+        // holds the shard lock anyway — queries then only rebuild kernels,
+        // never re-scan history.
+        for (_, est) in &mut entry.estimators {
+            est.sync(&entry.history);
+        }
+        fgcs_runtime::counter_add!("core.registry.ingested_days", 1);
+        fgcs_runtime::counter_add!("core.registry.ingested_samples", samples as u64);
+        IngestAck {
             host,
             day_index: idx,
-            days,
-        })
+            days: entry.history.len(),
+        }
     }
 
     /// Predicts the scalar TR for `host` over `window` on a `day_type` day,
@@ -759,11 +784,13 @@ impl ShardedRegistry {
         }
         indices.sort_unstable();
         indices.dedup();
-        // Pool every surviving (host, day) from snapshots and WALs. The
-        // BTreeMaps give a deterministic, per-host-sorted replay order
-        // regardless of which file (or shard-count generation) a record
-        // came from; insert-if-absent dedups snapshot/WAL overlap.
-        let mut pool: BTreeMap<u64, BTreeMap<usize, Vec<State>>> = BTreeMap::new();
+        // Pool every surviving (host, day) from snapshots and WALs, each day
+        // decoded straight into runs. The BTreeMaps give a deterministic,
+        // per-host-sorted replay order regardless of which file (or
+        // shard-count generation) a record came from; insert-if-absent
+        // dedups snapshot/WAL overlap.
+        let step = self.model.monitor_period_secs;
+        let mut pool = Pool::new();
         let mut wal_meta: HashMap<usize, (u64, u64)> = HashMap::new();
         for &i in &indices {
             let snap = wal::read_wal(&dir.join(format!("shard-{i}.snap")))?;
@@ -773,17 +800,20 @@ impl ShardedRegistry {
             // Frame 0 is the snapshot meta; host frames follow. A valid
             // prefix of host frames is still useful under pooling.
             for frame in snap.records.iter().skip(1) {
-                if pool_snapshot_host(frame, &mut pool).is_err() {
+                if pool_snapshot_host(frame, step, &mut pool).is_err() {
                     fgcs_runtime::counter_add!("core.registry.snapshot_damage", 1);
                     break;
                 }
             }
+            // Freed before the WAL is read, so at most one file image is
+            // resident at a time.
+            drop(snap);
             let read = wal::read_wal(&dir.join(format!("shard-{i}.wal")))?;
             if read.damage.is_some() {
                 fgcs_runtime::counter_add!("core.registry.wal_tail_truncations", 1);
             }
             for rec in &read.records {
-                if pool_wal_record(rec, &mut pool).is_err() {
+                if pool_wal_record(rec, step, &mut pool).is_err() {
                     // CRC-valid but unparseable: treat like tail damage —
                     // keep the prefix, drop the rest of this file.
                     fgcs_runtime::counter_add!("core.registry.wal_tail_truncations", 1);
@@ -796,11 +826,13 @@ impl ShardedRegistry {
         }
         let replayed: usize = pool.values().map(BTreeMap::len).sum();
         for (host, days) in pool {
-            for (idx, states) in days {
-                let mut guard = self.shard_for(host);
-                // Replay cannot fail monotonicity (sorted unique days) and
-                // writes no WAL; surface anything else as recovery failure.
-                self.ingest_day_locked(&mut guard, host, Some(idx), states, false)?;
+            let mut guard = self.shard_for(host);
+            for (idx, log) in days {
+                // Sorted unique days always advance the calendar; the
+                // check stays so a violation fails recovery loudly. No
+                // writer is attached yet, so replay appends no WAL.
+                Self::day_index_locked(&guard, host, Some(idx))?;
+                Self::append_day_locked(&mut guard, host, idx, log);
             }
         }
         // Attach a writer per live shard, truncating any damaged tail so
@@ -857,7 +889,7 @@ impl ShardedRegistry {
             for (d, day) in shard.hosts[host].history.days().iter().enumerate() {
                 let sep = if d > 0 { "," } else { "" };
                 let _ = write!(buf, "{sep}{{\"i\":{},\"s\":\"", day.day_index);
-                state::encode_digits(day.log.states(), &mut buf);
+                day.log.write_digits(&mut buf);
                 buf.extend_from_slice(b"\"}");
             }
             buf.extend_from_slice(b"]}");
@@ -967,59 +999,55 @@ pub fn encode_wal_record(buf: &mut Vec<u8>, host: u64, day_index: usize, states:
     buf.extend_from_slice(b"\"}");
 }
 
-/// Decodes one stored day's digits; an empty day is as invalid as a bad
-/// digit (ingest never stores one).
-fn decode_day(digits: &str) -> Result<Vec<State>, ()> {
-    match state::decode_digits(digits.as_bytes()) {
-        Ok(states) if !states.is_empty() => Ok(states),
-        _ => Err(()),
-    }
-}
+/// The recovery pool: every surviving day, cut into runs, by host and day
+/// index.
+type Pool = BTreeMap<u64, BTreeMap<usize, StateLog>>;
 
-/// Pools one parsed `(host, day)` unless that coordinate is already
-/// present (snapshot and WAL overlap by design; first occurrence wins —
-/// the sources are write-once so duplicates are identical).
+/// Pools one stored day, decoding its digits straight into runs, unless
+/// that `(host, day)` is already present (snapshot and WAL overlap by
+/// design; first occurrence wins — the sources are write-once so
+/// duplicates are identical). An empty day is as invalid as a bad digit
+/// (ingest never stores one).
 fn pool_day(
-    pool: &mut BTreeMap<u64, BTreeMap<usize, Vec<State>>>,
+    pool: &mut Pool,
     host: u64,
     day_index: usize,
-    states: Vec<State>,
-) {
+    digits: &str,
+    step: u32,
+) -> Result<(), ()> {
+    let log = match StateLog::from_digits(step, digits.as_bytes()) {
+        Ok(log) if !log.is_empty() => log,
+        _ => return Err(()),
+    };
     pool.entry(host)
         .or_default()
         .entry(day_index)
-        .or_insert(states);
+        .or_insert(log);
+    Ok(())
 }
 
 /// Parses one WAL record (`{"host":..,"day_index":..,"states":".."}`)
 /// into the recovery pool.
-fn pool_wal_record(
-    payload: &[u8],
-    pool: &mut BTreeMap<u64, BTreeMap<usize, Vec<State>>>,
-) -> Result<(), ()> {
+fn pool_wal_record(payload: &[u8], step: u32, pool: &mut Pool) -> Result<(), ()> {
     let text = std::str::from_utf8(payload).map_err(|_| ())?;
     let record = JsonSlice::scan(text).ok_or(())?;
     let host = record.get_u64("host").map_err(|_| ())?;
     let day = record.get_u64("day_index").map_err(|_| ())?;
-    let states = decode_day(&record.get_str("states").map_err(|_| ())?)?;
-    pool_day(pool, host, day as usize, states);
-    Ok(())
+    let digits = record.get_str("states").map_err(|_| ())?;
+    pool_day(pool, host, day as usize, &digits, step)
 }
 
 /// Parses one snapshot host frame
 /// (`{"host":..,"days":[{"i":..,"s":".."},..]}`) into the recovery pool.
-fn pool_snapshot_host(
-    payload: &[u8],
-    pool: &mut BTreeMap<u64, BTreeMap<usize, Vec<State>>>,
-) -> Result<(), ()> {
+fn pool_snapshot_host(payload: &[u8], step: u32, pool: &mut Pool) -> Result<(), ()> {
     let text = std::str::from_utf8(payload).map_err(|_| ())?;
     let frame = JsonSlice::scan(text).ok_or(())?;
     let host = frame.get_u64("host").map_err(|_| ())?;
     for raw in frame.array("days").map_err(|_| ())? {
         let day = JsonSlice::element_object(raw).ok_or(())?;
         let idx = day.get_u64("i").map_err(|_| ())?;
-        let states = decode_day(&day.get_str("s").map_err(|_| ())?)?;
-        pool_day(pool, host, idx as usize, states);
+        let digits = day.get_str("s").map_err(|_| ())?;
+        pool_day(pool, host, idx as usize, &digits, step)?;
     }
     Ok(())
 }
@@ -1053,7 +1081,7 @@ impl ShardSession<'_> {
     ) -> Result<IngestAck, RegistryError> {
         debug_assert_eq!(self.registry.shard_index(host), self.shard);
         self.registry
-            .ingest_day_locked(&mut self.guard, host, day_index, states, true)
+            .ingest_day_locked(&mut self.guard, host, day_index, states)
     }
 
     /// [`ShardedRegistry::predict`] under the held lock.

@@ -6,14 +6,15 @@
 //! the bottleneck: each appended day re-pays the cost of all previous days.
 //!
 //! [`IncrementalEstimator`] instead folds each day *once*, as soon as its
-//! window slice becomes final, into a compact per-day log of decomposed
+//! window becomes final, into a compact per-day log of decomposed
 //! sojourn runs (`SojournRun`). Estimation then replays
 //! the retained runs through the same [`SojournAccumulator`] tally rule the
 //! batch path uses. Two facts make the result **bitwise identical** to the
 //! full-scan oracle, not merely close:
 //!
-//! 1. The decomposition is shared code (`decompose_window`), so the exact
-//!    same runs are produced; and
+//! 1. The decomposition is shared code (`decompose_runs`, over the same
+//!    clipped runs of the stored days), so the exact same runs are
+//!    produced; and
 //! 2. each run adds one integer tally key, and the keys are sorted before
 //!    use, so their order does not matter — folding days oldest-first
 //!    gives the same sorted tallies as the oracle's most-recent-first
@@ -31,11 +32,12 @@
 //! then the position is left pending — `sync` is safe to call at any
 //! interleaving of appends.
 //!
-//! **Cost.** `sync` after one appended day decomposes at most one window
-//! slice (≤ 2 days of samples, independent of history length), so the
-//! update is O(1) per sample amortized. Building [`SmpParams`] replays the
-//! `R` retained runs and sorts their tallies — the "kernel rebuild", in
-//! O(R log R) time and O(R) memory, independent of the window's horizon.
+//! **Cost.** `sync` after one appended day decomposes at most one window,
+//! read as the stored runs of at most two days and never copied, so the
+//! update costs O(runs) of those days, independent of history length.
+//! Building [`SmpParams`] replays the `R` retained runs and sorts their
+//! tallies — the "kernel rebuild", in O(R log R) time and O(R) memory,
+//! independent of the window's horizon.
 //! Callers (the sharded registry) cache the built params so a rebuild
 //! happens only when the retained-day set rolls over (a new day qualified
 //! or an old one slid out of `max_days`).
@@ -43,12 +45,12 @@
 use std::collections::VecDeque;
 
 use crate::log::HistoryStore;
-use crate::smp::params::{decompose_window, SojournRun};
+use crate::smp::params::{decompose_runs, SojournRun};
 use crate::smp::{SmpParams, SojournAccumulator};
 use crate::state::State;
 use crate::window::{DayType, TimeWindow};
 
-/// The decomposed sojourn runs of one qualifying day's window slice.
+/// The decomposed sojourn runs of one qualifying day's window.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct DayDelta {
     /// Position of the day in the history store (diagnostics / debugging).
@@ -160,9 +162,9 @@ impl IncrementalEstimator {
                 if !fits && pos + 1 >= days.len() {
                     break;
                 }
-                if let Some(states) = history.window_states(pos, self.window) {
+                if let Some(window_runs) = history.window_runs(pos, self.window) {
                     let mut runs = Vec::new();
-                    decompose_window(&states, &mut |run| runs.push(run));
+                    decompose_runs(window_runs, &mut |run| runs.push(run));
                     self.deltas.push_back(DayDelta { pos, runs });
                     folded += 1;
                     if let Some(n) = self.max_days {
@@ -225,8 +227,9 @@ impl IncrementalEstimator {
     pub fn last_window_start_state(&self, history: &HistoryStore) -> Option<State> {
         let pos = self.deltas.back()?.pos;
         history
-            .window_states(pos, self.window)
-            .and_then(|s| s.first().copied())
+            .window_runs(pos, self.window)?
+            .next()
+            .map(|(state, _)| state)
     }
 }
 

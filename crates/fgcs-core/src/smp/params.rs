@@ -40,6 +40,7 @@ use std::sync::OnceLock;
 
 use fgcs_runtime::json::{FromJson, Json, JsonError, ToJson};
 
+use crate::log::runs_of;
 use crate::state::State;
 
 /// Index of the kernel's source states: 0 → S1, 1 → S2.
@@ -281,13 +282,13 @@ impl HoldingPmf<'_> {
     }
 }
 
-/// One sojourn run decomposed from a window slice: either a completed
-/// sojourn (the process left its source state within the window) or a
+/// One sojourn run decomposed from a window: either a completed sojourn
+/// (the process left its source state within the window) or a
 /// right-censored one (still in the source state at the window edge).
 ///
 /// Runs are the unit the incremental estimator logs per day: replaying a
 /// day's runs through [`SojournAccumulator::record`] reproduces exactly the
-/// tally updates [`SojournAccumulator::push_window`] would have made, so
+/// tally updates [`SojournAccumulator::push_runs`] would have made, so
 /// both paths share one decomposition and one tally rule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum SojournRun {
@@ -311,52 +312,40 @@ pub(crate) enum SojournRun {
     },
 }
 
-/// Samples compared per step of the run scan in [`decompose_window`].
-const RUN_BLOCK: usize = 32;
-
-/// Index of the last sample of the run that starts at `start`.
-fn run_end(window: &[State], start: usize) -> usize {
-    let state = window[start];
-    let mut next = start + 1;
-    // Skip whole blocks of `state` with a branch-free fold that LLVM turns
-    // into vector compares; only the block where the run ends is searched
-    // sample by sample.
-    while let Some(block) = window.get(next..next + RUN_BLOCK) {
-        if block.iter().fold(false, |leaves, &s| leaves | (s != state)) {
-            let offset = block.iter().position(|&s| s != state).unwrap_or(0);
-            return next + offset - 1;
-        }
-        next += RUN_BLOCK;
-    }
-    while window.get(next) == Some(&state) {
-        next += 1;
-    }
-    next - 1
-}
-
-/// Decomposes one window slice into its operational sojourn runs, emitting
-/// each through `emit` in left-to-right order. Runs starting in failure
-/// states are not emitted (they carry no kernel information).
-pub(crate) fn decompose_window(window: &[State], emit: &mut impl FnMut(SojournRun)) {
-    let len = window.len();
-    let mut start = 0;
-    while start < len {
-        let end = run_end(window, start);
-        if let Some(source_idx) = SOURCES.iter().position(|&s| s == window[start]) {
-            if end + 1 < len {
-                emit(SojournRun::Completed {
-                    source_idx,
-                    duration: end + 1 - start,
-                    target: window[end + 1],
-                });
-            } else {
-                emit(SojournRun::Censored {
-                    source_idx,
-                    at_risk: end - start,
-                });
+/// Decomposes one window, given as non-empty `(state, samples)` pieces
+/// left to right, into its operational sojourn runs, emitting each through
+/// `emit` in order. Adjacent pieces of one state (a run cut at midnight)
+/// are one run. Runs in failure states are not emitted (they carry no
+/// kernel information).
+pub(crate) fn decompose_runs(
+    pieces: impl IntoIterator<Item = (State, usize)>,
+    emit: &mut impl FnMut(SojournRun),
+) {
+    let source_of = |state: State| SOURCES.iter().position(|&s| s == state);
+    let mut open: Option<(State, usize)> = None;
+    for (state, n) in pieces {
+        match &mut open {
+            Some((s, len)) if *s == state => *len += n,
+            _ => {
+                if let Some((s, duration)) = open.replace((state, n)) {
+                    if let Some(source_idx) = source_of(s) {
+                        emit(SojournRun::Completed {
+                            source_idx,
+                            duration,
+                            target: state,
+                        });
+                    }
+                }
             }
         }
-        start = end + 1;
+    }
+    if let Some((s, len)) = open {
+        if let Some(source_idx) = source_of(s) {
+            emit(SojournRun::Censored {
+                source_idx,
+                at_risk: len - 1,
+            });
+        }
     }
 }
 
@@ -370,11 +359,11 @@ const TAG_BITS: u32 = 3;
 /// Tag of a sojourn that left no transition within the horizon.
 const CENSORED: u64 = 4;
 /// Bit holding the source index. Sojourn ends fit below it: an end is at
-/// most the length of the window slice it came from.
+/// most the length of the window it came from.
 const SOURCE_SHIFT: u32 = 63;
 
-/// Streaming single-pass estimator for [`SmpParams`]: feed window slices
-/// one at a time, then [`finish`](SojournAccumulator::finish).
+/// Streaming single-pass estimator for [`SmpParams`]: feed windows one at
+/// a time, then [`finish`](SojournAccumulator::finish).
 ///
 /// The accumulator decomposes each window in place and tallies one key per
 /// informative sojourn run — its capped end and its target, if observed —
@@ -415,14 +404,20 @@ impl SojournAccumulator {
     }
 
     /// Folds one window slice (the `steps + 1` fence-post samples of one
-    /// historical day's window) into the tallies. Slices shorter than 2
-    /// samples contribute nothing.
+    /// historical day's window) into the tallies, cut into runs first.
+    /// Slices shorter than 2 samples contribute nothing.
     pub fn push_window(&mut self, window: &[State]) {
-        decompose_window(window, &mut |run| self.record(run));
+        self.push_runs(runs_of(window));
+    }
+
+    /// Folds one window, given as its `(state, samples)` runs left to
+    /// right, into the tallies.
+    pub(crate) fn push_runs(&mut self, runs: impl IntoIterator<Item = (State, usize)>) {
+        decompose_runs(runs, &mut |run| self.record(run));
     }
 
     /// Folds one decomposed sojourn run into the tallies — the single tally
-    /// rule shared by [`push_window`](SojournAccumulator::push_window) and
+    /// rule shared by [`push_runs`](SojournAccumulator::push_runs) and
     /// the incremental estimator's per-day replay. `finish` sorts the
     /// tallies, so replaying runs in any order yields bitwise-identical
     /// parameters.

@@ -100,13 +100,25 @@ const DIGIT_BLOCK: usize = 64;
 /// `ingest` `states` field, of every WAL record and of every snapshot day.
 // lint: no-alloc
 pub fn encode_digits(states: &[State], out: &mut Vec<u8>) {
-    out.extend(states.iter().map(|&s| b'1' + s as u8));
+    out.extend(states.iter().map(|&s| digit(s)));
+}
+
+/// The digit of one state in [`encode_digits`]'s encoding.
+pub(crate) fn digit(s: State) -> u8 {
+    b'1' + s as u8
 }
 
 /// Decodes digit text written by [`encode_digits`]. `Err(at)` is the byte
 /// offset of the first byte outside `b'1'..=b'5'`; every byte before it is
 /// an ASCII digit, so `at` is a char boundary of UTF-8 input.
 pub fn decode_digits(digits: &[u8]) -> Result<Vec<State>, usize> {
+    validate_digits(digits)?;
+    Ok(digits.iter().map(|&b| digit_state(b)).collect())
+}
+
+/// Checks that every byte is a state digit; `Err(at)` as in
+/// [`decode_digits`].
+pub(crate) fn validate_digits(digits: &[u8]) -> Result<(), usize> {
     // Branch-free fold per block (LLVM turns it into vector compares);
     // only the block test between blocks can exit early.
     let valid = |block: &[u8]| {
@@ -119,12 +131,12 @@ pub fn decode_digits(digits: &[u8]) -> Result<Vec<State>, usize> {
         let at = digits.iter().position(|&b| b.wrapping_sub(b'1') >= 5);
         return Err(at.expect("validation found a bad digit"));
     }
-    Ok(digits.iter().map(|&b| digit_state(b)).collect())
+    Ok(())
 }
 
 /// The state of one validated digit. The match is exhaustive without a
 /// panic arm, so the map compiles to a clamp rather than a bounds check.
-fn digit_state(b: u8) -> State {
+pub(crate) fn digit_state(b: u8) -> State {
     match b.wrapping_sub(b'1') {
         0 => State::S1,
         1 => State::S2,

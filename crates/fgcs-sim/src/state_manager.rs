@@ -356,7 +356,7 @@ mod tests {
         assert_eq!(m.observe(load(0.1)), OnlineDecision::Operational(State::S1));
         // The provisional samples stayed S1.
         m.end_day();
-        let states = m.history().days()[0].log.states().to_vec();
+        let states = m.history().days()[0].log.states();
         assert!(states.iter().all(|&s| s == State::S1), "{states:?}");
     }
 
@@ -374,7 +374,7 @@ mod tests {
             }
         }
         m.end_day();
-        let states = m.history().days()[0].log.states().to_vec();
+        let states = m.history().days()[0].log.states();
         assert_eq!(states[0], State::S1);
         for &s in &states[1..] {
             assert_eq!(s, State::S3);
@@ -405,7 +405,7 @@ mod tests {
         for s in &samples {
             m.observe(Some(*s));
         }
-        let online = m.history().days()[0].log.states().to_vec();
+        let online = m.history().days()[0].log.states();
         let offline = StateClassifier::new(mdl).classify(&samples);
         // The single dead samples differ (heartbeat tolerance online vs
         // immediate S5 offline); everything else must agree.

@@ -301,7 +301,7 @@ mod tests {
         let history = t.to_history(&AvailabilityModel::default()).unwrap();
         let mut seen = [false; 5];
         for day in history.days() {
-            for &s in day.log.states() {
+            for &(s, _) in day.log.runs() {
                 seen[s.index()] = true;
             }
         }

@@ -43,10 +43,10 @@ impl TraceStats {
         let mut prev_failure = true; // suppress a leading failure period
         for day in store.days() {
             step_secs = day.log.step_secs();
-            for &s in day.log.states() {
-                counts[s.index()] += 1;
+            for &(s, n) in day.log.runs() {
+                counts[s.index()] += u64::from(n);
                 if s.is_failure() {
-                    outage_samples += 1;
+                    outage_samples += u64::from(n);
                     if !prev_failure {
                         outage_periods += 1;
                         by_state[s.index() - 2] += 1;

@@ -523,7 +523,7 @@ fn cmd_encode(args: &[String]) -> Result<(), String> {
             ("day_index".into(), Json::U64(day.day_index as u64)),
             (
                 "states".into(),
-                Json::Str(fgcs::serve::encode_states(day.log.states())),
+                Json::Str(fgcs::serve::encode_states(&day.log.states())),
             ),
         ]);
         println!("{req}");

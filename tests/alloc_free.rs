@@ -8,9 +8,11 @@
 //! the scheduler's steady-state polling loop heap-quiet, and it is the
 //! acceptance criterion the scratch-arena refactor was built around.
 //!
-//! The allocator also counts requested bytes, which pins estimation memory
-//! to the sojourn runs it sees: the same windows cost the same bytes at
-//! any horizon past their longest sojourn.
+//! The allocator also counts requested and freed bytes, which pins the
+//! history's memory to its sojourn runs: a stored day holds and requests
+//! bytes per run, never per sample; estimation costs the same bytes at any
+//! horizon past the longest sojourn, and a window costs the same bytes
+//! whether it spans one hour or ten, since no window is copied.
 //!
 //! Counting is per thread, gated by a thread-local flag, so the harness
 //! can run these tests in parallel without one test's setup allocations
@@ -19,18 +21,21 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use fgcs::core::smp::{FastSolver, SmpParams, SolveScratch};
-use fgcs::core::State;
+use fgcs::core::smp::{FastSolver, IncrementalEstimator, SmpParams, SolveScratch};
+use fgcs::core::{
+    AvailabilityModel, DayLog, DayType, HistoryStore, SmpPredictor, State, StateLog, TimeWindow,
+};
 
 std::thread_local! {
     static TRACKING: Cell<bool> = const { Cell::new(false) };
     static THREAD_ALLOCS: Cell<u64> = const { Cell::new(0) };
     static THREAD_BYTES: Cell<u64> = const { Cell::new(0) };
+    static THREAD_FREED: Cell<u64> = const { Cell::new(0) };
 }
 
-/// System allocator wrapper that counts every allocating entry point, and
-/// the bytes each one requests, made from a thread whose `TRACKING` flag
-/// is set.
+/// System allocator wrapper that counts every allocating entry point, the
+/// bytes each one requests and the bytes given back, made from a thread
+/// whose `TRACKING` flag is set.
 struct CountingAlloc;
 
 fn note_alloc(bytes: usize) {
@@ -39,6 +44,14 @@ fn note_alloc(bytes: usize) {
         if t.get() {
             let _ = THREAD_ALLOCS.try_with(|c| c.set(c.get() + 1));
             let _ = THREAD_BYTES.try_with(|c| c.set(c.get() + bytes as u64));
+        }
+    });
+}
+
+fn note_free(bytes: usize) {
+    let _ = TRACKING.try_with(|t| {
+        if t.get() {
+            let _ = THREAD_FREED.try_with(|c| c.set(c.get() + bytes as u64));
         }
     });
 }
@@ -55,11 +68,13 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
     // SAFETY: forwards the caller's pointer/layout pair to `System`.
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        note_free(layout.size());
         System.dealloc(ptr, layout)
     }
 
     // SAFETY: forwards pointer, layout, and size to `System.realloc`.
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note_free(layout.size());
         note_alloc(new_size);
         System.realloc(ptr, layout, new_size)
     }
@@ -78,14 +93,23 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 /// `(f(), allocations made by this thread inside f, bytes they requested)`.
 /// A `realloc` counts as one allocation of its new size.
 fn measure_allocations<T>(f: impl FnOnce() -> T) -> (T, u64, u64) {
+    let (out, n, bytes, _) = measure_heap(f);
+    (out, n, bytes)
+}
+
+/// [`measure_allocations`] plus the bytes `f` gave back (a `realloc` gives
+/// back its old size).
+fn measure_heap<T>(f: impl FnOnce() -> T) -> (T, u64, u64, u64) {
     THREAD_ALLOCS.with(|c| c.set(0));
     THREAD_BYTES.with(|c| c.set(0));
+    THREAD_FREED.with(|c| c.set(0));
     TRACKING.with(|t| t.set(true));
     let out = f();
     TRACKING.with(|t| t.set(false));
     let n = THREAD_ALLOCS.with(|c| c.get());
     let bytes = THREAD_BYTES.with(|c| c.get());
-    (out, n, bytes)
+    let freed = THREAD_FREED.with(|c| c.get());
+    (out, n, bytes, freed)
 }
 
 /// Runs `f` with this thread's allocation tracking enabled and returns
@@ -213,5 +237,93 @@ fn estimate_memory_follows_runs_not_horizon() {
         (long_calls, long_bytes),
         (short_calls, short_bytes),
         "estimation memory grew with the horizon (200 -> 14 400 steps)"
+    );
+}
+
+/// A 14 400-sample day cut into `runs` runs of equal length (the last one
+/// takes the remainder), cycling through the five states.
+fn day_of_runs(runs: usize) -> Vec<State> {
+    let len = 14_400 / runs;
+    (0..14_400)
+        .map(|i| State::ALL[(i / len).min(runs - 1) % 5])
+        .collect()
+}
+
+#[test]
+fn stored_day_memory_follows_runs_not_samples() {
+    // Bytes a stored run may request while the day is cut (the run list
+    // grows by doubling, then shrinks to fit) and may hold afterwards.
+    const REQUESTED_PER_RUN: u64 = 48;
+    const REQUESTED_BASE: u64 = 64;
+    const HELD_PER_RUN: u64 = 8;
+    for runs in [1usize, 55, 92, 400] {
+        let day = day_of_runs(runs);
+        let (log, _, requested) = measure_allocations(|| StateLog::new(6, day));
+        assert_eq!((log.len(), log.runs().len()), (14_400, runs));
+        assert!(
+            requested <= REQUESTED_BASE + REQUESTED_PER_RUN * runs as u64,
+            "storing a day of {runs} runs requested {requested} bytes"
+        );
+        // Dropping the log gives back exactly what it holds.
+        let ((), _, _, held) = measure_heap(|| drop(log));
+        assert!(
+            held <= HELD_PER_RUN * runs as u64,
+            "a stored day of {runs} runs holds {held} bytes"
+        );
+    }
+}
+
+/// Six days (Monday to Saturday) that are S1 but for the same few runs
+/// around midnight: S2 00:10–00:15, then S2 23:40–23:50 and S3 23:50–23:55.
+/// A window 23:30 + 1 h and one 19:00 + 10 h see the same runs, each
+/// clipped to a different length.
+fn midnight_history() -> HistoryStore {
+    let at = |h: f64| (h * 600.0) as usize;
+    let day: Vec<State> = (0..14_400)
+        .map(|i| match i {
+            _ if (at(0.0 + 10.0 / 60.0)..at(0.25)).contains(&i) => State::S2,
+            _ if (at(23.0 + 40.0 / 60.0)..at(23.0 + 50.0 / 60.0)).contains(&i) => State::S2,
+            _ if (at(23.0 + 50.0 / 60.0)..at(23.0 + 55.0 / 60.0)).contains(&i) => State::S3,
+            _ => State::S1,
+        })
+        .collect();
+    let mut history = HistoryStore::new();
+    for index in 0..6 {
+        history.push_day(DayLog::new(index, StateLog::new(6, day.clone())));
+    }
+    history
+}
+
+#[test]
+fn window_estimation_memory_is_independent_of_window_length() {
+    let history = midnight_history();
+    let predictor = SmpPredictor::new(AvailabilityModel::default());
+    let windows = [
+        TimeWindow::from_hours(23.5, 1.0),
+        TimeWindow::from_hours(19.0, 10.0),
+    ];
+    // Registers the estimator's metrics instruments outside the measured
+    // calls.
+    predictor
+        .estimate_params(&history, DayType::Weekday, windows[0])
+        .unwrap();
+    let bytes = windows.map(|window| {
+        let mut estimator = IncrementalEstimator::new(6, DayType::Weekday, window, None);
+        let (folded, _, sync_bytes) = measure_allocations(|| estimator.sync(&history));
+        assert_eq!(
+            folded, 5,
+            "every weekday window stitches into its successor"
+        );
+        let (params, _, scan_bytes) = measure_allocations(|| {
+            predictor
+                .estimate_params(&history, DayType::Weekday, window)
+                .unwrap()
+        });
+        assert_eq!(Some(params), estimator.params());
+        (sync_bytes, scan_bytes)
+    });
+    assert_eq!(
+        bytes[0], bytes[1],
+        "(sync, full scan) bytes for a 1-h vs a 10-h cross-midnight window"
     );
 }

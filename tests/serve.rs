@@ -31,7 +31,7 @@ fn ingest_stream(seed: u64, days: usize, host: u64) -> (HistoryStore, Vec<String
             format!(
                 "{{\"op\":\"ingest\",\"host\":{host},\"day_index\":{},\"states\":\"{}\"}}",
                 day.day_index,
-                encode_states(day.log.states())
+                encode_states(&day.log.states())
             )
         })
         .collect();
@@ -533,6 +533,14 @@ fn hostile_lines_get_pinned_replies() {
         (
             "{\"op\":\"batch\",\"ops\":[{\"op\":\"ping\"},]}".into(),
             &[r#"{"ok":false,"error":"bad request: json error: unexpected character `]` at byte 35"}"#],
+        ),
+        (
+            "{\"op\":\"ingest\",\"host\":9,\"day_index\":18446744073709551615,\"states\":\"12\"}".into(),
+            &[r#"{"ok":true,"op":"ingest","host":9,"day_index":18446744073709551615,"days":1}"#],
+        ),
+        (
+            "{\"op\":\"ingest\",\"host\":9,\"states\":\"12\"}".into(),
+            &[r#"{"ok":false,"error":"host 9: calendar exhausted, no day index follows 18446744073709551615"}"#],
         ),
         (
             "{\"op\":\"sh\\u0075tdown\"}".into(),

@@ -23,7 +23,7 @@ fn online_manager_reproduces_offline_logs_on_generated_trace() {
     let mut mismatches = 0usize;
     let mut total = 0usize;
     for (a, b) in online.days().iter().zip(offline.days()) {
-        for (x, y) in a.log.states().iter().zip(b.log.states()) {
+        for (x, y) in a.log.states().iter().zip(&b.log.states()) {
             total += 1;
             if x != y {
                 mismatches += 1;
