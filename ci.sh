@@ -54,7 +54,7 @@ if [ "$zero_out" != "$plain_out" ]; then
   exit 1
 fi
 
-echo "== serve smoke: TCP server round trip (streamed ingest -> sweep == offline; clean shutdown)"
+echo "== serve smoke: TCP server round trip (streamed ingest -> predict and sweep == offline; clean shutdown)"
 # The same check over `serve --oneshot` is
 # tests/cli.rs::cli_oneshot_serve_matches_offline_sweep_bytes.
 fgcs_bin=target/release/fgcs
@@ -63,6 +63,8 @@ serve_tmp=$(mktemp -d)
 "$fgcs_bin" encode "$serve_tmp/machine-0.json" --host 1 > "$serve_tmp/reqs.jsonl"
 "$fgcs_bin" sweep "$serve_tmp/machine-0.json" --start 9.0 --hours 2.0 --json \
   > "$serve_tmp/sweep_cli.json"
+"$fgcs_bin" sweep "$serve_tmp/machine-0.json" --start 9.0 --hours 2.0 --json --init S2 \
+  > "$serve_tmp/sweep_cli_s2.json"
 # Starts `fgcs serve` on an ephemeral port; sets $server_pid and $addr.
 start_server() {
   : > "$serve_tmp/server.log"
@@ -81,6 +83,9 @@ start_server() {
 start_server --metrics-out metrics_export.json
 {
   cat "$serve_tmp/reqs.jsonl"
+  # The S1 predict's solve memoizes S2 too: the S2 reply comes from the memo.
+  echo '{"op":"predict","host":1,"start":9.0,"hours":2.0,"init":"S1"}'
+  echo '{"op":"predict","host":1,"start":9.0,"hours":2.0,"init":"S2"}'
   echo '{"op":"sweep","host":1,"start":9.0,"hours":2.0,"points":12}'
   echo '{"op":"stats"}'
 } | "$fgcs_bin" query "$addr" > "$serve_tmp/tcp_out.jsonl"
@@ -94,6 +99,12 @@ if ! grep '^{"window"' "$serve_tmp/tcp_out.jsonl" | cmp -s - "$serve_tmp/sweep_c
   echo "TCP serve sweep diverged from offline fgcs sweep --json"
   exit 1
 fi
+memo_tr=$(sed -n 's/.*"init":"S2","tr":\([^,}]*\).*/\1/p' "$serve_tmp/tcp_out.jsonl")
+cli_tr=$(grep -o '"tr":[^,}]*' "$serve_tmp/sweep_cli_s2.json" | tail -1 | cut -d: -f2)
+if [ -z "$memo_tr" ] || [ "$memo_tr" != "$cli_tr" ]; then
+  echo "TCP serve S2 predict ($memo_tr) diverged from offline fgcs sweep --init S2 ($cli_tr)"
+  exit 1
+fi
 grep '"op":"stats"' "$serve_tmp/tcp_out.jsonl" | grep -q '"days":10' || {
   echo "server stats did not account for the 10 streamed ingests:"
   tail -1 "$serve_tmp/tcp_out.jsonl"
@@ -103,10 +114,12 @@ echo "== serve batch smoke: pipelined batch stream == sequential bytes"
 # The same op stream (10 ingests + 2000 predicts) sent two ways against two
 # fresh servers: as individual lines, and as 40-op `batch` requests
 # pipelined over one TCP connection. The reply streams must be
-# byte-identical.
+# byte-identical. The init alternates S1/S2 every four windows, so some
+# answers come from the memo the other init's solve filled.
 awk 'BEGIN { for (i = 0; i < 2000; i++) {
   start = 6 + (i % 4) * 3;
-  printf "{\"op\":\"predict\",\"host\":1,\"start\":%d.0,\"hours\":2.0}\n", start;
+  init = (int(i / 4) % 2) ? "S2" : "S1";
+  printf "{\"op\":\"predict\",\"host\":1,\"start\":%d.0,\"hours\":2.0,\"init\":\"%s\"}\n", start, init;
 } }' > "$serve_tmp/predicts.jsonl"
 cat "$serve_tmp/reqs.jsonl" "$serve_tmp/predicts.jsonl" > "$serve_tmp/seq_in.jsonl"
 awk 'NR % 40 == 1 { if (NR > 1) print out "]}"; out = "{\"op\":\"batch\",\"ops\":[" $0; next }

@@ -313,10 +313,10 @@ fn run_smoke() -> Json {
     assert_eq!(estimator.params().as_ref(), Some(&params));
     // A thousand-host scheduling sweep over a warm kernel cache: every
     // timed query is a cache hit plus a memo hit on the one kernel the
-    // hosts share. Timed on one thread, the loop `predict_cluster` runs
-    // when one CPU is available: on two vCPUs its worker spawn and the
-    // workers' contention on the shared cache and memo locks took ~75 % of
-    // the sweep and set its run-to-run spread.
+    // hosts share. Timed as a plain loop on one thread: fanned out to two
+    // worker threads on two vCPUs, the spawn and the workers' contention
+    // on the shared cache and memo locks took ~75 % of the sweep and set
+    // its run-to-run spread.
     let cluster_cache = QhCache::new(CLUSTER_HOSTS as usize + 1);
     let sweep = || {
         for host in 0..CLUSTER_HOSTS {

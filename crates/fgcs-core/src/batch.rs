@@ -21,6 +21,7 @@
 use crate::error::CoreError;
 use crate::log::HistoryStore;
 use crate::predictor::{evaluate_window, SmpPredictor, WindowEvaluation};
+use crate::smp::IntervalProbs;
 use crate::state::State;
 use crate::window::{DayType, TimeWindow};
 
@@ -35,49 +36,26 @@ pub struct TrCurve {
 }
 
 impl TrCurve {
-    /// Constructor over the paper-order solver's planar curves
-    /// (`p1[j][m]` = `P_{S1,S(3+j)}(m)`), applying paper Eq. 2
-    /// (`TR = 1 − Σⱼ P_{init,j}`) at every step. The clamp sequence mirrors
-    /// [`crate::smp::SparseSolver::temporal_reliability`] exactly, so curve
-    /// values are bit-identical to standalone solves.
-    pub(crate) fn from_planar(step_secs: u32, p1: &[Vec<f64>; 3], p2: &[Vec<f64>; 3]) -> TrCurve {
-        let tr_of = |rows: &[Vec<f64>; 3]| -> Vec<f64> {
-            (0..rows[0].len())
-                .map(|m| {
-                    let sum = rows[0][m] + rows[1][m] + rows[2][m];
-                    (1.0 - sum.clamp(0.0, 1.0)).clamp(0.0, 1.0)
-                })
-                .collect()
-        };
-        TrCurve {
-            step_secs,
-            s1: tr_of(p1),
-            s2: tr_of(p2),
-        }
-    }
-
-    /// Constructor over the fast solver's triple-interleaved planes
-    /// (`plane[3·m + j]`), applying the same Eq.-2 clamp sequence.
-    pub(crate) fn from_interleaved(
+    /// Builds the curve from a solver run's interval probabilities,
+    /// `probs_at(m)` for `m = 0..=steps`, applying paper Eq. 2 at every
+    /// step through [`IntervalProbs::temporal_reliability`] — the same
+    /// derivation the scalar solves use, so curve values are bit-identical
+    /// to standalone solves.
+    pub(crate) fn from_probs(
         step_secs: u32,
-        p1: &[f64],
-        p2: &[f64],
         steps: usize,
+        probs_at: impl Fn(usize) -> IntervalProbs,
     ) -> TrCurve {
-        let tr_of = |plane: &[f64]| -> Vec<f64> {
-            (0..=steps)
-                .map(|m| {
-                    let b = 3 * m;
-                    let sum = plane[b] + plane[b + 1] + plane[b + 2];
-                    (1.0 - sum.clamp(0.0, 1.0)).clamp(0.0, 1.0)
-                })
-                .collect()
-        };
-        TrCurve {
-            step_secs,
-            s1: tr_of(p1),
-            s2: tr_of(p2),
-        }
+        let (s1, s2) = (0..=steps)
+            .map(|m| {
+                let probs = probs_at(m);
+                (
+                    probs.temporal_reliability(State::S1),
+                    probs.temporal_reliability(State::S2),
+                )
+            })
+            .unzip();
+        TrCurve { step_secs, s1, s2 }
     }
 
     /// The discretisation step the curve was computed at.

@@ -1,11 +1,13 @@
 //! End-to-end temporal reliability prediction and its empirical ground
 //! truth, as used in the paper's accuracy experiments (§6.2, §7.2).
 
+use std::sync::Arc;
+
 use fgcs_runtime::impl_json_struct;
 use fgcs_runtime::rng::Rng;
 
 use crate::batch::TrCurve;
-use crate::cache::QhCache;
+use crate::cache::{KernelDedup, QhCache};
 use crate::error::CoreError;
 use crate::log::HistoryStore;
 use crate::model::AvailabilityModel;
@@ -118,6 +120,44 @@ impl SmpPredictor {
             SolverPolicy::Fast => FastSolver::new(params).interval_probabilities(steps),
             SolverPolicy::PaperOracle => SparseSolver::new(params).interval_probabilities(steps),
         }
+    }
+
+    /// The TR for `(params, init, steps)` from the canonical kernel's solve
+    /// memo in `dedup`, solving on a miss. Both policies are deterministic
+    /// functions of exactly these inputs, so a memo hit is the bits the
+    /// solve would return. `params` must be the canonical `Arc`
+    /// ([`KernelDedup::intern`]) for hits to be found.
+    pub(crate) fn memoized_tr(
+        &self,
+        dedup: &KernelDedup,
+        params: &Arc<SmpParams>,
+        init: State,
+        steps: usize,
+    ) -> Result<f64, CoreError> {
+        match dedup.memo_get(params, solve_memo_key(init, self.solver_policy, steps)) {
+            Some(tr) => Ok(tr),
+            None => self.fill_solve_memo(dedup, params, init, steps),
+        }
+    }
+
+    /// The memo miss: one Eq.-3 run yields the interval probabilities from
+    /// both operational states, so the TR of S1 and of S2 are both stored
+    /// (a later query for the other init reads the memo instead of solving
+    /// again). Kept out of line so the hit path stays small.
+    #[inline(never)]
+    fn fill_solve_memo(
+        &self,
+        dedup: &KernelDedup,
+        params: &Arc<SmpParams>,
+        init: State,
+        steps: usize,
+    ) -> Result<f64, CoreError> {
+        let probs = self.solve_interval_probs(params, steps)?;
+        for state in [State::S1, State::S2] {
+            let key = solve_memo_key(state, self.solver_policy, steps);
+            dedup.memo_put(params, key, probs.temporal_reliability(state));
+        }
+        Ok(probs.temporal_reliability(init))
     }
 
     /// Solves the batched TR curve under the configured policy.
@@ -239,9 +279,10 @@ impl SmpPredictor {
     /// the cache's [dedup table](crate::cache::KernelDedup): when many
     /// hosts share one interned kernel (a fleet with a handful of
     /// availability classes), the Eq.-3 recursion runs once per
-    /// `(kernel, init, policy, steps)` and every other host reads the
-    /// stored value — the same bits the solve would have produced, since
-    /// both policies are deterministic functions of exactly those inputs.
+    /// `(kernel, policy, steps)` — one run stores the TR from both
+    /// operational initial states — and every other query reads the stored
+    /// value: the same bits the solve would have produced, since both
+    /// policies are deterministic functions of exactly those inputs.
     pub fn predict_cached(
         &self,
         cache: &QhCache,
@@ -258,13 +299,7 @@ impl SmpPredictor {
         fgcs_runtime::counter_add!("core.tr_queries", 1);
         let params = cache.get_or_estimate(self, host, history, day_type, window)?;
         let steps = window.steps(self.model.monitor_period_secs);
-        let key = solve_memo_key(init, self.solver_policy, steps);
-        if let Some(tr) = cache.dedup().memo_get(&params, key) {
-            return Ok(tr);
-        }
-        let tr = self.solve_tr(&params, init, steps)?;
-        cache.dedup().memo_put(&params, key, tr);
-        Ok(tr)
+        self.memoized_tr(cache.dedup(), &params, init, steps)
     }
 
     /// Predicts the full temporal-reliability curve `TR(m)` over the window
@@ -518,8 +553,8 @@ pub fn evaluate_window(
     // probabilities contain the S1 and S2 rows, so running the solver per
     // initial state would do the same work twice for identical values.
     let probs = predictor.solve_interval_probs(&params, steps)?;
-    let tr_s1 = (1.0 - probs.failure_probability(State::S1)).clamp(0.0, 1.0);
-    let tr_s2 = (1.0 - probs.failure_probability(State::S2)).clamp(0.0, 1.0);
+    let tr_s1 = probs.temporal_reliability(State::S1);
+    let tr_s2 = probs.temporal_reliability(State::S2);
 
     let mut used = 0usize;
     let mut survived = 0usize;

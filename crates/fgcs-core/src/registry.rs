@@ -62,7 +62,7 @@ use crate::cache::{KernelDedup, QhCache};
 use crate::error::CoreError;
 use crate::log::{DayLog, HistoryStore, StateLog};
 use crate::model::AvailabilityModel;
-use crate::predictor::{solve_memo_key, SmpPredictor, SolverPolicy};
+use crate::predictor::{SmpPredictor, SolverPolicy};
 use crate::smp::{IncrementalEstimator, SmpParams};
 use crate::state::{self, State};
 use crate::window::{DayType, TimeWindow};
@@ -363,18 +363,6 @@ impl ShardedRegistry {
         })
     }
 
-    /// The cross-shard kernel dedup table (shared by every shard's cache).
-    #[must_use]
-    pub fn kernel_dedup(&self) -> &Arc<KernelDedup> {
-        &self.dedup
-    }
-
-    /// Number of shards.
-    #[must_use]
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// The availability model stamping ingested days.
     #[must_use]
     pub fn model(&self) -> &AvailabilityModel {
@@ -389,26 +377,14 @@ impl ShardedRegistry {
     /// gaps are allowed (they model quarantined or lost days) but reuse and
     /// regression are rejected, which is what keeps every host history
     /// append-only and the incremental estimators exact.
+    ///
+    /// Write-ahead ordering: the day is validated, appended to the shard's
+    /// WAL (when durable) from the samples as received, and only then cut
+    /// into runs and applied in memory — an acknowledged ingest is always
+    /// at least OS-buffer durable, and a WAL failure leaves the in-memory
+    /// state untouched.
     pub fn ingest_day(
         &self,
-        host: u64,
-        day_index: Option<usize>,
-        states: Vec<State>,
-    ) -> Result<IngestAck, RegistryError> {
-        let mut guard = self.shard_for(host);
-        self.ingest_day_locked(&mut guard, host, day_index, states)
-    }
-
-    /// [`ingest_day`](ShardedRegistry::ingest_day) against an already-held
-    /// shard lock — the batch pipeline's entry point. Write-ahead
-    /// ordering: the day is validated, appended to the shard's WAL (when
-    /// durable) from the samples as received, and only then cut into runs
-    /// and applied in memory — an acknowledged ingest is always at least
-    /// OS-buffer durable, and a WAL failure leaves the in-memory state
-    /// untouched.
-    fn ingest_day_locked(
-        &self,
-        shard: &mut Shard,
         host: u64,
         day_index: Option<usize>,
         states: Vec<State>,
@@ -416,6 +392,8 @@ impl ShardedRegistry {
         if states.is_empty() {
             return Err(RegistryError::EmptyDay { host });
         }
+        let mut guard = self.shard_for(host);
+        let shard = &mut *guard;
         let idx = Self::day_index_locked(shard, host, day_index)?;
         let Shard { wal, wal_buf, .. } = &mut *shard;
         if let Some(wal) = wal.as_mut() {
@@ -517,15 +495,11 @@ impl ShardedRegistry {
         let params = self.params_for_locked(shard, host, day_type, window)?;
         let steps = window.steps(self.model.monitor_period_secs);
         // Per-kernel solve memo: hosts sharing the canonical kernel pay the
-        // Eq.-3 recursion once per (init, policy, steps) and read the
-        // stored bits afterwards.
-        let key = solve_memo_key(init, self.predictor.solver_policy(), steps);
-        if let Some(tr) = self.dedup.memo_get(&params, key) {
-            return Ok(tr);
-        }
-        let tr = self.predictor.solve_tr(&params, init, steps)?;
-        self.dedup.memo_put(&params, key, tr);
-        Ok(tr)
+        // Eq.-3 recursion once per (policy, steps), for both operational
+        // inits, and read the stored bits afterwards.
+        Ok(self
+            .predictor
+            .memoized_tr(&self.dedup, &params, init, steps)?)
     }
 
     /// Predicts the full TR curve (both operational initial states) for
@@ -538,92 +512,10 @@ impl ShardedRegistry {
         window: TimeWindow,
     ) -> Result<TrCurve, RegistryError> {
         let mut guard = self.shard_for(host);
-        self.sweep_locked(&mut guard, host, day_type, window)
-    }
-
-    fn sweep_locked(
-        &self,
-        shard: &mut Shard,
-        host: u64,
-        day_type: DayType,
-        window: TimeWindow,
-    ) -> Result<TrCurve, RegistryError> {
         fgcs_runtime::counter_add!("core.registry.queries", 1);
-        let params = self.params_for_locked(shard, host, day_type, window)?;
+        let params = self.params_for_locked(&mut guard, host, day_type, window)?;
         let steps = window.steps(self.model.monitor_period_secs);
         Ok(self.predictor.solve_tr_curve(&params, steps)?)
-    }
-
-    /// Answers several predict ops for one `(host, day_type, window)` from
-    /// a single batched recursion: the Eq.-3 curve is prefix-closed (see
-    /// [`crate::batch`]), so one run at the window's full horizon yields
-    /// every requested value bit-identically to independent
-    /// [`predict`](ShardedRegistry::predict) calls — including the error
-    /// cases (a failure init errors in its own slot without poisoning the
-    /// rest). Solved values are fed into the per-kernel memo, so later
-    /// scalar queries hit it too.
-    fn predict_many_locked(
-        &self,
-        shard: &mut Shard,
-        host: u64,
-        day_type: DayType,
-        window: TimeWindow,
-        inits: &[State],
-    ) -> Vec<Result<f64, RegistryError>> {
-        let steps = window.steps(self.model.monitor_period_secs);
-        let policy = self.predictor.solver_policy();
-        fgcs_runtime::counter_add!("core.registry.queries", inits.len() as u64);
-        let params = match self.params_for_locked(shard, host, day_type, window) {
-            Ok(p) => p,
-            Err(e) => {
-                return inits
-                    .iter()
-                    .map(|&init| {
-                        if init.is_failure() {
-                            // predict() checks the init before estimating.
-                            Err(CoreError::FailureInitialState(init).into())
-                        } else {
-                            Err(e.clone())
-                        }
-                    })
-                    .collect();
-            }
-        };
-        let mut out: Vec<Option<Result<f64, RegistryError>>> = inits
-            .iter()
-            .map(|&init| {
-                if init.is_failure() {
-                    return Some(Err(CoreError::FailureInitialState(init).into()));
-                }
-                self.dedup
-                    .memo_get(&params, solve_memo_key(init, policy, steps))
-                    .map(Ok)
-            })
-            .collect();
-        if out.iter().any(Option::is_none) {
-            // At least one value is not memoized: one curve run answers
-            // every remaining init at once.
-            let curve = self.predictor.solve_tr_curve(&params, steps);
-            for (&init, slot) in inits.iter().zip(&mut out) {
-                if slot.is_some() {
-                    continue;
-                }
-                *slot = Some(match &curve {
-                    Ok(c) => match c.tr(init, steps) {
-                        Ok(tr) => {
-                            self.dedup
-                                .memo_put(&params, solve_memo_key(init, policy, steps), tr);
-                            Ok(tr)
-                        }
-                        Err(e) => Err(e.clone().into()),
-                    },
-                    Err(e) => Err(e.clone().into()),
-                });
-            }
-        }
-        out.into_iter()
-            .map(|slot| slot.expect("every init answered"))
-            .collect()
     }
 
     /// Days currently stored for `host`, or `None` for unknown hosts.
@@ -673,19 +565,17 @@ impl ShardedRegistry {
         stats
     }
 
-    /// The shard index `host` routes to — the grouping key for the batch
-    /// pipeline.
+    /// The shard index `host` routes to.
     #[must_use]
     pub fn shard_index(&self, host: u64) -> usize {
         shard_of(host, self.shards.len())
     }
 
     /// Opens a session on one shard: the shard lock is taken once and held
-    /// for the session's lifetime, so a run of operations against that
-    /// shard's hosts pays one lock acquisition instead of one per op.
-    /// Every session method is bit-identical to its registry counterpart;
-    /// hosts routed to other shards are the caller's responsibility
-    /// (enforced by debug assertion).
+    /// for the session's lifetime, so several predicts against that
+    /// shard's hosts pay one lock acquisition. Hosts routed to other
+    /// shards are the caller's responsibility (enforced by debug
+    /// assertion).
     ///
     /// # Panics
     /// Panics when `shard` is out of range.
@@ -1063,7 +953,7 @@ impl std::fmt::Debug for ShardedRegistry {
     }
 }
 
-/// A held shard lock with the registry operations scoped to it — see
+/// A held shard lock for several predicts against its hosts — see
 /// [`ShardedRegistry::session`]. Dropping the session releases the lock.
 pub struct ShardSession<'a> {
     registry: &'a ShardedRegistry,
@@ -1072,34 +962,11 @@ pub struct ShardSession<'a> {
 }
 
 impl ShardSession<'_> {
-    /// [`ShardedRegistry::ingest_day`] under the held lock.
-    pub fn ingest_day(
-        &mut self,
-        host: u64,
-        day_index: Option<usize>,
-        states: Vec<State>,
-    ) -> Result<IngestAck, RegistryError> {
-        debug_assert_eq!(self.registry.shard_index(host), self.shard);
-        self.registry
-            .ingest_day_locked(&mut self.guard, host, day_index, states)
-    }
-
-    /// [`ShardedRegistry::predict`] under the held lock.
-    pub fn predict(
-        &mut self,
-        host: u64,
-        day_type: DayType,
-        window: TimeWindow,
-        init: State,
-    ) -> Result<f64, RegistryError> {
-        debug_assert_eq!(self.registry.shard_index(host), self.shard);
-        self.registry
-            .predict_locked(&mut self.guard, host, day_type, window, init)
-    }
-
-    /// Several predicts for one `(host, day_type, window)` answered from a
-    /// single batched recursion run, each slot bit-identical to
-    /// [`predict`](ShardSession::predict).
+    /// Several predicts for one `(host, day_type, window)` under the held
+    /// lock, one scalar predict per init: each slot is
+    /// [`ShardedRegistry::predict`]'s answer for its init, value or error.
+    /// A slot that solves memoizes both operational inits, so the other
+    /// slots read the memo.
     pub fn predict_many(
         &mut self,
         host: u64,
@@ -1108,20 +975,13 @@ impl ShardSession<'_> {
         inits: &[State],
     ) -> Vec<Result<f64, RegistryError>> {
         debug_assert_eq!(self.registry.shard_index(host), self.shard);
-        self.registry
-            .predict_many_locked(&mut self.guard, host, day_type, window, inits)
-    }
-
-    /// [`ShardedRegistry::sweep`] under the held lock.
-    pub fn sweep(
-        &mut self,
-        host: u64,
-        day_type: DayType,
-        window: TimeWindow,
-    ) -> Result<TrCurve, RegistryError> {
-        debug_assert_eq!(self.registry.shard_index(host), self.shard);
-        self.registry
-            .sweep_locked(&mut self.guard, host, day_type, window)
+        inits
+            .iter()
+            .map(|&init| {
+                self.registry
+                    .predict_locked(&mut self.guard, host, day_type, window, init)
+            })
+            .collect()
     }
 }
 
@@ -1136,6 +996,7 @@ impl std::fmt::Debug for ShardSession<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::predictor::solve_memo_key;
     use fgcs_runtime::fault::FaultPlan;
     use fgcs_runtime::rng::{Rng, Xoshiro256};
     use State::*;
@@ -1383,31 +1244,6 @@ mod tests {
     }
 
     #[test]
-    fn session_ops_are_bit_identical_to_direct_ops() {
-        let direct = ShardedRegistry::new(config(4));
-        let sessioned = ShardedRegistry::new(config(4));
-        let mut rng = Xoshiro256::seed_from_u64(31);
-        let window = TimeWindow::from_hours(9.0, 2.0);
-        for day in 0..6 {
-            for host in 0..10u64 {
-                let states = random_day(&mut rng, 14_400);
-                direct.ingest_day(host, Some(day), states.clone()).unwrap();
-                let mut s = sessioned.session(sessioned.shard_index(host));
-                s.ingest_day(host, Some(day), states).unwrap();
-            }
-        }
-        for host in 0..10u64 {
-            let a = direct.predict(host, DayType::Weekday, window, S1).unwrap();
-            let mut s = sessioned.session(sessioned.shard_index(host));
-            let b = s.predict(host, DayType::Weekday, window, S1).unwrap();
-            assert_eq!(a.to_bits(), b.to_bits(), "host {host}");
-            let want = direct.sweep(host, DayType::Weekday, window).unwrap();
-            let got = s.sweep(host, DayType::Weekday, window).unwrap();
-            assert_eq!(want, got, "host {host}");
-        }
-    }
-
-    #[test]
     fn predict_many_matches_scalar_predicts_bitwise() {
         for policy in [SolverPolicy::Fast, SolverPolicy::PaperOracle] {
             let cfg = RegistryConfig {
@@ -1454,6 +1290,40 @@ mod tests {
                 missing[1],
                 Err(RegistryError::Core(CoreError::FailureInitialState(S3)))
             ));
+        }
+    }
+
+    #[test]
+    fn one_predict_memoizes_both_operational_inits() {
+        for policy in [SolverPolicy::Fast, SolverPolicy::PaperOracle] {
+            let reg = ShardedRegistry::new(RegistryConfig {
+                solver_policy: policy,
+                ..config(3)
+            });
+            let mut rng = Xoshiro256::seed_from_u64(61);
+            let mut oracle_history = HistoryStore::new();
+            for day in 0..6 {
+                let states = random_day(&mut rng, 14_400);
+                oracle_history.push_day(DayLog::new(day, StateLog::new(6, states.clone())));
+                reg.ingest_day(11, Some(day), states).unwrap();
+            }
+            let window = TimeWindow::from_hours(14.0, 1.5);
+            reg.predict(11, DayType::Weekday, window, S1).unwrap();
+            let params = reg
+                .lock(reg.shard_index(11))
+                .qh
+                .get_stale(&reg.predictor, 11, DayType::Weekday, window)
+                .expect("the predict cached its kernel");
+            let key = solve_memo_key(S2, policy, window.steps(6));
+            let want = SmpPredictor::new(AvailabilityModel::default())
+                .with_solver_policy(policy)
+                .predict(&oracle_history, DayType::Weekday, window, S2)
+                .unwrap();
+            assert_eq!(
+                reg.dedup.memo_get(&params, key).map(f64::to_bits),
+                Some(want.to_bits()),
+                "{policy:?}"
+            );
         }
     }
 

@@ -276,7 +276,7 @@ impl<'a> FastSolver<'a> {
             return Err(CoreError::FailureInitialState(init));
         }
         let probs = self.interval_probabilities_with(scratch, steps)?;
-        Ok((1.0 - probs.failure_probability(init)).clamp(0.0, 1.0))
+        Ok(probs.temporal_reliability(init))
     }
 
     /// Temporal reliability with the thread-local scratch.
@@ -293,12 +293,9 @@ impl<'a> FastSolver<'a> {
     ) -> Result<TrCurve, CoreError> {
         self.check_horizon(steps)?;
         let streams = self.run(scratch, steps);
-        Ok(TrCurve::from_interleaved(
-            self.params.step_secs(),
-            streams.p1,
-            streams.p2,
-            steps,
-        ))
+        Ok(TrCurve::from_probs(self.params.step_secs(), steps, |m| {
+            streams.probs_at(m)
+        }))
     }
 
     /// [`TrCurve`] with the thread-local scratch.

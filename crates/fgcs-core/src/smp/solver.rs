@@ -61,6 +61,18 @@ impl IntervalProbs {
         }
         row.iter().sum::<f64>().clamp(0.0, 1.0)
     }
+
+    /// Paper Eq. 2, `TR = 1 − Σ_j P_{init,j}`, clamped into `[0, 1]` —
+    /// the one place a temporal reliability is derived from the interval
+    /// probabilities, so scalar solves, memo fills and curves agree bit
+    /// for bit.
+    ///
+    /// # Panics
+    /// Panics for failure initial states (the caller validates these).
+    #[must_use]
+    pub fn temporal_reliability(&self, init: State) -> f64 {
+        (1.0 - self.failure_probability(init)).clamp(0.0, 1.0)
+    }
 }
 
 /// Solver over an estimated kernel.
@@ -128,11 +140,7 @@ impl<'a> SparseSolver<'a> {
 
     /// The six interval transition probabilities at horizon `steps`.
     pub fn interval_probabilities(&self, steps: usize) -> Result<IntervalProbs, CoreError> {
-        let (p1, p2) = self.run(steps)?;
-        Ok(IntervalProbs {
-            p1: [p1[0][steps], p1[1][steps], p1[2][steps]],
-            p2: [p2[0][steps], p2[1][steps], p2[2][steps]],
-        })
+        Ok(probs_at(&self.run(steps)?, steps))
     }
 
     /// Temporal reliability `TR = 1 - Σ_j P_{init,j}(steps)` for an
@@ -153,7 +161,7 @@ impl<'a> SparseSolver<'a> {
             "core.solver.sparse_last_residual",
             (raw - raw.clamp(0.0, 1.0)).abs()
         );
-        Ok((1.0 - probs.failure_probability(init)).clamp(0.0, 1.0))
+        Ok(probs.temporal_reliability(init))
     }
 
     /// The materialized [`TrCurve`]: `TR(m)` for `m = 0..=steps` from both
@@ -163,8 +171,18 @@ impl<'a> SparseSolver<'a> {
     /// exactly as a run to `m` would, so each value is bit-identical to
     /// [`Self::temporal_reliability`] at `m`.
     pub fn tr_curve(&self, steps: usize) -> Result<TrCurve, CoreError> {
-        let (p1, p2) = self.run(steps)?;
-        Ok(TrCurve::from_planar(self.params.step_secs(), &p1, &p2))
+        let curves = self.run(steps)?;
+        Ok(TrCurve::from_probs(self.params.step_secs(), steps, |m| {
+            probs_at(&curves, m)
+        }))
+    }
+}
+
+/// The six probabilities at horizon `m` of one run's planar curves.
+fn probs_at((p1, p2): &SixCurves, m: usize) -> IntervalProbs {
+    IntervalProbs {
+        p1: [p1[0][m], p1[1][m], p1[2][m]],
+        p2: [p2[0][m], p2[1][m], p2[2][m]],
     }
 }
 

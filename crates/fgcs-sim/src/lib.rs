@@ -49,5 +49,5 @@ pub use guest::{CheckpointConfig, GuestJob, GuestOutcome, GuestStatus};
 pub use migration::MigrationPolicy;
 pub use monitor::{MonitorReport, ResourceMonitor};
 pub use node::{GuestRecord, HostNode, QueryError};
-pub use scheduler::{predict_cluster, predict_cluster_qualified, JobScheduler, SchedulingPolicy};
+pub use scheduler::{predict_cluster_qualified, JobScheduler, SchedulingPolicy};
 pub use state_manager::{OnlineDecision, StateManager};

@@ -22,27 +22,12 @@ use crate::node::{HostNode, QueryError};
 /// exceeds the few-microsecond per-node query cost.
 const PARALLEL_QUERY_THRESHOLD: usize = 4;
 
-/// Queries every node's predicted TR over `horizon_secs` in parallel and
-/// returns the results in node order — the cluster-wide counterpart of
-/// [`HostNode::predict_tr`]. The result is element-for-element identical
-/// to the sequential loop (`fgcs_runtime::parallel` guarantees index
-/// ordering), so simulations stay deterministic regardless of core count.
-/// Each worker thread solves out of its own thread-local
-/// [`fgcs_core::SolveScratch`] arena, so the sweep stays allocation-free
-/// per query after the first solve on each worker.
-pub fn predict_cluster(
-    nodes: &[HostNode],
-    horizon_secs: u32,
-) -> Vec<Result<f64, fgcs_core::error::CoreError>> {
-    fgcs_runtime::counter_add!("sim.scheduler.cluster_sweeps", 1);
-    fgcs_runtime::histogram_record!("sim.scheduler.sweep_size", nodes.len() as u64);
-    fgcs_runtime::parallel::par_map(nodes, |n| n.predict_tr(horizon_secs))
-}
-
-/// Queries every node's *qualified* TR over `horizon_secs` in parallel —
-/// the robust counterpart of [`predict_cluster`]. A reachable node always
-/// answers (degrading down to its prior); `Err` marks nodes that could not
-/// be reached at all (monitoring blackout).
+/// Queries every node's *qualified* TR over `horizon_secs` in parallel and
+/// returns the results in node order (`fgcs_runtime::parallel` guarantees
+/// index ordering, so simulations stay deterministic regardless of core
+/// count). A reachable node always answers (degrading down to its prior);
+/// `Err` marks nodes that could not be reached at all (monitoring
+/// blackout).
 pub fn predict_cluster_qualified(
     nodes: &[HostNode],
     horizon_secs: u32,
@@ -329,23 +314,6 @@ mod tests {
         let mut n = HostNode::new(trace, model);
         n.warm_up(warm);
         n
-    }
-
-    #[test]
-    fn predict_cluster_matches_sequential_queries() {
-        let nodes: Vec<HostNode> = (0..5u64)
-            .map(|i| node_with_load(i, 0.1 + 0.05 * i as f64, 3, 2))
-            .collect();
-        let swept = predict_cluster(&nodes, 3600);
-        let sequential: Vec<_> = nodes.iter().map(|n| n.predict_tr(3600)).collect();
-        assert_eq!(swept.len(), sequential.len());
-        for (par, seq) in swept.iter().zip(&sequential) {
-            match (par, seq) {
-                (Ok(a), Ok(b)) => assert_eq!(a.to_bits(), b.to_bits()),
-                (Err(_), Err(_)) => {}
-                other => panic!("parallel/sequential disagree: {other:?}"),
-            }
-        }
     }
 
     #[test]

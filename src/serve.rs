@@ -42,13 +42,15 @@
 //!
 //! `{"op":"batch","ops":[…]}` answers each nested op with its own reply
 //! line, concatenated in request order — byte-identical to sending the ops
-//! as individual lines. Internally the ops are grouped by registry shard so
-//! each shard's lock is taken once per batch ([`ShardedRegistry::session`]),
-//! and runs of `predict` ops against one `(host, day_type, window)` are
-//! answered from a single Eq.-3 recursion (the curve is prefix-closed, so
-//! the values are bit-identical to independent solves). Per-host op order
-//! is preserved. `stats`, `shutdown`, and nested `batch` ops are rejected
-//! per-op; an empty `ops` array is an error.
+//! as individual lines, because each op runs in request order through the
+//! same handler a line of its own takes, its reply written straight into
+//! the connection's pooled reply buffer. Predicts in one batch share solves
+//! through the registry's per-kernel solve memo: one Eq.-3 run stores the
+//! TR from both operational initial states, so a batch asking S1 and S2
+//! for one coordinate solves once. `stats`, `shutdown`, `health`, `host`
+//! and nested `batch` ops are rejected per-op; an empty `ops` array is an
+//! error. A panic in any op rolls back the whole batch reply, as for any
+//! other request.
 //!
 //! The same [`Server`] drives both transports:
 //!
@@ -234,20 +236,11 @@ enum ShardOp {
 }
 
 /// Where a `predict` or `sweep` looks.
-#[derive(Clone, Copy, PartialEq)]
+#[derive(Clone, Copy)]
 struct Coords {
     host: u64,
     day_type: DayType,
     window: TimeWindow,
-}
-
-impl ShardOp {
-    fn host(&self) -> u64 {
-        match self {
-            ShardOp::Ingest { host, .. } => *host,
-            ShardOp::Predict { at, .. } | ShardOp::Sweep { at, .. } => at.host,
-        }
-    }
 }
 
 /// A protocol error. Field-shape errors stay borrowed ([`SliceError`]);
@@ -543,8 +536,9 @@ impl Server {
         false
     }
 
-    /// One registry-bound op on its own line: the registry's scalar calls,
-    /// each taking the host's shard lock for itself.
+    /// One registry-bound op, on its own line or inside a `batch`: the
+    /// registry's scalar calls, each taking the host's shard lock for
+    /// itself.
     fn run_op(&self, op: ShardOp, out: &mut JsonWriter) {
         match op {
             ShardOp::Ingest {
@@ -563,74 +557,24 @@ impl Server {
         }
     }
 
-    /// The shard-batched pipeline behind the `batch` op: decode each
-    /// nested op, group the registry-bound ones by shard, take each shard
-    /// lock once, answer `predict` runs against one `(host, day_type,
-    /// window)` from a single curve solve, then emit the replies in
-    /// request order.
+    /// The `batch` op: each nested op in request order, through the same
+    /// [`run_op`](Server::run_op) as a line of its own, its reply written
+    /// straight into `out` — so the reply stream is the one the ops would
+    /// get as separate lines.
     fn run_batch(&self, ops: JsonSliceArray<'_>, out: &mut JsonWriter) {
-        let mut replies: Vec<JsonWriter> = Vec::new();
-        let mut sharded: Vec<Vec<(usize, ShardOp)>> = (0..self.registry.shard_count())
-            .map(|_| Vec::new())
-            .collect();
-        for (i, raw) in ops.enumerate() {
-            let mut reply = JsonWriter::new();
+        let mut empty = true;
+        for raw in ops {
+            empty = false;
             match JsonSlice::element_object(raw).map(|el| parse_request(&el, true)) {
-                Some(Ok(Request::Op(op))) => {
-                    sharded[self.registry.shard_index(op.host())].push((i, op));
-                }
-                Some(Ok(Request::Ping)) => reply.raw(PING_LINE),
+                Some(Ok(Request::Op(op))) => self.run_op(op, out),
+                Some(Ok(Request::Ping)) => out.raw(PING_LINE),
                 Some(Ok(_)) => unreachable!("parse_request refuses control ops in a batch"),
-                Some(Err(e)) => write_error_line(&mut reply, &e),
-                None => write_unscanned_line(&mut reply, raw),
+                Some(Err(e)) => write_error_line(out, &e),
+                None => write_unscanned_line(out, raw),
             }
-            replies.push(reply);
         }
-        if replies.is_empty() {
+        if empty {
             write_error_line(out, &EMPTY_BATCH);
-            return;
-        }
-        for (shard, ops) in sharded.into_iter().enumerate() {
-            if ops.is_empty() {
-                continue;
-            }
-            let mut session = self.registry.session(shard);
-            let mut ops = ops.into_iter().peekable();
-            while let Some((i, op)) = ops.next() {
-                match op {
-                    ShardOp::Ingest {
-                        host,
-                        day_index,
-                        states,
-                    } => write_ingest_reply(
-                        &mut replies[i],
-                        session.ingest_day(host, day_index, states),
-                    ),
-                    ShardOp::Sweep { at, init, points } => {
-                        let curve = session.sweep(at.host, at.day_type, at.window);
-                        write_sweep_reply(&mut replies[i], at, init, points, curve);
-                    }
-                    ShardOp::Predict { at, init } => {
-                        // Maximal run of predicts against one coordinate:
-                        // one curve solve answers them all, bit-identically
-                        // to scalar predicts.
-                        let mut run = vec![(i, init)];
-                        while let Some((j, ShardOp::Predict { init, .. })) = ops.next_if(
-                            |(_, next)| matches!(next, ShardOp::Predict { at: a, .. } if *a == at),
-                        ) {
-                            run.push((j, init));
-                        }
-                        let inits: Vec<State> = run.iter().map(|&(_, init)| init).collect();
-                        let trs = session.predict_many(at.host, at.day_type, at.window, &inits);
-                        for ((j, init), tr) in run.into_iter().zip(trs) {
-                            self.write_predict_reply(&mut replies[j], at, init, tr);
-                        }
-                    }
-                }
-            }
-        }
-        for reply in &replies {
-            out.raw(reply.as_str());
         }
     }
 

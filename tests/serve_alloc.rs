@@ -7,7 +7,8 @@
 //! [`Server::handle_line_into`] must not touch the allocator at all: the
 //! request line is scanned in place ([`JsonSlice`]), the answer comes from
 //! the per-kernel solve memo, and the reply is formatted into the pooled
-//! [`JsonWriter`]. `ping` gets the same guarantee for free.
+//! [`JsonWriter`]. `ping` gets the same guarantee for free, and so does a
+//! `batch` of warm predicts, whose ops take the same path one by one.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -117,6 +118,41 @@ fn warm_predict_requests_do_not_allocate() {
     assert_eq!(
         allocs, 0,
         "warm predict requests on the serve hot path must not allocate"
+    );
+}
+
+#[test]
+fn warm_batch_of_predicts_does_not_allocate() {
+    // Four 2-h windows, S1 and S2 for each: every op takes the single-line
+    // predict path and writes its reply straight into the pooled buffer.
+    let ops: Vec<String> = [6, 9, 12, 15]
+        .iter()
+        .flat_map(|start| {
+            ["S1", "S2"].map(|init| {
+                format!(
+                    "{{\"op\":\"predict\",\"host\":9,\"start\":{start}.0,\"hours\":2.0,\"init\":\"{init}\"}}"
+                )
+            })
+        })
+        .collect();
+    let req = format!("{{\"op\":\"batch\",\"ops\":[{}]}}", ops.join(","));
+    let s = warm_server();
+    let mut out = JsonWriter::new();
+    assert!(!s.handle_line_into(&req, &mut out));
+    let want = out.as_str().to_string();
+    assert_eq!(want.matches("\"tr\":").count(), 8, "{want}");
+
+    let ((), allocs) = count_allocations(|| {
+        for _ in 0..100 {
+            out.clear();
+            let shutdown = s.handle_line_into(&req, &mut out);
+            assert!(!shutdown);
+            assert_eq!(out.as_str(), want);
+        }
+    });
+    assert_eq!(
+        allocs, 0,
+        "warm batches of cached predicts must not allocate"
     );
 }
 
