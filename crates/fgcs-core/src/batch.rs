@@ -21,7 +21,7 @@
 use crate::error::CoreError;
 use crate::log::HistoryStore;
 use crate::predictor::{evaluate_window, SmpPredictor, WindowEvaluation};
-use crate::smp::IntervalProbs;
+use crate::smp::solver::reliability_from_failure;
 use crate::state::State;
 use crate::window::{DayType, TimeWindow};
 
@@ -36,23 +36,19 @@ pub struct TrCurve {
 }
 
 impl TrCurve {
-    /// Builds the curve from a solver run's interval probabilities,
-    /// `probs_at(m)` for `m = 0..=steps`, applying paper Eq. 2 at every
-    /// step through [`IntervalProbs::temporal_reliability`] — the same
-    /// derivation the scalar solves use, so curve values are bit-identical
-    /// to standalone solves.
-    pub(crate) fn from_probs(
+    /// Builds the curve from a solver run's failure sums,
+    /// `failures_at(m) = [F_S1(m), F_S2(m)]` for `m = 0..=steps`, applying
+    /// paper Eq. 2 at every step through the same function the scalar
+    /// solves use, so curve values are bit-identical to standalone solves.
+    pub(crate) fn from_failures(
         step_secs: u32,
         steps: usize,
-        probs_at: impl Fn(usize) -> IntervalProbs,
+        failures_at: impl Fn(usize) -> [f64; 2],
     ) -> TrCurve {
         let (s1, s2) = (0..=steps)
             .map(|m| {
-                let probs = probs_at(m);
-                (
-                    probs.temporal_reliability(State::S1),
-                    probs.temporal_reliability(State::S2),
-                )
+                let [f1, f2] = failures_at(m);
+                (reliability_from_failure(f1), reliability_from_failure(f2))
             })
             .unzip();
         TrCurve { step_secs, s1, s2 }

@@ -233,7 +233,7 @@ struct QhKey {
 ///
 /// Values are held behind [`Arc`] so a hit hands back the cached kernel
 /// without cloning its event lists. Since [`SmpParams`] keeps its solver
-/// view (sorted event lists, merged failure events, row totals) from
+/// view (sorted event lists, lumped failure events, row totals) from
 /// construction, a cache hit also skips that preprocessing: the fast
 /// solver runs straight off the shared kernel with no per-query setup.
 /// A kernel's size follows its sojourn events, not its horizon, so the

@@ -11,7 +11,8 @@ use crate::cache::{KernelDedup, QhCache};
 use crate::error::CoreError;
 use crate::log::HistoryStore;
 use crate::model::AvailabilityModel;
-use crate::smp::{FastSolver, IntervalProbs, SmpParams, SojournAccumulator, SparseSolver};
+use crate::smp::solver::reliability_from_failure;
+use crate::smp::{FastSolver, SmpParams, SojournAccumulator, SparseSolver};
 use crate::state::State;
 use crate::window::{DayType, TimeWindow};
 
@@ -23,8 +24,9 @@ use crate::window::{DayType, TimeWindow};
 /// harness asserts scheduler *decisions* are identical under either policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SolverPolicy {
-    /// The production path (default): [`FastSolver`]'s SoA streams and
-    /// scratch arenas — allocation-free when warm, `O(steps · nnz)`.
+    /// The production path (default): [`FastSolver`]'s lumped failure
+    /// streams and scratch arenas — allocation-free when warm,
+    /// `O(steps · nnz)`.
     #[default]
     Fast,
     /// The verbatim paper-order recursion ([`SparseSolver`]) — the
@@ -110,16 +112,20 @@ impl SmpPredictor {
         }
     }
 
-    /// Solves the six interval probabilities under the configured policy.
-    pub(crate) fn solve_interval_probs(
+    /// `[TR_S1, TR_S2]` at `steps`: the temporal reliability from both
+    /// operational states, from one solve under the configured policy.
+    pub(crate) fn solve_both_inits(
         &self,
         params: &SmpParams,
         steps: usize,
-    ) -> Result<IntervalProbs, CoreError> {
-        match self.solver_policy {
-            SolverPolicy::Fast => FastSolver::new(params).interval_probabilities(steps),
-            SolverPolicy::PaperOracle => SparseSolver::new(params).interval_probabilities(steps),
-        }
+    ) -> Result<[f64; 2], CoreError> {
+        let failures = match self.solver_policy {
+            SolverPolicy::Fast => FastSolver::new(params).failure_probabilities(steps)?,
+            SolverPolicy::PaperOracle => SparseSolver::new(params)
+                .interval_probabilities(steps)?
+                .failure_probabilities(),
+        };
+        Ok(failures.map(reliability_from_failure))
     }
 
     /// The TR for `(params, init, steps)` from the canonical kernel's solve
@@ -140,9 +146,9 @@ impl SmpPredictor {
         }
     }
 
-    /// The memo miss: one Eq.-3 run yields the interval probabilities from
-    /// both operational states, so the TR of S1 and of S2 are both stored
-    /// (a later query for the other init reads the memo instead of solving
+    /// The memo miss: one Eq.-3 run yields the failure sums from both
+    /// operational states, so the TR of S1 and of S2 are both stored (a
+    /// later query for the other init reads the memo instead of solving
     /// again). Kept out of line so the hit path stays small.
     #[inline(never)]
     fn fill_solve_memo(
@@ -152,12 +158,11 @@ impl SmpPredictor {
         init: State,
         steps: usize,
     ) -> Result<f64, CoreError> {
-        let probs = self.solve_interval_probs(params, steps)?;
-        for state in [State::S1, State::S2] {
-            let key = solve_memo_key(state, self.solver_policy, steps);
-            dedup.memo_put(params, key, probs.temporal_reliability(state));
+        let trs = self.solve_both_inits(params, steps)?;
+        for (state, tr) in [State::S1, State::S2].into_iter().zip(trs) {
+            dedup.memo_put(params, solve_memo_key(state, self.solver_policy, steps), tr);
         }
-        Ok(probs.temporal_reliability(init))
+        Ok(trs[init.index()])
     }
 
     /// Solves the batched TR curve under the configured policy.
@@ -549,12 +554,10 @@ pub fn evaluate_window(
 ) -> Result<WindowEvaluation, CoreError> {
     let params = predictor.estimate_params(train, day_type, window)?;
     let steps = window.steps(predictor.model().monitor_period_secs);
-    // Both possible predictions from ONE recursion run: the six interval
-    // probabilities contain the S1 and S2 rows, so running the solver per
-    // initial state would do the same work twice for identical values.
-    let probs = predictor.solve_interval_probs(&params, steps)?;
-    let tr_s1 = probs.temporal_reliability(State::S1);
-    let tr_s2 = probs.temporal_reliability(State::S2);
+    // Both possible predictions from ONE recursion run: it carries the S1
+    // and S2 streams, so running the solver per initial state would do the
+    // same work twice for identical values.
+    let [tr_s1, tr_s2] = predictor.solve_both_inits(&params, steps)?;
 
     let mut used = 0usize;
     let mut survived = 0usize;

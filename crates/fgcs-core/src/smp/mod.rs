@@ -13,7 +13,8 @@
 //! * [`incremental`] — the O(1)-per-sample online estimator backing the
 //!   sharded serving registry, bitwise-verified against the full-scan
 //!   [`params`] oracle,
-//! * [`fast`] — the production solver: SoA interval streams in a reusable
+//! * [`fast`] — the production solver: the three failure states lumped
+//!   into one stream per operational state in a reusable
 //!   [`fast::SolveScratch`] arena, cursor-summed direct-failure terms, and
 //!   an error-bounded (≤ 1e-12 unit-scale) contract against the
 //!   paper-order oracle.

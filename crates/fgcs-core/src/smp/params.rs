@@ -30,11 +30,11 @@
 //! end per sojourn run and evaluates the product-limit only at the event
 //! holding times, so a build costs O(runs log runs) time and O(runs)
 //! memory, whatever the horizon. Alongside the rows, [`SmpParams`] keeps
-//! the solver's view (the failure rows merged by holding time, and the row
-//! totals `Q_i(k)`), so every solve and every `Qh` lookup afterwards is
-//! allocation-free, and a cached `Arc<SmpParams>` shares it across all
-//! consumers. Dense rows are built only on demand, for the paper-order
-//! oracle and the JSON form.
+//! the solver's view (the failure rows lumped into one mass per holding
+//! time, and the row totals `Q_i(k)`), so every solve and every `Qh`
+//! lookup afterwards is allocation-free, and a cached `Arc<SmpParams>`
+//! shares it across all consumers. Dense rows are built only on demand,
+//! for the paper-order oracle and the JSON form.
 
 use std::sync::OnceLock;
 
@@ -67,16 +67,17 @@ fn target_index(source_idx: usize, target: State) -> Option<usize> {
 ///   kernel: equality, the content hash, [`SmpParams::kernel_at`] and the
 ///   holding-time pmfs read it. `rows[i][0]` is the operational transition
 ///   (`S1→S2` / `S2→S1`), the only list the Eq.-3 convolution scans;
-/// * `direct[i]` — the three failure rows merged by holding time `l ≥ 1`,
-///   `(l, [q_{i,S3}(l), q_{i,S4}(l), q_{i,S5}(l)])`, so one cursor per
-///   source yields the direct-failure term of every recursion step;
+/// * `direct[i]` — the three failure rows lumped by holding time `l ≥ 1`,
+///   `(l, (q_{i,S3}(l) + q_{i,S4}(l)) + q_{i,S5}(l))`, so one cursor per
+///   source adds one number per event to the direct-failure term of the
+///   lumped recursion (Eq. 2 reads only the sum over failure states);
 /// * `q_total[i][k]` — the embedded transition probabilities
 ///   `Q_i(k) = Σ_{l ≥ 1} q_{i,k}(l)`, making [`SmpParams::q`] and the
 ///   holding-time pmf normalisers O(1).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub(crate) struct SolverKernel {
     rows: [[Vec<(usize, f64)>; 4]; 2],
-    direct: [Vec<(usize, [f64; 3])>; 2],
+    direct: [Vec<(usize, f64)>; 2],
     q_total: [[f64; 4]; 2],
 }
 
@@ -90,9 +91,8 @@ impl SolverKernel {
                 row.push((l, v));
             }
         }
-        let failures = [masses[1], masses[2], masses[3]];
-        if l >= 1 && failures.iter().any(|&v| v != 0.0) {
-            self.direct[source_idx].push((l, failures));
+        if l >= 1 && masses[1..].iter().any(|&v| v != 0.0) {
+            self.direct[source_idx].push((l, (masses[1] + masses[2]) + masses[3]));
         }
     }
 
@@ -153,11 +153,11 @@ impl SolverKernel {
         &self.rows[source_idx][0]
     }
 
-    /// Ascending direct-failure events of source `i`:
-    /// `(l, [q_{i,S3}(l), q_{i,S4}(l), q_{i,S5}(l)])` for each `l ≥ 1` with
-    /// any failure mass.
+    /// Ascending lumped direct-failure events of source `i`:
+    /// `(l, (q_{i,S3}(l) + q_{i,S4}(l)) + q_{i,S5}(l))` for each `l ≥ 1`
+    /// with any failure mass.
     #[must_use]
-    pub(crate) fn direct_events(&self, source_idx: usize) -> &[(usize, [f64; 3])] {
+    pub(crate) fn direct_events(&self, source_idx: usize) -> &[(usize, f64)] {
         &self.direct[source_idx]
     }
 }
@@ -178,7 +178,7 @@ pub struct SmpParams {
     hash: OnceLock<u64>,
 }
 
-// Manual equality over the content fields only. The merged failure events
+// Manual equality over the content fields only. The lumped failure events
 // and row totals are pure functions of `(rows, horizon)` and `hash` is a
 // lazy memo — including the memo would make content-equal values compare
 // unequal depending on what has been computed so far (`OnceLock` equality
@@ -595,7 +595,7 @@ impl SmpParams {
         })
     }
 
-    /// The precomputed solver-facing view (event lists, merged failure
+    /// The precomputed solver-facing view (event lists, lumped failure
     /// events, row totals).
     #[must_use]
     pub(crate) fn solver_kernel(&self) -> &SolverKernel {
@@ -882,23 +882,20 @@ mod tests {
         let p = SmpParams::estimate(&[&day], 6, 79);
         let view = p.solver_kernel();
         for (i, from) in [S1, S2].into_iter().enumerate() {
-            // The fast solver's cursor: direct-failure mass through step m.
+            // The fast solver's cursor: lumped direct-failure mass through
+            // step m.
             let events = view.direct_events(i);
-            let (mut dp, mut cursor) = ([0.0_f64; 3], 0);
+            let (mut dp, mut cursor) = (0.0_f64, 0);
             for m in 0..=p.horizon() {
-                while let Some(&(_, masses)) = events.get(cursor).filter(|e| e.0 <= m) {
-                    for (d, q) in dp.iter_mut().zip(masses) {
-                        *d += q;
-                    }
+                while let Some(&(_, mass)) = events.get(cursor).filter(|e| e.0 <= m) {
+                    dp += mass;
                     cursor += 1;
                 }
-                for (j, to) in [S3, S4, S5].into_iter().enumerate() {
-                    let cum: f64 = (1..=m).map(|l| p.kernel_at(from, to, l)).sum();
-                    assert!(
-                        (dp[j] - cum).abs() < 1e-15,
-                        "prefix mismatch at i={i} m={m} j={j}"
-                    );
-                }
+                let cum: f64 = [S3, S4, S5]
+                    .into_iter()
+                    .map(|to| (1..=m).map(|l| p.kernel_at(from, to, l)).sum::<f64>())
+                    .sum();
+                assert!((dp - cum).abs() < 1e-15, "prefix mismatch at i={i} m={m}");
             }
         }
     }

@@ -62,17 +62,33 @@ impl IntervalProbs {
         row.iter().sum::<f64>().clamp(0.0, 1.0)
     }
 
-    /// Paper Eq. 2, `TR = 1 − Σ_j P_{init,j}`, clamped into `[0, 1]` —
-    /// the one place a temporal reliability is derived from the interval
-    /// probabilities, so scalar solves, memo fills and curves agree bit
-    /// for bit.
+    /// `[F_S1, F_S2]`: [`Self::failure_probability`] from each operational
+    /// initial state.
+    #[must_use]
+    pub(crate) fn failure_probabilities(&self) -> [f64; 2] {
+        [State::S1, State::S2].map(|init| self.failure_probability(init))
+    }
+
+    /// Paper Eq. 2, `TR = 1 − Σ_j P_{init,j}`, clamped into `[0, 1]`,
+    /// through the same function every solver's scalar solves, memo fills
+    /// and curves use, so they agree bit for bit.
     ///
     /// # Panics
     /// Panics for failure initial states (the caller validates these).
     #[must_use]
     pub fn temporal_reliability(&self, init: State) -> f64 {
-        (1.0 - self.failure_probability(init)).clamp(0.0, 1.0)
+        reliability_from_failure(self.failure_probability(init))
     }
+}
+
+/// Paper Eq. 2, `TR = 1 − F`, for the probability `F = Σ_j P_{init,j}` of
+/// having entered any failure state within the horizon. `F` is clamped
+/// into `[0, 1]`, so TR lies there too. This is the one place a temporal
+/// reliability is derived from a solve, so scalar solves, memo fills and
+/// curves agree bit for bit.
+#[must_use]
+pub(crate) fn reliability_from_failure(failure: f64) -> f64 {
+    1.0 - failure.clamp(0.0, 1.0)
 }
 
 /// Solver over an estimated kernel.
@@ -172,9 +188,11 @@ impl<'a> SparseSolver<'a> {
     /// [`Self::temporal_reliability`] at `m`.
     pub fn tr_curve(&self, steps: usize) -> Result<TrCurve, CoreError> {
         let curves = self.run(steps)?;
-        Ok(TrCurve::from_probs(self.params.step_secs(), steps, |m| {
-            probs_at(&curves, m)
-        }))
+        Ok(TrCurve::from_failures(
+            self.params.step_secs(),
+            steps,
+            |m| probs_at(&curves, m).failure_probabilities(),
+        ))
     }
 }
 

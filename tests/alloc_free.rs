@@ -175,20 +175,20 @@ fn interval_probabilities_with_is_also_allocation_free() {
     let solver = FastSolver::new(&params);
     let mut scratch = SolveScratch::new();
     solver
-        .interval_probabilities_with(&mut scratch, steps)
+        .failure_probabilities_with(&mut scratch, steps)
         .unwrap();
 
     let ((), allocs) = count_allocations(|| {
         for _ in 0..50 {
-            let probs = solver
-                .interval_probabilities_with(&mut scratch, steps)
+            let failures = solver
+                .failure_probabilities_with(&mut scratch, steps)
                 .unwrap();
-            assert!(probs.p1.iter().chain(&probs.p2).all(|p| p.is_finite()));
+            assert!(failures.iter().all(|p| p.is_finite()));
         }
     });
     assert_eq!(
         allocs, 0,
-        "warm interval-probability solves must not allocate"
+        "warm failure-probability solves must not allocate"
     );
 }
 

@@ -16,6 +16,11 @@ const CASES: u64 = 64;
 /// For each of the two source rows, draw up to six (target weight, holding
 /// time) entries and normalise so the row sums to < 1.
 fn random_kernel(g: &mut Gen, horizon: usize) -> SmpParams {
+    random_kernel_entries(g, horizon, 6)
+}
+
+/// [`random_kernel`] with up to `max_entries` draws per source row.
+fn random_kernel_entries(g: &mut Gen, horizon: usize, max_entries: usize) -> SmpParams {
     let mut kernel: [[Vec<f64>; 4]; 2] = Default::default();
     for r in &mut kernel {
         for c in r.iter_mut() {
@@ -23,7 +28,7 @@ fn random_kernel(g: &mut Gen, horizon: usize) -> SmpParams {
         }
     }
     for row in &mut kernel {
-        let entries = g.usize_in(0, 6);
+        let entries = g.usize_in(0, max_entries);
         let draws: Vec<(f64, usize)> = (0..entries)
             .map(|_| (g.prob(), g.usize_in(1, horizon + 1)))
             .collect();
@@ -242,6 +247,70 @@ fn fast_matches_oracle_everywhere(params: &SmpParams) -> Result<(), String> {
     Ok(())
 }
 
+#[test]
+fn fast_path_reads_only_the_lumped_failure_kernel() {
+    // Eq. 2 reads only the failure sum, and the fast path solves for it
+    // directly: a kernel and its failure-lumped twin must give the same
+    // fast curve bit for bit, both within the error budget of the oracle.
+    check("fast_path_lumped_twin_random_kernel", 2 * CASES, |g| {
+        let horizon = g.usize_in(1, 64);
+        fast_matches_lumped_twin(&random_kernel_entries(g, horizon, 12))
+    });
+    check("fast_path_lumped_twin_estimated_kernel", 2 * CASES, |g| {
+        let seq = random_states(g, 5, 20, 200);
+        let windows: Vec<&[State]> = vec![&seq];
+        fast_matches_lumped_twin(&SmpParams::estimate(&windows, 6, seq.len() - 1))
+    });
+}
+
+/// The kernel's failure-lumped twin: at each holding time, all of a
+/// source's failure mass sits on S3 as `(q₃ + q₄) + q₅`, and the S4 and S5
+/// rows are zero. The operational-transition rows are unchanged.
+fn failure_lumped_twin(params: &SmpParams) -> SmpParams {
+    let column = |from: State, to: State| -> Vec<f64> {
+        (0..=params.horizon())
+            .map(|l| params.kernel_at(from, to, l))
+            .collect()
+    };
+    let row = |from: State, other: State| -> [Vec<f64>; 4] {
+        let lumped = column(from, State::S3)
+            .iter()
+            .zip(column(from, State::S4))
+            .zip(column(from, State::S5))
+            .map(|((q3, q4), q5)| (q3 + q4) + q5)
+            .collect();
+        let zero = vec![0.0; params.horizon() + 1];
+        [column(from, other), lumped, zero.clone(), zero]
+    };
+    let kernel = [row(State::S1, State::S2), row(State::S2, State::S1)];
+    SmpParams::from_kernel(params.step_secs(), kernel)
+}
+
+fn fast_matches_lumped_twin(params: &SmpParams) -> Result<(), String> {
+    let steps = params.horizon();
+    let twin = failure_lumped_twin(params);
+    let fast = FastSolver::new(params).tr_curve(steps).unwrap();
+    let fast_twin = FastSolver::new(&twin).tr_curve(steps).unwrap();
+    let oracle = SparseSolver::new(params).tr_curve(steps).unwrap();
+    for init in [State::S1, State::S2] {
+        let curves = [&fast, &fast_twin, &oracle].map(|c| c.curve(init).unwrap());
+        for m in 0..=steps {
+            let [f, t, o] = curves.map(|c| c[m]);
+            ensure(
+                f.to_bits() == t.to_bits(),
+                format!("init {init} horizon {m}: fast {f} vs lumped twin {t}"),
+            )?;
+            for v in [f, t] {
+                ensure(
+                    (v - o).abs() <= 1e-12 * o.abs().max(1.0),
+                    format!("init {init} horizon {m}: fast {v} vs oracle {o}"),
+                )?;
+            }
+        }
+    }
+    Ok(())
+}
+
 /// The fast-vs-oracle contract at every horizon, plus the shape of a TR
 /// curve: inside [0, 1] and non-increasing, for the fast path and the
 /// oracle alike. One oracle run serves every check.
@@ -330,8 +399,8 @@ fn numeric_edge_subnormal_masses() {
     assert_eq!(params.kernel_at(State::S1, State::S3, 3), tiny);
     assert_eq!(params.kernel_at(State::S2, State::S1, 5), tiny);
     assert_eq!(params.q(State::S2, State::S5), tiny);
-    let probs = FastSolver::new(&params).interval_probabilities(40).unwrap();
-    assert!(probs.p1[0] > 0.0 && probs.p2[2] > 0.0);
+    let failures = FastSolver::new(&params).failure_probabilities(40).unwrap();
+    assert!(failures.iter().all(|&f| f > 0.0));
     assert_numeric_edge(&params);
 }
 
