@@ -32,6 +32,29 @@ cargo run -q --release --offline --bin fgcs -- lint --timings
 echo "== cargo test -q --offline"
 cargo test -q --offline --workspace
 
+echo "== results/: rerun the documented experiment commands, fail on any changed byte"
+# One line per committed file, each the command EXPERIMENTS.md documents.
+# Every one is seeded and prints the same bytes on every run (~20 s in all
+# on 2 vCPUs). results/fig4.txt is wall-clock time and is not compared.
+results_run() {
+  out=$1
+  shift
+  cargo run -q --release --offline -p fgcs-bench --bin "$@" > "results/$out"
+}
+results_run calibration.txt calibration -- 12 90
+results_run tab_contention.txt tab_contention
+results_run fig5.txt fig5_accuracy -- --machines 12 --days 90
+results_run fig5_enterprise.txt fig5_accuracy -- --machines 8 --profile enterprise
+results_run fig6.txt fig6_training_ratio -- --machines 8
+results_run fig7.txt fig7_comparison -- --machines 8
+results_run fig8.txt fig8_noise -- --machines 4 --trials 3
+results_run ablation_model.txt ablation_model
+results_run checkpointing.txt checkpointing
+if ! git diff --exit-code -- results/; then
+  echo "results/ no longer matches what the documented commands print (diff above)"
+  exit 1
+fi
+
 echo "== wire benchmark package: build + harness tests (a smoke run of every workload)"
 # examples/benchmark is a package of its own (empty [workspace]), so the
 # workspace build above never compiles it. Its 18 tests build against the

@@ -8,49 +8,32 @@
 //! * **ALL-DAYS** — statistics drawn from both weekdays and weekends
 //!   instead of same-type days only.
 //!
-//! Metric: mean relative TR error over 24 start hours (machines' test days
-//! pooled per window), weekdays, 1:1 split — the Figure-5 protocol.
+//! Metric: mean relative TR error over 24 start hours, weekdays, 1:1 split,
+//! each error pooled over the machines' test days
+//! ([`fgcs_bench::pooled_errors`]) — the Figure-5 protocol.
 //!
 //! Run: `cargo run --release -p fgcs-bench --bin ablation_model
 //!       [--machines N] [--days D]`
 
-use fgcs_bench::{pct, per_machine, Testbed, WINDOW_HOURS};
-use fgcs_core::classify::StateClassifier;
-use fgcs_core::log::{DayLog, HistoryStore, StateLog};
-use fgcs_core::predictor::{
-    evaluate_window, evaluate_window_markov, SmpPredictor, WindowEvaluation,
-};
-use fgcs_core::window::{DayType, TimeWindow};
+use fgcs_bench::{flag, pct, pooled_errors, Testbed, WINDOW_HOURS};
+use fgcs_core::predictor::{evaluate_window, evaluate_window_markov, SmpPredictor};
+use fgcs_core::window::DayType;
 
 fn main() {
     let _metrics = fgcs_bench::MetricsExport::from_args();
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let get = |key: &str, default: usize| {
-        args.iter()
-            .position(|a| a == key)
-            .and_then(|i| args.get(i + 1))
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
-    };
-    let machines = get("--machines", 8);
-    let days = get("--days", 90);
+    let machines = flag(&args, "--machines").unwrap_or(8);
+    let days = flag(&args, "--days").unwrap_or(90);
 
     let tb = Testbed::generate(2006, machines, days);
-
-    // Histories without transient folding, for the NO-FOLD variant.
-    let unfolded: Vec<HistoryStore> = tb
-        .traces
+    let splits: Vec<_> = tb.histories.iter().map(|h| h.split_ratio(1, 1)).collect();
+    let unfolded: Vec<_> = tb
+        .unfolded_histories()
         .iter()
-        .map(|t| {
-            let classifier = StateClassifier::new(tb.model).without_transient_folding();
-            let mut store = HistoryStore::new();
-            for d in 0..t.days() {
-                let states = classifier.classify(t.day_samples(d));
-                store.push_day(DayLog::new(d, StateLog::new(t.step_secs, states)));
-            }
-            store
-        })
+        .map(|h| h.split_ratio(1, 1))
         .collect();
+    let base = SmpPredictor::new(tb.model);
+    let all_days = SmpPredictor::new(tb.model).with_all_day_types();
 
     println!(
         "# Model ablations: mean relative TR error, weekdays, {machines} machines x {days} days"
@@ -60,55 +43,34 @@ fn main() {
         "window_hr", "SMP", "MARKOV", "NO-FOLD", "ALL-DAYS"
     );
 
+    let weekday = DayType::Weekday;
     for &hours in &WINDOW_HOURS {
-        // For each variant: per-machine evaluations at each start hour.
-        type Evals = Vec<Option<WindowEvaluation>>;
-        type VariantRow = (Evals, Evals, Evals, Evals);
-        let per: Vec<VariantRow> = per_machine(machines, |mi| {
-            let (train, test) = tb.histories[mi].split_ratio(1, 1);
-            let (utrain, utest) = unfolded[mi].split_ratio(1, 1);
-            let base = SmpPredictor::new(tb.model);
-            let all_days = SmpPredictor::new(tb.model).with_all_day_types();
-            let mut smp = Vec::new();
-            let mut markov = Vec::new();
-            let mut nofold = Vec::new();
-            let mut alldays = Vec::new();
-            for start in 0..24u32 {
-                let w = TimeWindow::from_hours(f64::from(start), hours);
-                smp.push(evaluate_window(&base, &train, &test, DayType::Weekday, w).ok());
-                markov.push(evaluate_window_markov(&base, &train, &test, DayType::Weekday, w).ok());
-                nofold.push(evaluate_window(&base, &utrain, &utest, DayType::Weekday, w).ok());
-                alldays.push(evaluate_window(&all_days, &train, &test, DayType::Weekday, w).ok());
+        let mean_err = |errors: Vec<f64>| {
+            if errors.is_empty() {
+                "-".to_string()
+            } else {
+                pct(fgcs_math::stats::mean(&errors))
             }
-            (smp, markov, nofold, alldays)
-        });
-
-        let pooled_mean_err = |pick: &dyn Fn(&VariantRow) -> &Evals| -> Option<f64> {
-            let mut errors = Vec::new();
-            for start in 0..24usize {
-                let (mut pred, mut emp, mut n) = (0.0, 0.0, 0usize);
-                for row in &per {
-                    if let Some(e) = &pick(row)[start] {
-                        pred += e.predicted * e.days_used as f64;
-                        emp += e.empirical * e.days_used as f64;
-                        n += e.days_used;
-                    }
-                }
-                if n > 0 && emp > 0.0 {
-                    errors.push((pred - emp).abs() / emp);
-                }
-            }
-            (!errors.is_empty()).then(|| fgcs_math::stats::mean(&errors))
         };
-        let fmt = |e: Option<f64>| e.map(pct).unwrap_or_else(|| "-".into());
-
+        let smp = pooled_errors(machines, hours, |mi, w| {
+            evaluate_window(&base, &splits[mi].0, &splits[mi].1, weekday, w).ok()
+        });
+        let markov = pooled_errors(machines, hours, |mi, w| {
+            evaluate_window_markov(&base, &splits[mi].0, &splits[mi].1, weekday, w).ok()
+        });
+        let nofold = pooled_errors(machines, hours, |mi, w| {
+            evaluate_window(&base, &unfolded[mi].0, &unfolded[mi].1, weekday, w).ok()
+        });
+        let alldays = pooled_errors(machines, hours, |mi, w| {
+            evaluate_window(&all_days, &splits[mi].0, &splits[mi].1, weekday, w).ok()
+        });
         println!(
             "{:>10} {:>10} {:>10} {:>10} {:>10}",
             hours,
-            fmt(pooled_mean_err(&|r| &r.0)),
-            fmt(pooled_mean_err(&|r| &r.1)),
-            fmt(pooled_mean_err(&|r| &r.2)),
-            fmt(pooled_mean_err(&|r| &r.3)),
+            mean_err(smp),
+            mean_err(markov),
+            mean_err(nofold),
+            mean_err(alldays),
         );
     }
     println!("# MARKOV degrades with window length (holding-time structure matters). NO-FOLD");

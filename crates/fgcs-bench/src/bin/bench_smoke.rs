@@ -61,12 +61,12 @@ use std::hint::black_box;
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
-use fgcs_bench::{smp_error, Testbed};
+use fgcs_bench::{flag, Testbed};
 use fgcs_core::cache::QhCache;
 use fgcs_core::classify::StateClassifier;
 use fgcs_core::log::StateLog;
 use fgcs_core::model::AvailabilityModel;
-use fgcs_core::predictor::SmpPredictor;
+use fgcs_core::predictor::{evaluate_window, SmpPredictor};
 use fgcs_core::registry::encode_wal_record;
 use fgcs_core::smp::{FastSolver, IncrementalEstimator, SolveScratch, SparseSolver};
 use fgcs_core::state::{self, State};
@@ -208,12 +208,7 @@ const WIRE_GATES: [(&str, f64); 3] = [("server_cpu_us", 3.0), ("setup_s", 3.0), 
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let opt = |key: &str| {
-        args.iter()
-            .position(|a| a == key)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
+    let opt = |key: &str| flag::<String>(&args, key);
     let read =
         |path: &str| std::fs::read_to_string(path).map_err(|e| format!("{path}: read failed: {e}"));
     let write = |path: &str, json: Json| {
@@ -593,7 +588,8 @@ fn fig5_mini_sweep(tb: &Testbed) -> usize {
         for hours in [1.0, 2.0, 3.0] {
             for start in [0.0f64, 4.0, 8.0, 12.0, 16.0, 20.0] {
                 let w = TimeWindow::from_hours(start, hours);
-                if smp_error(&predictor, &train, &test, DayType::Weekday, w).is_some() {
+                let eval = evaluate_window(&predictor, &train, &test, DayType::Weekday, w);
+                if eval.is_ok_and(|e| e.relative_error().is_some()) {
                     evaluated += 1;
                 }
             }

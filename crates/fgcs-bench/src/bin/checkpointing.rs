@@ -11,6 +11,7 @@
 //! Run: `cargo run --release -p fgcs-bench --bin checkpointing
 //!       [--machines N] [--days D]`
 
+use fgcs_bench::flag;
 use fgcs_core::model::AvailabilityModel;
 use fgcs_sim::{
     CheckpointPolicy, Cluster, JobScheduler, JobSpec, MigrationPolicy, SchedulingPolicy,
@@ -20,15 +21,8 @@ use fgcs_trace::{generate_cluster, TraceConfig};
 fn main() {
     let _metrics = fgcs_bench::MetricsExport::from_args();
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let get = |key: &str, default: usize| {
-        args.iter()
-            .position(|a| a == key)
-            .and_then(|i| args.get(i + 1))
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
-    };
-    let machines = get("--machines", 6);
-    let total_days = get("--days", 21);
+    let machines: usize = flag(&args, "--machines").unwrap_or(6);
+    let total_days: usize = flag(&args, "--days").unwrap_or(21);
     let warm_days = 14.min(total_days.saturating_sub(3));
 
     let model = AvailabilityModel::default();

@@ -20,7 +20,7 @@
 use std::hint::black_box;
 use std::time::Instant;
 
-use fgcs_bench::Testbed;
+use fgcs_bench::{flag, Testbed};
 use fgcs_core::model::AvailabilityModel;
 use fgcs_core::predictor::SmpPredictor;
 use fgcs_core::smp::{DenseSolver, FastSolver, SparseSolver};
@@ -44,12 +44,7 @@ fn fastest_ms<R>(mut f: impl FnMut() -> R) -> f64 {
 fn main() {
     let _metrics = fgcs_bench::MetricsExport::from_args();
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let step: u32 = args
-        .iter()
-        .position(|a| a == "--step")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(6);
+    let step: u32 = flag(&args, "--step").unwrap_or(6);
 
     let model = AvailabilityModel {
         monitor_period_secs: step,

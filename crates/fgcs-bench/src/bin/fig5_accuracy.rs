@@ -4,9 +4,11 @@
 //! Protocol (paper §7.2): split each machine's trace 1:1 into training and
 //! test sets, estimate the SMP parameters from the training set, predict TR
 //! for windows of length {1, 2, 3, 5, 10} h starting at every hour
-//! 0:00–23:00, and compare against the empirical TR of the test set. Each
-//! point reports the average error over the 24 start times (and machines);
-//! bars report min and max.
+//! 0:00–23:00, and compare against the empirical TR of the test set. At
+//! each start time every machine's usable test days are pooled
+//! ([`fgcs_bench::pooled_errors`]); each point reports the average pooled
+//! error over the 24 start times, and the bars report min and max. The
+//! machines are evaluated in parallel, in machine order.
 //!
 //! Paper shape: error grows with window length; average accuracy stays
 //! above 86.5 %, worst case above 73.3 %; small windows do slightly worse
@@ -20,32 +22,20 @@
 //! future-work plan ("test our prediction mechanisms on testbeds with
 //! different workload patterns, such as ... enterprise desktop resources").
 
-use fgcs_bench::{pct, summarize_errors, Testbed, WINDOW_HOURS};
-use fgcs_core::batch::{evaluate_cluster, EvalQuery};
-use fgcs_core::predictor::{SmpPredictor, WindowEvaluation};
-use fgcs_core::window::{DayType, TimeWindow};
+use fgcs_bench::{flag, pct, pooled_errors, summarize_errors, Testbed, WINDOW_HOURS};
+use fgcs_core::predictor::{evaluate_window, SmpPredictor};
+use fgcs_core::window::DayType;
 
 fn main() {
     let _metrics = fgcs_bench::MetricsExport::from_args();
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let get = |key: &str, default: usize| {
-        args.iter()
-            .position(|a| a == key)
-            .and_then(|i| args.get(i + 1))
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
-    };
-    let machines = get("--machines", 8);
-    let days = get("--days", 90);
+    let machines = flag(&args, "--machines").unwrap_or(8);
+    let days = flag(&args, "--days").unwrap_or(90);
     let no_folding = args.iter().any(|a| a == "--no-transient-folding");
     let all_days = args.iter().any(|a| a == "--history=all");
-    let profile = args
-        .iter()
-        .position(|a| a == "--profile")
-        .and_then(|i| args.get(i + 1))
-        .map_or("lab", String::as_str);
+    let profile: String = flag(&args, "--profile").unwrap_or_else(|| "lab".into());
 
-    let tb = Testbed::generate_profile(2006, machines, days, profile);
+    let tb = Testbed::generate_profile(2006, machines, days, &profile);
     println!("# Figure 5: relative error of predicted TR ({machines} {profile} machines x {days} days, 1:1 split)");
     if no_folding {
         println!("# ablation: transient folding DISABLED");
@@ -54,29 +44,12 @@ fn main() {
         println!("# ablation: history from BOTH day types");
     }
 
-    // Optional ablation: reclassify without transient folding.
-    let histories: Vec<_> = if no_folding {
-        use fgcs_core::classify::StateClassifier;
-        use fgcs_core::log::{DayLog, HistoryStore, StateLog};
-        let classifier = StateClassifier::new(tb.model).without_transient_folding();
-        tb.traces
-            .iter()
-            .map(|t| {
-                let mut store = HistoryStore::new();
-                for d in 0..t.days() {
-                    let states = classifier.classify(t.day_samples(d));
-                    store.push_day(DayLog::new(d, StateLog::new(t.step_secs, states)));
-                }
-                store
-            })
-            .collect()
+    let histories = if no_folding {
+        tb.unfolded_histories()
     } else {
         tb.histories.clone()
     };
-
-    // One split and one predictor for the whole sweep; each (window, start)
-    // point fans the machines across worker threads via `evaluate_cluster`
-    // (machine order is preserved, so the pooling below is deterministic).
+    // One split and one predictor for the whole sweep.
     let splits: Vec<_> = histories.iter().map(|h| h.split_ratio(1, 1)).collect();
     let mut predictor = SmpPredictor::new(tb.model);
     if all_days {
@@ -97,33 +70,10 @@ fn main() {
             "window_hr", "avg_err", "min_err", "max_err", "n"
         );
         for &hours in &WINDOW_HOURS {
-            // One evaluation per machine and start hour; the per-start error
-            // pools all machines' test days (predicted and empirical TR are
-            // day-weighted averages across the testbed), as the paper's
-            // per-window points do. A machine only contributes where its
-            // error metric is defined, matching `fgcs_bench::smp_error`.
-            let mut errors = Vec::new();
-            for start in 0..24u32 {
-                let window = TimeWindow::from_hours(f64::from(start), hours);
-                let queries: Vec<EvalQuery<'_>> = splits
-                    .iter()
-                    .map(|(train, test)| EvalQuery { train, test })
-                    .collect();
-                let evals: Vec<Option<WindowEvaluation>> =
-                    evaluate_cluster(&predictor, &queries, day_type, window)
-                        .into_iter()
-                        .map(|r| r.ok().filter(|e| e.relative_error().is_some()))
-                        .collect();
-                let (mut pred, mut emp, mut n) = (0.0, 0.0, 0usize);
-                for e in evals.iter().flatten() {
-                    pred += e.predicted * e.days_used as f64;
-                    emp += e.empirical * e.days_used as f64;
-                    n += e.days_used;
-                }
-                if n > 0 && emp > 0.0 {
-                    errors.push((pred - emp).abs() / emp);
-                }
-            }
+            let errors = pooled_errors(machines, hours, |mi, window| {
+                let (train, test) = &splits[mi];
+                evaluate_window(&predictor, train, test, day_type, window).ok()
+            });
             let s = summarize_errors(&errors);
             println!(
                 "{:>10} {:>10} {:>10} {:>10} {:>8}",

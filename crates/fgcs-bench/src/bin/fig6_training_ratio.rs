@@ -2,9 +2,10 @@
 //! data sizes (1:9 … 9:1), on weekdays.
 //!
 //! Paper protocol: the same 240 time windows as Figure 5 (24 start hours ×
-//! 10 window lengths of 1–10 h); two metrics per ratio: *max-average* (the
-//! per-length averages over start hours, maximised over lengths) and the
-//! plain maximum over all 240 windows. Paper shape: a sweet spot exists at
+//! 10 window lengths of 1–10 h), each error pooled over the machines' test
+//! days as in Figure 5 ([`fgcs_bench::pooled_errors`]); two metrics per
+//! ratio: *max-average* (the per-length averages over start hours,
+//! maximised over lengths) and the plain maximum over all 240 windows. Paper shape: a sweet spot exists at
 //! an interior ratio (6:4 on their data) — more training data helps until
 //! stale days start biasing the estimate (and the shrinking test set makes
 //! the empirical reference noisier).
@@ -12,22 +13,15 @@
 //! Run: `cargo run --release -p fgcs-bench --bin fig6_training_ratio
 //!       [--machines N] [--days D]`
 
-use fgcs_bench::{pct, per_machine, smp_error, Testbed};
-use fgcs_core::predictor::SmpPredictor;
-use fgcs_core::window::{DayType, TimeWindow};
+use fgcs_bench::{flag, pct, pooled_errors, Testbed};
+use fgcs_core::predictor::{evaluate_window, SmpPredictor};
+use fgcs_core::window::DayType;
 
 fn main() {
     let _metrics = fgcs_bench::MetricsExport::from_args();
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let get = |key: &str, default: usize| {
-        args.iter()
-            .position(|a| a == key)
-            .and_then(|i| args.get(i + 1))
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
-    };
-    let machines = get("--machines", 8);
-    let days = get("--days", 90);
+    let machines = flag(&args, "--machines").unwrap_or(8);
+    let days = flag(&args, "--days").unwrap_or(90);
 
     let tb = Testbed::generate(2006, machines, days);
     println!(
@@ -35,37 +29,23 @@ fn main() {
     );
     println!("{:>8} {:>16} {:>16}", "ratio", "max_avg_err", "max_err");
 
+    let predictor = SmpPredictor::new(tb.model);
     for train in 1..=9usize {
         let test = 10 - train;
-        // errors[length-1] collects the pooled per-start errors.
-        let mut per_length_errors: Vec<Vec<f64>> = vec![Vec::new(); 10];
-        for hours in 1..=10usize {
-            let per = per_machine(machines, |mi| {
-                let (tr, te) = tb.histories[mi].split_ratio(train, test);
-                let predictor = SmpPredictor::new(tb.model);
-                let mut evals = Vec::new();
-                for start in 0..24u32 {
-                    let window = TimeWindow::from_hours(f64::from(start), hours as f64);
-                    evals.push(
-                        smp_error(&predictor, &tr, &te, DayType::Weekday, window).map(|(e, _)| e),
-                    );
-                }
-                evals
-            });
-            for start in 0..24usize {
-                let (mut pred, mut emp, mut n) = (0.0, 0.0, 0usize);
-                for evals in &per {
-                    if let Some(e) = &evals[start] {
-                        pred += e.predicted * e.days_used as f64;
-                        emp += e.empirical * e.days_used as f64;
-                        n += e.days_used;
-                    }
-                }
-                if n > 0 && emp > 0.0 {
-                    per_length_errors[hours - 1].push((pred - emp).abs() / emp);
-                }
-            }
-        }
+        let splits: Vec<_> = tb
+            .histories
+            .iter()
+            .map(|h| h.split_ratio(train, test))
+            .collect();
+        // The pooled per-start errors of each window length, 1-10 h.
+        let per_length_errors: Vec<Vec<f64>> = (1..=10u32)
+            .map(|hours| {
+                pooled_errors(machines, f64::from(hours), |mi, window| {
+                    let (tr, te) = &splits[mi];
+                    evaluate_window(&predictor, tr, te, DayType::Weekday, window).ok()
+                })
+            })
+            .collect();
         let max_avg = per_length_errors
             .iter()
             .filter(|v| !v.is_empty())

@@ -13,32 +13,19 @@
 //! prediction; multi-step-ahead forecasts degrade with lookahead).
 //!
 //! Run: `cargo run --release -p fgcs-bench --bin fig7_comparison
-//!       [--machines N] [--days D]`
+//!       [--machines N] [--days D] [--start H] [--weekend]`
 
-use fgcs_bench::{per_machine, Testbed};
-use fgcs_core::batch::{evaluate_cluster, EvalQuery};
-use fgcs_core::predictor::SmpPredictor;
+use fgcs_bench::{flag, per_machine, Testbed};
+use fgcs_core::predictor::{evaluate_window, evaluate_window_markov, SmpPredictor};
 use fgcs_core::window::{DayType, TimeWindow, SECS_PER_DAY};
 use fgcs_timeseries::{evaluate_ts_window, paper_lineup, severity_series, TsDayCase};
 
 fn main() {
     let _metrics = fgcs_bench::MetricsExport::from_args();
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let get = |key: &str, default: usize| {
-        args.iter()
-            .position(|a| a == key)
-            .and_then(|i| args.get(i + 1))
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
-    };
-    let machines = get("--machines", 8);
-    let days = get("--days", 90);
-    let start_hour: f64 = args
-        .iter()
-        .position(|a| a == "--start")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(8.0);
+    let machines = flag(&args, "--machines").unwrap_or(8);
+    let days = flag(&args, "--days").unwrap_or(90);
+    let start_hour: f64 = flag(&args, "--start").unwrap_or(8.0);
     let day_type = if args.iter().any(|a| a == "--weekend") {
         DayType::Weekend
     } else {
@@ -59,32 +46,22 @@ fn main() {
     }
     println!();
 
-    // The 1:1 split is deterministic, so compute it once; the SMP column is
-    // then one `evaluate_cluster` sweep per window (machine-parallel, order
-    // preserved), while the Markov and time-series columns keep the
-    // per-machine fan-out.
+    // The 1:1 split is deterministic, so compute it once.
     let splits: Vec<_> = tb.histories.iter().map(|h| h.split_ratio(1, 1)).collect();
     let predictor = SmpPredictor::new(tb.model);
 
     for hours in 1..=10usize {
         let window = TimeWindow::from_hours(start_hour, hours as f64);
-        let queries: Vec<EvalQuery<'_>> = splits
-            .iter()
-            .map(|(train, test)| EvalQuery { train, test })
-            .collect();
-        let smp_errors: Vec<Option<f64>> = evaluate_cluster(&predictor, &queries, day_type, window)
-            .into_iter()
-            .map(|r| r.ok().and_then(|e| e.relative_error()))
-            .collect();
-        // Per machine: the Markov baseline and each TS model's error.
+        // Per machine: the SMP and Markov errors and each TS model's.
         let rows = per_machine(machines, |mi| {
             let trace = &tb.traces[mi];
             let (train, test) = &splits[mi];
-            let markov = fgcs_core::predictor::evaluate_window_markov(
-                &predictor, train, test, day_type, window,
-            )
-            .ok()
-            .and_then(|e| e.relative_error());
+            let smp = evaluate_window(&predictor, train, test, day_type, window)
+                .ok()
+                .and_then(|e| e.relative_error());
+            let markov = evaluate_window_markov(&predictor, train, test, day_type, window)
+                .ok()
+                .and_then(|e| e.relative_error());
 
             // Build the time-series day cases from the raw trace.
             let per_day = trace.samples_per_day();
@@ -116,12 +93,12 @@ fn main() {
                         .and_then(|e| e.relative_error())
                 })
                 .collect();
-            (markov, ts)
+            (smp, markov, ts)
         });
 
         // Maximum over machines, per algorithm.
-        let max_smp = smp_errors.iter().flatten().fold(f64::NAN, |a, &b| a.max(b));
-        let max_markov = rows.iter().filter_map(|(m, _)| *m).fold(f64::NAN, f64::max);
+        let max_smp = rows.iter().filter_map(|r| r.0).fold(f64::NAN, f64::max);
+        let max_markov = rows.iter().filter_map(|r| r.1).fold(f64::NAN, f64::max);
         print!(
             "{:>10} {:>9.1}% {:>9.1}%",
             hours,
@@ -131,7 +108,7 @@ fn main() {
         for k in 0..model_names.len() {
             let max_ts = rows
                 .iter()
-                .filter_map(|(_, ts)| ts[k])
+                .filter_map(|(_, _, ts)| ts[k])
                 .fold(f64::NAN, f64::max);
             print!(" {:>9.1}%", 100.0 * max_ts);
         }

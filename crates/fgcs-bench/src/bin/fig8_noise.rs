@@ -16,7 +16,7 @@
 
 use fgcs_runtime::rng::Xoshiro256;
 
-use fgcs_bench::{per_machine, Testbed, WINDOW_HOURS};
+use fgcs_bench::{flag, per_machine, Testbed, WINDOW_HOURS};
 use fgcs_core::predictor::SmpPredictor;
 use fgcs_core::state::State;
 use fgcs_core::window::{DayType, TimeWindow};
@@ -25,21 +25,14 @@ use fgcs_trace::NoiseInjector;
 fn main() {
     let _metrics = fgcs_bench::MetricsExport::from_args();
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let get = |key: &str, default: usize| {
-        args.iter()
-            .position(|a| a == key)
-            .and_then(|i| args.get(i + 1))
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
-    };
-    let machines = get("--machines", 4);
-    let days = get("--days", 90);
-    let trials = get("--trials", 3);
+    let machines = flag(&args, "--machines").unwrap_or(4);
+    let days = flag(&args, "--days").unwrap_or(90);
+    let trials: usize = flag(&args, "--trials").unwrap_or(3);
     // The paper computes the SMP parameters from "the most recent N
     // weekdays"; the Figure 8 sensitivities (4 injections moving a 1-hour
     // prediction by > 50 %) imply a small N. We use N = 8 and inject into
     // exactly those recent logs.
-    let recent_days = get("--recent-days", 8);
+    let recent_days = flag(&args, "--recent-days").unwrap_or(8);
 
     let tb = Testbed::generate(2006, machines, days);
     println!("# Figure 8: prediction discrepancy vs injected noise ({machines} machines x {days} days, {trials} trials, N={recent_days} recent weekdays, windows start 8:00 weekdays)");

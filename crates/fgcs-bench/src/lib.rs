@@ -1,10 +1,13 @@
 //! Shared harness utilities for the experiment binaries that regenerate
 //! the paper's tables and figures (see DESIGN.md §4 for the index).
 
-use fgcs_core::log::HistoryStore;
+use std::str::FromStr;
+
+use fgcs_core::classify::StateClassifier;
+use fgcs_core::log::{DayLog, HistoryStore, StateLog};
 use fgcs_core::model::AvailabilityModel;
-use fgcs_core::predictor::{evaluate_window, SmpPredictor, WindowEvaluation};
-use fgcs_core::window::{DayType, TimeWindow};
+use fgcs_core::predictor::WindowEvaluation;
+use fgcs_core::window::TimeWindow;
 use fgcs_trace::{generate_cluster, MachineTrace, TraceConfig};
 
 /// The window lengths (hours) the paper's accuracy figures sweep.
@@ -55,6 +58,27 @@ impl Testbed {
             model,
         }
     }
+
+    /// Each machine's history classified *without* transient folding (the
+    /// NO-FOLD ablation), on the calendar
+    /// [`MachineTrace::to_history`] uses: the trace's day `d` is day
+    /// `first_day_index + d`.
+    #[must_use]
+    pub fn unfolded_histories(&self) -> Vec<HistoryStore> {
+        let classifier = StateClassifier::new(self.model).without_transient_folding();
+        self.traces
+            .iter()
+            .map(|t| {
+                let mut store = HistoryStore::new();
+                for d in 0..t.days() {
+                    let states = classifier.classify(t.day_samples(d));
+                    let log = StateLog::new(t.step_secs, states);
+                    store.push_day(DayLog::new(t.first_day_index + d, log));
+                }
+                store
+            })
+            .collect()
+    }
 }
 
 /// Summary of relative errors over a sweep (the avg / min / max bars of
@@ -67,7 +91,7 @@ pub struct ErrorSummary {
     pub min: f64,
     /// Largest observed error.
     pub max: f64,
-    /// Number of (window, machine) evaluations with a defined error.
+    /// Number of errors summarized.
     pub n: usize,
 }
 
@@ -85,19 +109,37 @@ pub fn summarize_errors(errors: &[f64]) -> ErrorSummary {
     }
 }
 
-/// Evaluates the SMP predictor for one machine and window on a train/test
-/// split, returning the evaluation if the error metric is defined.
-#[must_use]
-pub fn smp_error(
-    predictor: &SmpPredictor,
-    train: &HistoryStore,
-    test: &HistoryStore,
-    day_type: DayType,
-    window: TimeWindow,
-) -> Option<(WindowEvaluation, f64)> {
-    let eval = evaluate_window(predictor, train, test, day_type, window).ok()?;
-    let err = eval.relative_error()?;
-    Some((eval, err))
+/// The accuracy protocol's pooling rule (§7.2) for one window length:
+/// `eval(machine, window)` scores one machine's test days for the window
+/// starting at each hour 0:00–23:00 (`None` where no test day is usable),
+/// and at each start hour every machine's usable days enter one pool, with
+/// predicted and empirical TR weighted by days used. The pool's relative
+/// error is reported wherever its empirical TR is above 0, in start-hour
+/// order. A machine whose own test days all failed still adds them:
+/// dropping it would select on the outcome.
+pub fn pooled_errors<F>(machines: usize, hours: f64, eval: F) -> Vec<f64>
+where
+    F: Fn(usize, TimeWindow) -> Option<WindowEvaluation> + Sync,
+{
+    let windows: Vec<TimeWindow> = (0..24u32)
+        .map(|start| TimeWindow::from_hours(f64::from(start), hours))
+        .collect();
+    let per = per_machine(machines, |mi| {
+        windows.iter().map(|&w| eval(mi, w)).collect::<Vec<_>>()
+    });
+    let mut errors = Vec::new();
+    for start in 0..windows.len() {
+        let (mut pred, mut emp, mut n) = (0.0, 0.0, 0usize);
+        for e in per.iter().filter_map(|evals| evals[start]) {
+            pred += e.predicted * e.days_used as f64;
+            emp += e.empirical * e.days_used as f64;
+            n += e.days_used;
+        }
+        if n > 0 && emp > 0.0 {
+            errors.push((pred - emp).abs() / emp);
+        }
+    }
+    errors
 }
 
 /// Runs `f` over machine indices on worker threads and collects the
@@ -114,6 +156,15 @@ pub fn pct(x: f64) -> String {
     format!("{:.1}%", 100.0 * x)
 }
 
+/// The value after flag `key` in `args` (`--machines 12`), parsed as `T`;
+/// `None` when the flag is absent, has no value, or the value does not
+/// parse.
+#[must_use]
+pub fn flag<T: FromStr>(args: &[String], key: &str) -> Option<T> {
+    let at = args.iter().position(|a| a == key)?;
+    args.get(at + 1)?.parse().ok()
+}
+
 /// `--metrics-out PATH` support for the experiment binaries: construct one
 /// at the top of `main` and keep it alive; if the flag is present in the
 /// process arguments the metrics registry is enabled for the run and its
@@ -127,11 +178,7 @@ impl MetricsExport {
     #[must_use]
     pub fn from_args() -> MetricsExport {
         let args: Vec<String> = std::env::args().collect();
-        let path = args
-            .iter()
-            .position(|a| a == "--metrics-out")
-            .and_then(|i| args.get(i + 1))
-            .cloned();
+        let path: Option<String> = flag(&args, "--metrics-out");
         if path.is_some() {
             fgcs_runtime::metrics::set_enabled(true);
         }
@@ -158,6 +205,7 @@ impl Drop for MetricsExport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fgcs_core::window::DayType;
 
     #[test]
     fn testbed_generates_consistently() {
@@ -165,6 +213,64 @@ mod tests {
         assert_eq!(tb.traces.len(), 2);
         assert_eq!(tb.histories.len(), 2);
         assert_eq!(tb.histories[0].len(), 7);
+    }
+
+    #[test]
+    fn unfolded_histories_keep_the_trace_calendar() {
+        let mut tb = Testbed::generate(1, 1, 3);
+        tb.traces[0].first_day_index = 5;
+        let days = tb.unfolded_histories().remove(0);
+        let tagged: Vec<_> = days
+            .days()
+            .iter()
+            .map(|d| (d.day_index, d.day_type))
+            .collect();
+        assert_eq!(
+            tagged,
+            [
+                (5, DayType::Weekend),
+                (6, DayType::Weekend),
+                (7, DayType::Weekday)
+            ]
+        );
+    }
+
+    #[test]
+    fn pooling_keeps_failed_machines_and_skips_empty_hours() {
+        let eval = |predicted, empirical, days_used| {
+            Some(WindowEvaluation {
+                predicted,
+                empirical,
+                days_used,
+            })
+        };
+        // Machine 0 has no usable day anywhere; machines 1 and 2 have days
+        // at 0:00, where every one of machine 1's failed, and at 1:00,
+        // where every day failed. No later hour has a usable day.
+        let table = |mi: usize, w: TimeWindow| match (mi, w.start_secs / 3600) {
+            (1, 0) => eval(0.5, 0.0, 2),
+            (2, 0) => eval(0.9, 0.75, 4),
+            (1 | 2, 1) => eval(0.6, 0.0, 3),
+            _ => None,
+        };
+        let errors = pooled_errors(3, 2.0, table);
+        let pred: f64 = 0.0 + 0.5 * 2.0 + 0.9 * 4.0;
+        let emp = 0.0 + 0.0 * 2.0 + 0.75 * 4.0;
+        let expected = (pred - emp).abs() / emp;
+        assert_eq!(errors.len(), 1);
+        assert_eq!(errors[0].to_bits(), expected.to_bits());
+    }
+
+    #[test]
+    fn flag_reads_the_value_after_its_key() {
+        let args: Vec<String> = ["--machines", "12", "--profile", "enterprise", "--days"]
+            .map(String::from)
+            .into();
+        assert_eq!(flag(&args, "--machines"), Some(12usize));
+        assert_eq!(flag(&args, "--profile"), Some("enterprise".to_string()));
+        assert_eq!(flag::<usize>(&args, "--profile"), None);
+        assert_eq!(flag::<usize>(&args, "--days"), None);
+        assert_eq!(flag::<usize>(&args, "--start"), None);
     }
 
     #[test]

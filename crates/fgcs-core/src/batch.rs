@@ -1,4 +1,4 @@
-//! Multi-horizon TR curves and the cluster-wide evaluation fan-out.
+//! Multi-horizon TR curves.
 //!
 //! The Eq.-3 recursion is *prefix-closed*: computing `P_{init,j}(M)`
 //! necessarily computes `P_{init,j}(m)` for every `m ≤ M` along the way, in
@@ -7,23 +7,17 @@
 //! horizons for the cost of the longest one, where the independent sweep
 //! would pay `Σᵢ (i·M/N)² ≈ M²·N/3`.
 //!
-//! * [`TrCurve`] — the materialized `TR(m)` curve for both operational
-//!   initial states, built by `tr_curve` on either solver; one curve
-//!   answers any horizon ≤ M in O(1).
-//!   [`SparseSolver::tr_curve`](crate::smp::SparseSolver::tr_curve) is
-//!   bit-identical to standalone paper-order solves;
-//!   [`FastSolver::tr_curve`](crate::smp::FastSolver::tr_curve) to
-//!   standalone fast solves.
-//! * [`evaluate_cluster`] — machine-level fan-out of train/test
-//!   evaluations across [`fgcs_runtime::parallel`], with deterministic
-//!   result ordering.
+//! [`TrCurve`] is the materialized `TR(m)` curve for both operational
+//! initial states, built by `tr_curve` on either solver; one curve answers
+//! any horizon ≤ M in O(1).
+//! [`SparseSolver::tr_curve`](crate::smp::SparseSolver::tr_curve) is
+//! bit-identical to standalone paper-order solves;
+//! [`FastSolver::tr_curve`](crate::smp::FastSolver::tr_curve) to
+//! standalone fast solves.
 
 use crate::error::CoreError;
-use crate::log::HistoryStore;
-use crate::predictor::{evaluate_window, SmpPredictor, WindowEvaluation};
 use crate::smp::solver::reliability_from_failure;
 use crate::state::State;
-use crate::window::{DayType, TimeWindow};
 
 /// A materialized temporal-reliability curve: `TR(m)` for `m = 0..=M` from
 /// both operational initial states, answering any horizon within the run
@@ -93,31 +87,6 @@ impl TrCurve {
             _ => &self.s2,
         })
     }
-}
-
-/// One machine's train/test evaluation in a cluster-wide sweep.
-#[derive(Debug, Clone, Copy)]
-pub struct EvalQuery<'a> {
-    /// Training history (the statistics source).
-    pub train: &'a HistoryStore,
-    /// Test history (the empirical ground truth).
-    pub test: &'a HistoryStore,
-}
-
-/// Runs [`evaluate_window`] for every machine in parallel, in query order
-/// — the fan-out the figure sweeps (Fig. 5/7) use per (window, day-type)
-/// cell.
-pub fn evaluate_cluster(
-    predictor: &SmpPredictor,
-    queries: &[EvalQuery<'_>],
-    day_type: DayType,
-    window: TimeWindow,
-) -> Vec<Result<WindowEvaluation, CoreError>> {
-    fgcs_runtime::counter_add!("core.batch.cluster_sweeps", 1);
-    fgcs_runtime::histogram_record!("core.batch.sweep_size", queries.len() as u64);
-    fgcs_runtime::parallel::par_map(queries, |q| {
-        evaluate_window(predictor, q.train, q.test, day_type, window)
-    })
 }
 
 #[cfg(test)]

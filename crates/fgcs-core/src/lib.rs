@@ -49,7 +49,7 @@ pub mod smp;
 pub mod state;
 pub mod window;
 
-pub use batch::{evaluate_cluster, EvalQuery, TrCurve};
+pub use batch::TrCurve;
 pub use cache::{KernelDedup, QhCache};
 pub use classify::StateClassifier;
 pub use error::CoreError;

@@ -340,7 +340,7 @@ impl Iterator for ClippedRuns<'_> {
 pub(crate) type WindowRuns<'a> = std::iter::Chain<ClippedRuns<'a>, ClippedRuns<'a>>;
 
 /// The samples of `(state, samples)` pieces.
-fn expand(pieces: impl Iterator<Item = (State, usize)>) -> Vec<State> {
+pub(crate) fn expand(pieces: impl Iterator<Item = (State, usize)>) -> Vec<State> {
     let mut out = Vec::new();
     for (s, n) in pieces {
         out.resize(out.len() + n, s);

@@ -9,7 +9,7 @@ use fgcs_runtime::rng::Rng;
 use crate::batch::TrCurve;
 use crate::cache::{KernelDedup, QhCache};
 use crate::error::CoreError;
-use crate::log::HistoryStore;
+use crate::log::{expand, HistoryStore, WindowRuns};
 use crate::model::AvailabilityModel;
 use crate::smp::solver::reliability_from_failure;
 use crate::smp::{FastSolver, SmpParams, SojournAccumulator, SparseSolver};
@@ -217,21 +217,56 @@ impl SmpPredictor {
         // Each window's runs go straight from the stored days into the
         // tallies; no window is copied, stitched ones included.
         let mut acc = SojournAccumulator::new(step, window.steps(step));
-        let mut push = |runs| acc.push_runs(runs);
-        let mut days =
-            history.for_each_recent_window(day_type, window, self.max_history_days, &mut push);
-        if !self.same_day_type_only {
-            let other = match day_type {
-                DayType::Weekday => DayType::Weekend,
-                DayType::Weekend => DayType::Weekday,
-            };
-            days += history.for_each_recent_window(other, window, self.max_history_days, &mut push);
-        }
+        let days =
+            self.for_each_training_window(history, day_type, window, |runs| acc.push_runs(runs));
         if days == 0 {
             return Err(CoreError::EmptyHistory { window });
         }
         fgcs_runtime::histogram_record!("core.history_window_days", days as u64);
         Ok(acc.finish())
+    }
+
+    /// The training-window selector: calls `visit` on the runs of each
+    /// window the statistics for `(day_type, window)` are drawn from — the
+    /// `max_history_days` most recent days of `day_type`, most recent first,
+    /// then, when history from both day types is used, as many days of the
+    /// other type — and returns how many windows it visited.
+    fn for_each_training_window<'a>(
+        &self,
+        history: &'a HistoryStore,
+        day_type: DayType,
+        window: TimeWindow,
+        mut visit: impl FnMut(WindowRuns<'a>),
+    ) -> usize {
+        let mut days =
+            history.for_each_recent_window(day_type, window, self.max_history_days, &mut visit);
+        if !self.same_day_type_only {
+            let other = match day_type {
+                DayType::Weekday => DayType::Weekend,
+                DayType::Weekend => DayType::Weekday,
+            };
+            days +=
+                history.for_each_recent_window(other, window, self.max_history_days, &mut visit);
+        }
+        days
+    }
+
+    /// The selector's windows as state sequences, in its order;
+    /// [`CoreError::EmptyHistory`] when there are none.
+    fn training_windows(
+        &self,
+        history: &HistoryStore,
+        day_type: DayType,
+        window: TimeWindow,
+    ) -> Result<Vec<Vec<State>>, CoreError> {
+        let mut windows = Vec::new();
+        self.for_each_training_window(history, day_type, window, |runs| {
+            windows.push(expand(runs));
+        });
+        if windows.is_empty() {
+            return Err(CoreError::EmptyHistory { window });
+        }
+        Ok(windows)
     }
 
     /// Predicts the temporal reliability for `window` on a day of
@@ -349,11 +384,8 @@ impl SmpPredictor {
         }
         let step = self.model.monitor_period_secs;
         let steps = window.steps(step);
-        let slices = history.recent_windows(day_type, window, self.max_history_days);
-        if slices.is_empty() {
-            return Err(CoreError::EmptyHistory { window });
-        }
-        let refs: Vec<&[State]> = slices.iter().map(Vec::as_slice).collect();
+        let windows = self.training_windows(history, day_type, window)?;
+        let refs: Vec<&[State]> = windows.iter().map(Vec::as_slice).collect();
         let params = SmpParams::estimate(&refs, step, steps);
         let tr = self.solve_tr(&params, init, steps)?;
 
@@ -461,6 +493,47 @@ impl WindowEvaluation {
     }
 }
 
+/// The §6.2 test-day rule, scored. A test day of `day_type` counts when
+/// its logs cover the window (a window that crosses or ends at midnight
+/// stitched from the next day) and it is operational at the window start,
+/// where a guest would be submitted; it survived when no failure state
+/// follows inside the window. `predicted[i]` is the TR predicted from
+/// initial state `i` (S1, S2). `None` when no test day counts.
+fn score_test_days(
+    test: &HistoryStore,
+    day_type: DayType,
+    window: TimeWindow,
+    predicted: [f64; 2],
+) -> Option<WindowEvaluation> {
+    let mut used = 0usize;
+    let mut survived = 0usize;
+    let mut predicted_sum = 0.0;
+    for (pos, day) in test.days().iter().enumerate() {
+        if day.day_type != day_type {
+            continue;
+        }
+        let Some(mut runs) = test.window_runs(pos, window) else {
+            continue;
+        };
+        let Some((init, _)) = runs.next() else {
+            continue;
+        };
+        if init.is_failure() {
+            continue;
+        }
+        used += 1;
+        predicted_sum += predicted[init.index()];
+        if runs.all(|(s, _)| s.is_operational()) {
+            survived += 1;
+        }
+    }
+    (used > 0).then(|| WindowEvaluation {
+        predicted: predicted_sum / used as f64,
+        empirical: survived as f64 / used as f64,
+        days_used: used,
+    })
+}
+
 /// Computes the empirical temporal reliability of a window over the days of
 /// a test store: the fraction of days — among those operational at the
 /// window start — with no failure state inside the window.
@@ -468,29 +541,14 @@ impl WindowEvaluation {
 /// Returns `None` when no test day is usable.
 #[must_use]
 pub fn empirical_tr(test: &HistoryStore, day_type: DayType, window: TimeWindow) -> Option<f64> {
-    let mut used = 0usize;
-    let mut survived = 0usize;
-    for pos in 0..test.days().len() {
-        if test.days()[pos].day_type != day_type {
-            continue;
-        }
-        let Some(slice) = test.window_states(pos, window) else {
-            continue;
-        };
-        if slice[0].is_failure() {
-            continue; // no guest would be submitted here
-        }
-        used += 1;
-        if slice[1..].iter().all(|s| s.is_operational()) {
-            survived += 1;
-        }
-    }
-    (used > 0).then(|| survived as f64 / used as f64)
+    // The empirical half of the scored days; no prediction is involved.
+    score_test_days(test, day_type, window, [0.0; 2]).map(|e| e.empirical)
 }
 
 /// Evaluates the *first-order Markov chain* ablation on a train/test split
 /// for one window — the memoryless counterpart of [`evaluate_window`],
-/// quantifying what the SMP's holding-time distributions buy.
+/// quantifying what the SMP's holding-time distributions buy. The chain is
+/// estimated from the windows `predictor` would train on.
 pub fn evaluate_window_markov(
     predictor: &SmpPredictor,
     train: &HistoryStore,
@@ -499,47 +557,15 @@ pub fn evaluate_window_markov(
     window: TimeWindow,
 ) -> Result<WindowEvaluation, CoreError> {
     let step = predictor.model().monitor_period_secs;
-    let slices = train.recent_windows(day_type, window, None);
-    if slices.is_empty() {
-        return Err(CoreError::EmptyHistory { window });
-    }
-    let refs: Vec<&[State]> = slices.iter().map(Vec::as_slice).collect();
+    let windows = predictor.training_windows(train, day_type, window)?;
+    let refs: Vec<&[State]> = windows.iter().map(Vec::as_slice).collect();
     let chain = crate::smp::MarkovChain::estimate(&refs, step);
     let steps = window.steps(step);
-    let tr_s1 = chain.temporal_reliability(State::S1, steps)?;
-    let tr_s2 = chain.temporal_reliability(State::S2, steps)?;
-
-    let mut used = 0usize;
-    let mut survived = 0usize;
-    let mut predicted_sum = 0.0;
-    for pos in 0..test.days().len() {
-        if test.days()[pos].day_type != day_type {
-            continue;
-        }
-        let Some(slice) = test.window_states(pos, window) else {
-            continue;
-        };
-        let init = slice[0];
-        if init.is_failure() {
-            continue;
-        }
-        used += 1;
-        predicted_sum += match init {
-            State::S1 => tr_s1,
-            _ => tr_s2,
-        };
-        if slice[1..].iter().all(|s| s.is_operational()) {
-            survived += 1;
-        }
-    }
-    if used == 0 {
-        return Err(CoreError::EmptyHistory { window });
-    }
-    Ok(WindowEvaluation {
-        predicted: predicted_sum / used as f64,
-        empirical: survived as f64 / used as f64,
-        days_used: used,
-    })
+    let predicted = [
+        chain.temporal_reliability(State::S1, steps)?,
+        chain.temporal_reliability(State::S2, steps)?,
+    ];
+    score_test_days(test, day_type, window, predicted).ok_or(CoreError::EmptyHistory { window })
 }
 
 /// Evaluates the predictor on a train/test split for one window: predicts
@@ -557,39 +583,8 @@ pub fn evaluate_window(
     // Both possible predictions from ONE recursion run: it carries the S1
     // and S2 streams, so running the solver per initial state would do the
     // same work twice for identical values.
-    let [tr_s1, tr_s2] = predictor.solve_both_inits(&params, steps)?;
-
-    let mut used = 0usize;
-    let mut survived = 0usize;
-    let mut predicted_sum = 0.0;
-    for pos in 0..test.days().len() {
-        if test.days()[pos].day_type != day_type {
-            continue;
-        }
-        let Some(slice) = test.window_states(pos, window) else {
-            continue;
-        };
-        let init = slice[0];
-        if init.is_failure() {
-            continue;
-        }
-        used += 1;
-        predicted_sum += match init {
-            State::S1 => tr_s1,
-            _ => tr_s2,
-        };
-        if slice[1..].iter().all(|s| s.is_operational()) {
-            survived += 1;
-        }
-    }
-    if used == 0 {
-        return Err(CoreError::EmptyHistory { window });
-    }
-    Ok(WindowEvaluation {
-        predicted: predicted_sum / used as f64,
-        empirical: survived as f64 / used as f64,
-        days_used: used,
-    })
+    let predicted = predictor.solve_both_inits(&params, steps)?;
+    score_test_days(test, day_type, window, predicted).ok_or(CoreError::EmptyHistory { window })
 }
 
 #[cfg(test)]
@@ -695,6 +690,64 @@ mod tests {
             .unwrap();
         assert!(recent_only < 0.01, "recent_only = {recent_only}");
         assert!(all > 0.5, "all = {all}");
+    }
+
+    #[test]
+    fn bootstrap_draws_on_both_day_types_without_the_split() {
+        // A week: days 0-4 are weekdays, 5 and 6 the weekend.
+        let days: Vec<Vec<State>> = (0..7).map(|_| vec![S1; 1000]).collect();
+        let store = store_of_days(&days);
+        let w = TimeWindow::new(0, 600);
+        let mut rng = fgcs_runtime::rng::Xoshiro256::seed_from_u64(4);
+        let mut history_days = |p: SmpPredictor| {
+            p.predict_with_ci(&store, DayType::Weekday, w, S1, 10, 0.9, &mut rng)
+                .unwrap()
+                .history_days
+        };
+        assert_eq!(history_days(SmpPredictor::new(model())), 5);
+        assert_eq!(
+            history_days(SmpPredictor::new(model()).with_all_day_types()),
+            7
+        );
+    }
+
+    #[test]
+    fn markov_baseline_trains_on_the_most_recent_windows() {
+        // Weekdays 0-4 and 7 are quiet; weekdays 8 and 9 churn and fail.
+        // Days 5 and 6 (the weekend) fail at once and must never be read.
+        let churn: Vec<State> = (0..1000)
+            .map(|i| match i % 40 {
+                0..=24 => S1,
+                25..=34 => S2,
+                _ if i < 300 => S1,
+                _ => S3,
+            })
+            .collect();
+        let mut train = HistoryStore::new();
+        for day in 0..10 {
+            let states = match day {
+                5 | 6 => failing_day(1000, 1),
+                8 | 9 => churn.clone(),
+                _ => vec![S1; 1000],
+            };
+            train.push_day(DayLog::new(day, StateLog::new(6, states)));
+        }
+        let mut test = HistoryStore::new();
+        test.push_day(DayLog::new(14, StateLog::new(6, vec![S1; 1000])));
+        let w = TimeWindow::new(0, 3000);
+        let p = SmpPredictor::new(model()).with_max_history_days(2);
+        let eval = evaluate_window_markov(&p, &train, &test, DayType::Weekday, w).unwrap();
+
+        let recent = [
+            train.window_states(9, w).unwrap(),
+            train.window_states(8, w).unwrap(),
+        ];
+        let refs: Vec<&[State]> = recent.iter().map(Vec::as_slice).collect();
+        let chain = crate::smp::MarkovChain::estimate(&refs, 6);
+        let expected = chain.temporal_reliability(S1, w.steps(6)).unwrap();
+        assert_eq!(eval.days_used, 1);
+        assert_eq!(eval.predicted.to_bits(), expected.to_bits());
+        assert!(expected < 0.5, "the churning days must show: {expected}");
     }
 
     #[test]

@@ -19,7 +19,6 @@
 //!   of them running a workload,
 //! * [`scheduler`] — the client-side Job Scheduler with the proactive
 //!   (max-reliability) policy and prediction-oblivious baselines,
-//! * [`event`] — a deterministic event queue for workload construction,
 //! * [`chaos`] — seeded fault-injection campaigns asserting the
 //!   robustness invariants (no panics, in-range TRs, deterministic
 //!   reports, zero-fault ≡ unfaulted).
@@ -29,7 +28,6 @@ pub mod checkpoint;
 pub mod cluster;
 pub mod contention;
 pub mod directory;
-pub mod event;
 pub mod gateway;
 pub mod guest;
 pub mod migration;
@@ -43,7 +41,6 @@ pub use checkpoint::{youngs_interval, CheckpointPolicy};
 pub use cluster::{group_records, Cluster, GroupRecord, JobRecord, JobSpec};
 pub use contention::{CpuContentionModel, GuestPriority, MemoryModel};
 pub use directory::{advertise, ResourceAd, ResourceDirectory};
-pub use event::EventQueue;
 pub use gateway::{Gateway, GuestAction};
 pub use guest::{CheckpointConfig, GuestJob, GuestOutcome, GuestStatus};
 pub use migration::MigrationPolicy;
