@@ -44,14 +44,8 @@ fn main() {
     );
 
     let weekday = DayType::Weekday;
+    let mut alldays_wins = 0;
     for &hours in &WINDOW_HOURS {
-        let mean_err = |errors: Vec<f64>| {
-            if errors.is_empty() {
-                "-".to_string()
-            } else {
-                pct(fgcs_math::stats::mean(&errors))
-            }
-        };
         let smp = pooled_errors(machines, hours, |mi, w| {
             evaluate_window(&base, &splits[mi].0, &splits[mi].1, weekday, w).ok()
         });
@@ -64,18 +58,26 @@ fn main() {
         let alldays = pooled_errors(machines, hours, |mi, w| {
             evaluate_window(&all_days, &splits[mi].0, &splits[mi].1, weekday, w).ok()
         });
+        let [smp, markov, nofold, alldays] = [smp, markov, nofold, alldays]
+            .map(|errors| (!errors.is_empty()).then(|| fgcs_math::stats::mean(&errors)));
+        alldays_wins += usize::from(matches!((alldays, smp), (Some(a), Some(s)) if a < s));
+        let cell = |mean: Option<f64>| mean.map_or_else(|| "-".to_string(), pct);
         println!(
             "{:>10} {:>10} {:>10} {:>10} {:>10}",
             hours,
-            mean_err(smp),
-            mean_err(markov),
-            mean_err(nofold),
-            mean_err(alldays),
+            cell(smp),
+            cell(markov),
+            cell(nofold),
+            cell(alldays),
         );
     }
     println!("# MARKOV degrades with window length (holding-time structure matters). NO-FOLD");
     println!("# misclassifies every transient spike as failure and collapses ('-' = empirical");
-    println!("# TR hit zero for all windows). ALL-DAYS is harmless on this trace because its");
-    println!("# weekends are weekdays scaled down; the paper's separation pays off when the");
-    println!("# two day types have structurally different patterns.");
+    println!(
+        "# TR hit zero for all windows). ALL-DAYS beats SMP at {alldays_wins} of {} windows, and not",
+        WINDOW_HOURS.len()
+    );
+    println!("# through more training days: SMP predicts TR too low (as low when fit on the");
+    println!("# test days themselves), and the lighter weekend days pull ALL-DAYS' TR up");
+    println!("# against that one-sided bias.");
 }

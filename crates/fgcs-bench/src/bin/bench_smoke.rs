@@ -25,7 +25,9 @@
 //! asserted within its 1e-12 unit-scale error budget of one paper-order
 //! [`SparseSolver::tr_curve`] run: its curve at every horizon up to the
 //! 2-hour window and its scalar solve at each of the 16 sweep horizons,
-//! from both initial states.
+//! from both initial states. It runs on the timed kernel, whose failure
+//! mass starts at holding time 1, and on two variants of it: failure mass
+//! moved three quarters of the window later, and none.
 //!
 //! The benches are timed in round-robin rounds, one sample of each per
 //! round, so every bench's samples spread over the whole run. Every
@@ -35,8 +37,8 @@
 //! time over the reference machine's), so the baseline holds ns/op at
 //! `machine_factor` 1.0; the file's `machine_factor` is the run's fastest
 //! pass. `--check` enforces *absolute* gates on those figures — on the
-//! fast path (`smp_solver/fast_2h` and `smp_solver/batched_sweep_2h`
-//! each under 40 µs), on kernel estimation
+//! fast path (`smp_solver/fast_2h` under 24 µs and
+//! `smp_solver/batched_sweep_2h` under 25 µs), on kernel estimation
 //! (`qh_estimation/2h`, the full scan over the stored runs, and
 //! `qh_estimation/rebuild_2h`, the incremental estimator's rebuild), on
 //! the deduped 1000-host scheduling sweep (`cluster_sweep_1k_hosts`), and
@@ -68,7 +70,7 @@ use fgcs_core::log::StateLog;
 use fgcs_core::model::AvailabilityModel;
 use fgcs_core::predictor::{evaluate_window, SmpPredictor};
 use fgcs_core::registry::encode_wal_record;
-use fgcs_core::smp::{FastSolver, IncrementalEstimator, SolveScratch, SparseSolver};
+use fgcs_core::smp::{FastSolver, IncrementalEstimator, SmpParams, SolveScratch, SparseSolver};
 use fgcs_core::state::{self, State};
 use fgcs_core::window::{DayType, TimeWindow};
 use fgcs_runtime::json::{Json, JsonSlice};
@@ -126,15 +128,18 @@ const REGRESSION_FACTOR: f64 = 1.25;
 
 /// Absolute latency gate on the production single-horizon solve
 /// (`smp_solver/fast_2h`), at `machine_factor` 1.0: about 1.6× the
-/// lumped two-stream solve, so a return to one stream per failure target
-/// (~2× the work per event) fails it.
-const FAST_SOLVE_GATE_NS: f64 = 40_000.0;
+/// blocked solve (14–17 µs), so a return to one stream per failure target
+/// (~50 µs) fails it. The per-step gather the blocks replaced read
+/// 23–25 µs on this kernel, whose failure mass starts at holding time 1,
+/// so it sits at the gate; `--against`'s 1.25× check is what flags it.
+const FAST_SOLVE_GATE_NS: f64 = 24_000.0;
 
 /// Absolute latency gate on the fast multi-horizon sweep
-/// (`smp_solver/batched_sweep_2h`), at `machine_factor` 1.0: one solve's
-/// gate, so a sweep that falls back to per-horizon solves (about 8.5 full
-/// solves for 16 horizons) fails it by far.
-const BATCH_SWEEP_GATE_NS: f64 = 40_000.0;
+/// (`smp_solver/batched_sweep_2h`), at `machine_factor` 1.0: about 1.6×
+/// the one solve and its curve (14–18 µs), so a sweep that falls back to
+/// per-horizon solves (about 8.5 full solves for 16 horizons) fails it by
+/// far.
+const BATCH_SWEEP_GATE_NS: f64 = 25_000.0;
 
 /// Absolute gate on estimating one 2-h kernel from the 30-day history's
 /// weekday windows (`qh_estimation/2h`: `SmpPredictor::estimate_params`,
@@ -273,31 +278,15 @@ fn run_smoke() -> Json {
     // sweep. The fast path relaxes bit-identity but must stay inside its
     // 1e-12 unit-scale budget against the paper-order oracle at every
     // horizon, from both initial states — asserted before anything is
-    // timed, against one oracle run.
+    // timed, on the timed kernel (failure mass from holding time 1) and on
+    // two variants whose solves start late and not at all.
     let horizons: Vec<usize> = (1..=SWEEP_HORIZONS)
         .map(|i| i * steps / SWEEP_HORIZONS)
         .collect();
-    let oracle = SparseSolver::new(&params).tr_curve(steps).unwrap();
-    let fast = FastSolver::new(&params);
-    let fast_curve = fast.tr_curve(steps).unwrap();
-    let within_budget = |f: f64, o: f64| (f - o).abs() <= FAST_ERROR_BUDGET * o.abs().max(1.0);
-    for init in [State::S1, State::S2] {
-        let (f_curve, o_curve) = (fast_curve.curve(init).unwrap(), oracle.curve(init).unwrap());
-        assert_eq!(f_curve.len(), o_curve.len());
-        for (m, (&f, &o)) in f_curve.iter().zip(o_curve).enumerate() {
-            assert!(
-                within_budget(f, o),
-                "fast TR curve at init {init} horizon {m} outside budget: {f} vs {o}"
-            );
-        }
-        for &m in &horizons {
-            let f = fast.temporal_reliability(init, m).unwrap();
-            let o = oracle.tr(init, m).unwrap();
-            assert!(
-                within_budget(f, o),
-                "fast TR at init {init} horizon {m} outside budget: {f} vs {o}"
-            );
-        }
+    let late = with_failures_moved(&params, Some(3 * steps / 4));
+    let none = with_failures_moved(&params, None);
+    for kernel in [&params, &late, &none] {
+        assert_fast_within_budget(kernel, steps, &horizons);
     }
 
     // Warm query for the cached-Q/H bench: after this, every iteration is
@@ -484,6 +473,54 @@ fn run_smoke() -> Json {
         ("machine_factor".into(), Json::F64(machine_factor)),
         ("metrics_overhead_pct".into(), Json::F64(overhead)),
     ])
+}
+
+/// Asserts the fast solver within [`FAST_ERROR_BUDGET`] of one paper-order
+/// [`SparseSolver::tr_curve`] run: its curve at every horizon up to
+/// `steps` and its scalar solve at each of `horizons`, from both initial
+/// states.
+fn assert_fast_within_budget(params: &SmpParams, steps: usize, horizons: &[usize]) {
+    let oracle = SparseSolver::new(params).tr_curve(steps).unwrap();
+    let fast = FastSolver::new(params);
+    let fast_curve = fast.tr_curve(steps).unwrap();
+    let within_budget = |f: f64, o: f64| (f - o).abs() <= FAST_ERROR_BUDGET * o.abs().max(1.0);
+    for init in [State::S1, State::S2] {
+        let (f_curve, o_curve) = (fast_curve.curve(init).unwrap(), oracle.curve(init).unwrap());
+        assert_eq!(f_curve.len(), o_curve.len());
+        for (m, (&f, &o)) in f_curve.iter().zip(o_curve).enumerate() {
+            assert!(
+                within_budget(f, o),
+                "fast TR curve at init {init} horizon {m} outside budget: {f} vs {o}"
+            );
+        }
+        for &m in horizons {
+            let f = fast.temporal_reliability(init, m).unwrap();
+            let o = oracle.tr(init, m).unwrap();
+            assert!(
+                within_budget(f, o),
+                "fast TR at init {init} horizon {m} outside budget: {f} vs {o}"
+            );
+        }
+    }
+}
+
+/// `params` with each failure mass `q_{i,S3..S5}(l)` moved to holding time
+/// `l + shift` (mass moved past the horizon is dropped), or removed when
+/// `shift` is `None`. The operational transitions stay as they are.
+fn with_failures_moved(params: &SmpParams, shift: Option<usize>) -> SmpParams {
+    let row = |from: State, other: State| -> [Vec<f64>; 4] {
+        [other, State::S3, State::S4, State::S5].map(|to| {
+            (0..=params.horizon())
+                .map(|l| match (to == other, shift) {
+                    (true, _) => params.kernel_at(from, to, l),
+                    (false, Some(shift)) if l > shift => params.kernel_at(from, to, l - shift),
+                    (false, _) => 0.0,
+                })
+                .collect()
+        })
+    };
+    let kernel = [row(State::S1, State::S2), row(State::S2, State::S1)];
+    SmpParams::from_kernel(params.step_secs(), kernel)
 }
 
 /// A named bench: one call runs one iteration.

@@ -18,7 +18,7 @@
 use fgcs_bench::{flag, per_machine, Testbed};
 use fgcs_core::predictor::{evaluate_window, evaluate_window_markov, SmpPredictor};
 use fgcs_core::window::{DayType, TimeWindow, SECS_PER_DAY};
-use fgcs_timeseries::{evaluate_ts_window, paper_lineup, severity_series, TsDayCase};
+use fgcs_timeseries::{evaluate_ts_window, paper_lineup, ts_day_cases};
 
 fn main() {
     let _metrics = fgcs_bench::MetricsExport::from_args();
@@ -63,29 +63,14 @@ fn main() {
                 .ok()
                 .and_then(|e| e.relative_error());
 
-            // Build the time-series day cases from the raw trace.
-            let per_day = trace.samples_per_day();
-            let steps = window.steps(tb.model.monitor_period_secs);
-            let start_step = window.start_step(tb.model.monitor_period_secs);
-            let mut cases = Vec::new();
-            for pos in 0..test.days().len() {
-                let day = &test.days()[pos];
-                if day.day_type != day_type {
-                    continue;
-                }
-                let Some(observed) = test.window_states(pos, window) else {
-                    continue;
-                };
-                let abs_start = day.day_index * per_day + start_step;
-                if abs_start < steps {
-                    continue; // no preceding window of equal length
-                }
-                let hist_samples = &trace.samples[abs_start - steps..abs_start];
-                cases.push(TsDayCase {
-                    history: severity_series(hist_samples, &tb.model),
-                    observed,
-                });
-            }
+            let cases = ts_day_cases(
+                &trace.samples,
+                trace.first_day_index,
+                test,
+                day_type,
+                window,
+                &tb.model,
+            );
             let ts: Vec<Option<f64>> = paper_lineup()
                 .iter()
                 .map(|m| {

@@ -566,28 +566,12 @@ impl HistoryStore {
         )
     }
 
-    /// The window state sequences of the most recent `max_days` days of the
-    /// given type (all matching days if `max_days` is `None`; empty for
-    /// `Some(0)`), most recent first. A cross-midnight window belongs to the
-    /// day it *starts* on.
-    ///
-    /// Days whose logs do not cover the window are skipped.
-    #[must_use]
-    pub fn recent_windows(
-        &self,
-        day_type: DayType,
-        window: TimeWindow,
-        max_days: Option<usize>,
-    ) -> Vec<Vec<State>> {
-        let mut out = Vec::new();
-        self.for_each_recent_window(day_type, window, max_days, |runs| out.push(expand(runs)));
-        out
-    }
-
-    /// Calls `f` on the runs of each window
-    /// [`recent_windows`](HistoryStore::recent_windows) returns, in the same
-    /// order, and returns how many there were. The runs are read from the
-    /// stored days in place; nothing is copied.
+    /// Calls `f` on the runs of the window on each of the most recent
+    /// `max_days` days of the given type (all matching days if `max_days`
+    /// is `None`; none for `Some(0)`), most recent first, and returns how
+    /// many there were. A cross-midnight window belongs to the day it
+    /// *starts* on; days whose logs do not cover the window are skipped.
+    /// The runs are read from the stored days in place; nothing is copied.
     pub(crate) fn for_each_recent_window<'a>(
         &'a self,
         day_type: DayType,
@@ -791,6 +775,19 @@ mod tests {
         assert_eq!(store.days()[0].log.states()[20], State::S5);
     }
 
+    /// The windows [`HistoryStore::for_each_recent_window`] visits, expanded
+    /// to their states, in visiting order.
+    fn recent_windows(
+        store: &HistoryStore,
+        day_type: DayType,
+        window: TimeWindow,
+        max_days: Option<usize>,
+    ) -> Vec<Vec<State>> {
+        let mut out = Vec::new();
+        store.for_each_recent_window(day_type, window, max_days, |runs| out.push(expand(runs)));
+        out
+    }
+
     #[test]
     fn recent_windows_filters_by_day_type_and_limits() {
         let mut store = HistoryStore::new();
@@ -798,9 +795,9 @@ mod tests {
             store.push_day(DayLog::new(day, log_of(vec![State::S1; 14_400])));
         }
         let w = TimeWindow::from_hours(8.0, 1.0);
-        let weekdays = store.recent_windows(DayType::Weekday, w, None);
+        let weekdays = recent_windows(&store, DayType::Weekday, w, None);
         assert_eq!(weekdays.len(), 10);
-        let weekends = store.recent_windows(DayType::Weekend, w, Some(3));
+        let weekends = recent_windows(&store, DayType::Weekend, w, Some(3));
         assert_eq!(weekends.len(), 3);
     }
 
@@ -810,7 +807,7 @@ mod tests {
         store.push_day(DayLog::new(0, log_of(vec![State::S1; 100]))); // truncated day
         store.push_day(DayLog::new(1, log_of(vec![State::S1; 14_400])));
         let w = TimeWindow::from_hours(8.0, 1.0);
-        let windows = store.recent_windows(DayType::Weekday, w, None);
+        let windows = recent_windows(&store, DayType::Weekday, w, None);
         assert_eq!(windows.len(), 1);
     }
 
@@ -860,10 +857,10 @@ mod tests {
         let w = TimeWindow::from_hours(23.0, 2.0);
         // Days 0..4 are weekdays; day 4 (Friday) stitches into day 5
         // (Saturday) which exists, so all 5 weekdays qualify.
-        let windows = store.recent_windows(DayType::Weekday, w, None);
+        let windows = recent_windows(&store, DayType::Weekday, w, None);
         assert_eq!(windows.len(), 5);
         // Saturday (5) stitches into Sunday (6); Sunday has no successor.
-        let weekend = store.recent_windows(DayType::Weekend, w, None);
+        let weekend = recent_windows(&store, DayType::Weekend, w, None);
         assert_eq!(weekend.len(), 1);
     }
 

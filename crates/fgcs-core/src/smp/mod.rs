@@ -15,8 +15,9 @@
 //!   [`params`] oracle,
 //! * [`fast`] — the production solver: the three failure states lumped
 //!   into one stream per operational state in a reusable
-//!   [`fast::SolveScratch`] arena, cursor-summed direct-failure terms, and
-//!   an error-bounded (≤ 1e-12 unit-scale) contract against the
+//!   [`fast::SolveScratch`] arena, a solve that starts at the first
+//!   failure mass, far transition events summed a block of steps at a
+//!   time, and an error-bounded (≤ 1e-12 unit-scale) contract against the
 //!   paper-order oracle.
 //!
 //! Both [`SparseSolver`] and [`FastSolver`] answer one horizon

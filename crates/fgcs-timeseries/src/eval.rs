@@ -10,9 +10,11 @@
 //! forecast never stays above `Th2` for the transient tolerance (the same
 //! rule the state classifier applies to observations).
 
+use fgcs_core::log::HistoryStore;
 use fgcs_core::model::{AvailabilityModel, LoadSample};
 use fgcs_core::predictor::WindowEvaluation;
 use fgcs_core::state::State;
+use fgcs_core::window::{DayType, TimeWindow};
 
 use crate::model::{TimeSeriesModel, TsError};
 
@@ -62,6 +64,43 @@ pub struct TsDayCase {
     pub history: Vec<f64>,
     /// Observed states over the target window.
     pub observed: Vec<State>,
+}
+
+/// The day cases of one window: for each day of `day_type` in `test` whose
+/// window is observed, the severity series of the preceding window of the
+/// same length and the window's observed states.
+///
+/// `samples` is the machine's raw trace, `model.samples_per_day()` samples
+/// per day from day `first_day_index` on, so a day's samples sit at its
+/// offset from the trace's first day. A day whose preceding window falls
+/// outside the trace is skipped.
+#[must_use]
+pub fn ts_day_cases(
+    samples: &[LoadSample],
+    first_day_index: usize,
+    test: &HistoryStore,
+    day_type: DayType,
+    window: TimeWindow,
+    model: &AvailabilityModel,
+) -> Vec<TsDayCase> {
+    let per_day = model.samples_per_day();
+    let steps = window.steps(model.monitor_period_secs);
+    let start_step = window.start_step(model.monitor_period_secs);
+    test.days()
+        .iter()
+        .enumerate()
+        .filter(|(_, day)| day.day_type == day_type)
+        .filter_map(|(pos, day)| {
+            let observed = test.window_states(pos, window)?;
+            let offset = day.day_index.checked_sub(first_day_index)?;
+            let start = (offset * per_day + start_step).checked_sub(steps)?;
+            let history = samples.get(start..start + steps)?;
+            Some(TsDayCase {
+                history: severity_series(history, model),
+                observed,
+            })
+        })
+        .collect()
 }
 
 /// Evaluates a time-series model over a set of day cases, mirroring
@@ -195,6 +234,48 @@ mod tests {
             observed: vec![State::S5; 11],
         }];
         assert_eq!(evaluate_ts_window(&LastModel, &cases, &m), None);
+    }
+
+    #[test]
+    fn day_cases_read_each_day_at_its_offset_from_the_first_day() {
+        // Four days of a trace that starts at day 5 (days 5 and 6 are a
+        // weekend), one load level per day, all below Th1. Each case's
+        // history is the hour before 12:00 of its own day.
+        let m = AvailabilityModel {
+            monitor_period_secs: 600,
+            transient_tolerance_secs: 1_200,
+            heartbeat_gap_secs: 1_800,
+            ..AvailabilityModel::default()
+        };
+        let per_day = m.samples_per_day();
+        let level = |day: usize| 0.02 * (day - 4) as f64;
+        let samples: Vec<LoadSample> = (5..9)
+            .flat_map(|day| {
+                let sample = LoadSample {
+                    host_cpu: level(day),
+                    free_mem_mb: 500.0,
+                    alive: true,
+                };
+                vec![sample; per_day]
+            })
+            .collect();
+        let test = HistoryStore::from_samples(&m, &samples, 5).unwrap();
+        let window = TimeWindow::from_hours(12.0, 1.0);
+        let cases = ts_day_cases(&samples, 5, &test, DayType::Weekday, window, &m);
+        assert_eq!(cases.len(), 2);
+        for (case, day) in cases.iter().zip([7, 8]) {
+            assert_eq!(case.history, vec![level(day); 6]);
+            assert_eq!(case.observed, vec![State::S1; 7]);
+        }
+        let weekend = ts_day_cases(&samples, 5, &test, DayType::Weekend, window, &m);
+        assert_eq!(weekend.len(), 2);
+        assert_eq!(weekend[0].history, vec![level(5); 6]);
+        // A window starting at midnight of the first day has no preceding
+        // window in the trace.
+        let first_hour = TimeWindow::from_hours(0.0, 1.0);
+        let cases = ts_day_cases(&samples, 5, &test, DayType::Weekend, first_hour, &m);
+        assert_eq!(cases.len(), 1);
+        assert_eq!(cases[0].history, vec![level(5); 6]);
     }
 
     #[test]

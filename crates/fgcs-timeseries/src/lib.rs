@@ -29,7 +29,7 @@ pub use ar::{select_order_aic, ArModel};
 pub use arma::ArmaModel;
 pub use bm::BmModel;
 pub use diff::Differenced;
-pub use eval::{evaluate_ts_window, forecast_survives, severity_series, TsDayCase};
+pub use eval::{evaluate_ts_window, forecast_survives, severity_series, ts_day_cases, TsDayCase};
 pub use last::LastModel;
 pub use ma::MaModel;
 pub use model::{TimeSeriesModel, TsError};

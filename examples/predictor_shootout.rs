@@ -6,7 +6,7 @@
 
 use fgcs::core::predictor::evaluate_window;
 use fgcs::prelude::*;
-use fgcs::timeseries::{evaluate_ts_window, severity_series, TsDayCase};
+use fgcs::timeseries::{evaluate_ts_window, ts_day_cases};
 
 fn main() {
     let model = AvailabilityModel::default();
@@ -41,7 +41,14 @@ fn main() {
             .iter()
             .map(|&h| {
                 let w = TimeWindow::from_hours(8.0, h);
-                let cases = build_cases(&trace, &test, &model, w);
+                let cases = ts_day_cases(
+                    &trace.samples,
+                    trace.first_day_index,
+                    &test,
+                    DayType::Weekday,
+                    w,
+                    &model,
+                );
                 evaluate_ts_window(ts_model.as_ref(), &cases, &model)
                     .and_then(|e| e.relative_error())
             })
@@ -63,37 +70,4 @@ fn main() {
     println!("\nthe SMP predictor models *when* the machine fails (the dynamic structure);");
     println!("the linear models forecast the load level and miss unavailability that has");
     println!("not started yet — the gap grows with the prediction horizon.");
-}
-
-/// Builds the (history, observed) day cases the time-series evaluation
-/// consumes: the severity series of the preceding equal-length window, and
-/// the observed states of the target window.
-fn build_cases(
-    trace: &MachineTrace,
-    test: &fgcs::core::log::HistoryStore,
-    model: &AvailabilityModel,
-    window: TimeWindow,
-) -> Vec<TsDayCase> {
-    let per_day = trace.samples_per_day();
-    let steps = window.steps(model.monitor_period_secs);
-    let start_step = window.start_step(model.monitor_period_secs);
-    let mut cases = Vec::new();
-    for pos in 0..test.days().len() {
-        let day = &test.days()[pos];
-        if day.day_type != DayType::Weekday {
-            continue;
-        }
-        let Some(observed) = test.window_states(pos, window) else {
-            continue;
-        };
-        let abs_start = day.day_index * per_day + start_step;
-        if abs_start < steps {
-            continue;
-        }
-        cases.push(TsDayCase {
-            history: severity_series(&trace.samples[abs_start - steps..abs_start], model),
-            observed,
-        });
-    }
-    cases
 }

@@ -423,6 +423,216 @@ fn numeric_edge_near_certain_failure() {
     assert!(tr < 1e-14, "TR {tr}");
 }
 
+/// The fast solver's block width: it sums the transition events with
+/// holding time at least this a block of steps ahead and runs the nearer
+/// ones per step. The kernels below put events on both sides of it.
+const FAST_BLOCK: usize = 16;
+
+/// `params` with every failure mass `q_{i,S3..S5}(l)` moved to holding time
+/// `l + shift` (mass moved past the horizon is dropped). The operational
+/// transitions stay as they are.
+fn with_failures_moved(params: &SmpParams, shift: usize) -> SmpParams {
+    let horizon = params.horizon();
+    let row = |from: State, other: State| -> [Vec<f64>; 4] {
+        [other, State::S3, State::S4, State::S5].map(|to| {
+            (0..=horizon)
+                .map(|l| {
+                    if to == other {
+                        params.kernel_at(from, to, l)
+                    } else if l > shift {
+                        params.kernel_at(from, to, l - shift)
+                    } else {
+                        0.0
+                    }
+                })
+                .collect()
+        })
+    };
+    let kernel = [row(State::S1, State::S2), row(State::S2, State::S1)];
+    SmpParams::from_kernel(params.step_secs(), kernel)
+}
+
+/// The smallest holding time with failure mass from either source, if any.
+fn first_failure_mass(params: &SmpParams) -> Option<usize> {
+    (1..=params.horizon()).find(|&l| {
+        [State::S1, State::S2].iter().any(|&from| {
+            [State::S3, State::S4, State::S5]
+                .iter()
+                .any(|&to| params.kernel_at(from, to, l) != 0.0)
+        })
+    })
+}
+
+/// A random kernel over `horizon` shaped for the fast solver's blocks: per
+/// source, up to 40 operational transitions (about a third of them below
+/// [`FAST_BLOCK`], the rest anywhere in the horizon) and, unless
+/// `failure_shift` is `None`, up to 8 failure entries moved that many
+/// holding times later (those moved past the horizon are dropped). Each
+/// row sums to less than 1. Transitions may sit at holding time 0, which
+/// Eq. 3 never reads (it sums `l ≥ 1`).
+fn random_block_kernel(g: &mut Gen, horizon: usize, failure_shift: Option<usize>) -> SmpParams {
+    let mut kernel: [[Vec<f64>; 4]; 2] = Default::default();
+    for row in &mut kernel {
+        for col in row.iter_mut() {
+            *col = vec![0.0; horizon + 1];
+        }
+        let transitions = g.usize_in(0, 41);
+        let failures = failure_shift.map_or(0, |_| g.usize_in(0, 9));
+        let draws: Vec<(usize, usize, f64)> = (0..transitions + failures)
+            .map(|i| {
+                let near = g.bool_with(1.0 / 3.0);
+                let top = if near {
+                    FAST_BLOCK.min(horizon + 1)
+                } else {
+                    horizon + 1
+                };
+                if i < transitions {
+                    (0, g.usize_in(0, top), g.prob())
+                } else {
+                    let l = g.usize_in(1, top) + failure_shift.unwrap_or(0);
+                    (g.usize_in(1, 4), l, g.prob())
+                }
+            })
+            .collect();
+        let total: f64 = draws.iter().map(|&(_, _, w)| w).sum::<f64>() + 1.0;
+        for (target, l, w) in draws {
+            if l <= horizon {
+                row[target][l] += w / total;
+            }
+        }
+    }
+    SmpParams::from_kernel(6, kernel)
+}
+
+/// A random state sequence of `len` steps made of runs of up to `max_run`
+/// steps, so estimated sojourns reach past [`FAST_BLOCK`]. Failure runs
+/// (S3–S5) come with probability `failure_share`.
+fn random_runs(g: &mut Gen, len: usize, max_run: usize, failure_share: f64) -> Vec<State> {
+    let mut seq = Vec::with_capacity(len);
+    while seq.len() < len {
+        let state = if g.bool_with(failure_share) {
+            State::from_index(g.usize_in(2, 5))
+        } else {
+            State::from_index(g.usize_in(0, 2))
+        };
+        let run = g.usize_in(1, max_run + 1).min(len - seq.len());
+        seq.resize(seq.len() + run, state);
+    }
+    seq
+}
+
+/// A kernel estimated from four random run sequences of `horizon + 1`
+/// steps each.
+fn estimated_run_kernel(g: &mut Gen, horizon: usize, failure_share: f64) -> SmpParams {
+    let seqs: Vec<Vec<State>> = (0..4)
+        .map(|_| random_runs(g, horizon + 1, 60, failure_share))
+        .collect();
+    let windows: Vec<&[State]> = seqs.iter().map(Vec::as_slice).collect();
+    SmpParams::estimate(&windows, 6, horizon)
+}
+
+/// Fast ≈ oracle within the 1e-12 budget at every horizon from both
+/// inits; TR bit-equal to 1.0 at every horizon before the first failure
+/// mass; and scalar solves at a few horizons bit-equal to the curve (they
+/// reuse the thread's scratch after solves of other kernels and horizons).
+fn fast_starts_at_first_failure_mass(params: &SmpParams) -> Result<(), String> {
+    let steps = params.horizon();
+    let first = first_failure_mass(params).unwrap_or(steps + 1);
+    let fast = FastSolver::new(params);
+    let fast_curves = fast.tr_curve(steps).unwrap();
+    let oracle_curves = SparseSolver::new(params).tr_curve(steps).unwrap();
+    for init in [State::S1, State::S2] {
+        let fast_curve = fast_curves.curve(init).unwrap();
+        let oracle_curve = oracle_curves.curve(init).unwrap();
+        for (m, (&f, &o)) in fast_curve.iter().zip(oracle_curve).enumerate() {
+            ensure(
+                (f - o).abs() <= 1e-12 * o.abs().max(1.0),
+                format!("init {init} horizon {m} (first failure {first}): fast {f} vs oracle {o}"),
+            )?;
+            ensure(
+                m >= first || f.to_bits() == 1.0f64.to_bits(),
+                format!("init {init} horizon {m} before first failure {first}: TR {f}"),
+            )?;
+        }
+        for m in [first.saturating_sub(1), first, steps / 2, steps] {
+            let m = m.min(steps);
+            let scalar = fast.temporal_reliability(init, m).unwrap();
+            ensure(
+                scalar.to_bits() == fast_curve[m].to_bits(),
+                format!(
+                    "init {init} horizon {m}: scalar {scalar} vs curve {}",
+                    fast_curve[m]
+                ),
+            )?;
+        }
+    }
+    Ok(())
+}
+
+#[test]
+fn fast_solver_starts_at_the_first_failure_mass() {
+    // Horizons up to 400 steps span many blocks. Half the cases draw the
+    // first failure mass within the first block, where transition events
+    // enter mid-block; the rest draw it anywhere in the horizon.
+    let late = |g: &mut Gen, horizon: usize| {
+        let top = if g.bool_with(0.5) {
+            FAST_BLOCK
+        } else {
+            horizon
+        };
+        g.usize_in(0, top)
+    };
+    check("fast_first_failure_mass_random_kernel", CASES, |g| {
+        let horizon = g.usize_in(1, 401);
+        let shift = late(g, horizon);
+        fast_starts_at_first_failure_mass(&random_block_kernel(g, horizon, Some(shift)))
+    });
+    check("fast_first_failure_mass_estimated_kernel", CASES, |g| {
+        let horizon = g.usize_in(FAST_BLOCK, 401);
+        let params = estimated_run_kernel(g, horizon, 0.2);
+        let shift = late(g, horizon);
+        fast_starts_at_first_failure_mass(&with_failures_moved(&params, shift))
+    });
+}
+
+/// TR bit-equal to 1.0 at every horizon from both inits, on the curve and
+/// on the scalar solve at the full horizon.
+fn unit_reliability_everywhere(params: &SmpParams) -> Result<(), String> {
+    ensure(
+        first_failure_mass(params).is_none(),
+        "kernel has failure mass",
+    )?;
+    let steps = params.horizon();
+    let fast = FastSolver::new(params);
+    let curves = fast.tr_curve(steps).unwrap();
+    for init in [State::S1, State::S2] {
+        for (m, &tr) in curves.curve(init).unwrap().iter().enumerate() {
+            ensure(
+                tr.to_bits() == 1.0f64.to_bits(),
+                format!("init {init} horizon {m}: TR {tr}"),
+            )?;
+        }
+        let tr = fast.temporal_reliability(init, steps).unwrap();
+        ensure(
+            tr.to_bits() == 1.0f64.to_bits(),
+            format!("init {init} scalar at {steps}: TR {tr}"),
+        )?;
+    }
+    Ok(())
+}
+
+#[test]
+fn fast_solver_gives_unit_reliability_without_failure_mass() {
+    check("fast_no_failure_mass_random_kernel", CASES, |g| {
+        let horizon = g.usize_in(1, 401);
+        unit_reliability_everywhere(&random_block_kernel(g, horizon, None))
+    });
+    check("fast_no_failure_mass_estimated_kernel", CASES, |g| {
+        let horizon = g.usize_in(FAST_BLOCK, 401);
+        unit_reliability_everywhere(&estimated_run_kernel(g, horizon, 0.0))
+    });
+}
+
 #[test]
 fn classification_is_exhaustive_and_consistent() {
     check("classification_is_exhaustive_and_consistent", CASES, |g| {

@@ -412,7 +412,7 @@ fn hostile_lines_get_pinned_replies() {
         ),
         (
             "{\"op\":\"sweep\",\"host\":3,\"start\":9.0,\"hours\":1.0,\"points\":3,\"init\":\"s\\u0032\"}".into(),
-            &[r#"{"window":"09:00+1.00h","day_type":"weekday","init":"S2","step_secs":6,"horizon_steps":600,"points":[{"steps":200,"horizon_hr":0.3333333333333333,"tr":0.7862395807553241},{"steps":400,"horizon_hr":0.6666666666666666,"tr":0.7221353907230748},{"steps":600,"horizon_hr":1,"tr":0.6794471239996749}]}"#],
+            &[r#"{"window":"09:00+1.00h","day_type":"weekday","init":"S2","step_secs":6,"horizon_steps":600,"points":[{"steps":200,"horizon_hr":0.3333333333333333,"tr":0.7862395807553241},{"steps":400,"horizon_hr":0.6666666666666666,"tr":0.7221353907230748},{"steps":600,"horizon_hr":1,"tr":0.679447123999675}]}"#],
         ),
         (
             "{\"op\":\"ingest\",\"host\":4,\"day_index\":0,\"states\":\"1\\u00329\"}".into(),
@@ -526,7 +526,7 @@ fn hostile_lines_get_pinned_replies() {
             &[
                 r#"{"ok":true,"op":"ping"}"#,
                 r#"{"ok":true,"op":"ingest","host":4,"day_index":0,"days":1}"#,
-                r#"{"ok":true,"op":"predict","host":3,"window":"09:30+1.00h","day_type":"weekday","init":"S2","tr":0.7989669749156962}"#,
+                r#"{"ok":true,"op":"predict","host":3,"window":"09:30+1.00h","day_type":"weekday","init":"S2","tr":0.7989669749156963}"#,
                 r#"{"ok":false,"error":"op `batch` not allowed inside batch"}"#,
             ],
         ),
