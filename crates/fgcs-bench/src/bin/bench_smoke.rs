@@ -43,9 +43,9 @@
 //! `qh_estimation/rebuild_2h`, the incremental estimator's rebuild), on
 //! the deduped 1000-host scheduling sweep (`cluster_sweep_1k_hosts`), and
 //! on the durable ingest's byte path (`ingest_bytes/…`: one 14 400-sample
-//! ingest line scanned and decoded, one WAL frame built in memory, one day
-//! cut into the runs the history stores) — and `--against` compares two
-//! baselines key by key.
+//! ingest line scanned and its digits cut into the runs the history
+//! stores, and one run-form WAL frame built in memory) — and `--against`
+//! compares two baselines key by key.
 //!
 //! `--wire` is the served path's gate. `examples/benchmark --json`
 //! appends one result line per workload run; `--against` checks each
@@ -99,7 +99,7 @@ const UNIT: &str = "fastest-sample ns/op at machine_factor 1.0";
 /// cached query, the 1000-host sweep, classification, the online
 /// state-manager step, trace generation and the durable ingest's byte
 /// path.
-const REQUIRED_KEYS: [&str; 14] = [
+const REQUIRED_KEYS: [&str; 13] = [
     "smp_solver/paper_eq3_2h",
     "smp_solver/fast_2h",
     "smp_solver/per_horizon_sweep_2h",
@@ -113,7 +113,6 @@ const REQUIRED_KEYS: [&str; 14] = [
     "trace_gen/machine_day_lab",
     "ingest_bytes/scan_decode_14k",
     "ingest_bytes/wal_frame_14k",
-    "ingest_bytes/store_day_14k",
 ];
 
 /// Enabled-vs-disabled overhead budget for the instrumented Fig. 5 sweep.
@@ -184,23 +183,19 @@ const CLUSTER_SWEEP_GATE_NS: f64 = 27_000_000.0;
 
 /// Absolute gate on reading one 14 400-sample ingest line
 /// (`ingest_bytes/scan_decode_14k`: `JsonSlice::scan`, the `states` lookup
-/// and the digit decode), at `machine_factor` 1.0. Every pass runs a block
-/// at a time; a pass that falls back to a per-byte loop costs more than
+/// and `StateLog::from_digits`, which checks the digits and cuts them into
+/// runs in one pass), at `machine_factor` 1.0: about 1.6× its 0.93–1.04 µs.
+/// The scan and the cut each test a block of bytes at a time; either
+/// falling back to a per-byte loop costs more than the gate.
+const SCAN_DECODE_GATE_NS: f64 = 1_650.0;
+
+/// Absolute gate on building the WAL frame of one 14 400-sample day
+/// (`ingest_bytes/wal_frame_14k`: the run-form record the registry writes,
+/// its slicing-by-8 CRC and the frame), at `machine_factor` 1.0: about
+/// 1.6× its 0.30–0.32 µs. The day's 71 runs make a 388-byte record; a
+/// record of one digit per sample (14 437 bytes) cost about eight times
 /// the gate.
-const SCAN_DECODE_GATE_NS: f64 = 1_750.0;
-
-/// Absolute gate on building one 14 400-sample WAL frame in memory
-/// (`ingest_bytes/wal_frame_14k`: record encode, slicing-by-8 CRC, frame),
-/// at `machine_factor` 1.0. A bytewise CRC or a per-state encode loop
-/// costs more than the gate.
-const WAL_FRAME_GATE_NS: f64 = 7_250.0;
-
-/// Absolute gate on storing one 14 400-sample day
-/// (`ingest_bytes/store_day_14k`: the day's samples copied and cut into
-/// runs by `StateLog::new`), at `machine_factor` 1.0. The cut tests 32
-/// samples per step and sits near half the gate; a cut that compares
-/// sample by sample costs more than twice the gate.
-const STORE_DAY_GATE_NS: f64 = 900.0;
+const WAL_FRAME_GATE_NS: f64 = 500.0;
 
 /// `BENCH_wire.json` schema.
 const WIRE_SCHEMA: &str = "fgcs-bench-wire/v1";
@@ -324,11 +319,12 @@ fn run_smoke() -> Json {
     };
     sweep();
     // The durable ingest's byte path on one paper-scale day: reading the
-    // request line, and building the WAL frame the registry writes.
-    let day_states = history.days()[1].log.states();
-    assert_eq!(day_states.len(), 14_400);
+    // request line into runs, and building the WAL frame the registry
+    // writes from them.
+    let day_log = &history.days()[1].log;
+    assert_eq!(day_log.len(), 14_400);
     let mut digits = Vec::new();
-    state::encode_digits(&day_states, &mut digits);
+    state::encode_digits(&day_log.states(), &mut digits);
     let ingest_line = format!(
         "{{\"op\":\"ingest\",\"host\":17,\"day_index\":3,\"states\":\"{}\"}}",
         String::from_utf8(digits).expect("digits are ASCII")
@@ -432,23 +428,17 @@ fn run_smoke() -> Json {
             Box::new(|| {
                 let request = JsonSlice::scan(black_box(&ingest_line)).expect("valid line");
                 let digits = request.get_str("states").expect("states field");
-                black_box(state::decode_digits(digits.as_bytes()).expect("valid digits"));
+                let log = StateLog::from_digits(model.monitor_period_secs, digits.as_bytes());
+                black_box(log.expect("valid digits"));
             }),
         ),
         (
             "ingest_bytes/wal_frame_14k",
             Box::new(|| {
-                encode_wal_record(&mut record, 17, 3, black_box(&day_states));
+                encode_wal_record(&mut record, 17, 3, black_box(day_log));
                 frame.clear();
                 wal::frame_into(&mut frame, &record).expect("frame fits");
                 black_box(&frame);
-            }),
-        ),
-        (
-            "ingest_bytes/store_day_14k",
-            Box::new(|| {
-                let states = black_box(&day_states).clone();
-                black_box(StateLog::new(model.monitor_period_secs, states));
             }),
         ),
     ];
@@ -731,7 +721,6 @@ fn check_baseline(path: &str) -> Result<(), String> {
     gate("cluster_sweep_1k_hosts", CLUSTER_SWEEP_GATE_NS)?;
     gate("ingest_bytes/scan_decode_14k", SCAN_DECODE_GATE_NS)?;
     gate("ingest_bytes/wal_frame_14k", WAL_FRAME_GATE_NS)?;
-    gate("ingest_bytes/store_day_14k", STORE_DAY_GATE_NS)?;
     Ok(())
 }
 

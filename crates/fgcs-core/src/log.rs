@@ -111,8 +111,8 @@ fn run_end<T: Copy + PartialEq>(samples: &[T], start: usize) -> usize {
 }
 
 /// Cuts a sample sequence into its maximal runs, `(value, length)` left to
-/// right. The one scanner behind [`StateLog::new`], [`StateLog::from_digits`]
-/// and every estimate from a `&[State]` slice.
+/// right. The one scanner behind [`StateLog::new`], [`StateLog::from_digits`],
+/// [`StateLog::from_run_text`] and every estimate from a `&[State]` slice.
 pub(crate) fn runs_of<T: Copy + PartialEq>(samples: &[T]) -> impl Iterator<Item = (T, usize)> + '_ {
     let mut start = 0;
     std::iter::from_fn(move || {
@@ -122,6 +122,45 @@ pub(crate) fn runs_of<T: Copy + PartialEq>(samples: &[T]) -> impl Iterator<Item 
         start = end + 1;
         Some((value, len))
     })
+}
+
+/// Runs from this many samples on are written `<digit>(<count>)` by
+/// [`StateLog::write_run_text`]: that takes 3 bytes plus the count's
+/// digits, 4 for a run of 5 to 9 samples, so it is shorter than the plain
+/// digits from 5 samples on and never before.
+const SHORTEST_COUNTED_RUN: u32 = 5;
+
+/// Most samples a log decoded by [`StateLog::from_run_text`] may hold, so
+/// that every run, merged or not, fits the `u32` a run stores.
+const MAX_LOG_SAMPLES: usize = u32::MAX as usize;
+
+/// Appends `n` in decimal.
+// lint: no-alloc
+fn push_decimal(out: &mut Vec<u8>, mut n: u32) {
+    let mut digits = [0u8; 10];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.extend_from_slice(&digits[at..]);
+}
+
+/// Reads the count of a counted run from the text after its `(`:
+/// `(count, offset of the closing ')')`, or `None` when the count is
+/// empty, unclosed, not decimal, zero or past `u32::MAX`.
+fn parse_count(text: &[u8]) -> Option<(u32, usize)> {
+    let close = text.iter().position(|&b| b == b')')?;
+    let digits = &text[..close];
+    if digits.is_empty() || !digits.iter().all(u8::is_ascii_digit) {
+        return None;
+    }
+    let count: u32 = std::str::from_utf8(digits).ok()?.parse().ok()?;
+    (count > 0).then_some((count, close))
 }
 
 /// A uniformly sampled state sequence with its discretisation step, stored
@@ -171,27 +210,101 @@ impl StateLog {
         StateLog::from_runs(step_secs, runs_of(&states))
     }
 
-    /// Decodes digit text written by [`state::encode_digits`] straight into
-    /// runs, never building the samples. `Err(at)` is the byte offset of the
-    /// first byte outside `b'1'..=b'5'`.
+    /// Decodes digit text written by [`state::encode_digits`] (the wire's
+    /// `ingest` `states` field) straight into runs, never building the
+    /// samples. `Err(at)` is the byte offset of the first byte outside
+    /// `b'1'..=b'5'`.
     ///
     /// # Panics
     /// Panics if `step_secs == 0`.
-    pub(crate) fn from_digits(step_secs: u32, digits: &[u8]) -> Result<StateLog, usize> {
+    pub fn from_digits(step_secs: u32, digits: &[u8]) -> Result<StateLog, usize> {
         assert!(step_secs > 0, "step must be positive");
-        state::validate_digits(digits)?;
-        let runs = runs_of(digits).map(|(digit, n)| (state::digit_state(digit), n));
-        Ok(StateLog::from_runs(step_secs, runs))
+        let mut log = StateLog::empty(step_secs);
+        // One pass: every byte of a run equals its first, so checking that
+        // byte checks the run, and the first bad run starts at the first
+        // bad byte.
+        for (digit, n) in runs_of(digits) {
+            if !state::is_digit(digit) {
+                return Err(log.len);
+            }
+            log.push_run(state::digit_state(digit), n);
+        }
+        log.runs.shrink_to_fit();
+        Ok(log)
+    }
+
+    /// Decodes run text written by [`write_run_text`](StateLog::write_run_text)
+    /// straight into runs. Plain digit text is run text without a count, so
+    /// this one decoder reads both the digit records of earlier builds and
+    /// the run records of this one.
+    ///
+    /// `Err(at)` is the byte offset where the text stops being run text: a
+    /// byte that is neither a state digit nor a count, a `(` without a
+    /// digit before it, a count that is empty, unclosed, zero or past
+    /// `u32::MAX`, or a run that takes the log past `u32::MAX` samples.
+    /// Empty text is an error at 0: no stored day is empty.
+    ///
+    /// # Panics
+    /// Panics if `step_secs == 0`.
+    pub(crate) fn from_run_text(step_secs: u32, text: &[u8]) -> Result<StateLog, usize> {
+        assert!(step_secs > 0, "step must be positive");
+        if text.is_empty() {
+            return Err(0);
+        }
+        let mut log = StateLog::empty(step_secs);
+        let mut at = 0;
+        loop {
+            let rest = &text[at..];
+            // The plain digits up to the next count, or to the end.
+            let plain = state::validate_digits(rest).err().unwrap_or(rest.len());
+            let Some(&next) = rest.get(plain) else {
+                log.push_digits(rest, at)?;
+                break;
+            };
+            if next != b'(' || plain == 0 {
+                return Err(at + plain);
+            }
+            // The digit before `(` is the counted one.
+            log.push_digits(&rest[..plain - 1], at)?;
+            let (count, close) = parse_count(&rest[plain + 1..]).ok_or(at + plain)?;
+            let state = state::digit_state(rest[plain - 1]);
+            log.push_checked(state, count as usize, at + plain - 1)?;
+            at += plain + close + 2;
+        }
+        log.runs.shrink_to_fit();
+        Ok(log)
+    }
+
+    /// Appends validated digit text, cut into its runs, to the log. `at` is
+    /// the text's offset, for the error of a run past the cap.
+    fn push_digits(&mut self, digits: &[u8], at: usize) -> Result<(), usize> {
+        runs_of(digits)
+            .try_for_each(|(digit, n)| self.push_checked(state::digit_state(digit), n, at))
+    }
+
+    /// [`push_run`](StateLog::push_run), refusing (with `Err(at)`) a run
+    /// that takes the log past [`MAX_LOG_SAMPLES`].
+    fn push_checked(&mut self, state: State, n: usize, at: usize) -> Result<(), usize> {
+        if n > MAX_LOG_SAMPLES - self.len {
+            return Err(at);
+        }
+        self.push_run(state, n);
+        Ok(())
+    }
+
+    /// A log with no samples.
+    fn empty(step_secs: u32) -> StateLog {
+        StateLog {
+            step_secs,
+            len: 0,
+            runs: Vec::new(),
+        }
     }
 
     /// A log from `(state, samples)` pieces, merging adjacent pieces of one
     /// state and dropping empty ones. Allocates for the runs only.
     fn from_runs(step_secs: u32, pieces: impl Iterator<Item = (State, usize)>) -> StateLog {
-        let mut log = StateLog {
-            step_secs,
-            len: 0,
-            runs: Vec::new(),
-        };
+        let mut log = StateLog::empty(step_secs);
         for (state, n) in pieces {
             log.push_run(state, n);
         }
@@ -246,12 +359,23 @@ impl StateLog {
         }
     }
 
-    /// Appends the digit text of the samples ([`state::encode_digits`]'s
-    /// encoding), written run by run.
+    /// Appends the run text of the log, the form every WAL record and
+    /// snapshot day stores: each run as its digit ([`state::encode_digits`]'s
+    /// encoding) repeated, or as `<digit>(<count>)` where that is shorter,
+    /// which is from 5 samples on. So the text is never longer than the
+    /// digits, and a day of shorter runs is written as its plain digits.
+    /// [`StateLog::from_run_text`] reads it.
     // lint: no-alloc
-    pub(crate) fn write_digits(&self, out: &mut Vec<u8>) {
+    pub(crate) fn write_run_text(&self, out: &mut Vec<u8>) {
         for &(s, n) in &self.runs {
-            out.resize(out.len() + n as usize, state::digit(s));
+            let digit = state::digit(s);
+            if n < SHORTEST_COUNTED_RUN {
+                out.resize(out.len() + n as usize, digit);
+            } else {
+                out.extend_from_slice(&[digit, b'(']);
+                push_decimal(out, n);
+                out.push(b')');
+            }
         }
     }
 
@@ -1065,9 +1189,15 @@ mod tests {
                     StateLog::from_digits(STEP, &digits) == Ok(log.clone()),
                     &ctx,
                 )?;
-                let mut written = Vec::new();
-                log.write_digits(&mut written);
-                ensure(written == digits, &ctx)?;
+                if !states.is_empty() {
+                    let mut text = Vec::new();
+                    log.write_run_text(&mut text);
+                    ensure(text.len() <= digits.len(), &ctx)?;
+                    ensure(
+                        StateLog::from_run_text(STEP, &text) == Ok(log.clone()),
+                        &ctx,
+                    )?;
+                }
                 store.push_day(DayLog::new(*index, log));
             }
             for _ in 0..8 {
@@ -1095,6 +1225,120 @@ mod tests {
             }
             Ok(())
         });
+    }
+
+    /// The run text of `runs`, as `(state, samples)` pieces.
+    fn run_text(runs: &[(State, usize)]) -> String {
+        let log = StateLog::from_runs(6, runs.iter().copied());
+        let mut text = Vec::new();
+        log.write_run_text(&mut text);
+        String::from_utf8(text).expect("run text is ASCII")
+    }
+
+    #[test]
+    fn run_text_counts_only_runs_it_shortens() {
+        use State::*;
+        assert_eq!(run_text(&[(S1, 2), (S2, 2)]), "1122");
+        assert_eq!(run_text(&[(S1, 4), (S5, 5)]), "11115(5)");
+        assert_eq!(
+            run_text(&[(S1, 480), (S2, 2), (S5, 1), (S3, 13)]),
+            "1(480)2253(13)"
+        );
+        assert_eq!(run_text(&[(S4, u32::MAX as usize)]), "4(4294967295)");
+    }
+
+    #[test]
+    fn run_text_round_trips_random_logs() {
+        use fgcs_runtime::check::{check, ensure};
+        check("run_text_round_trips_random_logs", 300, |g| {
+            let runs = match g.usize_in(0, 4) {
+                // One-sample runs, merged where a state repeats.
+                0 => (0..g.usize_in(1, 200))
+                    .map(|_| (*g.pick(&State::ALL), 1))
+                    .collect(),
+                // Runs longer than u16::MAX.
+                1 => (0..g.usize_in(1, 4))
+                    .map(|_| (*g.pick(&State::ALL), g.usize_in(65_536, 200_000)))
+                    .collect(),
+                // A single-run day.
+                2 => vec![(*g.pick(&State::ALL), g.usize_in(1, 14_401))],
+                // Mixed: short runs beside counted ones, merges included.
+                _ => (0..g.usize_in(1, 60))
+                    .map(|_| (*g.pick(&State::ALL), g.usize_in(1, 30)))
+                    .collect(),
+            };
+            let log = StateLog::from_runs(6, runs.into_iter());
+            let mut text = Vec::new();
+            log.write_run_text(&mut text);
+            let ctx = format!("{:?} -> {}", log.runs(), String::from_utf8_lossy(&text));
+            ensure(text.len() <= log.len(), &ctx)?;
+            ensure(StateLog::from_run_text(6, &text) == Ok(log.clone()), &ctx)?;
+            // An earlier build's digit record decodes to the same log.
+            let mut digits = Vec::new();
+            state::encode_digits(&log.states(), &mut digits);
+            ensure(StateLog::from_run_text(6, &digits) == Ok(log.clone()), &ctx)
+        });
+        // A 14 400-run day, S1 and S2 alternating: no run is counted.
+        let alternating: Vec<State> = (0..14_400).map(|i| State::OPERATIONAL[i % 2]).collect();
+        let log = log_of(alternating.clone());
+        assert_eq!(log.runs().len(), 14_400);
+        let mut text = Vec::new();
+        log.write_run_text(&mut text);
+        let mut digits = Vec::new();
+        state::encode_digits(&alternating, &mut digits);
+        assert_eq!(text, digits);
+        assert_eq!(StateLog::from_run_text(6, &text), Ok(log));
+    }
+
+    #[test]
+    fn digits_reject_each_bad_byte_where_the_sample_decoder_does() {
+        for len in [65usize, 200] {
+            let good = vec![b'3'; len];
+            for at in 0..=64 {
+                for bad in ["0", "6", "(", "a", "é", "😀"] {
+                    let mut text = good.clone();
+                    text.splice(at..at + 1, bad.bytes());
+                    let want = state::decode_digits(&text).map(|_| ());
+                    assert_eq!(want, Err(at), "{bad:?} at {at} of {len}");
+                    assert_eq!(StateLog::from_digits(6, &text).map(|_| ()), want);
+                }
+            }
+        }
+        assert_eq!(StateLog::from_digits(6, b""), Ok(log_of(Vec::new())));
+    }
+
+    #[test]
+    fn run_text_rejects_malformed_text_at_its_offset() {
+        let cases: [(&str, usize); 18] = [
+            ("", 0),
+            ("(0)", 0),
+            ("(5)", 0),
+            ("1(0)", 1),
+            ("1(00)", 1),
+            ("0", 0),
+            ("16", 1),
+            ("1(5)6", 4),
+            ("12é", 2),
+            ("1(", 1),
+            ("1(5", 1),
+            ("1()", 1),
+            ("1(+5)", 1),
+            ("1)", 1),
+            ("1(4294967296)", 1),
+            ("1(4294967295)1", 13),
+            ("22(4294967295)", 1),
+            ("2(4294967294)3(2)", 13),
+        ];
+        for (text, at) in cases {
+            assert_eq!(
+                StateLog::from_run_text(6, text.as_bytes()),
+                Err(at),
+                "{text:?}"
+            );
+        }
+        // The cap itself is a valid log.
+        let full = StateLog::from_run_text(6, b"1(4294967295)").unwrap();
+        assert_eq!(full.len(), u32::MAX as usize);
     }
 
     #[test]

@@ -36,15 +36,26 @@
 //! whole-shard snapshot (`shard-N.snap`, written to a temp file and
 //! atomically renamed). The snapshot is a second copy, not a compaction:
 //! nothing truncates the WAL, which keeps every record ever appended.
+//!
+//! Both files store a day as the run text of its [`StateLog`]
+//! ([`encode_wal_record`]): each run as its state digit repeated, or as
+//! `<digit>(<count>)` where that is shorter. A 14 400-sample day of about
+//! 55 runs takes a few hundred bytes, not one byte per sample, and the
+//! samples are never built on the way: the wire's digits are cut into
+//! runs, the runs are written. Builds before the run text stored one digit
+//! per sample; that text is run text without a count, so one decoder reads
+//! both. An older build cannot read a dir this one wrote (it takes the
+//! first counted run as damage).
+//!
 //! [`ShardedRegistry::recover`] pools every `(host, day)` found in any
 //! snapshot or WAL file (each frame decoded in place by `JsonSlice`, each
-//! day's digits straight into the runs a [`StateLog`] stores), sorts each
-//! host's days, and replays them through the step every ingest ends
-//! with — so recovered predictions are
-//! **bit-identical** to an uninterrupted run over the surviving records
+//! day's text straight into runs), sorts each host's days, and replays
+//! them through the step every ingest ends with — so recovered predictions
+//! are **bit-identical** to an uninterrupted run over the surviving records
 //! (the recovery ≡ replay invariant; property-tested below and in
 //! `tests/recovery.rs`). A torn or corrupt WAL tail is truncated, never
-//! fatal; a missing snapshot loses nothing the WAL still holds.
+//! fatal; a CRC-valid record that does not decode ends that file's replay
+//! like damage; a missing snapshot loses nothing the WAL still holds.
 
 use std::collections::{BTreeMap, HashMap};
 use std::io::{self, Write};
@@ -64,7 +75,7 @@ use crate::log::{DayLog, HistoryStore, StateLog};
 use crate::model::AvailabilityModel;
 use crate::predictor::{SmpPredictor, SolverPolicy};
 use crate::smp::{IncrementalEstimator, SmpParams};
-use crate::state::{self, State};
+use crate::state::State;
 use crate::window::{DayType, TimeWindow};
 
 /// Configuration for a [`ShardedRegistry`].
@@ -369,7 +380,22 @@ impl ShardedRegistry {
         &self.model
     }
 
-    /// Appends one day of classified states to `host`'s history.
+    /// Appends one day of classified states to `host`'s history: the
+    /// samples cut into runs, then [`ingest_log`](ShardedRegistry::ingest_log).
+    pub fn ingest_day(
+        &self,
+        host: u64,
+        day_index: Option<usize>,
+        states: Vec<State>,
+    ) -> Result<IngestAck, RegistryError> {
+        self.ingest_log(
+            host,
+            day_index,
+            StateLog::new(self.model.monitor_period_secs, states),
+        )
+    }
+
+    /// Appends one day, already cut into runs, to `host`'s history.
     ///
     /// `day_index` anchors the weekday/weekend calendar; when `None` the
     /// day is stored under the host's next consecutive index (0 for a new
@@ -379,17 +405,26 @@ impl ShardedRegistry {
     /// append-only and the incremental estimators exact.
     ///
     /// Write-ahead ordering: the day is validated, appended to the shard's
-    /// WAL (when durable) from the samples as received, and only then cut
-    /// into runs and applied in memory — an acknowledged ingest is always
-    /// at least OS-buffer durable, and a WAL failure leaves the in-memory
-    /// state untouched.
-    pub fn ingest_day(
+    /// WAL (when durable) as its run text, and only then applied in memory
+    /// — an acknowledged ingest is always at least OS-buffer durable, and a
+    /// WAL failure leaves the in-memory state untouched.
+    ///
+    /// # Panics
+    /// Panics when the log's step is not the model's monitoring period:
+    /// the WAL record does not carry the step, so recovery would read the
+    /// day at another one.
+    pub fn ingest_log(
         &self,
         host: u64,
         day_index: Option<usize>,
-        states: Vec<State>,
+        log: StateLog,
     ) -> Result<IngestAck, RegistryError> {
-        if states.is_empty() {
+        assert_eq!(
+            log.step_secs(),
+            self.model.monitor_period_secs,
+            "an ingested day must be sampled at the model's monitoring period"
+        );
+        if log.is_empty() {
             return Err(RegistryError::EmptyDay { host });
         }
         let mut guard = self.shard_for(host);
@@ -397,12 +432,11 @@ impl ShardedRegistry {
         let idx = Self::day_index_locked(shard, host, day_index)?;
         let Shard { wal, wal_buf, .. } = &mut *shard;
         if let Some(wal) = wal.as_mut() {
-            encode_wal_record(wal_buf, host, idx, &states);
+            encode_wal_record(wal_buf, host, idx, &log);
             wal.append(wal_buf)?;
             shard.records_since_snapshot += 1;
             fgcs_runtime::counter_add!("core.registry.wal_appends", 1);
         }
-        let log = StateLog::new(self.model.monitor_period_secs, states);
         let ack = Self::append_day_locked(shard, host, idx, log);
         if self.snapshot_every > 0 && shard.records_since_snapshot >= self.snapshot_every {
             // Snapshot failure is survivable: the WAL still holds every
@@ -779,7 +813,7 @@ impl ShardedRegistry {
             for (d, day) in shard.hosts[host].history.days().iter().enumerate() {
                 let sep = if d > 0 { "," } else { "" };
                 let _ = write!(buf, "{sep}{{\"i\":{},\"s\":\"", day.day_index);
-                day.log.write_digits(&mut buf);
+                day.log.write_run_text(&mut buf);
                 buf.extend_from_slice(b"\"}");
             }
             buf.extend_from_slice(b"]}");
@@ -875,17 +909,18 @@ impl ShardedRegistry {
 }
 
 /// Serializes one ingest as a WAL record,
-/// `{"host":..,"day_index":..,"states":".."}` with one digit per sample
-/// ([`state::encode_digits`]), into a reused buffer: the append hot path
-/// allocates nothing once the buffer has grown to a day.
+/// `{"host":..,"day_index":..,"states":".."}` with the day's run text
+/// (each run as its state digit repeated, or as `<digit>(<count>)` where
+/// that is shorter), into a reused buffer: the append hot path allocates
+/// nothing once the buffer has grown to a day.
 // lint: no-alloc
-pub fn encode_wal_record(buf: &mut Vec<u8>, host: u64, day_index: usize, states: &[State]) {
+pub fn encode_wal_record(buf: &mut Vec<u8>, host: u64, day_index: usize, log: &StateLog) {
     buf.clear();
     let _ = write!(
         buf,
         "{{\"host\":{host},\"day_index\":{day_index},\"states\":\""
     );
-    state::encode_digits(states, buf);
+    log.write_run_text(buf);
     buf.extend_from_slice(b"\"}");
 }
 
@@ -893,22 +928,13 @@ pub fn encode_wal_record(buf: &mut Vec<u8>, host: u64, day_index: usize, states:
 /// index.
 type Pool = BTreeMap<u64, BTreeMap<usize, StateLog>>;
 
-/// Pools one stored day, decoding its digits straight into runs, unless
-/// that `(host, day)` is already present (snapshot and WAL overlap by
-/// design; first occurrence wins — the sources are write-once so
-/// duplicates are identical). An empty day is as invalid as a bad digit
-/// (ingest never stores one).
-fn pool_day(
-    pool: &mut Pool,
-    host: u64,
-    day_index: usize,
-    digits: &str,
-    step: u32,
-) -> Result<(), ()> {
-    let log = match StateLog::from_digits(step, digits.as_bytes()) {
-        Ok(log) if !log.is_empty() => log,
-        _ => return Err(()),
-    };
+/// Pools one stored day, decoding its run text (or the plain digits an
+/// earlier build wrote) straight into runs, unless that `(host, day)` is
+/// already present (snapshot and WAL overlap by design; first occurrence
+/// wins — the sources are write-once so duplicates are identical). Text
+/// that does not decode, an empty day included, is damage.
+fn pool_day(pool: &mut Pool, host: u64, day_index: usize, text: &str, step: u32) -> Result<(), ()> {
+    let log = StateLog::from_run_text(step, text.as_bytes()).map_err(|_| ())?;
     pool.entry(host)
         .or_default()
         .entry(day_index)
@@ -923,8 +949,8 @@ fn pool_wal_record(payload: &[u8], step: u32, pool: &mut Pool) -> Result<(), ()>
     let record = JsonSlice::scan(text).ok_or(())?;
     let host = record.get_u64("host").map_err(|_| ())?;
     let day = record.get_u64("day_index").map_err(|_| ())?;
-    let digits = record.get_str("states").map_err(|_| ())?;
-    pool_day(pool, host, day as usize, &digits, step)
+    let states = record.get_str("states").map_err(|_| ())?;
+    pool_day(pool, host, day as usize, &states, step)
 }
 
 /// Parses one snapshot host frame
@@ -936,8 +962,8 @@ fn pool_snapshot_host(payload: &[u8], step: u32, pool: &mut Pool) -> Result<(), 
     for raw in frame.array("days").map_err(|_| ())? {
         let day = JsonSlice::element_object(raw).ok_or(())?;
         let idx = day.get_u64("i").map_err(|_| ())?;
-        let digits = day.get_str("s").map_err(|_| ())?;
-        pool_day(pool, host, idx as usize, &digits, step)?;
+        let states = day.get_str("s").map_err(|_| ())?;
+        pool_day(pool, host, idx as usize, &states, step)?;
     }
     Ok(())
 }
@@ -1547,6 +1573,37 @@ mod tests {
                 "the append after the cut survives"
             );
             assert_eq!(file_len(), appended);
+        }
+    }
+
+    #[test]
+    fn a_crc_valid_record_that_does_not_decode_ends_the_replay() {
+        // A bad digit, and run text that breaks the grammar, are the same
+        // damage: the days before the record recover, none after it.
+        let host = 3u64;
+        for bad in ["1x2", "1(0)", "1(", "", "2(4294967296)"] {
+            let dir = TempDir::new("undecodable");
+            let mut wal_bytes = Vec::new();
+            for (day, states) in [(0, "1(9)2"), (1, bad), (2, "1(10)")] {
+                let payload = format!(r#"{{"host":{host},"day_index":{day},"states":"{states}"}}"#);
+                wal::frame_into(&mut wal_bytes, payload.as_bytes()).unwrap();
+            }
+            std::fs::write(dir.path().join("shard-0.wal"), &wal_bytes).unwrap();
+            let back = ShardedRegistry::open(durable_config(dir.path(), 1)).unwrap();
+            assert_eq!(
+                back.host_days(host),
+                Some(1),
+                "{bad:?}: only day 0 recovers"
+            );
+            let oracle = ShardedRegistry::new(config(1));
+            let mut day = vec![S1; 9];
+            day.push(S2);
+            oracle.ingest_day(host, Some(0), day).unwrap();
+            assert_eq!(
+                fingerprint(&back, &[host]),
+                fingerprint(&oracle, &[host]),
+                "{bad:?}"
+            );
         }
     }
 

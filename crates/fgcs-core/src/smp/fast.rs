@@ -240,21 +240,28 @@ impl<'a> FastSolver<'a> {
         Ok(())
     }
 
+    /// L, the first step a solve to horizon `steps` runs: both streams are
+    /// exactly 0 before the first holding time with direct-failure mass
+    /// from either source. With none within the horizon it is `steps + 1`:
+    /// no step runs and TR is exactly 1. A solve runs `steps + 1 − L`
+    /// steps, which is what `core.solver.fast_steps` counts.
+    fn first_failure_step(&self, steps: usize) -> usize {
+        let view = self.params.solver_kernel();
+        [view.direct_events(0), view.direct_events(1)]
+            .iter()
+            .filter_map(|events| events.first().map(|&(l, _)| l))
+            .fold(steps + 1, usize::min)
+    }
+
     /// Runs the lumped recursion into the scratch planes and returns the
     /// failure streams `(F_S1(m), F_S2(m))` for `m = 0..=steps`. The caller
     /// has already validated `steps`.
     // lint: no-alloc
     fn run<'s>(&self, scratch: &'s mut SolveScratch, steps: usize) -> (&'s [f64], &'s [f64]) {
+        let start = self.first_failure_step(steps);
         fgcs_runtime::counter_add!("core.solver.fast_runs", 1);
-        fgcs_runtime::counter_add!("core.solver.fast_steps", steps as u64);
+        fgcs_runtime::counter_add!("core.solver.fast_steps", (steps + 1 - start) as u64);
         let view = self.params.solver_kernel();
-        // L: both streams are exactly 0 before the first holding time with
-        // direct-failure mass from either source. With none within the
-        // horizon, no step runs and TR is exactly 1.
-        let start = [view.direct_events(0), view.direct_events(1)]
-            .iter()
-            .filter_map(|events| events.first().map(|&(l, _)| l))
-            .fold(steps + 1, usize::min);
         let (f1, f2) = scratch.planes(steps, start);
         let mut s1 = Source::new(view.trans_events(0), view.direct_events(0));
         let mut s2 = Source::new(view.trans_events(1), view.direct_events(1));
@@ -437,6 +444,34 @@ mod tests {
         ));
         assert!(fast.tr_curve(10).unwrap().curve(S5).is_err());
         assert!(fast.tr_curve(400).is_err());
+    }
+
+    #[test]
+    fn counted_steps_start_at_the_first_failure_mass() {
+        // Operational for 300 samples, then S3: the only failure mass sits
+        // at holding time 300 from S1.
+        let mut day = vec![S1; 300];
+        day.extend([S3; 20]);
+        let windows: Vec<&[State]> = vec![&day];
+        let late = SmpParams::estimate(&windows, 6, 319);
+        let fast = FastSolver::new(&late);
+        let start = fast.first_failure_step(319);
+        assert_eq!(start, 300);
+        assert_eq!(319 + 1 - start, 20, "steps solved to horizon 319");
+        // A horizon before the mass solves nothing.
+        assert_eq!(fast.first_failure_step(120), 121);
+        let mut scratch = SolveScratch::new();
+        let (f1, _) = fast.run(&mut scratch, 319);
+        assert!(f1[..start].iter().all(|&f| f == 0.0));
+        assert!(f1[start] > 0.0, "the failure stream starts at L");
+        // No failure mass at all: no step runs and TR is exactly 1.
+        let mut quiet = vec![S1; 150];
+        quiet.extend([S2; 150]);
+        let windows: Vec<&[State]> = vec![&quiet];
+        let none = SmpParams::estimate(&windows, 6, 299);
+        let fast = FastSolver::new(&none);
+        assert_eq!(fast.first_failure_step(299), 300, "0 steps solved");
+        assert_eq!(fast.temporal_reliability(S1, 299).unwrap(), 1.0);
     }
 
     #[test]

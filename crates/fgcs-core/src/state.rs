@@ -97,7 +97,9 @@ const DIGIT_BLOCK: usize = 64;
 
 /// Appends one day of states as its digit text, one ASCII digit per sample
 /// (`S1` → `b'1'`, …, `S5` → `b'5'`). This is the encoding of the wire's
-/// `ingest` `states` field, of every WAL record and of every snapshot day.
+/// `ingest` `states` field. The WAL and the snapshots store a day as run
+/// text (`StateLog::write_run_text`), which writes a run shorter than 5
+/// samples as these digits and a longer one as `<digit>(<count>)`.
 // lint: no-alloc
 pub fn encode_digits(states: &[State], out: &mut Vec<u8>) {
     out.extend(states.iter().map(|&s| digit(s)));
@@ -121,17 +123,18 @@ pub fn decode_digits(digits: &[u8]) -> Result<Vec<State>, usize> {
 pub(crate) fn validate_digits(digits: &[u8]) -> Result<(), usize> {
     // Branch-free fold per block (LLVM turns it into vector compares);
     // only the block test between blocks can exit early.
-    let valid = |block: &[u8]| {
-        block
-            .iter()
-            .fold(true, |ok, &b| ok & (b.wrapping_sub(b'1') < 5))
-    };
+    let valid = |block: &[u8]| block.iter().fold(true, |ok, &b| ok & is_digit(b));
     let mut blocks = digits.chunks_exact(DIGIT_BLOCK);
     if !(blocks.all(valid) && valid(blocks.remainder())) {
-        let at = digits.iter().position(|&b| b.wrapping_sub(b'1') >= 5);
+        let at = digits.iter().position(|&b| !is_digit(b));
         return Err(at.expect("validation found a bad digit"));
     }
     Ok(())
+}
+
+/// Whether `b` is a state digit, `b'1'..=b'5'`.
+pub(crate) fn is_digit(b: u8) -> bool {
+    b.wrapping_sub(b'1') < 5
 }
 
 /// The state of one validated digit. The match is exhaustive without a

@@ -91,6 +91,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Duration;
 
 use fgcs_core::batch::TrCurve;
+use fgcs_core::log::StateLog;
 use fgcs_core::registry::{IngestAck, RegistryConfig, RegistryError, ShardedRegistry};
 use fgcs_core::state::{self, State};
 use fgcs_core::window::{DayType, TimeWindow, SECS_PER_DAY};
@@ -204,7 +205,7 @@ pub struct Server {
 }
 
 /// One decoded request. Every field is `Copy`, borrows from the input line
-/// or is an ingest's decoded day, so a warm query decodes without
+/// or is an ingest's day cut into runs, so a warm query decodes without
 /// allocating.
 enum Request<'a> {
     Ping,
@@ -222,7 +223,7 @@ enum ShardOp {
     Ingest {
         host: u64,
         day_index: Option<usize>,
-        states: Vec<State>,
+        log: StateLog,
     },
     Predict {
         at: Coords,
@@ -273,18 +274,26 @@ impl<'a> From<SliceError<'a>> for WireError<'a> {
 
 /// Decodes one request object. `op` is resolved first, so inside a batch
 /// (`in_batch`) a control op is refused before any of its fields are read.
-fn parse_request<'a>(s: &JsonSlice<'a>, in_batch: bool) -> Result<Request<'a>, WireError<'a>> {
+/// An ingest's `states` digits are validated and cut straight into the
+/// runs of a day sampled every `step_secs`; the samples are never built.
+fn parse_request<'a>(
+    s: &JsonSlice<'a>,
+    in_batch: bool,
+    step_secs: u32,
+) -> Result<Request<'a>, WireError<'a>> {
     let op = s.get_str("op")?;
     Ok(match &*op {
         "ping" => Request::Ping,
         "ingest" => {
             let host = s.get_u64("host")?;
             let day_index = s.get_opt_u64("day_index")?.map(|d| d as usize);
-            let states = decode_states(&s.get_str("states")?).map_err(WireError::Msg)?;
+            let digits = s.get_str("states")?;
+            let log = StateLog::from_digits(step_secs, digits.as_bytes())
+                .map_err(|at| WireError::Msg(bad_digit(&digits, at)))?;
             Request::Op(ShardOp::Ingest {
                 host,
                 day_index,
-                states,
+                log,
             })
         }
         "predict" => {
@@ -459,6 +468,11 @@ impl Server {
         &self.registry
     }
 
+    /// The sampling step of an ingested day.
+    fn step_secs(&self) -> u32 {
+        self.registry.model().monitor_period_secs
+    }
+
     /// Handles one request line and renders the reply. Never panics on
     /// malformed input: protocol errors become `{"ok":false,…}` replies.
     ///
@@ -517,7 +531,7 @@ impl Server {
         if self.debug_ops && matches!(req.get_str("op").as_deref(), Ok("debug_panic")) {
             panic!("debug_panic op (containment test hook)");
         }
-        match parse_request(&req, false) {
+        match parse_request(&req, false, self.step_secs()) {
             Err(e) => write_error_line(out, &e),
             Ok(Request::Ping) => out.raw(PING_LINE),
             Ok(Request::Shutdown) => {
@@ -544,8 +558,8 @@ impl Server {
             ShardOp::Ingest {
                 host,
                 day_index,
-                states,
-            } => write_ingest_reply(out, self.registry.ingest_day(host, day_index, states)),
+                log,
+            } => write_ingest_reply(out, self.registry.ingest_log(host, day_index, log)),
             ShardOp::Predict { at, init } => {
                 let tr = self.registry.predict(at.host, at.day_type, at.window, init);
                 self.write_predict_reply(out, at, init, tr);
@@ -565,7 +579,9 @@ impl Server {
         let mut empty = true;
         for raw in ops {
             empty = false;
-            match JsonSlice::element_object(raw).map(|el| parse_request(&el, true)) {
+            match JsonSlice::element_object(raw)
+                .map(|el| parse_request(&el, true, self.step_secs()))
+            {
                 Some(Ok(Request::Op(op))) => self.run_op(op, out),
                 Some(Ok(Request::Ping)) => out.raw(PING_LINE),
                 Some(Ok(_)) => unreachable!("parse_request refuses control ops in a batch"),
@@ -989,16 +1005,20 @@ fn ok_reply(op: &str, rest: Vec<(String, Json)>) -> Json {
 
 /// Decodes a digit-per-sample state string (`'1'`–`'5'` for S1–S5), the
 /// wire encoding of one day of classified samples
-/// ([`fgcs_core::state::decode_digits`]). The error names the first
-/// character that is not a digit.
+/// ([`fgcs_core::state::decode_digits`]), into the samples. The error names
+/// the first character that is not a digit, as the `ingest` op's does.
 pub fn decode_states(digits: &str) -> Result<Vec<State>, String> {
-    state::decode_digits(digits.as_bytes()).map_err(|at| {
-        let bad = digits.get(at..).and_then(|rest| rest.chars().next());
-        format!(
-            "invalid state digit {:?} (expected 1-5)",
-            bad.unwrap_or(char::REPLACEMENT_CHARACTER)
-        )
-    })
+    state::decode_digits(digits.as_bytes()).map_err(|at| bad_digit(digits, at))
+}
+
+/// The error for `digits`, whose first byte that is not a state digit is
+/// at `at`: it names the character there.
+fn bad_digit(digits: &str, at: usize) -> String {
+    let bad = digits.get(at..).and_then(|rest| rest.chars().next());
+    format!(
+        "invalid state digit {:?} (expected 1-5)",
+        bad.unwrap_or(char::REPLACEMENT_CHARACTER)
+    )
 }
 
 /// Encodes one day of states as the wire digit string (inverse of

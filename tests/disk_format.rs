@@ -5,6 +5,13 @@
 //!
 //! Frame layout (`fgcs_runtime::wal`): `[len: u32 LE][crc: u32 LE][payload]`,
 //! where `crc` is the IEEE CRC-32 of the four length bytes and the payload.
+//!
+//! A day is stored as its run text: each run as its state digit repeated,
+//! or as `<digit>(<count>)` where that is shorter (runs of 5 samples or
+//! more). Earlier builds stored one digit per sample. The two fixture days
+//! below have no run that long, so both generations write them alike;
+//! [`RUN_DAY`] pins the counted form, and the mixed-generation test
+//! recovers digit frames and run frames side by side.
 
 use std::path::{Path, PathBuf};
 
@@ -173,4 +180,144 @@ fn pinned_bytes_recover_both_days_bit_identically() {
         assert_eq!(reg.stats().days, 2, "{tag}");
         assert_eq!(fingerprint(&reg), want, "{tag}: predictions differ");
     }
+}
+
+/// A day with runs long enough to be counted, as `(day_index, digits)`:
+/// 7 × S1, 5 × S5, 10 × S2, 4 × S1.
+const RUN_DAY: (usize, &str) = (3, "11111115555522222222221111");
+
+/// `shard-0.wal` after ingesting [`RUN_DAY`] alone.
+fn pinned_run_wal() -> Vec<u8> {
+    frame(
+        53,
+        0xEBCF_517A,
+        r#"{"host":7,"day_index":3,"states":"1(7)5(5)2(10)1111"}"#,
+    )
+}
+
+/// `shard-0.snap` after ingesting [`RUN_DAY`] alone and `snapshot_all`.
+fn pinned_run_snap() -> Vec<u8> {
+    [
+        frame(
+            65,
+            0x8977_88B5,
+            r#"{"schema":"fgcs-snap-v1","step_secs":6,"wal_records":1,"hosts":1}"#,
+        ),
+        frame(
+            51,
+            0xE40F_EA97,
+            r#"{"host":7,"days":[{"i":3,"s":"1(7)5(5)2(10)1111"}]}"#,
+        ),
+    ]
+    .concat()
+}
+
+#[test]
+fn run_form_bytes_are_pinned() {
+    let dir = TempDir::new("run-form");
+    let reg = ShardedRegistry::open(durable(dir.path())).expect("open");
+    let (day, digits) = RUN_DAY;
+    reg.ingest_day(HOST, Some(day), states(digits))
+        .expect("ingest");
+    reg.snapshot_all().expect("snapshot");
+    drop(reg);
+    let wal = std::fs::read(dir.path().join("shard-0.wal")).expect("read wal");
+    let snap = std::fs::read(dir.path().join("shard-0.snap")).expect("read snap");
+    assert_eq!(wal, pinned_run_wal(), "shard-0.wal bytes moved");
+    assert_eq!(snap, pinned_run_snap(), "shard-0.snap bytes moved");
+}
+
+/// A WAL frame as an earlier build wrote it: the day's digits, one per
+/// sample.
+fn digit_frame(day: usize, digits: &str) -> Vec<u8> {
+    let payload = format!(r#"{{"host":{HOST},"day_index":{day},"states":"{digits}"}}"#);
+    let mut out = Vec::new();
+    fgcs::runtime::wal::frame_into(&mut out, payload.as_bytes()).expect("frame fits");
+    out
+}
+
+/// Predictions over windows the fixture days and the longer days each
+/// cover, as bits (or the error text).
+fn mixed_fingerprint(reg: &ShardedRegistry) -> Vec<String> {
+    let mut out = Vec::new();
+    for window in [TimeWindow::new(0, 12), TimeWindow::new(0, 60)] {
+        for init in [State::S1, State::S2] {
+            out.push(match reg.predict(HOST, DayType::Weekday, window, init) {
+                Ok(tr) => format!("{:016x}", tr.to_bits()),
+                Err(e) => e.to_string(),
+            });
+        }
+    }
+    out
+}
+
+#[test]
+fn mixed_generation_dirs_recover_bit_identically() {
+    // Day 2 stored by an earlier build (digits), day 3 by this one (runs).
+    let old_day = (2, "1111111111222222222211111");
+    let days = [DAYS[0], DAYS[1], old_day, RUN_DAY];
+    let oracle = ShardedRegistry::new(RegistryConfig {
+        shards: 1,
+        ..RegistryConfig::default()
+    });
+    for (day, digits) in days {
+        oracle
+            .ingest_day(HOST, Some(day), states(digits))
+            .expect("ingest");
+    }
+    let want = mixed_fingerprint(&oracle);
+    assert!(
+        want.iter().all(|p| p.len() == 16),
+        "every window must answer: {want:?}"
+    );
+
+    // Old digit frames, then a frame this build appends after recovering
+    // them; recovered from the WAL alone.
+    let dir = TempDir::new("mixed-wal");
+    let old_wal = [pinned_wal(), digit_frame(old_day.0, old_day.1)].concat();
+    std::fs::write(dir.path().join("shard-0.wal"), &old_wal).expect("write wal");
+    let reg = ShardedRegistry::open(durable(dir.path())).expect("recover old frames");
+    assert_eq!(reg.host_days(HOST), Some(3));
+    reg.ingest_day(HOST, Some(RUN_DAY.0), states(RUN_DAY.1))
+        .expect("ingest");
+    drop(reg);
+    let wal = std::fs::read(dir.path().join("shard-0.wal")).expect("read wal");
+    assert_eq!(
+        wal,
+        [old_wal, pinned_run_wal()].concat(),
+        "old frames, then the run frame"
+    );
+    std::fs::remove_file(dir.path().join("shard-0.snap")).expect("remove snapshot");
+    let reg = ShardedRegistry::open(durable(dir.path())).expect("recover mixed wal");
+    assert_eq!(reg.host_days(HOST), Some(4), "wal-only");
+    assert_eq!(
+        mixed_fingerprint(&reg),
+        want,
+        "wal-only: predictions differ"
+    );
+    drop(reg);
+
+    // An old snapshot beside a WAL this build wrote.
+    let dir = TempDir::new("mixed-snap");
+    let writer = TempDir::new("mixed-snap-writer");
+    let reg = ShardedRegistry::open(durable(writer.path())).expect("open");
+    for (day, digits) in [old_day, RUN_DAY] {
+        reg.ingest_day(HOST, Some(day), states(digits))
+            .expect("ingest");
+    }
+    drop(reg);
+    let new_wal = std::fs::read(writer.path().join("shard-0.wal")).expect("read wal");
+    assert!(
+        new_wal.ends_with(&pinned_run_wal()),
+        "the WAL holds run frames"
+    );
+    std::fs::write(dir.path().join("shard-0.wal"), &new_wal).expect("write wal");
+    std::fs::write(dir.path().join("shard-0.snap"), pinned_snap()).expect("write snap");
+    let reg = ShardedRegistry::open(durable(dir.path())).expect("recover");
+    assert_eq!(reg.host_days(HOST), Some(4), "snapshot beside a new wal");
+    assert_eq!(
+        mixed_fingerprint(&reg),
+        want,
+        "snapshot beside a new wal: predictions differ"
+    );
 }

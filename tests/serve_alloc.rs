@@ -8,7 +8,10 @@
 //! request line is scanned in place ([`JsonSlice`]), the answer comes from
 //! the per-kernel solve memo, and the reply is formatted into the pooled
 //! [`JsonWriter`]. `ping` gets the same guarantee for free, and so does a
-//! `batch` of warm predicts, whose ops take the same path one by one.
+//! `batch` of warm predicts, whose ops take the same path one by one. A
+//! warm durable `ingest` allocates, but never a buffer the size of its
+//! samples: the digits are cut straight into runs, and the WAL record is
+//! the runs' text.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -19,17 +22,20 @@ use fgcs_runtime::json::JsonWriter;
 std::thread_local! {
     static TRACKING: Cell<bool> = const { Cell::new(false) };
     static THREAD_ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static THREAD_LARGEST: Cell<usize> = const { Cell::new(0) };
 }
 
 /// System allocator wrapper that counts every allocating entry point made
-/// from a thread whose `TRACKING` flag is set.
+/// from a thread whose `TRACKING` flag is set, and keeps the largest size
+/// asked for.
 struct CountingAlloc;
 
-fn note_alloc() {
+fn note_alloc(size: usize) {
     // try_with: allocations during thread teardown must not panic.
     let _ = TRACKING.try_with(|t| {
         if t.get() {
             let _ = THREAD_ALLOCS.try_with(|c| c.set(c.get() + 1));
+            let _ = THREAD_LARGEST.try_with(|c| c.set(c.get().max(size)));
         }
     });
 }
@@ -40,7 +46,7 @@ fn note_alloc() {
 unsafe impl GlobalAlloc for CountingAlloc {
     // SAFETY: forwards the caller's layout to `System.alloc` verbatim.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note_alloc();
+        note_alloc(layout.size());
         System.alloc(layout)
     }
 
@@ -51,13 +57,13 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
     // SAFETY: forwards pointer, layout, and size to `System.realloc`.
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note_alloc();
+        note_alloc(new_size);
         System.realloc(ptr, layout, new_size)
     }
 
     // SAFETY: forwards the caller's layout to `System.alloc_zeroed`.
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        note_alloc();
+        note_alloc(layout.size());
         System.alloc_zeroed(layout)
     }
 }
@@ -69,6 +75,7 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 /// `(f(), allocations made by this thread inside f)`.
 fn count_allocations<T>(f: impl FnOnce() -> T) -> (T, u64) {
     THREAD_ALLOCS.with(|c| c.set(0));
+    THREAD_LARGEST.with(|c| c.set(0));
     TRACKING.with(|t| t.set(true));
     let out = f();
     TRACKING.with(|t| t.set(false));
@@ -76,16 +83,26 @@ fn count_allocations<T>(f: impl FnOnce() -> T) -> (T, u64) {
     (out, n)
 }
 
-/// A server with a few days of mixed-state history on one host.
-fn warm_server() -> Server {
-    let s = Server::new(&ServeConfig::default());
-    let day: String = (0..14_400)
+/// The largest allocation, in bytes, the last [`count_allocations`] saw.
+fn largest_allocation() -> usize {
+    THREAD_LARGEST.with(|c| c.get())
+}
+
+/// One 14 400-sample day of mixed states, as the wire's digits.
+fn day_digits() -> String {
+    (0..14_400)
         .map(|i| match i % 97 {
             0..=69 => '1',
             70..=89 => '2',
             _ => '1',
         })
-        .collect();
+        .collect()
+}
+
+/// A server with a few days of mixed-state history on one host.
+fn warm_server() -> Server {
+    let s = Server::new(&ServeConfig::default());
+    let day = day_digits();
     for d in 0..4 {
         let req =
             format!("{{\"op\":\"ingest\",\"host\":9,\"day_index\":{d},\"states\":\"{day}\"}}");
@@ -194,4 +211,41 @@ fn warm_error_replies_do_not_allocate_for_borrowed_errors() {
         }
     });
     assert_eq!(allocs, 0, "borrowed field errors must not allocate");
+}
+
+#[test]
+fn warm_durable_ingest_allocates_no_buffer_the_size_of_its_day() {
+    let dir = std::env::temp_dir().join(format!("fgcs-serve-alloc-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let s = Server::new(&ServeConfig {
+        data_dir: Some(dir.clone()),
+        ..ServeConfig::default()
+    });
+    let day = day_digits();
+    let req = format!("{{\"op\":\"ingest\",\"host\":9,\"states\":\"{day}\"}}");
+    let mut out = JsonWriter::new();
+    // Warm-up: sizes the reply buffer, the shard's WAL record buffer and
+    // the writer's frame buffer.
+    for _ in 0..4 {
+        out.clear();
+        assert!(!s.handle_line_into(&req, &mut out));
+        assert!(out.as_str().starts_with("{\"ok\":true"), "{}", out.as_str());
+    }
+
+    let ((), allocs) = count_allocations(|| {
+        for _ in 0..8 {
+            out.clear();
+            assert!(!s.handle_line_into(&req, &mut out));
+            assert!(out.as_str().starts_with("{\"ok\":true"), "{}", out.as_str());
+        }
+    });
+    let largest = largest_allocation();
+    drop(s);
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(allocs > 0, "each ingest stores its day's runs");
+    assert!(
+        largest < day.len(),
+        "a warm ingest allocated {largest} bytes at once, as much as its {} samples",
+        day.len()
+    );
 }
