@@ -43,9 +43,10 @@
 //! `qh_estimation/rebuild_2h`, the incremental estimator's rebuild), on
 //! the deduped 1000-host scheduling sweep (`cluster_sweep_1k_hosts`), and
 //! on the durable ingest's byte path (`ingest_bytes/…`: one 14 400-sample
-//! ingest line scanned and its digits cut into the runs the history
-//! stores, and one run-form WAL frame built in memory) — and `--against`
-//! compares two baselines key by key.
+//! ingest line framed out of the connection's read buffer, the line
+//! scanned and its digits cut into the runs the history stores, and one
+//! run-form WAL frame built in memory) — and `--against` compares two
+//! baselines key by key.
 //!
 //! `--wire` is the served path's gate. `examples/benchmark --json`
 //! appends one result line per workload run; `--against` checks each
@@ -60,6 +61,7 @@
 //! regressions are the benchmark's paired `compare` rule's to catch.
 
 use std::hint::black_box;
+use std::io::{self, BufReader, Read};
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
@@ -74,6 +76,7 @@ use fgcs_core::smp::{FastSolver, IncrementalEstimator, SmpParams, SolveScratch, 
 use fgcs_core::state::{self, State};
 use fgcs_core::window::{DayType, TimeWindow};
 use fgcs_runtime::json::{Json, JsonSlice};
+use fgcs_runtime::line::{read_bounded_line, LineRead};
 use fgcs_runtime::wal;
 use fgcs_sim::state_manager::StateManager;
 use fgcs_trace::{TraceConfig, TraceGenerator};
@@ -99,7 +102,7 @@ const UNIT: &str = "fastest-sample ns/op at machine_factor 1.0";
 /// cached query, the 1000-host sweep, classification, the online
 /// state-manager step, trace generation and the durable ingest's byte
 /// path.
-const REQUIRED_KEYS: [&str; 13] = [
+const REQUIRED_KEYS: [&str; 14] = [
     "smp_solver/paper_eq3_2h",
     "smp_solver/fast_2h",
     "smp_solver/per_horizon_sweep_2h",
@@ -111,6 +114,7 @@ const REQUIRED_KEYS: [&str; 13] = [
     "classify/whole_day_offline",
     "state_manager/online_step",
     "trace_gen/machine_day_lab",
+    "ingest_bytes/frame_14k",
     "ingest_bytes/scan_decode_14k",
     "ingest_bytes/wal_frame_14k",
 ];
@@ -180,6 +184,18 @@ const CLUSTER_HOSTS: u64 = 1000;
 /// per remaining host; the whole sweep must finish well under the cost of
 /// 1000 independent solves.
 const CLUSTER_SWEEP_GATE_NS: f64 = 27_000_000.0;
+
+/// Absolute gate on framing one 14 400-sample ingest line
+/// (`ingest_bytes/frame_14k`: `read_bounded_line` cutting the line out of
+/// an 8 KiB `BufReader`, as a TCP connection reads it, and copying it
+/// into the read buffer), at `machine_factor` 1.0: about 1.6× its
+/// 0.21–0.22 µs. The newline search tests 32 bytes per step; a search of
+/// one byte per step read 3.8–4.0 µs on this bench.
+const FRAME_GATE_NS: f64 = 340.0;
+
+/// The serve transports' default `max_line_bytes`: the bound the framing
+/// bench reads under.
+const MAX_LINE_BYTES: usize = 8 << 20;
 
 /// Absolute gate on reading one 14 400-sample ingest line
 /// (`ingest_bytes/scan_decode_14k`: `JsonSlice::scan`, the `states` lookup
@@ -318,9 +334,9 @@ fn run_smoke() -> Json {
         }
     };
     sweep();
-    // The durable ingest's byte path on one paper-scale day: reading the
-    // request line into runs, and building the WAL frame the registry
-    // writes from them.
+    // The durable ingest's byte path on one paper-scale day: framing the
+    // request line out of a connection's 8 KiB read buffer, reading it
+    // into runs, and building the WAL frame the registry writes from them.
     let day_log = &history.days()[1].log;
     assert_eq!(day_log.len(), 14_400);
     let mut digits = Vec::new();
@@ -329,6 +345,13 @@ fn run_smoke() -> Json {
         "{{\"op\":\"ingest\",\"host\":17,\"day_index\":3,\"states\":\"{}\"}}",
         String::from_utf8(digits).expect("digits are ASCII")
     );
+    let mut wire_line = ingest_line.clone().into_bytes();
+    wire_line.push(b'\n');
+    let mut connection = BufReader::new(Resend {
+        line: &wire_line,
+        at: 0,
+    });
+    let mut read_buf = Vec::new();
     let (mut fast_scratch, mut sweep_scratch) = (SolveScratch::new(), SolveScratch::new());
     let (mut record, mut frame) = (Vec::new(), Vec::new());
 
@@ -424,6 +447,14 @@ fn run_smoke() -> Json {
             }),
         ),
         (
+            "ingest_bytes/frame_14k",
+            Box::new(|| {
+                let read = read_bounded_line(&mut connection, &mut read_buf, MAX_LINE_BYTES);
+                assert_eq!(read.expect("in-memory read"), LineRead::Line);
+                black_box(&read_buf);
+            }),
+        ),
+        (
             "ingest_bytes/scan_decode_14k",
             Box::new(|| {
                 let request = JsonSlice::scan(black_box(&ingest_line)).expect("valid line");
@@ -511,6 +542,24 @@ fn with_failures_moved(params: &SmpParams, shift: Option<usize>) -> SmpParams {
     };
     let kernel = [row(State::S1, State::S2), row(State::S2, State::S1)];
     SmpParams::from_kernel(params.step_secs(), kernel)
+}
+
+/// A peer that sends one request line over and over: each read hands over
+/// at most the rest of the current line, as a socket does for a client
+/// with one request in flight.
+struct Resend<'a> {
+    line: &'a [u8],
+    at: usize,
+}
+
+impl Read for Resend<'_> {
+    fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
+        let rest = &self.line[self.at..];
+        let n = rest.len().min(out.len());
+        out[..n].copy_from_slice(&rest[..n]);
+        self.at = (self.at + n) % self.line.len();
+        Ok(n)
+    }
 }
 
 /// A named bench: one call runs one iteration.
@@ -719,6 +768,7 @@ fn check_baseline(path: &str) -> Result<(), String> {
     gate("qh_estimation/2h", QH_ESTIMATION_GATE_NS)?;
     gate("qh_estimation/rebuild_2h", QH_REBUILD_GATE_NS)?;
     gate("cluster_sweep_1k_hosts", CLUSTER_SWEEP_GATE_NS)?;
+    gate("ingest_bytes/frame_14k", FRAME_GATE_NS)?;
     gate("ingest_bytes/scan_decode_14k", SCAN_DECODE_GATE_NS)?;
     gate("ingest_bytes/wal_frame_14k", WAL_FRAME_GATE_NS)?;
     Ok(())

@@ -736,16 +736,22 @@ impl ShardedRegistry {
             if read.damage.is_some() {
                 fgcs_runtime::counter_add!("core.registry.wal_tail_truncations", 1);
             }
+            // The prefix to keep, in bytes and frames: every frame that
+            // pooled.
+            let (mut kept_bytes, mut kept) = (0u64, 0u64);
             for rec in &read.records {
                 if pool_wal_record(rec, step, &mut pool).is_err() {
                     // CRC-valid but unparseable: treat like tail damage —
-                    // keep the prefix, drop the rest of this file.
+                    // keep the prefix, and cut the file at this record so
+                    // fresh appends never land behind it.
                     fgcs_runtime::counter_add!("core.registry.wal_tail_truncations", 1);
                     break;
                 }
+                kept_bytes += (wal::HEADER_BYTES + rec.len()) as u64;
+                kept += 1;
             }
             if let Ok(s) = usize::try_from(i) {
-                wal_meta.insert(s, (read.valid_bytes, read.records.len() as u64));
+                wal_meta.insert(s, (kept_bytes, kept));
             }
         }
         let replayed: usize = pool.values().map(BTreeMap::len).sum();
@@ -1605,6 +1611,59 @@ mod tests {
                 "{bad:?}"
             );
         }
+    }
+
+    #[test]
+    fn appends_after_an_undecodable_record_survive_the_next_restart() {
+        // Recovery cuts the file at the first record that does not
+        // decode, as at a bad CRC, so a day acked after the restart is
+        // not written behind a record the next replay stops at.
+        let host = 3u64;
+        let dir = TempDir::new("undecodable-reopen");
+        let wal_path = dir.path().join("shard-0.wal");
+        let mut wal_bytes = Vec::new();
+        for (day, states) in [(0, "1(9)2"), (1, "1x2")] {
+            let payload = format!(r#"{{"host":{host},"day_index":{day},"states":"{states}"}}"#);
+            wal::frame_into(&mut wal_bytes, payload.as_bytes()).unwrap();
+        }
+        let frame0_end =
+            wal::HEADER_BYTES + u32::from_le_bytes(wal_bytes[..4].try_into().unwrap()) as usize;
+        std::fs::write(&wal_path, &wal_bytes).unwrap();
+        let cfg = || RegistryConfig {
+            fsync_every: 1,
+            snapshot_every: 0,
+            ..durable_config(dir.path(), 1)
+        };
+        let day5 = vec![S2; 7];
+        {
+            let reg = ShardedRegistry::open(cfg()).unwrap();
+            assert_eq!(reg.host_days(host), Some(1));
+            reg.ingest_day(host, Some(5), day5.clone()).unwrap();
+            reg.sync_all().unwrap();
+        }
+        let back = ShardedRegistry::open(cfg()).unwrap();
+        assert_eq!(
+            back.host_days(host),
+            Some(2),
+            "the day acked after the cut survives"
+        );
+        let file = std::fs::read(&wal_path).unwrap();
+        assert_eq!(
+            file[..frame0_end],
+            wal_bytes[..frame0_end],
+            "the log is cut after frame 0"
+        );
+        let after = wal::scan_frames(&file[frame0_end..]);
+        assert_eq!((after.records.len(), after.damage), (1, None));
+        assert!(std::str::from_utf8(&after.records[0])
+            .unwrap()
+            .contains(r#""day_index":5"#));
+        let oracle = ShardedRegistry::new(config(1));
+        let mut day0 = vec![S1; 9];
+        day0.push(S2);
+        oracle.ingest_day(host, Some(0), day0).unwrap();
+        oracle.ingest_day(host, Some(5), day5).unwrap();
+        assert_eq!(fingerprint(&back, &[host]), fingerprint(&oracle, &[host]));
     }
 
     #[test]

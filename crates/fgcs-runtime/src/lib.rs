@@ -25,6 +25,9 @@
 //! - [`wal`] — length-prefixed, CRC32-checksummed write-ahead-log
 //!   framing with a configurable fsync cadence and a torn-tail-tolerant
 //!   reader (the durability substrate under the serving registry).
+//! - [`line`](mod@line) — the bounded `\n` line reader behind the serve
+//!   transports: block-wise newline search, oversized lines drained
+//!   rather than buffered.
 //! - [`metrics`] — counters, gauges, log2 histograms, span timers and a
 //!   process-wide registry with byte-stable JSON export (replaces
 //!   `metrics` + `prometheus`-style client crates). Compile-time zero-cost
@@ -39,6 +42,7 @@ pub mod check;
 pub mod dist;
 pub mod fault;
 pub mod json;
+pub mod line;
 pub mod metrics;
 pub mod parallel;
 pub mod rng;

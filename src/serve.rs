@@ -62,9 +62,11 @@
 //!
 //! # Hardened transport
 //!
-//! Both transports read request lines through a bounded reader: a line
-//! longer than [`ServeConfig::max_line_bytes`] is drained (in buffered
-//! chunks, never materialized) and answered with a structured
+//! Both transports read request lines through one bounded reader
+//! ([`fgcs_runtime::line::read_bounded_line`], which finds each line's end
+//! a block of bytes at a time): a line longer than
+//! [`ServeConfig::max_line_bytes`] is drained (in buffered chunks, never
+//! materialized) and answered with a structured
 //! `{"ok":false,"code":"too_large",…}` reply, after which the connection
 //! keeps working. TCP connections additionally get a per-connection read
 //! and write deadline ([`ServeConfig::read_timeout`]) so a stalled peer
@@ -96,6 +98,7 @@ use fgcs_core::registry::{IngestAck, RegistryConfig, RegistryError, ShardedRegis
 use fgcs_core::state::{self, State};
 use fgcs_core::window::{DayType, TimeWindow, SECS_PER_DAY};
 use fgcs_runtime::json::{Json, JsonSlice, JsonSliceArray, JsonWriter, SliceError};
+use fgcs_runtime::line::{read_bounded_line, LineRead};
 
 /// Configuration for [`Server::new`] / [`Server::open`].
 #[derive(Debug, Clone)]
@@ -875,75 +878,6 @@ impl Drop for ConnSlot<'_> {
     fn drop(&mut self) {
         self.0.fetch_sub(1, Ordering::Release);
     }
-}
-
-/// Outcome of one bounded line read.
-enum LineRead {
-    /// The stream ended before any byte of a new line.
-    Eof,
-    /// `buf` holds one complete line (newline stripped), at most `max`
-    /// bytes long.
-    Line,
-    /// The line exceeded `max` bytes; it has been drained (in buffered
-    /// chunks, never materialized) up to and including its newline.
-    TooLarge,
-}
-
-/// Reads one `\n`-terminated line into `buf`, never retaining more than
-/// `max + 1` bytes: the bounded-memory replacement for
-/// [`BufRead::read_line`] on untrusted transports. Oversized lines are
-/// consumed to their end via [`BufRead::fill_buf`]/`consume` so the
-/// connection can keep serving after the error reply.
-fn read_bounded_line(
-    reader: &mut impl BufRead,
-    buf: &mut Vec<u8>,
-    max: usize,
-) -> io::Result<LineRead> {
-    buf.clear();
-    loop {
-        let chunk = reader.fill_buf()?;
-        if chunk.is_empty() {
-            // EOF: an unterminated final line still counts as a line.
-            return Ok(if buf.is_empty() {
-                LineRead::Eof
-            } else {
-                LineRead::Line
-            });
-        }
-        // Accept at most one byte past `max`: enough to distinguish "fits
-        // exactly" from "too long" without buffering the excess.
-        let room = max + 1 - buf.len();
-        if let Some(i) = chunk.iter().take(room).position(|&b| b == b'\n') {
-            // Content length `buf.len() + i` ≤ `max` by the room bound.
-            buf.extend_from_slice(&chunk[..i]);
-            reader.consume(i + 1);
-            return Ok(LineRead::Line);
-        }
-        let take_n = chunk.len().min(room);
-        buf.extend_from_slice(&chunk[..take_n]);
-        reader.consume(take_n);
-        if buf.len() > max {
-            break;
-        }
-    }
-    // Oversized: drain to the newline (or EOF) without growing `buf`.
-    loop {
-        let chunk = reader.fill_buf()?;
-        if chunk.is_empty() {
-            break;
-        }
-        match chunk.iter().position(|&b| b == b'\n') {
-            Some(i) => {
-                reader.consume(i + 1);
-                break;
-            }
-            None => {
-                let len = chunk.len();
-                reader.consume(len);
-            }
-        }
-    }
-    Ok(LineRead::TooLarge)
 }
 
 /// Connects to `addr` with bounded retry and doubling backoff — the

@@ -14,6 +14,10 @@
 //! horizon past the longest sojourn, and a window costs the same bytes
 //! whether it spans one hour or ten, since no window is copied.
 //!
+//! The serve transports' line framing is held to the same contract: once
+//! the read buffer has grown to an ingest line, framing the next line of
+//! that size allocates nothing.
+//!
 //! Counting is per thread, gated by a thread-local flag, so the harness
 //! can run these tests in parallel without one test's setup allocations
 //! bleeding into another's measured window.
@@ -25,6 +29,7 @@ use fgcs::core::smp::{FastSolver, IncrementalEstimator, SmpParams, SolveScratch}
 use fgcs::core::{
     AvailabilityModel, DayLog, DayType, HistoryStore, SmpPredictor, State, StateLog, TimeWindow,
 };
+use fgcs::runtime::line::{read_bounded_line, LineRead};
 
 std::thread_local! {
     static TRACKING: Cell<bool> = const { Cell::new(false) };
@@ -166,6 +171,32 @@ fn warm_fast_solves_do_not_allocate() {
     });
     assert!(acc.is_finite());
     assert_eq!(allocs, 0, "warm steady-state fast solves must not allocate");
+}
+
+#[test]
+fn warm_line_framing_does_not_allocate() {
+    // Twenty day-sized lines read through an 8 KiB `BufReader`, as a TCP
+    // connection reads them: every line spans a refill.
+    let line_len = 14_400;
+    let mut stream = Vec::new();
+    for _ in 0..20 {
+        stream.extend_from_slice(&vec![b'1'; line_len]);
+        stream.push(b'\n');
+    }
+    let mut reader = std::io::BufReader::new(&stream[..]);
+    let mut buf = Vec::new();
+    let mut frame = |buf: &mut Vec<u8>| {
+        let read = read_bounded_line(&mut reader, buf, 8 << 20).unwrap();
+        assert_eq!((read, buf.len()), (LineRead::Line, line_len));
+    };
+    // Warm-up: grows the line buffer to the line.
+    frame(&mut buf);
+    let ((), allocs) = count_allocations(|| {
+        for _ in 1..20 {
+            frame(&mut buf);
+        }
+    });
+    assert_eq!(allocs, 0, "warm line framing must not allocate");
 }
 
 #[test]
