@@ -27,8 +27,8 @@
 //!   ingestion ([`log::HistoryStore::from_samples_lossy`]) and the tagged
 //!   fallback chain ([`robust::RobustPredictor`]),
 //! * a **sharded streaming registry** for long-running serving: hash-by-host
-//!   shards, per-shard kernel caches, an append-only ingest log, and O(1)
-//!   incremental Q/H updates ([`registry::ShardedRegistry`],
+//!   shards, per-shard kernel caches, O(1) incremental Q/H updates and an
+//!   optional per-shard write-ahead log ([`registry::ShardedRegistry`],
 //!   [`smp::IncrementalEstimator`]).
 //!
 //! Temporal reliability `TR(W)` is the probability that a machine never

@@ -7,6 +7,7 @@
 //! as the runs of its day clipped to the window's fence posts, continued
 //! into the next day across midnight; no window is rebuilt as samples.
 
+use fgcs_runtime::block;
 use fgcs_runtime::impl_json_struct;
 use fgcs_runtime::json::{FromJson, Json, JsonError, ToJson};
 
@@ -87,27 +88,12 @@ pub fn sanitize_samples(samples: &[LoadSample], seed: LoadSample) -> (Vec<LoadSa
     (out, repaired)
 }
 
-/// Samples compared per step of the run scan in [`runs_of`].
-const RUN_BLOCK: usize = 32;
-
-/// Index of the last sample of the run that starts at `start`.
+/// Index of the last sample of the run that starts at `start`, searched a
+/// block of samples at a time.
 fn run_end<T: Copy + PartialEq>(samples: &[T], start: usize) -> usize {
     let value = samples[start];
-    let mut next = start + 1;
-    // Skip whole blocks of `value` with a branch-free fold that LLVM turns
-    // into vector compares; only the block where the run ends is searched
-    // sample by sample.
-    while let Some(block) = samples.get(next..next + RUN_BLOCK) {
-        if block.iter().fold(false, |leaves, &s| leaves | (s != value)) {
-            let offset = block.iter().position(|&s| s != value).unwrap_or(0);
-            return next + offset - 1;
-        }
-        next += RUN_BLOCK;
-    }
-    while samples.get(next) == Some(&value) {
-        next += 1;
-    }
-    next - 1
+    let rest = &samples[start + 1..];
+    start + block::position(rest, |&s| s != value).unwrap_or(rest.len())
 }
 
 /// Cuts a sample sequence into its maximal runs, `(value, length)` left to

@@ -1,9 +1,9 @@
 //! The sharded serving registry: per-host histories, incremental Q/H and
 //! kernel caches partitioned across independent shards.
 //!
-//! ROADMAP item 1 targets TR queries over ~10⁶ hosts under sustained
-//! ingest. A single flat `HistoryStore` map behind one lock serializes
-//! every ingest against every query; [`ShardedRegistry`] instead routes
+//! `fgcs serve` answers TR queries while days keep arriving. A single flat
+//! `HistoryStore` map behind one lock would serialize every ingest against
+//! every query; [`ShardedRegistry`] instead routes
 //! each host to one of N shards by a deterministic hash
 //! ([`fgcs_runtime::shard::shard_of`]), and each shard owns
 //!

@@ -1,5 +1,6 @@
 //! The five-state resource availability model (paper §3.3, Figure 1).
 
+use fgcs_runtime::block;
 use fgcs_runtime::impl_json_enum;
 
 /// One of the five availability states of a host machine.
@@ -91,10 +92,6 @@ impl std::fmt::Display for State {
     }
 }
 
-/// Validation block of [`decode_digits`]: long enough for the fold to
-/// vectorize, short enough that a bad day stops early.
-const DIGIT_BLOCK: usize = 64;
-
 /// Appends one day of states as its digit text, one ASCII digit per sample
 /// (`S1` → `b'1'`, …, `S5` → `b'5'`). This is the encoding of the wire's
 /// `ingest` `states` field. The WAL and the snapshots store a day as run
@@ -121,15 +118,10 @@ pub fn decode_digits(digits: &[u8]) -> Result<Vec<State>, usize> {
 /// Checks that every byte is a state digit; `Err(at)` as in
 /// [`decode_digits`].
 pub(crate) fn validate_digits(digits: &[u8]) -> Result<(), usize> {
-    // Branch-free fold per block (LLVM turns it into vector compares);
-    // only the block test between blocks can exit early.
-    let valid = |block: &[u8]| block.iter().fold(true, |ok, &b| ok & is_digit(b));
-    let mut blocks = digits.chunks_exact(DIGIT_BLOCK);
-    if !(blocks.all(valid) && valid(blocks.remainder())) {
-        let at = digits.iter().position(|&b| !is_digit(b));
-        return Err(at.expect("validation found a bad digit"));
+    match block::position(digits, |&b| !is_digit(b)) {
+        Some(at) => Err(at),
+        None => Ok(()),
     }
-    Ok(())
 }
 
 /// Whether `b` is a state digit, `b'1'..=b'5'`.
@@ -194,7 +186,7 @@ mod tests {
     #[test]
     fn digit_codec_round_trips_random_days() {
         let mut rng = Xoshiro256::seed_from_u64(2006);
-        let lengths = (0..=64).chain([DIGIT_BLOCK * 3 - 1, 14_400]);
+        let lengths = (0..=64).chain([191, 14_400]);
         for len in lengths {
             let day: Vec<State> = (0..len)
                 .map(|_| State::from_index(rng.range_usize(0, 5)))

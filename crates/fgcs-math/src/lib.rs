@@ -6,15 +6,13 @@
 //! * [`matrix`] — row-major dense matrices with LU factorisation and solves,
 //! * [`toeplitz`] — the Levinson–Durbin recursion for Yule–Walker systems,
 //! * [`lsq`] — regularised linear least squares,
-//! * [`stats`] — descriptive and online statistics, autocovariance,
-//! * [`dist`] — the handful of distributions the trace generator samples from.
+//! * [`stats`] — descriptive and online statistics, autocovariance.
 //!
 //! Rust's time-series/statistics ecosystem is thin compared to what the paper's
 //! authors had available (RPS, MATLAB); this crate implements exactly the
 //! primitives the estimators in `fgcs-core` and `fgcs-timeseries` need, with
 //! property-tested equivalences (e.g. Levinson–Durbin vs. a dense LU solve).
 
-pub mod dist;
 pub mod lsq;
 pub mod matrix;
 pub mod stats;

@@ -122,3 +122,128 @@ pub fn bernoulli<R: Rng + ?Sized>(rng: &mut R, p: f64) -> bool {
         rng.next_f64() < p
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::rng::Xoshiro256;
+
+    fn rng() -> Xoshiro256 {
+        Xoshiro256::seed_from_u64(42)
+    }
+
+    /// Mean and population standard deviation of `n` draws.
+    fn moments(n: usize, mut draw: impl FnMut() -> f64) -> (f64, f64) {
+        let xs: Vec<f64> = (0..n).map(|_| draw()).collect();
+        let mean = xs.iter().sum::<f64>() / n as f64;
+        let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n as f64;
+        (mean, var.sqrt())
+    }
+
+    #[test]
+    fn exponential_mean_matches_rate() {
+        let mut r = rng();
+        let mut min = f64::INFINITY;
+        let (mean, _) = moments(20_000, || {
+            let x = exponential(&mut r, 2.0);
+            min = min.min(x);
+            x
+        });
+        // Mean of Exp(2) is 0.5.
+        assert!((mean - 0.5).abs() < 0.02, "mean {mean}");
+        assert!(min >= 0.0);
+    }
+
+    #[test]
+    fn normal_moments() {
+        let mut r = rng();
+        let (mean, std) = moments(20_000, || normal(&mut r, 3.0, 2.0));
+        assert!((mean - 3.0).abs() < 0.05, "mean {mean}");
+        assert!((std - 2.0).abs() < 0.05, "std {std}");
+    }
+
+    #[test]
+    fn truncated_normal_respects_bounds() {
+        let mut r = rng();
+        for _ in 0..5_000 {
+            let x = truncated_normal(&mut r, 0.0, 5.0, -1.0, 1.0);
+            assert!((-1.0..=1.0).contains(&x), "out of bounds: {x}");
+        }
+    }
+
+    #[test]
+    fn truncated_normal_degenerate_interval() {
+        let mut r = rng();
+        let x = truncated_normal(&mut r, 100.0, 1.0, 2.0, 2.0);
+        assert_eq!(x, 2.0);
+    }
+
+    #[test]
+    fn lognormal_is_positive() {
+        let mut r = rng();
+        for _ in 0..5_000 {
+            assert!(lognormal(&mut r, 0.0, 1.5) > 0.0);
+        }
+    }
+
+    #[test]
+    fn pareto_respects_scale() {
+        let mut r = rng();
+        for _ in 0..5_000 {
+            assert!(pareto(&mut r, 3.0, 2.5) >= 3.0);
+        }
+    }
+
+    #[test]
+    fn bernoulli_extremes() {
+        let mut r = rng();
+        assert!(!bernoulli(&mut r, 0.0));
+        assert!(bernoulli(&mut r, 1.0));
+        assert!(!bernoulli(&mut r, -0.5));
+        assert!(bernoulli(&mut r, 1.5));
+    }
+
+    #[test]
+    fn bernoulli_frequency() {
+        let mut r = rng();
+        let hits = (0..20_000).filter(|_| bernoulli(&mut r, 0.3)).count();
+        let freq = hits as f64 / 20_000.0;
+        assert!((freq - 0.3).abs() < 0.02, "freq {freq}");
+    }
+
+    #[test]
+    fn uniform_empty_range_returns_lo() {
+        let mut r = rng();
+        assert_eq!(uniform(&mut r, 5.0, 5.0), 5.0);
+        assert_eq!(uniform(&mut r, 5.0, 4.0), 5.0);
+    }
+
+    #[test]
+    fn poisson_mean_small_lambda() {
+        let mut r = rng();
+        let (mean, _) = moments(20_000, || poisson(&mut r, 3.5) as f64);
+        assert!((mean - 3.5).abs() < 0.06, "mean {mean}");
+    }
+
+    #[test]
+    fn poisson_mean_large_lambda() {
+        let mut r = rng();
+        let (mean, _) = moments(20_000, || poisson(&mut r, 100.0) as f64);
+        assert!((mean - 100.0).abs() < 0.5, "mean {mean}");
+    }
+
+    #[test]
+    fn poisson_zero_lambda() {
+        let mut r = rng();
+        assert_eq!(poisson(&mut r, 0.0), 0);
+    }
+
+    #[test]
+    fn deterministic_for_fixed_seed() {
+        let mut a = rng();
+        let mut b = rng();
+        for _ in 0..100 {
+            assert_eq!(exponential(&mut a, 1.0), exponential(&mut b, 1.0));
+        }
+    }
+}

@@ -10,9 +10,18 @@
 //!   produces the shortest representation that round-trips exactly.
 //! - Serialization is via the [`ToJson`] / [`FromJson`] traits, implemented
 //!   per type (see [`crate::impl_json_struct`] for the common struct case).
+//! - Text is read by one recursive descent, one rule per production, in two
+//!   modes: the build mode makes the tree for [`Json::parse`]; the validate
+//!   mode allocates nothing and hands back raw slices, for [`JsonSlice`],
+//!   the serve request view. Both modes accept the same texts, and the
+//!   view's getters read values through the tree's own rules.
 
 use std::borrow::Cow;
 use std::fmt;
+use std::marker::PhantomData;
+use std::ops::Range;
+
+use crate::block;
 
 /// A parse or conversion error, carrying a human-readable message with
 /// enough context (byte offset or field name) to locate the problem.
@@ -145,18 +154,9 @@ impl Json {
 
     /// Parses a JSON document from text.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
-        let mut p = Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-            depth: 0,
-        };
-        p.skip_ws();
-        let v = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(p.err("trailing characters after document"));
-        }
-        Ok(v)
+        Descent::<Build>::new(text, 0)
+            .document(Descent::value)
+            .map_err(|fail| fail.error(text))
     }
 }
 
@@ -241,19 +241,134 @@ fn escape_into<W: fmt::Write>(out: &mut W, s: &str) -> fmt::Result {
 
 const MAX_DEPTH: usize = 512;
 
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-    depth: usize,
+/// Why the descent stopped, and where. Only [`Json::parse`] words it (as a
+/// [`JsonError`]); the validate mode drops it, so failing costs nothing.
+#[derive(Debug, Clone, Copy)]
+struct Fail {
+    at: usize,
+    why: Why,
 }
 
-impl<'a> Parser<'a> {
-    fn err(&self, msg: &str) -> JsonError {
-        JsonError::new(format!("{msg} at byte {}", self.pos))
+#[derive(Debug, Clone, Copy)]
+enum Why {
+    /// `{0} at byte {at}`.
+    Said(&'static str),
+    /// ``expected `{0}` at byte {at}``.
+    Expected(&'static str),
+    /// ``unexpected character `{c}` at byte {at}``, `c` the byte there.
+    Unexpected,
+    /// ``invalid number `{text}` at byte {at}``, the text ending at `end`.
+    Number { end: usize },
+}
+
+impl Fail {
+    /// The error text for a failure on `text`.
+    fn error(self, text: &str) -> JsonError {
+        let at = self.at;
+        JsonError::new(match self.why {
+            Why::Said(msg) => format!("{msg} at byte {at}"),
+            Why::Expected(token) => format!("expected `{token}` at byte {at}"),
+            Why::Unexpected => format!(
+                "unexpected character `{}` at byte {at}",
+                text.as_bytes()[at] as char
+            ),
+            Why::Number { end } => format!("invalid number `{}` at byte {at}", &text[at..end]),
+        })
+    }
+}
+
+/// What the descent makes of the text it accepts: the [`Json`] tree
+/// ([`Build`]) or nothing ([`Validate`]).
+trait Mode {
+    /// An accepted value.
+    type Value;
+    /// An accepted string's decoded text.
+    type Text: Default;
+    /// Appends `src[piece]` to a string's decoded text. It takes the range,
+    /// not the slice, so the validate mode never pays the slice's checks.
+    fn append(text: &mut Self::Text, src: &str, piece: Range<usize>);
+    /// A `null`, bool or number.
+    fn scalar(value: Json) -> Self::Value;
+    fn string(text: Self::Text) -> Self::Value;
+    fn array(items: Vec<Self::Value>) -> Self::Value;
+    fn object(members: Vec<(Self::Text, Self::Value)>) -> Self::Value;
+}
+
+/// The build mode, behind [`Json::parse`]: the tree, in one pass.
+enum Build {}
+
+impl Mode for Build {
+    type Value = Json;
+    type Text = String;
+    fn append(text: &mut String, src: &str, piece: Range<usize>) {
+        text.push_str(&src[piece]);
+    }
+    fn scalar(value: Json) -> Json {
+        value
+    }
+    fn string(text: String) -> Json {
+        Json::Str(text)
+    }
+    fn array(items: Vec<Json>) -> Json {
+        Json::Arr(items)
+    }
+    fn object(members: Vec<(String, Json)>) -> Json {
+        Json::Obj(members)
+    }
+}
+
+/// The validate mode, behind [`JsonSlice`]: values and texts are `()`, and
+/// a `Vec` of `()` never allocates, so validating allocates nothing. The
+/// caller keeps the raw text a rule accepted ([`Descent::raw`]).
+enum Validate {}
+
+impl Mode for Validate {
+    type Value = ();
+    type Text = ();
+    fn append(_: &mut (), _: &str, _: Range<usize>) {}
+    fn scalar(_: Json) {}
+    fn string(_: ()) {}
+    fn array(_: Vec<()>) {}
+    fn object(_: Vec<((), ())>) {}
+}
+
+/// The one recursive descent over JSON text, one rule per production.
+///
+/// Its number rule is lax: it takes the bytes of the number alphabet and
+/// lets the integer and float parsers arbitrate (so `01` reads as 1).
+struct Descent<'a, M> {
+    text: &'a str,
+    pos: usize,
+    depth: usize,
+    /// Set when a string rule met an escape (never cleared here).
+    escaped: bool,
+    mode: PhantomData<M>,
+}
+
+impl<'a, M: Mode> Descent<'a, M> {
+    fn new(text: &'a str, pos: usize) -> Self {
+        Descent {
+            text,
+            pos,
+            depth: 0,
+            escaped: false,
+            mode: PhantomData,
+        }
+    }
+
+    fn fail(&self, msg: &'static str) -> Fail {
+        Fail {
+            at: self.pos,
+            why: Why::Said(msg),
+        }
+    }
+
+    fn rest(&self) -> &'a [u8] {
+        &self.text.as_bytes()[self.pos..]
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn skip_ws(&mut self) {
@@ -262,178 +377,201 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn expect(&mut self, b: u8) -> Result<(), JsonError> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
+    /// Steps past `token`.
+    fn eat(&mut self, token: &'static str) -> Result<(), Fail> {
+        let end = self.pos + token.len();
+        if self.text.as_bytes().get(self.pos..end) == Some(token.as_bytes()) {
+            self.pos = end;
             Ok(())
         } else {
-            Err(self.err(&format!("expected `{}`", b as char)))
+            Err(Fail {
+                at: self.pos,
+                why: Why::Expected(token),
+            })
         }
     }
 
-    fn literal(&mut self, word: &str, value: Json) -> Result<Json, JsonError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
+    /// The document: one value, read by `rule`, with nothing but
+    /// whitespace around it.
+    fn document<T>(&mut self, rule: impl FnOnce(&mut Self) -> Result<T, Fail>) -> Result<T, Fail> {
+        self.skip_ws();
+        let value = rule(self)?;
+        self.skip_ws();
+        if self.pos == self.text.len() {
             Ok(value)
         } else {
-            Err(self.err(&format!("expected `{word}`")))
+            Err(self.fail("trailing characters after document"))
         }
     }
 
-    fn value(&mut self) -> Result<Json, JsonError> {
+    fn value(&mut self) -> Result<M::Value, Fail> {
         if self.depth >= MAX_DEPTH {
-            return Err(self.err("document nested too deeply"));
+            return Err(self.fail("document nested too deeply"));
         }
         match self.peek() {
             Some(b'n') => self.literal("null", Json::Null),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
+            Some(b'"') => self.string().map(M::string),
             Some(b'[') => self.array(),
             Some(b'{') => self.object(),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            Some(c) => Err(self.err(&format!("unexpected character `{}`", c as char))),
-            None => Err(self.err("unexpected end of input")),
+            Some(c) if c == b'-' || c.is_ascii_digit() => self.number().map(M::scalar),
+            Some(_) => Err(Fail {
+                at: self.pos,
+                why: Why::Unexpected,
+            }),
+            None => Err(self.fail("unexpected end of input")),
         }
     }
 
-    fn array(&mut self) -> Result<Json, JsonError> {
-        self.expect(b'[')?;
+    fn literal(&mut self, word: &'static str, value: Json) -> Result<M::Value, Fail> {
+        self.eat(word)?;
+        Ok(M::scalar(value))
+    }
+
+    fn array(&mut self) -> Result<M::Value, Fail> {
+        self.pos += 1; // '['
         self.depth += 1;
         let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            self.depth -= 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            self.skip_ws();
+        while self.next_member(items.is_empty(), b']')? {
             items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    self.depth -= 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(self.err("expected `,` or `]` in array")),
-            }
         }
+        self.depth -= 1;
+        Ok(M::array(items))
     }
 
-    fn object(&mut self) -> Result<Json, JsonError> {
-        self.expect(b'{')?;
+    fn object(&mut self) -> Result<M::Value, Fail> {
+        self.pos += 1; // '{'
         self.depth += 1;
-        let mut pairs = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            self.depth -= 1;
-            return Ok(Json::Obj(pairs));
-        }
-        loop {
-            self.skip_ws();
+        let mut members = Vec::new();
+        while self.next_member(members.is_empty(), b'}')? {
             let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.value()?;
-            pairs.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    self.depth -= 1;
-                    return Ok(Json::Obj(pairs));
-                }
-                _ => return Err(self.err("expected `,` or `}` in object")),
-            }
+            self.colon()?;
+            members.push((key, self.value()?));
         }
+        self.depth -= 1;
+        Ok(M::object(members))
     }
 
-    fn string(&mut self) -> Result<String, JsonError> {
-        self.expect(b'"')?;
-        let mut out = String::new();
+    /// Steps to an array's or object's next member: past whitespace, and
+    /// past the `,` before every member but the `first`. `Ok(false)` once
+    /// the container has closed with `close` (`]` or `}`).
+    fn next_member(&mut self, first: bool, close: u8) -> Result<bool, Fail> {
+        self.skip_ws();
+        if self.peek() == Some(close) {
+            self.pos += 1;
+            return Ok(false);
+        }
+        if !first {
+            if self.peek() != Some(b',') {
+                return Err(self.fail(if close == b']' {
+                    "expected `,` or `]` in array"
+                } else {
+                    "expected `,` or `}` in object"
+                }));
+            }
+            self.pos += 1;
+            self.skip_ws();
+        }
+        Ok(true)
+    }
+
+    /// The `:` between an object member's key and value, with the
+    /// whitespace around it.
+    fn colon(&mut self) -> Result<(), Fail> {
+        self.skip_ws();
+        self.eat(":")?;
+        self.skip_ws();
+        Ok(())
+    }
+
+    /// The string rule, escape decoder included. Plain text is skipped a
+    /// block at a time up to the next `"`, `\` or control byte; bytes from
+    /// 0x80 are plain, since the input is a `&str`.
+    fn string(&mut self) -> Result<M::Text, Fail> {
+        self.eat("\"")?;
+        let mut text = M::Text::default();
         loop {
+            let run = self.pos;
+            let rest = self.rest();
+            let plain = block::position(rest, |&c| (c == b'"') | (c == b'\\') | (c < 0x20));
+            self.pos += plain.unwrap_or(rest.len());
+            M::append(&mut text, self.text, run..self.pos);
             match self.peek() {
-                None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
-                    return Ok(out);
+                    return Ok(text);
                 }
                 Some(b'\\') => {
+                    self.escaped = true;
                     self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b'b') => out.push('\u{08}'),
-                        Some(b'f') => out.push('\u{0C}'),
-                        Some(b'u') => {
-                            self.pos += 1;
-                            let hi = self.hex4()?;
-                            let c = if (0xD800..0xDC00).contains(&hi) {
-                                // Surrogate pair: require the low half.
-                                if self.bytes[self.pos..].starts_with(b"\\u") {
-                                    self.pos += 2;
-                                    let lo = self.hex4()?;
-                                    if !(0xDC00..0xE000).contains(&lo) {
-                                        return Err(self.err("invalid low surrogate"));
-                                    }
-                                    let code = 0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00);
-                                    char::from_u32(code)
-                                        .ok_or_else(|| self.err("invalid surrogate pair"))?
-                                } else {
-                                    return Err(self.err("unpaired high surrogate"));
-                                }
-                            } else {
-                                char::from_u32(hi).ok_or_else(|| self.err("invalid \\u escape"))?
-                            };
-                            out.push(c);
-                            continue; // hex4 already advanced past the digits
-                        }
-                        _ => return Err(self.err("invalid escape sequence")),
-                    }
-                    self.pos += 1;
+                    let c = self.escape()?;
+                    let mut utf8 = [0; 4];
+                    let c = c.encode_utf8(&mut utf8);
+                    M::append(&mut text, c, 0..c.len());
                 }
-                Some(c) if c < 0x20 => {
-                    return Err(self.err("control character in string"));
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so valid).
-                    let rest = &self.bytes[self.pos..];
-                    // SAFETY: `bytes` is the byte view of the input `&str`,
-                    // and `pos` only ever advances past ASCII bytes or whole
-                    // scalars (`c.len_utf8()` below), so `rest` starts on a
-                    // char boundary of valid UTF-8.
-                    let s = unsafe { std::str::from_utf8_unchecked(rest) };
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+                Some(_) => return Err(self.fail("control character in string")),
+                None => return Err(self.fail("unterminated string")),
             }
         }
     }
 
-    fn hex4(&mut self) -> Result<u32, JsonError> {
-        let end = self.pos + 4;
-        if end > self.bytes.len() {
-            return Err(self.err("truncated \\u escape"));
+    /// The character an escape stands for, read after its `\`.
+    fn escape(&mut self) -> Result<char, Fail> {
+        let c = match self.peek() {
+            Some(b'"') => '"',
+            Some(b'\\') => '\\',
+            Some(b'/') => '/',
+            Some(b'n') => '\n',
+            Some(b't') => '\t',
+            Some(b'r') => '\r',
+            Some(b'b') => '\u{08}',
+            Some(b'f') => '\u{0C}',
+            Some(b'u') => {
+                self.pos += 1;
+                return self.unicode();
+            }
+            _ => return Err(self.fail("invalid escape sequence")),
+        };
+        self.pos += 1;
+        Ok(c)
+    }
+
+    /// A `\u` escape after its `u`; a high surrogate takes the low half's
+    /// escape with it.
+    fn unicode(&mut self) -> Result<char, Fail> {
+        let hi = self.hex4()?;
+        if !(0xD800..0xDC00).contains(&hi) {
+            return char::from_u32(hi).ok_or_else(|| self.fail("invalid \\u escape"));
         }
-        let hex = std::str::from_utf8(&self.bytes[self.pos..end])
-            .map_err(|_| self.err("non-ascii in \\u escape"))?;
-        let v = u32::from_str_radix(hex, 16).map_err(|_| self.err("bad \\u escape"))?;
-        self.pos = end;
+        if !self.rest().starts_with(b"\\u") {
+            return Err(self.fail("unpaired high surrogate"));
+        }
+        self.pos += 2;
+        let lo = self.hex4()?;
+        if !(0xDC00..0xE000).contains(&lo) {
+            return Err(self.fail("invalid low surrogate"));
+        }
+        let code = 0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00);
+        char::from_u32(code).ok_or_else(|| self.fail("invalid surrogate pair"))
+    }
+
+    fn hex4(&mut self) -> Result<u32, Fail> {
+        let digits = self
+            .rest()
+            .get(..4)
+            .ok_or_else(|| self.fail("truncated \\u escape"))?;
+        let hex = std::str::from_utf8(digits).map_err(|_| self.fail("non-ascii in \\u escape"))?;
+        let v = u32::from_str_radix(hex, 16).map_err(|_| self.fail("bad \\u escape"))?;
+        self.pos += 4;
         Ok(v)
     }
 
-    fn number(&mut self) -> Result<Json, JsonError> {
+    /// The number rule: the bytes of the number alphabet, read as an exact
+    /// `u64` or `i64` when they hold none of `.eE+` and no `-` after the
+    /// first byte, else as `f64`. Text that starts outside the alphabet
+    /// (any other kind of value) fails.
+    fn number(&mut self) -> Result<Json, Fail> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
@@ -449,8 +587,7 @@ impl<'a> Parser<'a> {
                 _ => break,
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .expect("ascii digits are valid utf-8");
+        let text = &self.text[start..self.pos];
         if !is_float {
             if let Ok(v) = text.parse::<u64>() {
                 return Ok(Json::U64(v));
@@ -459,9 +596,19 @@ impl<'a> Parser<'a> {
                 return Ok(Json::I64(v));
             }
         }
-        text.parse::<f64>()
-            .map(Json::F64)
-            .map_err(|_| JsonError::new(format!("invalid number `{text}` at byte {start}")))
+        text.parse::<f64>().map(Json::F64).map_err(|_| Fail {
+            at: start,
+            why: Why::Number { end: self.pos },
+        })
+    }
+}
+
+impl<'a> Descent<'a, Validate> {
+    /// Runs `rule` and returns the text it accepted.
+    fn raw(&mut self, rule: impl FnOnce(&mut Self) -> Result<(), Fail>) -> Result<&'a str, Fail> {
+        let start = self.pos;
+        rule(self)?;
+        Ok(&self.text[start..self.pos])
     }
 }
 
@@ -727,18 +874,17 @@ macro_rules! impl_json_enum {
 ///
 /// This is the serve request parser: where [`Json::parse`] builds a heap
 /// tree (a `String` per key and string value, a `Vec` per container),
-/// `JsonSlice::scan` only *validates* the text and hands out slices of the
-/// original line on demand. Field lookups rescan the object — requests are
-/// a handful of fields, so the rescan is cheaper than materializing a map
-/// — and typed getters reproduce the exact coercion rules (and error
-/// texts) of [`Json::get`].
+/// `JsonSlice::scan` runs the same descent in its validate mode, which
+/// builds nothing, and hands out slices of the original line on demand.
+/// Field lookups walk the object again — requests are a handful of fields,
+/// so the walk is cheaper than materializing a map — and typed getters
+/// read values with the tree's own rules and coercions, so they return
+/// what [`Json::get`] returns, errors worded alike.
 ///
-/// Strings may contain `\` escapes: the tree parser's own string rule
-/// validates them during the scan and decodes them on access, so string
-/// getters return a [`Cow`] that stays borrowed (no allocation) for
-/// escape-free text. Keys are matched after decoding; with duplicate keys
-/// the first one wins, as in [`Json::field`]. `scan` returns `None` for
-/// malformed syntax and for a non-object top level — exactly the texts for
+/// String getters return a [`Cow`] that stays borrowed (no allocation)
+/// for escape-free text and is decoded by the string rule otherwise. Keys
+/// are matched after decoding; with duplicate keys the first one wins, as
+/// in [`Json::field`]. `scan` returns `None` exactly for the texts on
 /// which [`Json::parse`] fails or yields something other than an object.
 #[derive(Debug, Clone, Copy)]
 pub struct JsonSlice<'a> {
@@ -769,8 +915,7 @@ pub enum SliceError<'a> {
 
 impl fmt::Display for SliceError<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        // Mirrors `JsonError`'s Display (`json error: …`) so fast-path and
-        // tree-path error replies are byte-identical.
+        // `JsonError`'s Display (`json error: …`) over the same texts.
         match self {
             SliceError::Missing { field } => write!(f, "json error: missing field `{field}`"),
             SliceError::Type { field, want, found } => {
@@ -793,214 +938,16 @@ fn raw_kind(raw: &str) -> &'static str {
     }
 }
 
-/// Bytes [`Scan`] tests per step while skipping plain string text.
-const STRING_BLOCK: usize = 32;
-
-/// Validating scanner over the raw bytes: checks JSON syntax without
-/// building values, rejecting (`None`) what the tree parser rejects.
-/// Mirrors `Parser`'s grammar, including its lax number scan backed by an
-/// `f64` parse, and hands escaped strings to `Parser::string` itself.
-struct Scan<'a> {
-    b: &'a [u8],
-    i: usize,
-    depth: usize,
-    /// Set when a scanned string held an escape (never cleared here).
-    escaped: bool,
-}
-
-impl<'a> Scan<'a> {
-    fn peek(&self) -> Option<u8> {
-        self.b.get(self.i).copied()
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.i += 1;
-        }
-    }
-
-    /// Validates one string and returns its raw slice, quotes included
-    /// and escapes still encoded. The first `\` hands the whole string to
-    /// the tree parser's string rule, so escapes are accepted exactly when
-    /// [`Json::parse`] accepts them.
-    fn string(&mut self) -> Option<&'a str> {
-        if self.peek() != Some(b'"') {
-            return None;
-        }
-        let open = self.i;
-        self.i += 1;
-        // Skip whole blocks of plain text (no `"`, `\` or control byte)
-        // with a branch-free fold that LLVM vectorizes; the byte loop then
-        // walks only the block holding the first such byte. Bytes >= 0x80
-        // are plain: the input is a `&str`, so multibyte chars are valid.
-        while let Some(block) = self.b.get(self.i..self.i + STRING_BLOCK) {
-            let special = block.iter().fold(0u8, |hit, &c| {
-                hit | u8::from(c == b'"') | u8::from(c == b'\\') | u8::from(c < 0x20)
-            });
-            if special != 0 {
-                break;
-            }
-            self.i += STRING_BLOCK;
-        }
-        loop {
-            match self.peek()? {
-                b'"' => {
-                    self.i += 1;
-                    break;
-                }
-                b'\\' => {
-                    self.escaped = true;
-                    let mut p = Parser {
-                        bytes: self.b,
-                        pos: open,
-                        depth: 0,
-                    };
-                    p.string().ok()?;
-                    self.i = p.pos;
-                    break;
-                }
-                c if c < 0x20 => return None,
-                _ => self.i += 1,
-            }
-        }
-        // SAFETY: `b` is the byte view of the input `&str`, and the slice
-        // runs from an ASCII `"` through the matching closing `"`, so it
-        // spans whole scalars of already-valid UTF-8.
-        Some(unsafe { std::str::from_utf8_unchecked(&self.b[open..self.i]) })
-    }
-
-    /// Validates one value and returns its raw trimmed slice.
-    fn value(&mut self) -> Option<&'a str> {
-        if self.depth >= MAX_DEPTH {
-            return None;
-        }
-        let start = self.i;
-        match self.peek()? {
-            b'n' => self.literal(b"null")?,
-            b't' => self.literal(b"true")?,
-            b'f' => self.literal(b"false")?,
-            b'"' => {
-                self.string()?;
-            }
-            b'[' => {
-                self.i += 1;
-                self.depth += 1;
-                self.skip_ws();
-                if self.peek() == Some(b']') {
-                    self.i += 1;
-                } else {
-                    loop {
-                        self.skip_ws();
-                        self.value()?;
-                        self.skip_ws();
-                        match self.peek()? {
-                            b',' => self.i += 1,
-                            b']' => {
-                                self.i += 1;
-                                break;
-                            }
-                            _ => return None,
-                        }
-                    }
-                }
-                self.depth -= 1;
-            }
-            b'{' => {
-                self.i += 1;
-                self.depth += 1;
-                self.skip_ws();
-                if self.peek() == Some(b'}') {
-                    self.i += 1;
-                } else {
-                    loop {
-                        self.skip_ws();
-                        self.string()?;
-                        self.skip_ws();
-                        if self.peek()? != b':' {
-                            return None;
-                        }
-                        self.i += 1;
-                        self.skip_ws();
-                        self.value()?;
-                        self.skip_ws();
-                        match self.peek()? {
-                            b',' => self.i += 1,
-                            b'}' => {
-                                self.i += 1;
-                                break;
-                            }
-                            _ => return None,
-                        }
-                    }
-                }
-                self.depth -= 1;
-            }
-            c if c == b'-' || c.is_ascii_digit() => {
-                // The tree parser's lax scan: consume number-ish bytes and
-                // let the f64 parse arbitrate validity.
-                self.i += 1;
-                while matches!(
-                    self.peek(),
-                    Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
-                ) {
-                    self.i += 1;
-                }
-                // SAFETY: every byte consumed since `start` matched the
-                // ASCII number alphabet above, so the slice is all-ASCII
-                // and trivially valid UTF-8 on char boundaries.
-                let text = unsafe { std::str::from_utf8_unchecked(&self.b[start..self.i]) };
-                text.parse::<f64>().ok()?;
-            }
-            _ => return None,
-        }
-        let raw = &self.b[start..self.i];
-        // SAFETY: `b` is the byte view of the input `&str`; `start` and `i`
-        // both sit at ASCII structural delimiters (or the ends of nested
-        // values validated above), so the raw slice spans whole scalars of
-        // already-valid UTF-8.
-        Some(unsafe { std::str::from_utf8_unchecked(raw) })
-    }
-
-    fn literal(&mut self, word: &[u8]) -> Option<()> {
-        if self.b[self.i..].starts_with(word) {
-            self.i += word.len();
-            Some(())
-        } else {
-            None
-        }
-    }
-}
-
 impl<'a> JsonSlice<'a> {
     /// Validates `text` as a single JSON object and returns the borrowed
     /// view, or `None` when it is malformed or not an object ([`Json::parse`]
     /// words the reason).
     #[must_use]
     pub fn scan(text: &'a str) -> Option<JsonSlice<'a>> {
-        let mut s = Scan {
-            b: text.as_bytes(),
-            i: 0,
-            depth: 0,
-            escaped: false,
-        };
-        s.skip_ws();
-        if s.peek() != Some(b'{') {
-            return None;
-        }
-        let raw = s.value()?;
-        s.skip_ws();
-        if s.i != s.b.len() {
-            return None;
-        }
-        Some(JsonSlice { src: raw })
-    }
-
-    /// Wraps a raw object slice already validated by an enclosing
-    /// [`scan`](JsonSlice::scan) (e.g. an element of [`array`]).
-    ///
-    /// [`array`]: JsonSlice::array
-    fn from_validated(raw: &'a str) -> Option<JsonSlice<'a>> {
-        raw.starts_with('{').then_some(JsonSlice { src: raw })
+        let raw = Descent::<Validate>::new(text, 0)
+            .document(|d| d.raw(Descent::value))
+            .ok()?;
+        JsonSlice::element_object(raw)
     }
 
     /// The first value stored under `name`, as its raw text slice.
@@ -1012,35 +959,21 @@ impl<'a> JsonSlice<'a> {
     /// [`get_raw`](JsonSlice::get_raw), plus whether the value's text holds
     /// a `\` escape (so an escape-free string is never searched again).
     fn lookup(&self, name: &str) -> Option<(&'a str, bool)> {
-        let mut s = Scan {
-            b: self.src.as_bytes(),
-            i: 1, // past '{'
-            depth: 0,
-            escaped: false,
-        };
-        s.skip_ws();
-        if s.peek() == Some(b'}') {
-            return None;
-        }
-        loop {
-            s.skip_ws();
-            s.escaped = false;
-            let key = s.string()?;
-            let hit = decode(key, s.escaped) == name;
-            s.skip_ws();
-            s.i += 1; // ':' (validated by scan)
-            s.skip_ws();
-            s.escaped = false;
-            let value = s.value()?;
+        let mut d = Descent::<Validate>::new(self.src, 1); // past '{'
+        let mut first = true;
+        while d.next_member(first, b'}').ok()? {
+            first = false;
+            d.escaped = false;
+            let key = d.raw(Descent::string).ok()?;
+            let hit = decode(key, d.escaped) == name;
+            d.colon().ok()?;
+            d.escaped = false;
+            let value = d.raw(Descent::value).ok()?;
             if hit {
-                return Some((value, s.escaped));
-            }
-            s.skip_ws();
-            match s.peek()? {
-                b',' => s.i += 1,
-                _ => return None, // '}' — exhausted
+                return Some((value, d.escaped));
             }
         }
+        None
     }
 
     /// String field with escapes decoded (exact [`Json::get::<String>`]
@@ -1073,40 +1006,28 @@ impl<'a> JsonSlice<'a> {
         }
     }
 
-    /// Numeric field as `f64` (exact [`Json::get::<f64>`] coercions).
+    /// Numeric field as `f64`: [`Json::get::<f64>`]'s value, bit for bit.
     pub fn get_f64(&self, name: &'a str) -> Result<f64, SliceError<'a>> {
         let raw = self
             .get_raw(name)
             .ok_or(SliceError::Missing { field: name })?;
-        parse_raw_f64(raw).ok_or(SliceError::Type {
-            field: name,
-            want: "number",
-            found: raw_kind(raw),
-        })
+        coerce(name, raw, "number", Json::as_f64)
     }
 
-    /// Numeric field as `u64` (exact [`Json::get::<u64>`] coercions: exact
+    /// Numeric field as `u64`: [`Json::get::<u64>`]'s value (exact
     /// non-negative integers only, floats accepted up to 2⁵³).
     pub fn get_u64(&self, name: &'a str) -> Result<u64, SliceError<'a>> {
         let raw = self
             .get_raw(name)
             .ok_or(SliceError::Missing { field: name })?;
-        parse_raw_u64(raw).ok_or(SliceError::Type {
-            field: name,
-            want: "unsigned integer",
-            found: raw_kind(raw),
-        })
+        coerce(name, raw, "unsigned integer", Json::as_u64)
     }
 
     /// Optional `u64` field: missing or `null` is `Ok(None)`.
     pub fn get_opt_u64(&self, name: &'a str) -> Result<Option<u64>, SliceError<'a>> {
         match self.get_raw(name) {
             None | Some("null") => Ok(None),
-            Some(raw) => parse_raw_u64(raw).map(Some).ok_or(SliceError::Type {
-                field: name,
-                want: "unsigned integer",
-                found: raw_kind(raw),
-            }),
+            Some(raw) => coerce(name, raw, "unsigned integer", Json::as_u64).map(Some),
         }
     }
 
@@ -1126,11 +1047,15 @@ impl<'a> JsonSlice<'a> {
         }
     }
 
-    /// An element of [`array`](JsonSlice::array) as a nested object view,
-    /// or `None` when the element is not an object.
+    /// A raw value already validated by an enclosing [`scan`] (an element
+    /// of [`array`], say) as an object view, or `None` when it is not an
+    /// object.
+    ///
+    /// [`scan`]: JsonSlice::scan
+    /// [`array`]: JsonSlice::array
     #[must_use]
     pub fn element_object(raw: &'a str) -> Option<JsonSlice<'a>> {
-        JsonSlice::from_validated(raw)
+        raw.starts_with('{').then_some(JsonSlice { src: raw })
     }
 }
 
@@ -1145,65 +1070,41 @@ impl<'a> Iterator for JsonSliceArray<'a> {
     type Item = &'a str;
 
     fn next(&mut self) -> Option<&'a str> {
-        let mut s = Scan {
-            b: self.src.as_bytes(),
-            i: self.pos,
-            depth: 0,
-            escaped: false,
-        };
-        s.skip_ws();
-        match s.peek()? {
-            b']' => return None,
-            b',' => {
-                s.i += 1;
-                s.skip_ws();
-            }
-            _ => {}
+        let mut d = Descent::<Validate>::new(self.src, self.pos);
+        if !d.next_member(self.pos == 1, b']').ok()? {
+            return None;
         }
-        let raw = s.value()?;
-        self.pos = s.i;
+        let raw = d.raw(Descent::value).ok()?;
+        self.pos = d.pos;
         Some(raw)
     }
 }
 
-/// The text of a string slice validated by `Scan::string` (quotes
-/// included): borrowed when escape-free, else decoded by the tree parser's
-/// string rule. `escaped` is the scan's verdict on whether the text holds
-/// a `\`.
+/// The text of a validated raw string (quotes included): borrowed when
+/// escape-free, else decoded by the string rule. `escaped` is the
+/// validation's verdict on whether the text holds a `\`.
 fn decode(raw: &str, escaped: bool) -> Cow<'_, str> {
     if !escaped {
         return Cow::Borrowed(&raw[1..raw.len() - 1]);
     }
-    let mut p = Parser {
-        bytes: raw.as_bytes(),
-        pos: 0,
-        depth: 0,
-    };
-    Cow::Owned(p.string().expect("JsonSlice::scan validated this string"))
+    let text = Descent::<Build>::new(raw, 0).string();
+    Cow::Owned(text.expect("JsonSlice::scan validated this string"))
 }
 
-/// `f64` from a raw number slice, mirroring `as_f64` over parsed numbers.
-fn parse_raw_f64(raw: &str) -> Option<f64> {
-    let first = *raw.as_bytes().first()?;
-    if first != b'-' && !first.is_ascii_digit() {
-        return None;
-    }
-    raw.parse::<f64>().ok()
-}
-
-/// `u64` from a raw number slice, mirroring `as_u64` over parsed numbers:
-/// plain integers parse exactly; float-looking text coerces only when
-/// non-negative, integral and at most 2⁵³ (the tree parser's rule).
-fn parse_raw_u64(raw: &str) -> Option<u64> {
-    let first = *raw.as_bytes().first()?;
-    if first != b'-' && !first.is_ascii_digit() {
-        return None;
-    }
-    if let Ok(v) = raw.parse::<u64>() {
-        return Some(v);
-    }
-    let v = raw.parse::<f64>().ok()?;
-    (v >= 0.0 && v <= 2f64.powi(53) && v.fract() == 0.0).then_some(v as u64)
+/// A validated raw value read by the number rule and converted by one of
+/// [`Json`]'s coercions, or the type error naming `want`.
+fn coerce<'a, T>(
+    field: &'a str,
+    raw: &'a str,
+    want: &'static str,
+    coercion: impl FnOnce(&Json) -> Option<T>,
+) -> Result<T, SliceError<'a>> {
+    let number = Descent::<Validate>::new(raw, 0).number().ok();
+    number.as_ref().and_then(coercion).ok_or(SliceError::Type {
+        field,
+        want,
+        found: raw_kind(raw),
+    })
 }
 
 /// A reusable append buffer that writes compact JSON byte-identically to
@@ -1343,6 +1244,7 @@ pub fn from_str<T: FromJson>(text: &str) -> Result<T, JsonError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::check::{check, ensure, CaseResult, Gen};
 
     #[test]
     fn get_opt_missing_null_present_malformed() {
@@ -1684,6 +1586,242 @@ mod tests {
             not_array.array("ops").unwrap_err().to_string(),
             "json error: ops: expected array, found number"
         );
+    }
+
+    #[test]
+    fn slice_reads_minus_zero_as_the_tree_does() {
+        let line = r#"{"x":-0,"y":-0.0,"z":-0e0}"#;
+        let s = JsonSlice::scan(line).expect("object");
+        let tree = Json::parse(line).expect("tree");
+        assert_eq!(s.get_f64("x").map(f64::to_bits), Ok(0.0f64.to_bits()));
+        for key in ["x", "y", "z"] {
+            let want = tree.get::<f64>(key).expect("number").to_bits();
+            assert_eq!(s.get_f64(key).map(f64::to_bits), Ok(want), "{key}");
+            assert_eq!(s.get_u64(key).ok(), tree.get::<u64>(key).ok(), "{key}");
+        }
+    }
+
+    /// The request lines of the serve crate's hostile-line table
+    /// (`tests/serve.rs::hostile_lines_get_pinned_replies`), plus one valid
+    /// ingest and one valid predict line.
+    fn request_corpus() -> Vec<String> {
+        let deep = format!("{}{}", "[".repeat(600), "]".repeat(600));
+        let mut lines: Vec<String> = [
+            "{\"op\":\"p\\u0069ng\"}",
+            "{\"o\\u0070\":\"ping\"}",
+            "{\"op\":\"predict\",\"host\":3,\"start\":9.0,\"hours\":2.0,\"init\":\"\\u0053\\u0032\"}",
+            "{\"op\":\"predict\",\"host\":3,\"start\":9.0,\"hours\":2.0,\"day_type\":\"week\\u0065nd\"}",
+            "{\"op\":\"predict\",\"host\":3,\"start\":9.0,\"hours\":2.0,\"init\":\"S\\u0033\"}",
+            "{\"op\":\"n\\u00f6pe\\n\"}",
+            "{\"op\":\"\\u0000\"}",
+            "{\"op\":\"sweep\",\"host\":3,\"start\":9.0,\"hours\":1.0,\"points\":3,\"init\":\"\\/S2\"}",
+            "{\"op\":\"sweep\",\"host\":3,\"start\":9.0,\"hours\":1.0,\"points\":3,\"init\":\"s\\u0032\"}",
+            "{\"op\":\"ingest\",\"host\":4,\"day_index\":0,\"states\":\"1\\u00329\"}",
+            "{\"op\":\"ingest\",\"host\":1,\"states\":\"1é\"}",
+            "{\"op\":\"ingest\",\"host\":1,\"states\":\"12😀\"}",
+            "[1,2]",
+            "5",
+            "\"ping\"",
+            "null",
+            "not json",
+            "{\"op\":\"ping\"}x",
+            "{\"op\":\"ping\",}",
+            "{\"op\":\"\\ud800\"}",
+            "{\"op\":\"\\q\"}",
+            "{\"op\":\"pi\tng\"}",
+            "{\"op\":\"ping\",\"op\":\"shutdown\"}",
+            "{\"op\":\"host\",\"host\":3,\"host\":\"three\"}",
+            "{\"op\":\"predict\",\"host\":3,\"start\":-0,\"hours\":2.0}",
+            "{\"op\":\"predict\",\"host\":3,\"start\":9.0,\"hours\":1e309}",
+            "{\"op\":\"host\",\"host\":18446744073709551616}",
+            "{\"op\":\"host\",\"host\":-0}",
+            "{\"op\":\"b\\u0061tch\",\"ops\":[]}",
+            "{\"op\":\"batch\",\"ops\":\"\\u005b\\u005d\"}",
+            "{\"op\":\"batch\",\"ops\":[{\"op\":\"p\\u0069ng\"},[1],5,\"x\",null,{\"op\":\"st\\u0061ts\"},{\"op\":\"shutdown\"},{\"op\":\"predict\",\"host\":3,\"start\":9.0,\"hours\":2.0,\"init\":\"\\u0053\\u0031\"},{\"op\":\"predict\",\"host\":3,\"start\":9.0,\"hours\":2.0},{}]}",
+            "{\"o\\u0070\":\"batch\",\"ops\":[{\"op\":\"ping\"},{\"op\":\"ingest\",\"host\":4,\"states\":\"\\u0031\"},{\"\\u006fp\":\"predict\",\"h\\u006fst\":3,\"start\":9.5,\"hours\":1.0,\"init\":\"S2\"},{\"op\":\"batch\",\"ops\":[]}]}",
+            "{\"op\":\"batch\",\"ops\":[{\"op\":\"ping\"},]}",
+            "{\"op\":\"ingest\",\"host\":9,\"day_index\":18446744073709551615,\"states\":\"12\"}",
+            "{\"op\":\"ingest\",\"host\":9,\"states\":\"12\"}",
+            "{\"op\":\"sh\\u0075tdown\"}",
+            "{\"op\":\"predict\",\"host\":7,\"start\":9.5,\"hours\":2.0,\"day_type\":\"weekday\",\"init\":\"S1\"}",
+        ]
+        .map(String::from)
+        .to_vec();
+        lines.push(format!("{{\"op\":\"ping\",\"x\":{deep}}}"));
+        lines.push(deep);
+        let digits: String = (0..600)
+            .map(|i| char::from(b'1' + (i / 37 % 5) as u8))
+            .collect();
+        lines.push(format!(
+            "{{\"op\":\"ingest\",\"host\":12,\"day_index\":3,\"states\":\"{digits}\"}}"
+        ));
+        lines
+    }
+
+    /// Number texts at the edges of the number rule and the coercions.
+    const EDGE_NUMBERS: [&str; 16] = [
+        "-0",
+        "-0.0",
+        "0",
+        "1e309",
+        "-1e309",
+        "18446744073709551615",
+        "18446744073709551616",
+        "9223372036854775807",
+        "-9223372036854775808",
+        "-9223372036854775809",
+        "9007199254740992",
+        "9007199254740993",
+        "1e3",
+        "01",
+        "1.",
+        "2.5e-324",
+    ];
+
+    /// One random damage to a request line.
+    fn mutate(g: &mut Gen, line: &str) -> String {
+        let mut bytes = line.as_bytes().to_vec();
+        let at = g.usize_in(0, bytes.len() + 1);
+        match g.usize_in(0, 8) {
+            0 if !bytes.is_empty() => {
+                let i = g.usize_in(0, bytes.len());
+                bytes[i] ^= 1 << g.u32_in(0, 8);
+            }
+            1 => bytes.truncate(at),
+            2 => {
+                let escape = *g.pick(&[
+                    "\\n",
+                    "\\\"",
+                    "\\\\",
+                    "\\/",
+                    "\\u0041",
+                    "\\ud83d\\ude00",
+                    "\\ud800",
+                    "\\udc00",
+                    "\\q",
+                    "\\u00",
+                    "\\u+041",
+                    "\\",
+                ]);
+                bytes.splice(at..at, escape.bytes());
+            }
+            3 => {
+                // Swap one number for an edge number.
+                let starts: Vec<usize> = (1..bytes.len())
+                    .filter(|&i| bytes[i - 1] == b':' && matches!(bytes[i], b'-' | b'0'..=b'9'))
+                    .collect();
+                if !starts.is_empty() {
+                    let start = *g.pick(&starts);
+                    let len = bytes[start..]
+                        .iter()
+                        .position(|b| !matches!(b, b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9'))
+                        .unwrap_or(bytes.len() - start);
+                    let edge = *g.pick(&EDGE_NUMBERS);
+                    bytes.splice(start..start + len, edge.bytes());
+                }
+            }
+            4 | 5 => {
+                // A duplicate key in front: the first occurrence wins.
+                let key = *g.pick(&["op", "host", "start", "hours", "states", "init", "ops"]);
+                let value = match g.usize_in(0, 3) {
+                    0 => (*g.pick(&EDGE_NUMBERS)).to_string(),
+                    1 => "\"ping\"".to_string(),
+                    _ => (*g.pick(&["null", "true", "[]", "{}", "[1,\"\\u0031\"]"])).to_string(),
+                };
+                if let Some(open) = bytes.iter().position(|&b| b == b'{') {
+                    let member = format!("\"{key}\":{value},");
+                    bytes.splice(open + 1..open + 1, member.bytes());
+                }
+            }
+            _ => bytes.insert(at, b'\r'),
+        }
+        String::from_utf8(bytes).unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into())
+    }
+
+    /// The view's answer against the tree's: equal values (floats bit for
+    /// bit) or equal error texts.
+    fn agree<S: PartialEq<T> + fmt::Debug, T: fmt::Debug>(
+        what: &str,
+        slice: Result<S, SliceError<'_>>,
+        tree: Result<T, JsonError>,
+    ) -> CaseResult {
+        let same = match (&slice, &tree) {
+            (Ok(s), Ok(t)) => s == t,
+            (Err(s), Err(t)) => s.to_string() == t.to_string(),
+            _ => false,
+        };
+        ensure(same, format!("{what}: slice {slice:?} vs tree {tree:?}"))
+    }
+
+    /// Every getter of the view against `Json::get` for one key.
+    fn getters_agree(slice: &JsonSlice<'_>, tree: &Json, key: &str) -> CaseResult {
+        agree(
+            &format!("get_str {key:?}"),
+            slice.get_str(key),
+            tree.get::<String>(key),
+        )?;
+        agree(
+            &format!("get_opt_str {key:?}"),
+            slice.get_opt_str(key).map(|v| v.map(Cow::into_owned)),
+            tree.get_opt::<String>(key),
+        )?;
+        agree(
+            &format!("get_f64 {key:?}"),
+            slice.get_f64(key).map(f64::to_bits),
+            tree.get::<f64>(key).map(f64::to_bits),
+        )?;
+        agree(
+            &format!("get_u64 {key:?}"),
+            slice.get_u64(key),
+            tree.get::<u64>(key),
+        )?;
+        agree(
+            &format!("get_opt_u64 {key:?}"),
+            slice.get_opt_u64(key),
+            tree.get_opt::<u64>(key),
+        )?;
+        let elements = slice
+            .array(key)
+            .map(|items| items.map(|raw| Json::parse(raw).ok()).collect::<Vec<_>>());
+        let tree_elements = tree
+            .get::<Vec<Json>>(key)
+            .map(|items| items.into_iter().map(Some).collect::<Vec<_>>());
+        agree(&format!("array {key:?}"), elements, tree_elements)
+    }
+
+    #[test]
+    fn slice_and_tree_agree_on_damaged_request_lines() {
+        let corpus = request_corpus();
+        let mut case = 0;
+        check("slice_and_tree_agree_on_damaged_request_lines", 3000, |g| {
+            // The corpus as it is first, then damaged copies.
+            let mut line = corpus[case % corpus.len()].clone();
+            if case >= corpus.len() {
+                for _ in 0..g.usize_in(1, 4) {
+                    line = mutate(g, &line);
+                }
+            }
+            case += 1;
+            let outcome = std::panic::catch_unwind(|| -> CaseResult {
+                let slice = JsonSlice::scan(&line);
+                let tree = Json::parse(&line);
+                let is_object = matches!(tree, Ok(Json::Obj(_)));
+                ensure(
+                    slice.is_some() == is_object,
+                    format!("scan {} but parse {tree:?}", slice.is_some()),
+                )?;
+                let (Some(slice), Ok(tree @ Json::Obj(members))) = (slice, &tree) else {
+                    return Ok(());
+                };
+                for (key, _) in members {
+                    getters_agree(&slice, tree, key)?;
+                }
+                getters_agree(&slice, tree, "absent")
+            });
+            outcome
+                .unwrap_or_else(|_| Err("panicked".into()))
+                .map_err(|msg| format!("{msg}\nline: {line:?}"))
+        });
     }
 
     // ---- JsonWriter: the tree writer's bytes ----

@@ -9,7 +9,11 @@
 //! - [`dist`] — distribution adapters (exponential, lognormal, Pareto,
 //!   truncated normal, Poisson, …) generic over [`rng::Rng`].
 //! - [`json`] — a minimal JSON value model, parser and writer with
-//!   float-round-trip-safe formatting (replaces `serde` + `serde_json`).
+//!   float-round-trip-safe formatting (replaces `serde` + `serde_json`):
+//!   one recursive descent that either builds the tree or validates a
+//!   request line in place.
+//! - [`block`] — `iter().position` a block at a time: the one block-wise
+//!   search behind the ingest path's passes over a day's bytes.
 //! - [`parallel`] — scoped fork/join helpers on [`std::thread::scope`]
 //!   (replaces `crossbeam::scope` / `parking_lot`).
 //! - [`check`] — a seeded, shrink-free property-test harness (replaces
@@ -26,8 +30,8 @@
 //!   framing with a configurable fsync cadence and a torn-tail-tolerant
 //!   reader (the durability substrate under the serving registry).
 //! - [`line`](mod@line) — the bounded `\n` line reader behind the serve
-//!   transports: block-wise newline search, oversized lines drained
-//!   rather than buffered.
+//!   transports: block-wise newline search ([`block`]), oversized lines
+//!   drained rather than buffered.
 //! - [`metrics`] — counters, gauges, log2 histograms, span timers and a
 //!   process-wide registry with byte-stable JSON export (replaces
 //!   `metrics` + `prometheus`-style client crates). Compile-time zero-cost
@@ -37,6 +41,7 @@
 //! byte stream on every platform, which is what makes the generated traces
 //! and the paper figures reproducible.
 
+pub mod block;
 pub mod cache;
 pub mod check;
 pub mod dist;

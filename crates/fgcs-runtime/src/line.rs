@@ -5,14 +5,13 @@
 //! never holding more than `max + 1` bytes of one line, and drains a
 //! longer line without keeping it. A day's `ingest` request is one line
 //! of about 14.4 KB, so the newline search is the first pass over every
-//! byte the server reads. It tests a block of bytes per step with a
-//! branch-free fold that LLVM turns into vector compares, and walks byte
-//! by byte only through the block that holds the newline.
+//! byte the server reads. It runs a block of bytes per step
+//! ([`block::position`]) and walks byte by byte only through the block
+//! that holds the newline.
 
 use std::io::{self, BufRead};
 
-/// Bytes the newline search tests per step.
-const NEWLINE_BLOCK: usize = 32;
+use crate::block;
 
 /// Outcome of one [`read_bounded_line`] call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -27,19 +26,10 @@ pub enum LineRead {
     TooLarge,
 }
 
-/// Index of the first `\n` in `bytes`. Whole blocks without one are
-/// skipped by an OR-fold; only the block holding it, or the short tail
-/// after the last whole block, is searched byte by byte.
+/// Index of the first `\n` in `bytes`, searched a block at a time.
 // lint: no-alloc
 fn find_newline(bytes: &[u8]) -> Option<usize> {
-    let mut at = 0;
-    while let Some(block) = bytes.get(at..at + NEWLINE_BLOCK) {
-        if block.iter().fold(0u8, |hit, &b| hit | u8::from(b == b'\n')) != 0 {
-            break;
-        }
-        at += NEWLINE_BLOCK;
-    }
-    bytes[at..].iter().position(|&b| b == b'\n').map(|i| at + i)
+    block::position(bytes, |&b| b == b'\n')
 }
 
 /// Reads one `\n`-terminated line into `buf`, never retaining more than

@@ -581,5 +581,11 @@ mod tests {
             with[0].completed_tick.unwrap() <= without[0].completed_tick.unwrap_or(u64::MAX),
             "migration should not be slower than kill-and-restart"
         );
+
+        // The default policy's TR < 0.3 trigger fires here too, at the same
+        // check: one migration, no kill, the same completion tick.
+        let conservative = run(Some(MigrationPolicy::conservative()));
+        assert_eq!(conservative[0].migrations, 1);
+        assert_eq!(conservative, with);
     }
 }

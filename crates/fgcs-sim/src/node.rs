@@ -10,7 +10,8 @@
 use fgcs_core::model::{AvailabilityModel, LoadSample};
 use fgcs_core::robust::QualifiedTr;
 use fgcs_core::state::State;
-use fgcs_runtime::fault::{FaultInjector, FaultPlan, ValueFault};
+use fgcs_runtime::fault::{FaultInjector, FaultPlan};
+use fgcs_trace::fault::corrupt_value;
 use fgcs_trace::MachineTrace;
 
 use crate::contention::CpuContentionModel;
@@ -324,7 +325,7 @@ impl HostNode {
                 ..self.held_sample
             };
         } else if let Some(fault) = injector.value_fault(self.id, idx) {
-            corrupt_observation(&mut s, fault);
+            corrupt_value(&mut s, fault);
         }
         if !s.is_sane() {
             // Live hold-last repair, preserving the heartbeat so
@@ -373,29 +374,6 @@ impl HostNode {
     #[must_use]
     pub fn last_operational(&self) -> State {
         self.manager.last_operational()
-    }
-}
-
-/// Applies one value fault to an observed sample, leaving the heartbeat
-/// intact (value corruption and machine death are independent failures).
-fn corrupt_observation(sample: &mut LoadSample, fault: ValueFault) {
-    match fault {
-        ValueFault::Nan => {
-            sample.host_cpu = f64::NAN;
-            sample.free_mem_mb = f64::NAN;
-        }
-        ValueFault::PosInf => {
-            sample.host_cpu = f64::INFINITY;
-            sample.free_mem_mb = f64::INFINITY;
-        }
-        ValueFault::NegInf => {
-            sample.host_cpu = f64::NEG_INFINITY;
-            sample.free_mem_mb = f64::NEG_INFINITY;
-        }
-        ValueFault::OutOfRange => {
-            sample.host_cpu = 17.5;
-            sample.free_mem_mb = -4096.0;
-        }
     }
 }
 

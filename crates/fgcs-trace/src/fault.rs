@@ -101,8 +101,11 @@ pub fn corrupt_trace(trace: &mut MachineTrace, plan: &FaultPlan) -> TraceFaultRe
     report
 }
 
-/// Applies one value fault to a sample, leaving the heartbeat intact.
-fn corrupt_value(sample: &mut LoadSample, fault: ValueFault) {
+/// Applies one value fault to a sample, leaving the heartbeat intact
+/// (value corruption and machine death are independent failures). The
+/// one corruption rule of both injection boundaries: recorded traces
+/// here, the simulator's live monitor stream (`fgcs_sim::node`).
+pub fn corrupt_value(sample: &mut LoadSample, fault: ValueFault) {
     match fault {
         ValueFault::Nan => {
             sample.host_cpu = f64::NAN;

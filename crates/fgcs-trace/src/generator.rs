@@ -9,7 +9,7 @@ use fgcs_runtime::rng::{Rng, Xoshiro256};
 
 use fgcs_core::model::LoadSample;
 use fgcs_core::window::DayType;
-use fgcs_math::dist;
+use fgcs_runtime::dist;
 
 use crate::profile::{self, MachineProfile};
 use crate::session::Session;

@@ -12,7 +12,7 @@ use fgcs_runtime::rng::Rng;
 use fgcs_core::log::HistoryStore;
 use fgcs_core::state::State;
 use fgcs_core::window::DayType;
-use fgcs_math::dist;
+use fgcs_runtime::dist;
 
 /// Injects irregular unavailability occurrences into training logs.
 #[derive(Debug, Clone, Copy, PartialEq)]

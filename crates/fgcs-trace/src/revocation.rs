@@ -9,7 +9,7 @@
 use fgcs_runtime::impl_json_struct;
 use fgcs_runtime::rng::Rng;
 
-use fgcs_math::dist;
+use fgcs_runtime::dist;
 
 /// Parameters of the revocation process for one machine archetype.
 #[derive(Debug, Clone, PartialEq)]

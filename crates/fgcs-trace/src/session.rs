@@ -10,7 +10,7 @@
 use fgcs_runtime::impl_json_struct;
 use fgcs_runtime::rng::Rng;
 
-use fgcs_math::dist;
+use fgcs_runtime::dist;
 
 /// Parameters of interactive sessions for one machine archetype.
 #[derive(Debug, Clone, PartialEq)]

@@ -29,14 +29,16 @@
 //! The request path is allocation-free once warm. Every line is scanned in
 //! place by [`JsonSlice`] — a borrowed view that never builds a tree — and
 //! replies are appended to a pooled [`JsonWriter`] whose buffer is cleared
-//! (capacity kept) between requests. The scanner decodes `\` escapes
-//! itself; only an escaped string allocates, for its decoded text. A line
-//! the scanner rejects (malformed syntax, a non-object top level) gets an
-//! error reply worded by the tree parser; nothing falls back to a second
-//! dispatcher. Field errors are borrowed ([`SliceError`]) and render their
-//! message only when the error reply is written. Both transports run one
-//! read loop that reuses one read buffer and one reply buffer per
-//! connection; `stats` reports the high-water marks of both pools.
+//! (capacity kept) between requests. The view runs the JSON reader's one
+//! descent in its validate mode, whose string rule decodes `\` escapes;
+//! only an escaped string allocates, for its decoded text. A line the scan
+//! rejects (malformed syntax, a non-object top level) gets an error reply
+//! worded by the same descent in its build mode ([`Json::parse`]); nothing
+//! falls back to a second dispatcher. Field errors are borrowed
+//! ([`SliceError`]) and render their message only when the error reply is
+//! written. Both transports run one read loop that reuses one read buffer
+//! and one reply buffer per connection; `stats` reports the high-water
+//! marks of both pools.
 //!
 //! # Batch requests
 //!

@@ -560,3 +560,25 @@ fn hostile_lines_get_pinned_replies() {
         assert_eq!(reply.shutdown, i == last, "request: {request}");
     }
 }
+
+#[test]
+fn minus_zero_reads_as_the_tree_parser_reads_it() {
+    // `-0` is an integer literal: the tree holds it as `I64(0)`, so every
+    // field reads it as +0 — `hours` included, whose error echoes it.
+    let server = server_with_shards(2);
+    for (request, want) in [
+        (
+            r#"{"op":"predict","host":1,"start":9,"hours":-0}"#,
+            r#"{"ok":false,"error":"invalid window: start 9h + 0h"}"#,
+        ),
+        (
+            r#"{"op":"predict","host":1,"start":9,"hours":-0.0}"#,
+            r#"{"ok":false,"error":"invalid window: start 9h + -0h"}"#,
+        ),
+    ] {
+        assert_eq!(server.handle_line(request).line, want, "request: {request}");
+        let tree = Json::parse(request).expect("valid JSON");
+        let hours: f64 = tree.get("hours").expect("number");
+        assert!(want.contains(&format!("+ {hours}h")), "{want} vs {hours}");
+    }
+}
