@@ -74,7 +74,7 @@ fn main() {
             let ts: Vec<Option<f64>> = paper_lineup()
                 .iter()
                 .map(|m| {
-                    evaluate_ts_window(m.as_ref(), &cases, &tb.model)
+                    evaluate_ts_window(m.as_ref(), &cases, test, day_type, window, &tb.model)
                         .and_then(|e| e.relative_error())
                 })
                 .collect();

@@ -713,8 +713,10 @@ impl HistoryStore {
     /// Panics if the ratio parts are both zero.
     #[must_use]
     pub fn split_ratio(&self, train: usize, test: usize) -> (HistoryStore, HistoryStore) {
-        assert!(train + test > 0, "ratio must be positive");
-        let n_train = self.days.len() * train / (train + test);
+        assert!(train > 0 || test > 0, "ratio must be positive");
+        // In u128, so neither the part sum nor the product wraps.
+        let (days, train, test) = (self.days.len() as u128, train as u128, test as u128);
+        let n_train = (days * train / (train + test)) as usize;
         let (a, b) = self.days.split_at(n_train);
         (
             HistoryStore { days: a.to_vec() },
@@ -985,6 +987,19 @@ mod tests {
         assert_eq!(test.len(), 4);
         assert_eq!(train.days()[0].day_index, 0);
         assert_eq!(test.days()[0].day_index, 6);
+    }
+
+    #[test]
+    fn split_ratio_with_a_huge_part_does_not_wrap() {
+        let mut store = HistoryStore::new();
+        for day in 0..4 {
+            store.push_day(DayLog::new(day, log_of(vec![State::S1; 10])));
+        }
+        // 3 + usize::MAX wraps to 2 in usize arithmetic.
+        let (train, test) = store.split_ratio(3, usize::MAX);
+        assert_eq!((train.len(), test.len()), (0, 4));
+        let (train, test) = store.split_ratio(usize::MAX, usize::MAX);
+        assert_eq!((train.len(), test.len()), (2, 2));
     }
 
     #[test]

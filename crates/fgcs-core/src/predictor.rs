@@ -1,6 +1,7 @@
 //! End-to-end temporal reliability prediction and its empirical ground
 //! truth, as used in the paper's accuracy experiments (§6.2, §7.2).
 
+use std::convert::Infallible;
 use std::sync::Arc;
 
 use fgcs_runtime::impl_json_struct;
@@ -9,7 +10,7 @@ use fgcs_runtime::rng::Rng;
 use crate::batch::TrCurve;
 use crate::cache::{KernelDedup, QhCache};
 use crate::error::CoreError;
-use crate::log::{expand, HistoryStore, WindowRuns};
+use crate::log::{expand, DayLog, HistoryStore, WindowRuns};
 use crate::model::AvailabilityModel;
 use crate::smp::solver::reliability_from_failure;
 use crate::smp::{FastSolver, SmpParams, SojournAccumulator, SparseSolver};
@@ -451,14 +452,6 @@ impl_json_struct!(TrPrediction {
     history_days,
 });
 
-impl TrPrediction {
-    /// Width of the confidence interval.
-    #[must_use]
-    pub fn ci_width(&self) -> f64 {
-        (self.ci_high - self.ci_low).max(0.0)
-    }
-}
-
 /// The outcome of evaluating one (window, day-type) pair against a test set,
 /// as in §6.2: predicted vs. empirically observed temporal reliability.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -497,14 +490,17 @@ impl WindowEvaluation {
 /// its logs cover the window (a window that crosses or ends at midnight
 /// stitched from the next day) and it is operational at the window start,
 /// where a guest would be submitted; it survived when no failure state
-/// follows inside the window. `predicted[i]` is the TR predicted from
-/// initial state `i` (S1, S2). `None` when no test day counts.
-fn score_test_days(
+/// follows inside the window.
+///
+/// `predict` gives a counted day's predicted TR from the day and its
+/// initial state. It may skip the day (`Ok(None)`) or fail the whole
+/// window (`Err`). `Ok(None)` when no test day counts.
+pub fn score_test_days<E>(
     test: &HistoryStore,
     day_type: DayType,
     window: TimeWindow,
-    predicted: [f64; 2],
-) -> Option<WindowEvaluation> {
+    mut predict: impl FnMut(&DayLog, State) -> Result<Option<f64>, E>,
+) -> Result<Option<WindowEvaluation>, E> {
     let mut used = 0usize;
     let mut survived = 0usize;
     let mut predicted_sum = 0.0;
@@ -521,17 +517,33 @@ fn score_test_days(
         if init.is_failure() {
             continue;
         }
+        let Some(predicted) = predict(day, init)? else {
+            continue;
+        };
         used += 1;
-        predicted_sum += predicted[init.index()];
+        predicted_sum += predicted;
         if runs.all(|(s, _)| s.is_operational()) {
             survived += 1;
         }
     }
-    (used > 0).then(|| WindowEvaluation {
+    Ok((used > 0).then(|| WindowEvaluation {
         predicted: predicted_sum / used as f64,
         empirical: survived as f64 / used as f64,
         days_used: used,
-    })
+    }))
+}
+
+/// [`score_test_days`] with one prediction per initial state:
+/// `predicted[i]` is the TR predicted from state `i` (S1, S2).
+fn score_by_init(
+    test: &HistoryStore,
+    day_type: DayType,
+    window: TimeWindow,
+    predicted: [f64; 2],
+) -> Option<WindowEvaluation> {
+    let by_init = |_: &DayLog, init: State| Ok(Some(predicted[init.index()]));
+    score_test_days::<Infallible>(test, day_type, window, by_init)
+        .unwrap_or_else(|never| match never {})
 }
 
 /// Computes the empirical temporal reliability of a window over the days of
@@ -542,7 +554,7 @@ fn score_test_days(
 #[must_use]
 pub fn empirical_tr(test: &HistoryStore, day_type: DayType, window: TimeWindow) -> Option<f64> {
     // The empirical half of the scored days; no prediction is involved.
-    score_test_days(test, day_type, window, [0.0; 2]).map(|e| e.empirical)
+    score_by_init(test, day_type, window, [0.0; 2]).map(|e| e.empirical)
 }
 
 /// Evaluates the *first-order Markov chain* ablation on a train/test split
@@ -565,7 +577,7 @@ pub fn evaluate_window_markov(
         chain.temporal_reliability(State::S1, steps)?,
         chain.temporal_reliability(State::S2, steps)?,
     ];
-    score_test_days(test, day_type, window, predicted).ok_or(CoreError::EmptyHistory { window })
+    score_by_init(test, day_type, window, predicted).ok_or(CoreError::EmptyHistory { window })
 }
 
 /// Evaluates the predictor on a train/test split for one window: predicts
@@ -584,7 +596,7 @@ pub fn evaluate_window(
     // and S2 streams, so running the solver per initial state would do the
     // same work twice for identical values.
     let predicted = predictor.solve_both_inits(&params, steps)?;
-    score_test_days(test, day_type, window, predicted).ok_or(CoreError::EmptyHistory { window })
+    score_by_init(test, day_type, window, predicted).ok_or(CoreError::EmptyHistory { window })
 }
 
 #[cfg(test)]
@@ -845,7 +857,10 @@ mod tests {
         assert!((0.0..=1.0).contains(&pred.tr));
         assert!(pred.ci_low <= pred.tr + 1e-9, "{pred:?}");
         assert!(pred.ci_high >= pred.tr - 1e-9, "{pred:?}");
-        assert!(pred.ci_width() > 0.0, "mixed history must have uncertainty");
+        assert!(
+            pred.ci_high > pred.ci_low,
+            "mixed history must have uncertainty"
+        );
         assert_eq!(pred.bootstrap_samples, 200);
     }
 
@@ -860,7 +875,7 @@ mod tests {
             .predict_with_ci(&store, DayType::Weekday, w, S1, 50, 0.95, &mut rng)
             .unwrap();
         assert_eq!(pred.tr, 1.0);
-        assert_eq!(pred.ci_width(), 0.0);
+        assert_eq!(pred.ci_low, pred.ci_high);
     }
 
     #[test]

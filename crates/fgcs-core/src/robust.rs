@@ -117,36 +117,19 @@ pub const DEFAULT_PRIOR_TR: f64 = 0.35;
 #[derive(Debug, Clone, Copy)]
 pub struct RobustPredictor {
     predictor: SmpPredictor,
-    prior_tr: f64,
 }
 
 impl RobustPredictor {
-    /// Wraps a strict predictor with the default prior.
+    /// Wraps a strict predictor.
     #[must_use]
     pub fn new(predictor: SmpPredictor) -> RobustPredictor {
-        RobustPredictor {
-            predictor,
-            prior_tr: DEFAULT_PRIOR_TR,
-        }
-    }
-
-    /// Overrides the conservative prior TR (clamped to `[0, 1]`).
-    #[must_use]
-    pub fn with_prior_tr(mut self, prior_tr: f64) -> RobustPredictor {
-        self.prior_tr = prior_tr.clamp(0.0, 1.0);
-        self
+        RobustPredictor { predictor }
     }
 
     /// The wrapped strict predictor.
     #[must_use]
     pub fn predictor(&self) -> &SmpPredictor {
         &self.predictor
-    }
-
-    /// The prior TR used at the bottom of the chain.
-    #[must_use]
-    pub fn prior_tr(&self) -> f64 {
-        self.prior_tr
     }
 
     /// Predicts TR through the fallback chain. Errors only when `init` is
@@ -196,7 +179,7 @@ impl RobustPredictor {
 
         // 4. Prior: nothing usable — answer conservatively rather than
         // not at all.
-        Ok(self.tag(self.prior_tr, PredictionQuality::Prior))
+        Ok(self.tag(DEFAULT_PRIOR_TR, PredictionQuality::Prior))
     }
 
     fn tag(&self, tr: f64, quality: PredictionQuality) -> QualifiedTr {
@@ -298,11 +281,6 @@ mod tests {
             .unwrap();
         assert_eq!(q.quality, PredictionQuality::Prior);
         assert_eq!(q.tr, DEFAULT_PRIOR_TR);
-        let custom = robust().with_prior_tr(0.1);
-        let q = custom
-            .predict(&cache, 9, &empty, DayType::Weekday, w, S1)
-            .unwrap();
-        assert_eq!(q.tr, 0.1);
     }
 
     #[test]

@@ -91,32 +91,6 @@ impl MarkovChain {
         let fail: f64 = State::FAILURE.iter().map(|s| dist[s.index()]).sum();
         Ok((1.0 - fail).clamp(0.0, 1.0))
     }
-
-    /// The whole reliability curve `TR(m)` for `m = 0..=steps`.
-    pub fn reliability_curve(&self, init: State, steps: usize) -> Result<Vec<f64>, CoreError> {
-        if init.is_failure() {
-            return Err(CoreError::FailureInitialState(init));
-        }
-        let mut out = Vec::with_capacity(steps + 1);
-        let mut dist = [0.0_f64; 5];
-        dist[init.index()] = 1.0;
-        let fail_mass = |d: &[f64; 5]| -> f64 { State::FAILURE.iter().map(|s| d[s.index()]).sum() };
-        out.push(1.0);
-        for _ in 0..steps {
-            let mut next = [0.0_f64; 5];
-            for (i, &mass) in dist.iter().enumerate() {
-                if mass == 0.0 {
-                    continue;
-                }
-                for (n, pij) in next.iter_mut().zip(&self.p[i]) {
-                    *n += mass * pij;
-                }
-            }
-            dist = next;
-            out.push((1.0 - fail_mass(&dist)).clamp(0.0, 1.0));
-        }
-        Ok(out)
-    }
 }
 
 #[cfg(test)]
@@ -178,25 +152,9 @@ mod tests {
     }
 
     #[test]
-    fn curve_is_monotone_and_bounded() {
-        let day: Vec<State> = (0..200)
-            .map(|i| if i % 20 < 18 { S1 } else { S2 })
-            .collect();
-        let windows: Vec<&[State]> = vec![&day];
-        let chain = MarkovChain::estimate(&windows, 6);
-        let curve = chain.reliability_curve(S1, 50).unwrap();
-        assert_eq!(curve[0], 1.0);
-        for w in curve.windows(2) {
-            assert!(w[1] <= w[0] + 1e-12);
-            assert!((0.0..=1.0).contains(&w[1]));
-        }
-    }
-
-    #[test]
     fn rejects_failure_init() {
         let chain = MarkovChain::estimate(&[], 6);
         assert!(chain.temporal_reliability(S5, 10).is_err());
-        assert!(chain.reliability_curve(S4, 10).is_err());
     }
 
     #[test]

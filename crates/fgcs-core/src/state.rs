@@ -74,16 +74,6 @@ impl State {
     pub fn is_operational(self) -> bool {
         !self.is_failure()
     }
-
-    /// The other operational state (S1 ↔ S2); `None` for failure states.
-    #[must_use]
-    pub fn other_operational(self) -> Option<State> {
-        match self {
-            State::S1 => Some(State::S2),
-            State::S2 => Some(State::S1),
-            _ => None,
-        }
-    }
 }
 
 impl std::fmt::Display for State {
@@ -162,14 +152,6 @@ mod tests {
             .filter(|s| s.is_operational())
             .collect();
         assert_eq!(oper, State::OPERATIONAL.to_vec());
-    }
-
-    #[test]
-    fn other_operational_pairs() {
-        assert_eq!(State::S1.other_operational(), Some(State::S2));
-        assert_eq!(State::S2.other_operational(), Some(State::S1));
-        assert_eq!(State::S3.other_operational(), None);
-        assert_eq!(State::S5.other_operational(), None);
     }
 
     #[test]

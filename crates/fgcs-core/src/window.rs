@@ -79,10 +79,11 @@ impl TimeWindow {
             start_secs < SECS_PER_DAY,
             "window must start within the day"
         );
+        // In u64: a length near `u32::MAX` would wrap the `u32` sum.
+        let end = u64::from(start_secs) + u64::from(len_secs);
         assert!(
-            start_secs + len_secs <= 2 * SECS_PER_DAY,
-            "window [{start_secs}, {}) spans more than one midnight",
-            start_secs as u64 + len_secs as u64
+            end <= 2 * u64::from(SECS_PER_DAY),
+            "window [{start_secs}, {end}) spans more than one midnight"
         );
         TimeWindow {
             start_secs,
@@ -170,6 +171,13 @@ mod tests {
         assert_eq!(w.len_secs, 2 * 3600);
         assert_eq!(w.end_secs(), 10 * 3600);
         assert!((w.len_hours() - 2.0).abs() < 1e-12);
+    }
+
+    #[test]
+    #[should_panic(expected = "spans more than one midnight")]
+    fn a_length_that_wraps_u32_is_refused() {
+        // 08:00 + u32::MAX seconds wraps a u32 sum to 07:59:59.
+        let _ = TimeWindow::new(8 * 3600, u32::MAX);
     }
 
     #[test]

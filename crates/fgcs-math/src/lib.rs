@@ -1,12 +1,12 @@
 #![warn(missing_docs)]
 //! # fgcs-math
 //!
-//! Small, dependency-light numerics used throughout the FGCS workspace:
+//! Small, dependency-free numerics used throughout the FGCS workspace:
 //!
 //! * [`matrix`] — row-major dense matrices with LU factorisation and solves,
 //! * [`toeplitz`] — the Levinson–Durbin recursion for Yule–Walker systems,
 //! * [`lsq`] — regularised linear least squares,
-//! * [`stats`] — descriptive and online statistics, autocovariance.
+//! * [`stats`] — descriptive statistics, autocovariance.
 //!
 //! Rust's time-series/statistics ecosystem is thin compared to what the paper's
 //! authors had available (RPS, MATLAB); this crate implements exactly the
@@ -19,9 +19,6 @@ pub mod stats;
 pub mod toeplitz;
 
 pub use matrix::Matrix;
-
-/// Comparison tolerance used across the workspace for floating point checks.
-pub const EPS: f64 = 1e-9;
 
 /// Returns `true` when `a` and `b` agree within an absolute-or-relative
 /// tolerance of `tol`. Suitable for test assertions on computed quantities.

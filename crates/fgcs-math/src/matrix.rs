@@ -1,6 +1,6 @@
 //! Row-major dense matrices with the operations the estimators need:
-//! multiplication, transpose, LU factorisation with partial pivoting,
-//! linear solves and inversion.
+//! multiplication, transpose, LU factorisation with partial pivoting and
+//! linear solves.
 //!
 //! The matrices in this workspace are tiny (5×5 SMP state matrices,
 //! (p+q)×(p+q) normal equations with p, q ≤ 16), so a straightforward dense
@@ -8,7 +8,7 @@
 //! no SIMD, no allocation tricks required.
 
 use std::fmt;
-use std::ops::{Add, Index, IndexMut, Mul, Sub};
+use std::ops::{Index, IndexMut, Mul};
 
 /// A dense, row-major `f64` matrix.
 #[derive(Clone, PartialEq)]
@@ -63,33 +63,6 @@ impl Matrix {
         }
     }
 
-    /// Creates the `n × n` identity matrix.
-    #[must_use]
-    pub fn identity(n: usize) -> Self {
-        let mut m = Matrix::zeros(n, n);
-        for i in 0..n {
-            m[(i, i)] = 1.0;
-        }
-        m
-    }
-
-    /// Creates a matrix from a row-major data vector.
-    ///
-    /// # Panics
-    /// Panics if `data.len() != rows * cols`.
-    #[must_use]
-    pub fn from_vec(rows: usize, cols: usize, data: Vec<f64>) -> Self {
-        assert_eq!(
-            data.len(),
-            rows * cols,
-            "data length {} does not match {}x{}",
-            data.len(),
-            rows,
-            cols
-        );
-        Matrix { rows, cols, data }
-    }
-
     /// Creates a matrix from nested row slices (handy in tests).
     ///
     /// # Panics
@@ -121,12 +94,6 @@ impl Matrix {
     #[must_use]
     pub fn cols(&self) -> usize {
         self.cols
-    }
-
-    /// Borrows the underlying row-major storage.
-    #[must_use]
-    pub fn as_slice(&self) -> &[f64] {
-        &self.data
     }
 
     /// Borrows one row as a slice.
@@ -182,7 +149,6 @@ impl Matrix {
         let n = self.rows;
         let mut a = self.clone();
         let mut perm: Vec<usize> = (0..n).collect();
-        let mut sign = 1.0;
         for k in 0..n {
             // Find pivot.
             let mut p = k;
@@ -204,7 +170,6 @@ impl Matrix {
                     a[(p, j)] = tmp;
                 }
                 perm.swap(k, p);
-                sign = -sign;
             }
             let pivot = a[(k, k)];
             for i in (k + 1)..n {
@@ -215,45 +180,12 @@ impl Matrix {
                 }
             }
         }
-        Ok(Lu {
-            lu: a,
-            perm,
-            det_sign: sign,
-        })
+        Ok(Lu { lu: a, perm })
     }
 
     /// Solves `self * x = b` via LU with partial pivoting.
     pub fn solve(&self, b: &[f64]) -> Result<Vec<f64>, MatrixError> {
         self.lu().map(|lu| lu.solve(b))
-    }
-
-    /// Computes the inverse via LU (only used on tiny matrices in tests and
-    /// the dense-solver ablation).
-    pub fn inverse(&self) -> Result<Matrix, MatrixError> {
-        let lu = self.lu()?;
-        let n = self.rows;
-        let mut inv = Matrix::zeros(n, n);
-        let mut e = vec![0.0; n];
-        for j in 0..n {
-            e[j] = 1.0;
-            let col = lu.solve(&e);
-            for i in 0..n {
-                inv[(i, j)] = col[i];
-            }
-            e[j] = 0.0;
-        }
-        Ok(inv)
-    }
-
-    /// Determinant via LU.
-    pub fn det(&self) -> Result<f64, MatrixError> {
-        let lu = self.lu()?;
-        let n = self.rows;
-        let mut d = lu.det_sign;
-        for i in 0..n {
-            d *= lu.lu[(i, i)];
-        }
-        Ok(d)
     }
 }
 
@@ -261,7 +193,6 @@ impl Matrix {
 pub struct Lu {
     lu: Matrix,
     perm: Vec<usize>,
-    det_sign: f64,
 }
 
 impl Lu {
@@ -332,34 +263,6 @@ impl Mul<&Matrix> for &Matrix {
     }
 }
 
-impl Add<&Matrix> for &Matrix {
-    type Output = Matrix;
-    fn add(self, rhs: &Matrix) -> Matrix {
-        assert_eq!((self.rows, self.cols), (rhs.rows, rhs.cols));
-        let data = self
-            .data
-            .iter()
-            .zip(&rhs.data)
-            .map(|(a, b)| a + b)
-            .collect();
-        Matrix::from_vec(self.rows, self.cols, data)
-    }
-}
-
-impl Sub<&Matrix> for &Matrix {
-    type Output = Matrix;
-    fn sub(self, rhs: &Matrix) -> Matrix {
-        assert_eq!((self.rows, self.cols), (rhs.rows, rhs.cols));
-        let data = self
-            .data
-            .iter()
-            .zip(&rhs.data)
-            .map(|(a, b)| a - b)
-            .collect();
-        Matrix::from_vec(self.rows, self.cols, data)
-    }
-}
-
 impl fmt::Debug for Matrix {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "Matrix {}x{} [", self.rows, self.cols)?;
@@ -381,7 +284,12 @@ mod tests {
 
     #[test]
     fn identity_solve_is_noop() {
-        let i = Matrix::identity(4);
+        let i = Matrix::from_rows(&[
+            &[1.0, 0.0, 0.0, 0.0],
+            &[0.0, 1.0, 0.0, 0.0],
+            &[0.0, 0.0, 1.0, 0.0],
+            &[0.0, 0.0, 0.0, 1.0],
+        ]);
         let b = vec![1.0, -2.0, 3.5, 0.0];
         let x = i.solve(&b).unwrap();
         assert_eq!(x, b);
@@ -421,22 +329,6 @@ mod tests {
     }
 
     #[test]
-    fn inverse_times_original_is_identity() {
-        let a = Matrix::from_rows(&[&[4.0, 7.0, 2.0], &[3.0, 6.0, 1.0], &[2.0, 5.0, 3.0]]);
-        let inv = a.inverse().unwrap();
-        let prod = &a * &inv;
-        let id = Matrix::identity(3);
-        let diff = &prod - &id;
-        assert!(diff.max_abs() < 1e-10, "residual {:?}", diff);
-    }
-
-    #[test]
-    fn determinant_of_permutation_has_correct_sign() {
-        let a = Matrix::from_rows(&[&[0.0, 1.0], &[1.0, 0.0]]);
-        assert!(approx_eq(a.det().unwrap(), -1.0, 1e-12));
-    }
-
-    #[test]
     fn mul_vec_matches_manual() {
         let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
         let y = a.mul_vec(&[1.0, 1.0]);
@@ -450,14 +342,5 @@ mod tests {
         assert_eq!(t.rows(), 3);
         assert_eq!(t.cols(), 2);
         assert_eq!(a, t.transpose());
-    }
-
-    #[test]
-    fn add_sub_round_trip() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
-        let b = Matrix::from_rows(&[&[0.5, -1.0], &[2.0, 2.0]]);
-        let sum = &a + &b;
-        let back = &sum - &b;
-        assert!((&back - &a).max_abs() < 1e-12);
     }
 }

@@ -1,4 +1,4 @@
-//! Descriptive and streaming statistics.
+//! Descriptive statistics.
 //!
 //! Everything the experiment harness reports (means, min/max bars, quantiles)
 //! and everything the estimators consume (autocovariance) lives here.
@@ -22,13 +22,7 @@ pub fn variance(xs: &[f64]) -> f64 {
     xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / xs.len() as f64
 }
 
-/// Population standard deviation.
-#[must_use]
-pub fn stddev(xs: &[f64]) -> f64 {
-    variance(xs).sqrt()
-}
-
-/// Minimum value; `None` for an empty slice or if any value is NaN-free min.
+/// Minimum value; `None` for an empty slice.
 #[must_use]
 pub fn min(xs: &[f64]) -> Option<f64> {
     xs.iter().copied().fold(None, |acc, x| {
@@ -71,12 +65,6 @@ pub fn quantile(xs: &[f64], q: f64) -> Option<f64> {
     }
 }
 
-/// Median (50 % quantile).
-#[must_use]
-pub fn median(xs: &[f64]) -> Option<f64> {
-    quantile(xs, 0.5)
-}
-
 /// Biased (divide-by-n) sample autocovariance for lags `0..=max_lag`.
 ///
 /// The divide-by-n convention keeps the implied Toeplitz matrix positive
@@ -98,18 +86,6 @@ pub fn autocovariance(xs: &[f64], max_lag: usize) -> Vec<f64> {
         out.push(acc / n as f64);
     }
     out
-}
-
-/// Sample autocorrelation for lags `0..=max_lag` (`acf[0] == 1` for
-/// non-constant series, all-zero otherwise).
-#[must_use]
-pub fn autocorrelation(xs: &[f64], max_lag: usize) -> Vec<f64> {
-    let acov = autocovariance(xs, max_lag);
-    let c0 = acov[0];
-    if c0 <= 0.0 {
-        return vec![0.0; max_lag + 1];
-    }
-    acov.iter().map(|c| c / c0).collect()
 }
 
 /// Pearson correlation coefficient of two equal-length samples; `None` for
@@ -135,158 +111,6 @@ pub fn pearson(xs: &[f64], ys: &[f64]) -> Option<f64> {
     Some(sxy / (sxx * syy).sqrt())
 }
 
-/// Welford's streaming mean/variance accumulator.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct OnlineStats {
-    n: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl OnlineStats {
-    /// Creates an empty accumulator.
-    #[must_use]
-    pub fn new() -> Self {
-        OnlineStats {
-            n: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Feeds one observation.
-    pub fn push(&mut self, x: f64) {
-        self.n += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.n as f64;
-        self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Number of observations fed so far.
-    #[must_use]
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Current mean (0 before any observation).
-    #[must_use]
-    pub fn mean(&self) -> f64 {
-        self.mean
-    }
-
-    /// Population variance (0 before two observations).
-    #[must_use]
-    pub fn variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / self.n as f64
-        }
-    }
-
-    /// Population standard deviation.
-    #[must_use]
-    pub fn stddev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Smallest observation (`None` before any observation).
-    #[must_use]
-    pub fn min(&self) -> Option<f64> {
-        (self.n > 0).then_some(self.min)
-    }
-
-    /// Largest observation (`None` before any observation).
-    #[must_use]
-    pub fn max(&self) -> Option<f64> {
-        (self.n > 0).then_some(self.max)
-    }
-
-    /// Merges another accumulator into this one (parallel reduction).
-    pub fn merge(&mut self, other: &OnlineStats) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = *other;
-            return;
-        }
-        let n_total = self.n + other.n;
-        let delta = other.mean - self.mean;
-        let new_mean = self.mean + delta * other.n as f64 / n_total as f64;
-        self.m2 += other.m2 + delta * delta * (self.n as f64 * other.n as f64) / n_total as f64;
-        self.mean = new_mean;
-        self.n = n_total;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-}
-
-/// A fixed-bin histogram over `[lo, hi)` with out-of-range clamping.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    bins: Vec<u64>,
-    total: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram with `bins` equal-width bins over `[lo, hi)`.
-    ///
-    /// # Panics
-    /// Panics if `bins == 0` or `hi <= lo`.
-    #[must_use]
-    pub fn new(lo: f64, hi: f64, bins: usize) -> Self {
-        assert!(bins > 0, "histogram needs at least one bin");
-        assert!(hi > lo, "histogram range must be non-empty");
-        Histogram {
-            lo,
-            hi,
-            bins: vec![0; bins],
-            total: 0,
-        }
-    }
-
-    /// Adds one observation; values outside `[lo, hi)` are clamped into the
-    /// first/last bin.
-    pub fn push(&mut self, x: f64) {
-        let nbins = self.bins.len();
-        let frac = (x - self.lo) / (self.hi - self.lo);
-        let idx = ((frac * nbins as f64).floor() as i64).clamp(0, nbins as i64 - 1) as usize;
-        self.bins[idx] += 1;
-        self.total += 1;
-    }
-
-    /// Raw bin counts.
-    #[must_use]
-    pub fn counts(&self) -> &[u64] {
-        &self.bins
-    }
-
-    /// Total observations.
-    #[must_use]
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Fraction of mass in bin `i` (0 when empty).
-    #[must_use]
-    pub fn fraction(&self, i: usize) -> f64 {
-        if self.total == 0 {
-            0.0
-        } else {
-            self.bins[i] as f64 / self.total as f64
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -297,7 +121,6 @@ mod tests {
         let xs = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
         assert!(approx_eq(mean(&xs), 5.0, 1e-12));
         assert!(approx_eq(variance(&xs), 4.0, 1e-12));
-        assert!(approx_eq(stddev(&xs), 2.0, 1e-12));
     }
 
     #[test]
@@ -314,7 +137,7 @@ mod tests {
         let xs = [1.0, 2.0, 3.0, 4.0];
         assert!(approx_eq(quantile(&xs, 0.0).unwrap(), 1.0, 1e-12));
         assert!(approx_eq(quantile(&xs, 1.0).unwrap(), 4.0, 1e-12));
-        assert!(approx_eq(median(&xs).unwrap(), 2.5, 1e-12));
+        assert!(approx_eq(quantile(&xs, 0.5).unwrap(), 2.5, 1e-12));
     }
 
     #[test]
@@ -322,23 +145,6 @@ mod tests {
         let xs = [1.0, 3.0, 2.0, 5.0, 4.0];
         let acov = autocovariance(&xs, 2);
         assert!(approx_eq(acov[0], variance(&xs), 1e-12));
-    }
-
-    #[test]
-    fn autocorrelation_of_constant_series_is_zero() {
-        let xs = [3.0; 10];
-        let acf = autocorrelation(&xs, 3);
-        assert_eq!(acf, vec![0.0; 4]);
-    }
-
-    #[test]
-    fn autocorrelation_lag0_is_one() {
-        let xs: Vec<f64> = (0..50).map(|i| (i as f64 * 0.7).sin()).collect();
-        let acf = autocorrelation(&xs, 5);
-        assert!(approx_eq(acf[0], 1.0, 1e-12));
-        for &v in &acf {
-            assert!(v.abs() <= 1.0 + 1e-12);
-        }
     }
 
     #[test]
@@ -360,72 +166,5 @@ mod tests {
         assert_eq!(pearson(&xs, &[1.0, 1.0, 1.0, 1.0]), None); // zero variance
         assert_eq!(pearson(&xs, &ys[..3]), None); // length mismatch
         assert_eq!(pearson(&[1.0], &[2.0]), None); // too short
-    }
-
-    #[test]
-    fn online_matches_batch() {
-        let xs = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
-        let mut o = OnlineStats::new();
-        for &x in &xs {
-            o.push(x);
-        }
-        assert!(approx_eq(o.mean(), mean(&xs), 1e-12));
-        assert!(approx_eq(o.variance(), variance(&xs), 1e-12));
-        assert_eq!(o.min(), Some(2.0));
-        assert_eq!(o.max(), Some(9.0));
-        assert_eq!(o.count(), 8);
-    }
-
-    #[test]
-    fn online_merge_matches_single_stream() {
-        let xs: Vec<f64> = (0..100).map(|i| (i as f64) * 0.37 % 7.0).collect();
-        let mut whole = OnlineStats::new();
-        for &x in &xs {
-            whole.push(x);
-        }
-        let mut left = OnlineStats::new();
-        let mut right = OnlineStats::new();
-        for &x in &xs[..37] {
-            left.push(x);
-        }
-        for &x in &xs[37..] {
-            right.push(x);
-        }
-        left.merge(&right);
-        assert!(approx_eq(left.mean(), whole.mean(), 1e-10));
-        assert!(approx_eq(left.variance(), whole.variance(), 1e-10));
-        assert_eq!(left.count(), whole.count());
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let mut a = OnlineStats::new();
-        a.push(1.0);
-        a.push(3.0);
-        let before = a;
-        a.merge(&OnlineStats::new());
-        assert_eq!(a, before);
-
-        let mut empty = OnlineStats::new();
-        empty.merge(&before);
-        assert_eq!(empty, before);
-    }
-
-    #[test]
-    fn histogram_clamps_out_of_range() {
-        let mut h = Histogram::new(0.0, 10.0, 5);
-        h.push(-1.0); // clamp to bin 0
-        h.push(0.0);
-        h.push(9.99);
-        h.push(100.0); // clamp to last bin
-        assert_eq!(h.counts(), &[2, 0, 0, 0, 2]);
-        assert_eq!(h.total(), 4);
-        assert!(approx_eq(h.fraction(0), 0.5, 1e-12));
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one bin")]
-    fn histogram_zero_bins_panics() {
-        let _ = Histogram::new(0.0, 1.0, 0);
     }
 }

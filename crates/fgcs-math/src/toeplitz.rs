@@ -4,8 +4,7 @@
 //! autocovariance sequence by solving the Yule–Walker equations
 //! `R a = r`, where `R[i][j] = acov(|i-j|)` and `r[i] = acov(i+1)`.
 //! Levinson–Durbin solves this in O(p²) instead of O(p³) and additionally
-//! yields the innovation variance at each order, which is useful for order
-//! selection.
+//! yields the innovation variance.
 
 /// Result of the Levinson–Durbin recursion at the requested order.
 #[derive(Debug, Clone, PartialEq)]
@@ -15,8 +14,6 @@ pub struct LevinsonResult {
     pub coeffs: Vec<f64>,
     /// Innovation (prediction error) variance at the final order.
     pub error_variance: f64,
-    /// Reflection coefficients (partial autocorrelations) at each order.
-    pub reflection: Vec<f64>,
 }
 
 /// Errors from [`levinson_durbin`].
@@ -64,7 +61,6 @@ pub fn levinson_durbin(acov: &[f64], order: usize) -> Result<LevinsonResult, Toe
         return Err(ToeplitzError::DegenerateVariance);
     }
     let mut a = vec![0.0_f64; order];
-    let mut reflection = Vec::with_capacity(order);
     let mut err = acov[0];
     for m in 0..order {
         // Compute reflection coefficient k_m.
@@ -73,7 +69,6 @@ pub fn levinson_durbin(acov: &[f64], order: usize) -> Result<LevinsonResult, Toe
             acc -= a[j] * acov[m - j];
         }
         let k = if err.abs() < 1e-300 { 0.0 } else { acc / err };
-        reflection.push(k);
         // Update coefficients: a_new[j] = a[j] - k * a[m-1-j]
         let mut new_a = a.clone();
         new_a[m] = k;
@@ -90,15 +85,14 @@ pub fn levinson_durbin(acov: &[f64], order: usize) -> Result<LevinsonResult, Toe
     Ok(LevinsonResult {
         coeffs: a,
         error_variance: err,
-        reflection,
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::approx_eq;
     use crate::matrix::Matrix;
-    use crate::{approx_eq, stats};
 
     #[test]
     fn order_one_recovers_lag1_autocorrelation() {
@@ -158,19 +152,5 @@ mod tests {
             levinson_durbin(&[0.0, 0.0], 1),
             Err(ToeplitzError::DegenerateVariance)
         ));
-    }
-
-    #[test]
-    fn reflection_coefficients_bounded_for_valid_acov() {
-        // Autocovariances estimated from a real series are positive
-        // semi-definite, so |k_m| <= 1.
-        let xs: Vec<f64> = (0..200)
-            .map(|i| ((i as f64) * 0.3).sin() + 0.1 * ((i as f64) * 1.7).cos())
-            .collect();
-        let acov = stats::autocovariance(&xs, 8);
-        let r = levinson_durbin(&acov, 8).unwrap();
-        for k in r.reflection {
-            assert!(k.abs() <= 1.0 + 1e-9, "reflection {k} out of range");
-        }
     }
 }

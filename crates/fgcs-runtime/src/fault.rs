@@ -79,9 +79,6 @@ pub struct FaultPlan {
     /// Probability that one bit of a WAL frame is flipped on its way to
     /// disk (silent media corruption; caught by the frame CRC).
     pub wal_bit_flip_rate: f64,
-    /// Probability that a crash chops arbitrary bytes off a WAL tail
-    /// (an un-synced page-cache suffix lost by a machine crash).
-    pub wal_truncate_tail_rate: f64,
     /// Probability that a snapshot file is missing at recovery (crash
     /// before the tmp-file rename, or snapshot media loss).
     pub wal_snapshot_loss_rate: f64,
@@ -103,7 +100,6 @@ impl_json_struct!(FaultPlan {
     truncate_day_rate,
     wal_torn_write_rate,
     wal_bit_flip_rate,
-    wal_truncate_tail_rate,
     wal_snapshot_loss_rate,
 });
 
@@ -128,7 +124,6 @@ impl FaultPlan {
             truncate_day_rate: 0.0,
             wal_torn_write_rate: 0.0,
             wal_bit_flip_rate: 0.0,
-            wal_truncate_tail_rate: 0.0,
             wal_snapshot_loss_rate: 0.0,
         }
     }
@@ -154,7 +149,6 @@ impl FaultPlan {
             truncate_day_rate: 0.2,
             wal_torn_write_rate: 0.02,
             wal_bit_flip_rate: 0.01,
-            wal_truncate_tail_rate: 0.2,
             wal_snapshot_loss_rate: 0.1,
         }
     }
@@ -173,7 +167,6 @@ impl FaultPlan {
             && self.truncate_day_rate == 0.0
             && self.wal_torn_write_rate == 0.0
             && self.wal_bit_flip_rate == 0.0
-            && self.wal_truncate_tail_rate == 0.0
             && self.wal_snapshot_loss_rate == 0.0
     }
 }
@@ -195,8 +188,6 @@ mod salt {
     pub const WAL_TORN_FRAC: u64 = 0x6C62_272E_07BB_0142;
     pub const WAL_FLIP: u64 = 0x27D4_EB2F_1656_67C5;
     pub const WAL_FLIP_POS: u64 = 0x9E37_79B9_0000_F00D;
-    pub const WAL_TAIL: u64 = 0xB492_B66F_BE98_F273;
-    pub const WAL_TAIL_FRAC: u64 = 0x9AE1_6A3B_2F90_404F;
     pub const WAL_SNAP_LOSS: u64 = 0xCBF2_9CE4_8422_2325;
 }
 
@@ -388,25 +379,6 @@ impl FaultInjector {
         Some((bit / 8, 1u8 << (bit % 8)))
     }
 
-    /// If crash `index` loses an un-synced WAL suffix, the number of
-    /// file bytes (out of `file_len`) that survive. `None` when the
-    /// tail is intact.
-    pub fn wal_tail_keep(&self, stream: u64, index: u64, file_len: u64) -> Option<u64> {
-        if file_len == 0
-            || !self.fires(
-                self.plan.wal_truncate_tail_rate,
-                salt::WAL_TAIL,
-                stream,
-                index,
-            )
-        {
-            return None;
-        }
-        crate::counter_add!("runtime.fault.wal_tail_truncations", 1);
-        let frac = self.roll(salt::WAL_TAIL_FRAC, stream, index);
-        Some((file_len as f64 * frac) as u64)
-    }
-
     /// Whether snapshot `index` of the stream is missing at recovery
     /// (crash before the atomic rename, or snapshot media loss).
     pub fn wal_snapshot_lost(&self, stream: u64, index: u64) -> bool {
@@ -440,7 +412,6 @@ mod tests {
             assert!(!inj.in_blackout(3, i));
             assert_eq!(inj.wal_torn_write(3, i, 64), None);
             assert_eq!(inj.wal_bit_flip(3, i, 64), None);
-            assert_eq!(inj.wal_tail_keep(3, i, 64), None);
             assert!(!inj.wal_snapshot_lost(3, i));
         }
         assert_eq!(inj.truncated_day_len(3, 0, 14_400), None);
@@ -460,9 +431,6 @@ mod tests {
                 assert!(byte < 100);
                 assert_eq!(mask.count_ones(), 1);
                 flips += 1;
-            }
-            if let Some(keep) = inj.wal_tail_keep(0, i, 1000) {
-                assert!(keep < 1000);
             }
         }
         assert!(torn > 0, "torn writes never fired at chaos rates");
@@ -538,6 +506,30 @@ mod tests {
             assert!((1..14_400).contains(&keep), "keep = {keep}");
         }
         assert_eq!(inj.truncated_day_len(2, 0, 1), None, "1-sample day intact");
+    }
+
+    #[test]
+    fn is_zero_reads_every_rate_field() {
+        use crate::json::{FromJson, Json, ToJson};
+        let Json::Obj(fields) = FaultPlan::none(0).to_json() else {
+            panic!("a plan serialises as an object");
+        };
+        let rates: Vec<&str> = fields
+            .iter()
+            .map(|(name, _)| name.as_str())
+            .filter(|name| name.ends_with("_rate"))
+            .collect();
+        assert!(!rates.is_empty());
+        for rate in rates {
+            let mut one = fields.clone();
+            for (name, value) in &mut one {
+                if name == rate {
+                    *value = Json::F64(1.0);
+                }
+            }
+            let plan = FaultPlan::from_json(&Json::Obj(one)).expect("parses");
+            assert!(!plan.is_zero(), "is_zero ignores {rate}");
+        }
     }
 
     #[test]

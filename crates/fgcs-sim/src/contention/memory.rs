@@ -30,16 +30,6 @@ impl MemoryModel {
         }
     }
 
-    /// Creates a model with the given physical size and an 8 % kernel share.
-    #[must_use]
-    pub fn with_physical(physical_mb: f64) -> MemoryModel {
-        MemoryModel {
-            physical_mb,
-            kernel_mb: physical_mb * 0.08,
-            thrash_throughput: 0.08,
-        }
-    }
-
     /// Free memory available to applications given the hosts' working sets.
     #[must_use]
     pub fn free_mb(&self, host_ws_mb: f64) -> f64 {
@@ -117,12 +107,5 @@ mod tests {
         let m = MemoryModel::paper_unix();
         assert!(m.priority_can_help(100.0, 100.0));
         assert!(!m.priority_can_help(300.0, 100.0));
-    }
-
-    #[test]
-    fn with_physical_scales_kernel() {
-        let m = MemoryModel::with_physical(512.0);
-        assert!((m.kernel_mb - 40.96).abs() < 1e-9);
-        assert!(m.guest_fits(200.0, 100.0));
     }
 }

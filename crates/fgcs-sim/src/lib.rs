@@ -13,8 +13,10 @@
 //!   the prediction endpoint,
 //! * [`gateway`] — the guest control ladder: renice → suspend → resume /
 //!   terminate,
-//! * [`guest`] — CPU-bound guest jobs with optional checkpointing, and
+//! * [`guest`] — CPU-bound guest jobs with optional checkpointing,
 //!   [`checkpoint`] — failure-aware (prediction-driven) checkpoint policies,
+//!   and [`migration`] — proactive migration off a host whose predicted
+//!   reliability collapses,
 //! * [`node`] / [`cluster`] — one host node replaying a trace, and a fleet
 //!   of them running a workload,
 //! * [`scheduler`] — the client-side Job Scheduler with the proactive
@@ -27,7 +29,6 @@ pub mod chaos;
 pub mod checkpoint;
 pub mod cluster;
 pub mod contention;
-pub mod directory;
 pub mod gateway;
 pub mod guest;
 pub mod migration;
@@ -40,7 +41,6 @@ pub use chaos::{run_campaign, ChaosConfig, ChaosReport};
 pub use checkpoint::{youngs_interval, CheckpointPolicy};
 pub use cluster::{group_records, Cluster, GroupRecord, JobRecord, JobSpec};
 pub use contention::{CpuContentionModel, GuestPriority, MemoryModel};
-pub use directory::{advertise, ResourceAd, ResourceDirectory};
 pub use gateway::{Gateway, GuestAction};
 pub use guest::{CheckpointConfig, GuestJob, GuestOutcome, GuestStatus};
 pub use migration::MigrationPolicy;

@@ -15,7 +15,7 @@ use fgcs_core::error::CoreError;
 use fgcs_core::log::{DayLog, HistoryStore, StateLog};
 use fgcs_core::model::{AvailabilityModel, LoadSample};
 use fgcs_core::predictor::{SmpPredictor, SolverPolicy};
-use fgcs_core::robust::{PredictionQuality, QualifiedTr, RobustPredictor};
+use fgcs_core::robust::{PredictionQuality, QualifiedTr, RobustPredictor, DEFAULT_PRIOR_TR};
 use fgcs_core::state::State;
 use fgcs_core::window::{DayType, TimeWindow};
 
@@ -304,7 +304,7 @@ impl StateManager {
             // failure-initial-state error cannot fire; answer the prior
             // defensively anyway rather than propagating.
             Err(_) => QualifiedTr {
-                tr: robust.prior_tr(),
+                tr: DEFAULT_PRIOR_TR,
                 quality: PredictionQuality::Prior,
             },
         }

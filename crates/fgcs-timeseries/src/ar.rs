@@ -81,37 +81,6 @@ impl ArFit {
     }
 }
 
-/// Selects an AR order in `1..=max_order` by the Akaike information
-/// criterion, using the per-order innovation variances that fall out of one
-/// Levinson–Durbin recursion: `AIC(p) = n·ln(σ²_p) + 2p`.
-///
-/// Returns 1 for constant or too-short series.
-#[must_use]
-pub fn select_order_aic(series: &[f64], max_order: usize) -> usize {
-    let n = series.len();
-    let usable = max_order.min(n.saturating_sub(1));
-    if usable == 0 {
-        return 1;
-    }
-    let (_, centred) = centre(series);
-    let acov = stats::autocovariance(&centred, usable);
-    let Ok(full) = toeplitz::levinson_durbin(&acov, usable) else {
-        return 1;
-    };
-    // Reconstruct the error variance at each order from the reflection
-    // coefficients: σ²_p = σ²_{p-1} · (1 − k_p²).
-    let mut best = (1usize, f64::INFINITY);
-    let mut var = acov[0];
-    for (p, k) in full.reflection.iter().enumerate() {
-        var *= (1.0 - k * k).max(f64::MIN_POSITIVE);
-        let aic = n as f64 * var.max(f64::MIN_POSITIVE).ln() + 2.0 * (p + 1) as f64;
-        if aic < best.1 {
-            best = (p + 1, aic);
-        }
-    }
-    best.0
-}
-
 impl TimeSeriesModel for ArModel {
     fn name(&self) -> String {
         format!("AR({})", self.order)
@@ -212,36 +181,5 @@ mod tests {
     #[test]
     fn name_includes_order() {
         assert_eq!(ArModel::new(8).name(), "AR(8)");
-    }
-
-    #[test]
-    fn aic_picks_low_order_for_ar1_process() {
-        use fgcs_runtime::rng::{Rng, Xoshiro256};
-        let mut rng = Xoshiro256::seed_from_u64(5);
-        let mut series = vec![0.0];
-        for _ in 0..3000 {
-            let e: f64 = rng.next_f64() - 0.5;
-            let prev = *series.last().unwrap();
-            series.push(0.75 * prev + 0.2 * e);
-        }
-        let order = select_order_aic(&series, 12);
-        assert!(
-            order <= 3,
-            "AR(1) data should select small order, got {order}"
-        );
-    }
-
-    #[test]
-    fn aic_degenerate_inputs_give_order_one() {
-        assert_eq!(select_order_aic(&[], 8), 1);
-        assert_eq!(select_order_aic(&[1.0], 8), 1);
-        assert_eq!(select_order_aic(&[2.0; 100], 8), 1);
-    }
-
-    #[test]
-    fn aic_respects_max_order() {
-        let xs: Vec<f64> = (0..500).map(|i| (i as f64 * 0.3).sin()).collect();
-        let order = select_order_aic(&xs, 4);
-        assert!((1..=4).contains(&order));
     }
 }

@@ -10,10 +10,9 @@
 //! forecast never stays above `Th2` for the transient tolerance (the same
 //! rule the state classifier applies to observations).
 
-use fgcs_core::log::HistoryStore;
+use fgcs_core::log::{DayLog, HistoryStore};
 use fgcs_core::model::{AvailabilityModel, LoadSample};
-use fgcs_core::predictor::WindowEvaluation;
-use fgcs_core::state::State;
+use fgcs_core::predictor::{score_test_days, WindowEvaluation};
 use fgcs_core::window::{DayType, TimeWindow};
 
 use crate::model::{TimeSeriesModel, TsError};
@@ -56,19 +55,17 @@ pub fn forecast_survives(forecast: &[f64], th2: f64, tolerance_steps: usize) -> 
 }
 
 /// One test day for the time-series evaluation: the severity history
-/// preceding the window and the observed states inside the window
-/// (`steps + 1` fence posts, index 0 being the initial state).
+/// preceding the window on that day.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TsDayCase {
+    /// The test day's calendar index.
+    pub day_index: usize,
     /// Severity series over the preceding window of the same length.
     pub history: Vec<f64>,
-    /// Observed states over the target window.
-    pub observed: Vec<State>,
 }
 
-/// The day cases of one window: for each day of `day_type` in `test` whose
-/// window is observed, the severity series of the preceding window of the
-/// same length and the window's observed states.
+/// The day cases of one window: for each day of `day_type` in `test`, in
+/// order, the severity series of the preceding window of the same length.
 ///
 /// `samples` is the machine's raw trace, `model.samples_per_day()` samples
 /// per day from day `first_day_index` on, so a day's samples sit at its
@@ -88,62 +85,56 @@ pub fn ts_day_cases(
     let start_step = window.start_step(model.monitor_period_secs);
     test.days()
         .iter()
-        .enumerate()
-        .filter(|(_, day)| day.day_type == day_type)
-        .filter_map(|(pos, day)| {
-            let observed = test.window_states(pos, window)?;
+        .filter(|day| day.day_type == day_type)
+        .filter_map(|day| {
             let offset = day.day_index.checked_sub(first_day_index)?;
             let start = (offset * per_day + start_step).checked_sub(steps)?;
             let history = samples.get(start..start + steps)?;
             Some(TsDayCase {
+                day_index: day.day_index,
                 history: severity_series(history, model),
-                observed,
             })
         })
         .collect()
 }
 
-/// Evaluates a time-series model over a set of day cases, mirroring
-/// [`fgcs_core::predictor::evaluate_window`]: per-day binary survival
-/// predictions averaged into a predicted TR, compared against the empirical
-/// survival fraction.
+/// Evaluates a time-series model on the test days of one window, scored by
+/// the §6.2 test-day rule that [`fgcs_core::predictor::evaluate_window`]
+/// uses: each counted day predicts survival (1) or failure (0) from its
+/// case's forecast, and the mean prediction is compared against the
+/// empirical survival fraction.
 ///
-/// Days whose initial state is a failure are skipped. Returns `None` when
-/// no day is usable or a forecast fails.
+/// `cases` are [`ts_day_cases`] of the same `test`, `day_type` and
+/// `window`. A counted day without a case, or whose history is empty, is
+/// skipped. Returns `None` when no day is usable or any other forecast
+/// fails.
 #[must_use]
 pub fn evaluate_ts_window(
     model: &dyn TimeSeriesModel,
     cases: &[TsDayCase],
+    test: &HistoryStore,
+    day_type: DayType,
+    window: TimeWindow,
     availability: &AvailabilityModel,
 ) -> Option<WindowEvaluation> {
+    let steps = window.steps(availability.monitor_period_secs);
     let tolerance = availability.transient_tolerance_steps();
-    let mut used = 0usize;
-    let mut survived = 0usize;
-    let mut predicted = 0.0;
-    for case in cases {
-        let init = *case.observed.first()?;
-        if init.is_failure() {
-            continue;
-        }
-        let steps = case.observed.len() - 1;
-        let forecast = match model.fit_forecast(&case.history, steps) {
-            Ok(f) => f,
-            Err(TsError::EmptySeries) => continue,
-            Err(_) => return None,
+    let forecast_day = |day: &DayLog, _| {
+        let Ok(i) = cases.binary_search_by_key(&day.day_index, |c| c.day_index) else {
+            return Ok(None);
         };
-        used += 1;
-        if forecast_survives(&forecast, availability.th2, tolerance) {
-            predicted += 1.0;
+        match model.fit_forecast(&cases[i].history, steps) {
+            Ok(forecast) => {
+                let survives = forecast_survives(&forecast, availability.th2, tolerance);
+                Ok(Some(if survives { 1.0 } else { 0.0 }))
+            }
+            Err(TsError::EmptySeries) => Ok(None),
+            Err(e) => Err(e),
         }
-        if case.observed[1..].iter().all(|s| s.is_operational()) {
-            survived += 1;
-        }
-    }
-    (used > 0).then(|| WindowEvaluation {
-        predicted: predicted / used as f64,
-        empirical: survived as f64 / used as f64,
-        days_used: used,
-    })
+    };
+    score_test_days(test, day_type, window, forecast_day)
+        .ok()
+        .flatten()
 }
 
 #[cfg(test)]
@@ -151,9 +142,29 @@ mod tests {
     use super::*;
     use crate::bm::BmModel;
     use crate::last::LastModel;
+    use fgcs_core::log::StateLog;
+    use fgcs_core::state::State;
 
     fn model() -> AvailabilityModel {
         AvailabilityModel::default()
+    }
+
+    /// Weekdays 0, 1, … holding the given states at the default 6 s step.
+    fn store_of(days: &[Vec<State>]) -> HistoryStore {
+        let mut store = HistoryStore::new();
+        for (i, states) in days.iter().enumerate() {
+            store.push_day(DayLog::new(i, StateLog::new(6, states.clone())));
+        }
+        store
+    }
+
+    /// The window over a day's first `steps` steps.
+    fn first_steps(steps: u32) -> TimeWindow {
+        TimeWindow::new(0, steps * 6)
+    }
+
+    fn case(day_index: usize, history: Vec<f64>) -> TsDayCase {
+        TsDayCase { day_index, history }
     }
 
     #[test]
@@ -199,11 +210,11 @@ mod tests {
     #[test]
     fn last_model_predicts_survival_from_quiet_history() {
         let m = model();
-        let cases = vec![TsDayCase {
-            history: vec![0.1; 100],
-            observed: vec![State::S1; 101],
-        }];
-        let eval = evaluate_ts_window(&LastModel, &cases, &m).unwrap();
+        let test = store_of(&[vec![State::S1; 101]]);
+        let cases = vec![case(0, vec![0.1; 100])];
+        let window = first_steps(100);
+        let eval =
+            evaluate_ts_window(&LastModel, &cases, &test, DayType::Weekday, window, &m).unwrap();
         assert_eq!(eval.predicted, 1.0);
         assert_eq!(eval.empirical, 1.0);
         assert_eq!(eval.days_used, 1);
@@ -216,11 +227,18 @@ mod tests {
         for s in &mut observed[50..] {
             *s = State::S3;
         }
-        let cases = vec![TsDayCase {
-            history: vec![0.9; 100],
-            observed,
-        }];
-        let eval = evaluate_ts_window(&BmModel::new(8), &cases, &m).unwrap();
+        let test = store_of(&[observed]);
+        let cases = vec![case(0, vec![0.9; 100])];
+        let window = first_steps(100);
+        let eval = evaluate_ts_window(
+            &BmModel::new(8),
+            &cases,
+            &test,
+            DayType::Weekday,
+            window,
+            &m,
+        )
+        .unwrap();
         assert_eq!(eval.predicted, 0.0);
         assert_eq!(eval.empirical, 0.0);
         assert_eq!(eval.relative_error(), None);
@@ -229,11 +247,13 @@ mod tests {
     #[test]
     fn failure_init_days_are_skipped() {
         let m = model();
-        let cases = vec![TsDayCase {
-            history: vec![0.1; 10],
-            observed: vec![State::S5; 11],
-        }];
-        assert_eq!(evaluate_ts_window(&LastModel, &cases, &m), None);
+        let test = store_of(&[vec![State::S5; 11]]);
+        let cases = vec![case(0, vec![0.1; 10])];
+        let window = first_steps(10);
+        assert_eq!(
+            evaluate_ts_window(&LastModel, &cases, &test, DayType::Weekday, window, &m),
+            None
+        );
     }
 
     #[test]
@@ -264,8 +284,8 @@ mod tests {
         let cases = ts_day_cases(&samples, 5, &test, DayType::Weekday, window, &m);
         assert_eq!(cases.len(), 2);
         for (case, day) in cases.iter().zip([7, 8]) {
+            assert_eq!(case.day_index, day);
             assert_eq!(case.history, vec![level(day); 6]);
-            assert_eq!(case.observed, vec![State::S1; 7]);
         }
         let weekend = ts_day_cases(&samples, 5, &test, DayType::Weekend, window, &m);
         assert_eq!(weekend.len(), 2);
@@ -283,17 +303,11 @@ mod tests {
         let m = model();
         let mut failing = vec![State::S1; 101];
         failing[100] = State::S5;
-        let cases = vec![
-            TsDayCase {
-                history: vec![0.1; 100],
-                observed: vec![State::S1; 101],
-            },
-            TsDayCase {
-                history: vec![0.1; 100],
-                observed: failing,
-            },
-        ];
-        let eval = evaluate_ts_window(&LastModel, &cases, &m).unwrap();
+        let test = store_of(&[vec![State::S1; 101], failing]);
+        let cases = vec![case(0, vec![0.1; 100]), case(1, vec![0.1; 100])];
+        let window = first_steps(100);
+        let eval =
+            evaluate_ts_window(&LastModel, &cases, &test, DayType::Weekday, window, &m).unwrap();
         // Quiet histories predict survival for both; one actually failed.
         assert_eq!(eval.predicted, 1.0);
         assert_eq!(eval.empirical, 0.5);

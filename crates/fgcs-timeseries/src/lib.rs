@@ -19,16 +19,14 @@
 pub mod ar;
 pub mod arma;
 pub mod bm;
-pub mod diff;
 pub mod eval;
 pub mod last;
 pub mod ma;
 pub mod model;
 
-pub use ar::{select_order_aic, ArModel};
+pub use ar::ArModel;
 pub use arma::ArmaModel;
 pub use bm::BmModel;
-pub use diff::Differenced;
 pub use eval::{evaluate_ts_window, forecast_survives, severity_series, ts_day_cases, TsDayCase};
 pub use last::LastModel;
 pub use ma::MaModel;

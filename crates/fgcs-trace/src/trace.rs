@@ -79,15 +79,6 @@ impl MachineTrace {
     pub fn from_json(json: &str) -> Result<MachineTrace, JsonError> {
         fgcs_runtime::json::from_str(json)
     }
-
-    /// Fraction of samples during which the machine was alive.
-    #[must_use]
-    pub fn uptime_fraction(&self) -> f64 {
-        if self.samples.is_empty() {
-            return 0.0;
-        }
-        self.samples.iter().filter(|s| s.alive).count() as f64 / self.samples.len() as f64
-    }
 }
 
 #[cfg(test)]
@@ -142,14 +133,5 @@ mod tests {
         let json = t.to_json().unwrap();
         let back = MachineTrace::from_json(&json).unwrap();
         assert_eq!(t, back);
-    }
-
-    #[test]
-    fn uptime_fraction_counts_alive() {
-        let mut t = tiny_trace();
-        t.samples.truncate(10);
-        t.samples[0] = LoadSample::revoked();
-        t.samples[1] = LoadSample::revoked();
-        assert!((t.uptime_fraction() - 0.8).abs() < 1e-12);
     }
 }

@@ -49,8 +49,15 @@ fn main() {
                     w,
                     &model,
                 );
-                evaluate_ts_window(ts_model.as_ref(), &cases, &model)
-                    .and_then(|e| e.relative_error())
+                evaluate_ts_window(
+                    ts_model.as_ref(),
+                    &cases,
+                    &test,
+                    DayType::Weekday,
+                    w,
+                    &model,
+                )
+                .and_then(|e| e.relative_error())
             })
             .collect();
         rows.push((ts_model.name(), errs));

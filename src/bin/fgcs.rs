@@ -536,17 +536,33 @@ fn cmd_evaluate(args: &[String]) -> Result<(), String> {
     let train: usize = parse(args, "--train", 1)?;
     let test: usize = parse(args, "--test", 1)?;
     let start: f64 = parse(args, "--start", 8.0)?;
-    let hours: f64 = parse(args, "--hours", 0.0)?;
+    if train == 0 && test == 0 {
+        return Err("ratio must be positive, got 0:0".into());
+    }
+    let lengths: Vec<f64> = match opt(args, "--hours") {
+        Some(_) => vec![parse(args, "--hours", 0.0)?],
+        None => vec![1.0, 2.0, 3.0, 5.0, 10.0],
+    };
+    let windows = lengths
+        .into_iter()
+        .map(|h| parse_window(start, h).map(|w| (h, w)))
+        .collect::<Result<Vec<_>, _>>()?;
     let model = AvailabilityModel::default();
     let history = trace.to_history(&model).map_err(|e| e.to_string())?;
     let (tr_set, te_set) = history.split_ratio(train, test);
+    if tr_set.is_empty() || te_set.is_empty() {
+        let side = if tr_set.is_empty() {
+            "training"
+        } else {
+            "test"
+        };
+        return Err(format!(
+            "a {train}:{test} split of {} days leaves no {side} days",
+            history.len()
+        ));
+    }
     let predictor = SmpPredictor::new(model);
 
-    let lengths: Vec<f64> = if hours > 0.0 {
-        vec![hours]
-    } else {
-        vec![1.0, 2.0, 3.0, 5.0, 10.0]
-    };
     println!(
         "machine {} — {train}:{test} split, windows starting {start:.1}h (weekdays)",
         trace.machine_id
@@ -555,8 +571,7 @@ fn cmd_evaluate(args: &[String]) -> Result<(), String> {
         "{:>8} {:>10} {:>10} {:>10} {:>6}",
         "hours", "predicted", "empirical", "rel_err", "days"
     );
-    for h in lengths {
-        let window = TimeWindow::from_hours(start, h);
+    for (h, window) in windows {
         match evaluate_window(&predictor, &tr_set, &te_set, DayType::Weekday, window) {
             Ok(eval) => {
                 let err = eval

@@ -192,6 +192,48 @@ fn cli_rejects_unknown_command_and_bad_input() {
 }
 
 #[test]
+fn cli_evaluate_refuses_bad_windows_and_ratios() {
+    let dir = std::env::temp_dir().join(format!("fgcs-cli-evaluate-{}", std::process::id()));
+    let dir_str = dir.to_str().expect("utf8 temp path");
+    let out = fgcs()
+        .args(["generate", "--seed", "7", "--days", "4", "--out", dir_str])
+        .output()
+        .expect("binary runs");
+    assert!(out.status.success());
+    let trace_path = dir.join("machine-0.json");
+    let trace_str = trace_path.to_str().expect("utf8");
+
+    let cases: [(&[&str], &str); 4] = [
+        (
+            &["--start", "30", "--hours", "1"],
+            "window must start within the day, got 30h",
+        ),
+        (
+            &["--start", "8", "--hours", "2000000"],
+            "window may cross at most one midnight",
+        ),
+        (&["--train", "0", "--test", "0"], "ratio must be positive"),
+        (
+            &["--train", "3", "--test", "18446744073709551615"],
+            "leaves no training days",
+        ),
+    ];
+    for (flags, error) in cases {
+        let out = fgcs()
+            .args(["evaluate", trace_str])
+            .args(flags)
+            .output()
+            .expect("runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{flags:?}: {stderr}");
+        assert!(stderr.contains(error), "{flags:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{flags:?}: {stderr}");
+    }
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn cli_help_succeeds() {
     let out = fgcs().args(["help"]).output().expect("runs");
     assert!(out.status.success());

@@ -147,6 +147,40 @@ fn empirical_tr_matches_manual_count() {
 }
 
 #[test]
+fn time_series_evaluation_counts_the_days_evaluate_window_counts() {
+    use fgcs::timeseries::{evaluate_ts_window, ts_day_cases};
+    let (model, trace) = testbed(7, 28);
+    let history = trace.to_history(&model).unwrap();
+    let (train, test) = history.split_ratio(1, 1);
+    let predictor = SmpPredictor::new(model);
+    // Both in-day and cross-midnight windows; the last test day has no
+    // next day to stitch a cross-midnight window from.
+    for (start, hours) in [(8.0, 1.0), (8.0, 3.0), (22.0, 4.0)] {
+        let w = TimeWindow::from_hours(start, hours);
+        for day_type in [DayType::Weekday, DayType::Weekend] {
+            let cases = ts_day_cases(
+                &trace.samples,
+                trace.first_day_index,
+                &test,
+                day_type,
+                w,
+                &model,
+            );
+            let of_type = test.days().iter().filter(|d| d.day_type == day_type);
+            assert_eq!(cases.len(), of_type.count(), "a test day lacks its history");
+            let smp = evaluate_window(&predictor, &train, &test, day_type, w).unwrap();
+            for ts_model in paper_lineup() {
+                let ts = evaluate_ts_window(ts_model.as_ref(), &cases, &test, day_type, w, &model)
+                    .unwrap();
+                let ctx = format!("{} {w} {day_type}", ts_model.name());
+                assert_eq!(ts.empirical, smp.empirical, "{ctx}");
+                assert_eq!(ts.days_used, smp.days_used, "{ctx}");
+            }
+        }
+    }
+}
+
+#[test]
 fn cross_midnight_prediction_consistent_with_in_day() {
     // A window at 23:30 + 1 h crosses midnight; the machinery must produce
     // a valid probability from stitched logs.

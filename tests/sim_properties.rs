@@ -1,5 +1,5 @@
 //! Property-based tests over the simulation layer: gateway state machine,
-//! contention model, directory semantics and trace-generation invariants.
+//! contention model, guest-job accounting and trace-generation invariants.
 //!
 //! Runs on the in-tree seeded harness (`fgcs::runtime::check`).
 
@@ -7,7 +7,7 @@ use fgcs::core::State;
 use fgcs::runtime::check::{check, ensure, Gen};
 use fgcs::sim::contention::GuestPriority;
 use fgcs::sim::state_manager::OnlineDecision;
-use fgcs::sim::{CpuContentionModel, Gateway, GuestAction, GuestJob, ResourceDirectory};
+use fgcs::sim::{CpuContentionModel, Gateway, GuestAction, GuestJob};
 
 const CASES: u64 = 128;
 
@@ -177,41 +177,6 @@ fn guest_job_invariants_hold_under_arbitrary_schedules() {
             Ok(())
         },
     );
-}
-
-#[test]
-fn directory_discovery_is_sorted_and_live() {
-    check("directory_discovery_is_sorted_and_live", CASES, |g| {
-        let n = g.usize_in(0, 30);
-        let ads = g.vec_of(n, |g| (g.u64() % 20, g.u64() % 100, g.prob()));
-        let now = 50 + g.u64() % 150;
-        let mut dir = ResourceDirectory::new(60);
-        for (id, at, tr) in &ads {
-            dir.publish(fgcs::sim::ResourceAd {
-                node_id: *id,
-                published_at: *at,
-                available: true,
-                host_load: 0.1,
-                free_mem_mb: 400.0,
-                tr_snapshot: vec![(3600, *tr)],
-            });
-        }
-        let found = dir.discover(now, 3600, 0.0);
-        // No duplicates.
-        let mut dedup = found.clone();
-        dedup.sort_unstable();
-        dedup.dedup();
-        ensure(
-            dedup.len() == found.len(),
-            format!("duplicates in discovery: {found:?}"),
-        )?;
-        // All hits are live.
-        for id in &found {
-            let ad = dir.live_ads(now).into_iter().find(|a| a.node_id == *id);
-            ensure(ad.is_some(), "discovered an expired ad")?;
-        }
-        Ok(())
-    });
 }
 
 #[test]
