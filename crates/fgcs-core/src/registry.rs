@@ -64,7 +64,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use fgcs_runtime::fault::FaultInjector;
-use fgcs_runtime::json::JsonSlice;
+use fgcs_runtime::json::{Field, JsonSlice};
 use fgcs_runtime::shard::shard_of;
 use fgcs_runtime::wal::{self, WalWriter};
 
@@ -953,9 +953,9 @@ fn pool_day(pool: &mut Pool, host: u64, day_index: usize, text: &str, step: u32)
 fn pool_wal_record(payload: &[u8], step: u32, pool: &mut Pool) -> Result<(), ()> {
     let text = std::str::from_utf8(payload).map_err(|_| ())?;
     let record = JsonSlice::scan(text).ok_or(())?;
-    let host = record.get_u64("host").map_err(|_| ())?;
-    let day = record.get_u64("day_index").map_err(|_| ())?;
-    let states = record.get_str("states").map_err(|_| ())?;
+    let host = record.u64(Field::Host).map_err(|_| ())?;
+    let day = record.u64(Field::DayIndex).map_err(|_| ())?;
+    let states = record.str(Field::States).map_err(|_| ())?;
     pool_day(pool, host, day as usize, &states, step)
 }
 
@@ -964,11 +964,11 @@ fn pool_wal_record(payload: &[u8], step: u32, pool: &mut Pool) -> Result<(), ()>
 fn pool_snapshot_host(payload: &[u8], step: u32, pool: &mut Pool) -> Result<(), ()> {
     let text = std::str::from_utf8(payload).map_err(|_| ())?;
     let frame = JsonSlice::scan(text).ok_or(())?;
-    let host = frame.get_u64("host").map_err(|_| ())?;
-    for raw in frame.array("days").map_err(|_| ())? {
-        let day = JsonSlice::element_object(raw).ok_or(())?;
-        let idx = day.get_u64("i").map_err(|_| ())?;
-        let states = day.get_str("s").map_err(|_| ())?;
+    let host = frame.u64(Field::Host).map_err(|_| ())?;
+    for day in frame.array(Field::Days).map_err(|_| ())? {
+        let day = day.map_err(|_| ())?;
+        let idx = day.u64(Field::I).map_err(|_| ())?;
+        let states = day.str(Field::S).map_err(|_| ())?;
         pool_day(pool, host, idx as usize, &states, step)?;
     }
     Ok(())

@@ -10,6 +10,8 @@
 //! forecast never stays above `Th2` for the transient tolerance (the same
 //! rule the state classifier applies to observations).
 
+use std::convert::Infallible;
+
 use fgcs_core::log::{DayLog, HistoryStore};
 use fgcs_core::model::{AvailabilityModel, LoadSample};
 use fgcs_core::predictor::{score_test_days, WindowEvaluation};
@@ -106,8 +108,7 @@ pub fn ts_day_cases(
 ///
 /// `cases` are [`ts_day_cases`] of the same `test`, `day_type` and
 /// `window`. A counted day without a case, or whose history is empty, is
-/// skipped. Returns `None` when no day is usable or any other forecast
-/// fails.
+/// skipped. Returns `None` when no day is usable.
 #[must_use]
 pub fn evaluate_ts_window(
     model: &dyn TimeSeriesModel,
@@ -119,18 +120,17 @@ pub fn evaluate_ts_window(
 ) -> Option<WindowEvaluation> {
     let steps = window.steps(availability.monitor_period_secs);
     let tolerance = availability.transient_tolerance_steps();
-    let forecast_day = |day: &DayLog, _| {
+    let forecast_day = |day: &DayLog, _| -> Result<Option<f64>, Infallible> {
         let Ok(i) = cases.binary_search_by_key(&day.day_index, |c| c.day_index) else {
             return Ok(None);
         };
-        match model.fit_forecast(&cases[i].history, steps) {
+        Ok(match model.fit_forecast(&cases[i].history, steps) {
             Ok(forecast) => {
                 let survives = forecast_survives(&forecast, availability.th2, tolerance);
-                Ok(Some(if survives { 1.0 } else { 0.0 }))
+                Some(if survives { 1.0 } else { 0.0 })
             }
-            Err(TsError::EmptySeries) => Ok(None),
-            Err(e) => Err(e),
-        }
+            Err(TsError::EmptySeries) => None,
+        })
     };
     score_test_days(test, day_type, window, forecast_day)
         .ok()

@@ -11,15 +11,12 @@
 pub enum TsError {
     /// The history series was empty — nothing can be forecast.
     EmptySeries,
-    /// A zero-length model order was requested.
-    ZeroOrder,
 }
 
 impl std::fmt::Display for TsError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             TsError::EmptySeries => write!(f, "cannot fit a model to an empty series"),
-            TsError::ZeroOrder => write!(f, "model order must be at least 1"),
         }
     }
 }
@@ -61,6 +58,5 @@ mod tests {
     #[test]
     fn errors_display() {
         assert!(TsError::EmptySeries.to_string().contains("empty"));
-        assert!(TsError::ZeroOrder.to_string().contains("order"));
     }
 }

@@ -542,6 +542,373 @@ fn hostile_lines_get_pinned_replies() {
             "{\"op\":\"ingest\",\"host\":9,\"states\":\"12\"}".into(),
             &[r#"{"ok":false,"error":"host 9: calendar exhausted, no day index follows 18446744073709551615"}"#],
         ),
+        // Every field error of every op, in the order the op reads its
+        // fields: missing, the wrong type, and `null` where optional.
+        (
+            r#"{"host":3}"#.into(),
+            &[r#"{"ok":false,"error":"json error: missing field `op`"}"#],
+        ),
+        (
+            r#"{"op":5}"#.into(),
+            &[r#"{"ok":false,"error":"json error: op: expected string, found number"}"#],
+        ),
+        (
+            r#"{"op":null}"#.into(),
+            &[r#"{"ok":false,"error":"json error: op: expected string, found null"}"#],
+        ),
+        (
+            r#"{"op":"predict","start":9.0,"hours":2.0}"#.into(),
+            &[r#"{"ok":false,"error":"json error: missing field `host`"}"#],
+        ),
+        (
+            r#"{"op":"predict","host":"3","start":9.0,"hours":2.0}"#.into(),
+            &[r#"{"ok":false,"error":"json error: host: expected unsigned integer, found string"}"#],
+        ),
+        (
+            r#"{"op":"predict","host":null,"start":9.0,"hours":2.0}"#.into(),
+            &[r#"{"ok":false,"error":"json error: host: expected unsigned integer, found null"}"#],
+        ),
+        (
+            r#"{"op":"predict","host":3.5,"start":9.0,"hours":2.0}"#.into(),
+            &[r#"{"ok":false,"error":"json error: host: expected unsigned integer, found number"}"#],
+        ),
+        (
+            r#"{"op":"predict","host":-3,"start":9.0,"hours":2.0}"#.into(),
+            &[r#"{"ok":false,"error":"json error: host: expected unsigned integer, found number"}"#],
+        ),
+        (
+            r#"{"op":"predict","host":3,"hours":2.0}"#.into(),
+            &[r#"{"ok":false,"error":"json error: missing field `start`"}"#],
+        ),
+        (
+            r#"{"op":"predict","host":3,"start":"9","hours":2.0}"#.into(),
+            &[r#"{"ok":false,"error":"json error: start: expected number, found string"}"#],
+        ),
+        (
+            r#"{"op":"predict","host":3,"start":null,"hours":2.0}"#.into(),
+            &[r#"{"ok":false,"error":"json error: start: expected number, found null"}"#],
+        ),
+        (
+            r#"{"op":"predict","host":3,"start":9.0}"#.into(),
+            &[r#"{"ok":false,"error":"json error: missing field `hours`"}"#],
+        ),
+        (
+            r#"{"op":"predict","host":3,"start":9.0,"hours":true}"#.into(),
+            &[r#"{"ok":false,"error":"json error: hours: expected number, found bool"}"#],
+        ),
+        (
+            r#"{"op":"predict","host":3,"start":9.0,"hours":[2]}"#.into(),
+            &[r#"{"ok":false,"error":"json error: hours: expected number, found array"}"#],
+        ),
+        (
+            r#"{"op":"predict","host":3,"start":9.0,"hours":2.0,"day_type":null,"init":null}"#.into(),
+            &[r#"{"ok":true,"op":"predict","host":3,"window":"09:00+2.00h","day_type":"weekday","init":"S1","tr":0.6210692850819619}"#],
+        ),
+        (
+            r#"{"op":"predict","host":3,"start":9.0,"hours":2.0,"day_type":7}"#.into(),
+            &[r#"{"ok":false,"error":"json error: day_type: expected string, found number"}"#],
+        ),
+        (
+            r#"{"op":"predict","host":3,"start":9.0,"hours":2.0,"day_type":"monday"}"#.into(),
+            &[r#"{"ok":false,"error":"day_type must be weekday or weekend, got monday"}"#],
+        ),
+        (
+            r#"{"op":"predict","host":3,"start":9.0,"hours":2.0,"init":{}}"#.into(),
+            &[r#"{"ok":false,"error":"json error: init: expected string, found object"}"#],
+        ),
+        (
+            r#"{"op":"predict","host":3,"start":9.0,"hours":2.0,"init":"S4"}"#.into(),
+            &[r#"{"ok":false,"error":"init must be S1 or S2, got S4"}"#],
+        ),
+        (
+            r#"{"op":"predict","start":"x","hours":null,"init":5}"#.into(),
+            &[r#"{"ok":false,"error":"json error: missing field `host`"}"#],
+        ),
+        (
+            r#"{"op":"predict","host":3,"start":"x","hours":null}"#.into(),
+            &[r#"{"ok":false,"error":"json error: start: expected number, found string"}"#],
+        ),
+        (
+            r#"{"op":"predict","host":3,"start":9.0,"hours":null,"day_type":1}"#.into(),
+            &[r#"{"ok":false,"error":"json error: hours: expected number, found null"}"#],
+        ),
+        (
+            r#"{"op":"predict","host":3,"start":9.0,"hours":2.0,"day_type":"x","init":"x"}"#.into(),
+            &[r#"{"ok":false,"error":"day_type must be weekday or weekend, got x"}"#],
+        ),
+        (
+            r#"{"op":"predict","host":3,"start":30.0,"hours":2.0,"init":"x"}"#.into(),
+            &[r#"{"ok":false,"error":"init must be S1 or S2, got x"}"#],
+        ),
+        (
+            r#"{"op":"predict","host":77,"start":9.0,"hours":2.0}"#.into(),
+            &[r#"{"ok":false,"error":"unknown host 77"}"#],
+        ),
+        (
+            r#"{"op":"sweep","start":9.0,"hours":1.0}"#.into(),
+            &[r#"{"ok":false,"error":"json error: missing field `host`"}"#],
+        ),
+        (
+            r#"{"op":"sweep","host":"3","start":9.0,"hours":1.0}"#.into(),
+            &[r#"{"ok":false,"error":"json error: host: expected unsigned integer, found string"}"#],
+        ),
+        (
+            r#"{"op":"sweep","host":3,"hours":1.0}"#.into(),
+            &[r#"{"ok":false,"error":"json error: missing field `start`"}"#],
+        ),
+        (
+            r#"{"op":"sweep","host":3,"start":9.0}"#.into(),
+            &[r#"{"ok":false,"error":"json error: missing field `hours`"}"#],
+        ),
+        (
+            r#"{"op":"sweep","host":3,"start":9.0,"hours":"1"}"#.into(),
+            &[r#"{"ok":false,"error":"json error: hours: expected number, found string"}"#],
+        ),
+        (
+            r#"{"op":"sweep","host":3,"start":9.0,"hours":1.0,"day_type":false}"#.into(),
+            &[r#"{"ok":false,"error":"json error: day_type: expected string, found bool"}"#],
+        ),
+        (
+            r#"{"op":"sweep","host":3,"start":9.0,"hours":1.0,"init":[]}"#.into(),
+            &[r#"{"ok":false,"error":"json error: init: expected string, found array"}"#],
+        ),
+        (
+            r#"{"op":"sweep","host":3,"start":9.0,"hours":1.0,"points":"3"}"#.into(),
+            &[r#"{"ok":false,"error":"json error: points: expected unsigned integer, found string"}"#],
+        ),
+        (
+            r#"{"op":"sweep","host":3,"start":9.0,"hours":1.0,"points":-3}"#.into(),
+            &[r#"{"ok":false,"error":"json error: points: expected unsigned integer, found number"}"#],
+        ),
+        (
+            r#"{"op":"sweep","host":3,"start":9.0,"hours":1.0,"points":1.5}"#.into(),
+            &[r#"{"ok":false,"error":"json error: points: expected unsigned integer, found number"}"#],
+        ),
+        (
+            r#"{"op":"sweep","host":3,"start":9.0,"hours":1.0,"points":0}"#.into(),
+            &[r#"{"ok":false,"error":"points must be positive"}"#],
+        ),
+        (
+            r#"{"op":"sweep","host":3,"start":9.0,"hours":1.0,"points":null,"day_type":null,"init":null}"#.into(),
+            &[r#"{"window":"09:00+1.00h","day_type":"weekday","init":"S1","step_secs":6,"horizon_steps":600,"points":[{"steps":50,"horizon_hr":0.08333333333333333,"tr":0.9264991064299023},{"steps":100,"horizon_hr":0.16666666666666666,"tr":0.8795183209711235},{"steps":150,"horizon_hr":0.25,"tr":0.8601662831450393},{"steps":200,"horizon_hr":0.3333333333333333,"tr":0.8375391450067168},{"steps":250,"horizon_hr":0.4166666666666667,"tr":0.8236658860656925},{"steps":300,"horizon_hr":0.5,"tr":0.8043543047659311},{"steps":350,"horizon_hr":0.5833333333333334,"tr":0.7927765051942013},{"steps":400,"horizon_hr":0.6666666666666666,"tr":0.7723388671180142},{"steps":450,"horizon_hr":0.75,"tr":0.7593124494539121},{"steps":500,"horizon_hr":0.8333333333333334,"tr":0.7484259479070656},{"steps":550,"horizon_hr":0.9166666666666666,"tr":0.7389410601113262},{"steps":600,"horizon_hr":1,"tr":0.7313785370506534}]}"#],
+        ),
+        (
+            r#"{"op":"sweep","host":3,"start":9.0,"hours":1.0,"points":2.0}"#.into(),
+            &[r#"{"window":"09:00+1.00h","day_type":"weekday","init":"S1","step_secs":6,"horizon_steps":600,"points":[{"steps":300,"horizon_hr":0.5,"tr":0.8043543047659311},{"steps":600,"horizon_hr":1,"tr":0.7313785370506534}]}"#],
+        ),
+        (
+            r#"{"op":"sweep","host":3,"start":25.0,"hours":1.0,"points":"x"}"#.into(),
+            &[r#"{"ok":false,"error":"window must start within the day, got 25h"}"#],
+        ),
+        (
+            r#"{"op":"sweep","host":78,"start":9.0,"hours":1.0,"points":"x"}"#.into(),
+            &[r#"{"ok":false,"error":"json error: points: expected unsigned integer, found string"}"#],
+        ),
+        (
+            r#"{"op":"ingest","states":"12"}"#.into(),
+            &[r#"{"ok":false,"error":"json error: missing field `host`"}"#],
+        ),
+        (
+            r#"{"op":"ingest","host":"20","states":"12"}"#.into(),
+            &[r#"{"ok":false,"error":"json error: host: expected unsigned integer, found string"}"#],
+        ),
+        (
+            r#"{"op":"ingest","host":null,"states":"12"}"#.into(),
+            &[r#"{"ok":false,"error":"json error: host: expected unsigned integer, found null"}"#],
+        ),
+        (
+            r#"{"op":"ingest","host":20,"day_index":"0","states":"12"}"#.into(),
+            &[r#"{"ok":false,"error":"json error: day_index: expected unsigned integer, found string"}"#],
+        ),
+        (
+            r#"{"op":"ingest","host":20,"day_index":-1,"states":"12"}"#.into(),
+            &[r#"{"ok":false,"error":"json error: day_index: expected unsigned integer, found number"}"#],
+        ),
+        (
+            r#"{"op":"ingest","host":20,"day_index":0.5,"states":"12"}"#.into(),
+            &[r#"{"ok":false,"error":"json error: day_index: expected unsigned integer, found number"}"#],
+        ),
+        (
+            r#"{"op":"ingest","host":20,"day_index":0}"#.into(),
+            &[r#"{"ok":false,"error":"json error: missing field `states`"}"#],
+        ),
+        (
+            r#"{"op":"ingest","host":20,"states":12}"#.into(),
+            &[r#"{"ok":false,"error":"json error: states: expected string, found number"}"#],
+        ),
+        (
+            r#"{"op":"ingest","host":20,"states":null}"#.into(),
+            &[r#"{"ok":false,"error":"json error: states: expected string, found null"}"#],
+        ),
+        (
+            r#"{"op":"ingest","host":20,"states":"1260"}"#.into(),
+            &[r#"{"ok":false,"error":"invalid state digit '6' (expected 1-5)"}"#],
+        ),
+        (
+            r#"{"op":"ingest","host":20,"states":"0"}"#.into(),
+            &[r#"{"ok":false,"error":"invalid state digit '0' (expected 1-5)"}"#],
+        ),
+        (
+            r#"{"op":"ingest","host":20,"states":""}"#.into(),
+            &[r#"{"ok":false,"error":"host 20: ingested day carries no samples"}"#],
+        ),
+        (
+            r#"{"op":"ingest","day_index":"x","states":9}"#.into(),
+            &[r#"{"ok":false,"error":"json error: missing field `host`"}"#],
+        ),
+        (
+            r#"{"op":"ingest","host":20,"day_index":"x","states":9}"#.into(),
+            &[r#"{"ok":false,"error":"json error: day_index: expected unsigned integer, found string"}"#],
+        ),
+        (
+            r#"{"op":"ingest","host":20,"day_index":null,"states":"12"}"#.into(),
+            &[r#"{"ok":true,"op":"ingest","host":20,"day_index":0,"days":1}"#],
+        ),
+        (
+            r#"{"op":"host"}"#.into(),
+            &[r#"{"ok":false,"error":"json error: missing field `host`"}"#],
+        ),
+        (
+            r#"{"op":"host","host":"3"}"#.into(),
+            &[r#"{"ok":false,"error":"json error: host: expected unsigned integer, found string"}"#],
+        ),
+        (
+            r#"{"op":"host","host":null}"#.into(),
+            &[r#"{"ok":false,"error":"json error: host: expected unsigned integer, found null"}"#],
+        ),
+        (
+            r#"{"op":"host","host":3.5}"#.into(),
+            &[r#"{"ok":false,"error":"json error: host: expected unsigned integer, found number"}"#],
+        ),
+        (
+            r#"{"op":"host","host":20}"#.into(),
+            &[r#"{"ok":true,"op":"host","host":20,"days":1}"#],
+        ),
+        // Duplicate keys (the first wins), escaped keys (decoded before
+        // matching) and permuted field order.
+        (
+            r#"{"hours":2.0,"init":"S2","start":9.0,"host":3,"op":"predict"}"#.into(),
+            &[r#"{"ok":true,"op":"predict","host":3,"window":"09:00+2.00h","day_type":"weekday","init":"S2","tr":0.6053628769820925}"#],
+        ),
+        (
+            r#"{"op":"predict","host":"x","host":3,"start":9.0,"hours":2.0}"#.into(),
+            &[r#"{"ok":false,"error":"json error: host: expected unsigned integer, found string"}"#],
+        ),
+        (
+            r#"{"op":"predict","host":3,"host":"x","start":9.0,"hours":2.0}"#.into(),
+            &[r#"{"ok":true,"op":"predict","host":3,"window":"09:00+2.00h","day_type":"weekday","init":"S1","tr":0.6210692850819619}"#],
+        ),
+        (
+            r#"{"op":"predict","ho\u0073t":3,"start":9.0,"hours":2.0}"#.into(),
+            &[r#"{"ok":true,"op":"predict","host":3,"window":"09:00+2.00h","day_type":"weekday","init":"S1","tr":0.6210692850819619}"#],
+        ),
+        (
+            r#"{"op":"predict","ho\u0073t":"x","host":3,"start":9.0,"hours":2.0}"#.into(),
+            &[r#"{"ok":false,"error":"json error: host: expected unsigned integer, found string"}"#],
+        ),
+        (
+            r#"{"op":"predict","host":3,"ho\u0073t":"x","start":9.0,"hours":2.0}"#.into(),
+            &[r#"{"ok":true,"op":"predict","host":3,"window":"09:00+2.00h","day_type":"weekday","init":"S1","tr":0.6210692850819619}"#],
+        ),
+        (
+            r#"{"op":"predict","host":3,"start":9.0,"hours":2.0,"init":null,"init":"S2"}"#.into(),
+            &[r#"{"ok":true,"op":"predict","host":3,"window":"09:00+2.00h","day_type":"weekday","init":"S1","tr":0.6210692850819619}"#],
+        ),
+        (
+            r#"{"op":"ingest","host":21,"states":"x","states":"12"}"#.into(),
+            &[r#"{"ok":false,"error":"invalid state digit 'x' (expected 1-5)"}"#],
+        ),
+        (
+            r#"{"points":2,"op":"sweep","hours":1.0,"start":9.0,"host":3}"#.into(),
+            &[r#"{"window":"09:00+1.00h","day_type":"weekday","init":"S1","step_secs":6,"horizon_steps":600,"points":[{"steps":300,"horizon_hr":0.5,"tr":0.8043543047659311},{"steps":600,"horizon_hr":1,"tr":0.7313785370506534}]}"#],
+        ),
+        (
+            r#"{"st\u0061tes":"12","host":21,"op":"ingest"}"#.into(),
+            &[r#"{"ok":true,"op":"ingest","host":21,"day_index":0,"days":1}"#],
+        ),
+        // The same inside `batch`, plus a non-object element, control ops
+        // (refused before their fields are read), nested and empty batches.
+        (
+            r#"{"op":"batch","ops":null}"#.into(),
+            &[r#"{"ok":false,"error":"json error: ops: expected array, found null"}"#],
+        ),
+        (
+            r#"{"op":"batch","ops":{}}"#.into(),
+            &[r#"{"ok":false,"error":"json error: ops: expected array, found object"}"#],
+        ),
+        (
+            r#"{"op":"batch"}"#.into(),
+            &[r#"{"ok":false,"error":"json error: missing field `ops`"}"#],
+        ),
+        (
+            r#"{"ops":[],"op":"batch"}"#.into(),
+            &[r#"{"ok":false,"error":"batch needs at least one op"}"#],
+        ),
+        (
+            r#"{"op":"batch","ops":[{"op":"predict","start":9.0,"hours":2.0},{"op":"predict","host":"3","start":9.0,"hours":2.0},{"op":"predict","host":3,"start":null,"hours":2.0},{"op":"predict","host":3,"start":9.0},{"op":"predict","host":3,"start":9.0,"hours":2.0,"day_type":null,"init":null},{"op":"predict","host":3,"start":9.0,"hours":2.0,"day_type":7},{"op":"predict","host":3,"start":9.0,"hours":2.0,"init":{}},{"op":"predict","host":3,"start":30.0,"hours":2.0,"init":"x"},{"op":"sweep","host":3,"start":9.0,"hours":1.0,"points":"3"},{"op":"sweep","host":3,"start":9.0,"hours":1.0,"points":null},{"op":"sweep","host":3,"start":25.0,"hours":1.0,"points":"x"},{"op":"ingest","host":22,"day_index":"0","states":"12"},{"op":"ingest","host":22,"states":null},{"op":"ingest","host":22,"states":"129"},{"op":"ingest","day_index":"x","states":9},{"op":5},{"host":3},{"op":null},{"op":"nope"}]}"#.into(),
+            &[
+                r#"{"ok":false,"error":"json error: missing field `host`"}"#,
+                r#"{"ok":false,"error":"json error: host: expected unsigned integer, found string"}"#,
+                r#"{"ok":false,"error":"json error: start: expected number, found null"}"#,
+                r#"{"ok":false,"error":"json error: missing field `hours`"}"#,
+                r#"{"ok":true,"op":"predict","host":3,"window":"09:00+2.00h","day_type":"weekday","init":"S1","tr":0.6210692850819619}"#,
+                r#"{"ok":false,"error":"json error: day_type: expected string, found number"}"#,
+                r#"{"ok":false,"error":"json error: init: expected string, found object"}"#,
+                r#"{"ok":false,"error":"init must be S1 or S2, got x"}"#,
+                r#"{"ok":false,"error":"json error: points: expected unsigned integer, found string"}"#,
+                r#"{"window":"09:00+1.00h","day_type":"weekday","init":"S1","step_secs":6,"horizon_steps":600,"points":[{"steps":50,"horizon_hr":0.08333333333333333,"tr":0.9264991064299023},{"steps":100,"horizon_hr":0.16666666666666666,"tr":0.8795183209711235},{"steps":150,"horizon_hr":0.25,"tr":0.8601662831450393},{"steps":200,"horizon_hr":0.3333333333333333,"tr":0.8375391450067168},{"steps":250,"horizon_hr":0.4166666666666667,"tr":0.8236658860656925},{"steps":300,"horizon_hr":0.5,"tr":0.8043543047659311},{"steps":350,"horizon_hr":0.5833333333333334,"tr":0.7927765051942013},{"steps":400,"horizon_hr":0.6666666666666666,"tr":0.7723388671180142},{"steps":450,"horizon_hr":0.75,"tr":0.7593124494539121},{"steps":500,"horizon_hr":0.8333333333333334,"tr":0.7484259479070656},{"steps":550,"horizon_hr":0.9166666666666666,"tr":0.7389410601113262},{"steps":600,"horizon_hr":1,"tr":0.7313785370506534}]}"#,
+                r#"{"ok":false,"error":"window must start within the day, got 25h"}"#,
+                r#"{"ok":false,"error":"json error: day_index: expected unsigned integer, found string"}"#,
+                r#"{"ok":false,"error":"json error: states: expected string, found null"}"#,
+                r#"{"ok":false,"error":"invalid state digit '9' (expected 1-5)"}"#,
+                r#"{"ok":false,"error":"json error: missing field `host`"}"#,
+                r#"{"ok":false,"error":"json error: op: expected string, found number"}"#,
+                r#"{"ok":false,"error":"json error: missing field `op`"}"#,
+                r#"{"ok":false,"error":"json error: op: expected string, found null"}"#,
+                r#"{"ok":false,"error":"unknown op `nope`"}"#,
+            ],
+        ),
+        (
+            r#"{"op":"batch","ops":[{"hours":2.0,"init":"S2","start":9.0,"host":3,"op":"predict"},{"op":"predict","host":"x","host":3,"start":9.0,"hours":2.0},{"op":"predict","ho\u0073t":3,"start":9.0,"hours":2.0},{"op":"predict","host":"x","host":3,"start":9.0,"hours":2.0},{"o\u0070":"ping","op":"stats"},{"states":"12","host":22,"op":"ingest"},{"points":2,"op":"sweep","hours":1.0,"start":9.0,"host":3}]}"#.into(),
+            &[
+                r#"{"ok":true,"op":"predict","host":3,"window":"09:00+2.00h","day_type":"weekday","init":"S2","tr":0.6053628769820925}"#,
+                r#"{"ok":false,"error":"json error: host: expected unsigned integer, found string"}"#,
+                r#"{"ok":true,"op":"predict","host":3,"window":"09:00+2.00h","day_type":"weekday","init":"S1","tr":0.6210692850819619}"#,
+                r#"{"ok":false,"error":"json error: host: expected unsigned integer, found string"}"#,
+                r#"{"ok":true,"op":"ping"}"#,
+                r#"{"ok":true,"op":"ingest","host":22,"day_index":0,"days":1}"#,
+                r#"{"window":"09:00+1.00h","day_type":"weekday","init":"S1","step_secs":6,"horizon_steps":600,"points":[{"steps":300,"horizon_hr":0.5,"tr":0.8043543047659311},{"steps":600,"horizon_hr":1,"tr":0.7313785370506534}]}"#,
+            ],
+        ),
+        (
+            r#"{"op":"batch","ops":[{"op":"host","host":"bad"},{"op":"health"},{"op":"stats","x":1},{"op":"shutdown"},{"op":"batch","ops":5},{"op":"batch"},{"op":"batch","ops":[{"op":"ping"}]},{"op":"ping"}]}"#.into(),
+            &[
+                r#"{"ok":false,"error":"op `host` not allowed inside batch"}"#,
+                r#"{"ok":false,"error":"op `health` not allowed inside batch"}"#,
+                r#"{"ok":false,"error":"op `stats` not allowed inside batch"}"#,
+                r#"{"ok":false,"error":"op `shutdown` not allowed inside batch"}"#,
+                r#"{"ok":false,"error":"op `batch` not allowed inside batch"}"#,
+                r#"{"ok":false,"error":"op `batch` not allowed inside batch"}"#,
+                r#"{"ok":false,"error":"op `batch` not allowed inside batch"}"#,
+                r#"{"ok":true,"op":"ping"}"#,
+            ],
+        ),
+        (
+            r#"{"op":"batch","ops":[[],{},"",true,false,-1.5,{"op":"ping"}]}"#.into(),
+            &[
+                r#"{"ok":false,"error":"json error: expected object with field `op`, found array"}"#,
+                r#"{"ok":false,"error":"json error: missing field `op`"}"#,
+                r#"{"ok":false,"error":"json error: expected object with field `op`, found string"}"#,
+                r#"{"ok":false,"error":"json error: expected object with field `op`, found bool"}"#,
+                r#"{"ok":false,"error":"json error: expected object with field `op`, found bool"}"#,
+                r#"{"ok":false,"error":"json error: expected object with field `op`, found number"}"#,
+                r#"{"ok":true,"op":"ping"}"#,
+            ],
+        ),
+        (
+            r#"{"op":"batch","ops":[{"op":"batch","ops":[]}]}"#.into(),
+            &[r#"{"ok":false,"error":"op `batch` not allowed inside batch"}"#],
+        ),
         (
             "{\"op\":\"sh\\u0075tdown\"}".into(),
             &[r#"{"ok":true,"op":"shutdown"}"#],

@@ -5,13 +5,15 @@
 //! pooled reply buffer, populated the shard's kernel cache, and seeded the
 //! cross-host solve memo, a repeated `predict` request handled through
 //! [`Server::handle_line_into`] must not touch the allocator at all: the
-//! request line is scanned in place ([`JsonSlice`]), the answer comes from
-//! the per-kernel solve memo, and the reply is formatted into the pooled
-//! [`JsonWriter`]. `ping` gets the same guarantee for free, and so does a
+//! request line is scanned once, in place ([`JsonSlice`]), the answer
+//! comes from the per-kernel solve memo, and the reply is formatted into
+//! the pooled [`JsonWriter`]. `ping` gets the same guarantee for free, and so does a
 //! `batch` of warm predicts, whose ops take the same path one by one. A
-//! warm durable `ingest` allocates, but never a buffer the size of its
-//! samples: the digits are cut straight into runs, and the WAL record is
-//! the runs' text.
+//! warm `sweep` allocates exactly its TR curve's two vectors: its reply
+//! document is written straight into the pooled buffer. A warm durable
+//! `ingest` allocates, but never a buffer the size of its samples: the
+//! digits are cut straight into runs, and the WAL record is the runs'
+//! text.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -174,6 +176,31 @@ fn warm_batch_of_predicts_does_not_allocate() {
 }
 
 #[test]
+fn warm_sweep_allocates_only_its_curve() {
+    // The registry answers a sweep with a fresh `TrCurve` (one vector per
+    // operational initial state); the decode and the 12-point reply
+    // document allocate nothing.
+    let s = warm_server();
+    let req = r#"{"op":"sweep","host":9,"start":9.0,"hours":2.0,"day_type":"weekday","init":"S1","points":12}"#;
+    let mut out = JsonWriter::new();
+    assert!(!s.handle_line_into(req, &mut out));
+    let want = out.as_str().to_string();
+    assert_eq!(want.matches("\"tr\":").count(), 12, "{want}");
+
+    let ((), allocs) = count_allocations(|| {
+        for _ in 0..100 {
+            out.clear();
+            assert!(!s.handle_line_into(req, &mut out));
+            assert_eq!(out.as_str(), want);
+        }
+    });
+    assert_eq!(
+        allocs, 200,
+        "a warm sweep allocates its curve's two vectors and nothing else"
+    );
+}
+
+#[test]
 fn warm_ping_requests_do_not_allocate() {
     let s = warm_server();
     let mut out = JsonWriter::new();
@@ -192,9 +219,9 @@ fn warm_ping_requests_do_not_allocate() {
 
 #[test]
 fn warm_error_replies_do_not_allocate_for_borrowed_errors() {
-    // Field-shape errors are borrowed (`SliceError`) and render straight
-    // into the pooled buffer — the error path for malformed-but-scannable
-    // requests is allocation-free too.
+    // Field-shape errors (`SliceError`) render straight into the pooled
+    // buffer — the error path for malformed-but-scannable requests is
+    // allocation-free too.
     let s = warm_server();
     let req = r#"{"op":"predict","host":9}"#; // missing `start`
     let mut out = JsonWriter::new();
