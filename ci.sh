@@ -172,22 +172,20 @@ rm -rf "$serve_tmp"
 echo "== cargo doc --offline --workspace --no-deps (warnings denied)"
 RUSTDOCFLAGS="-D warnings" cargo doc -q --offline --workspace --no-deps
 
-echo "== bench smoke -> BENCH_baseline.json (hard gates + 1.25x check against the committed baseline)"
+echo "== bench smoke -> .bench_out/bench_smoke.json (hard gates + 1.25x check against the committed BENCH_baseline.json)"
 # Both files hold ns/op at machine_factor 1.0, so they compare key by key;
-# the check runs once.
-prev_baseline=$(mktemp)
-cp BENCH_baseline.json "$prev_baseline"
-cargo run -q --release --offline -p fgcs-bench --bin bench_smoke -- --out BENCH_baseline.json
+# the check runs once. CI never writes the committed baseline: re-recording
+# it is a deliberate `bench_smoke --out BENCH_baseline.json`.
+mkdir -p .bench_out
+cargo run -q --release --offline -p fgcs-bench --bin bench_smoke -- --out .bench_out/bench_smoke.json
 cargo run -q --release --offline -p fgcs-bench --bin bench_smoke -- \
-  --check BENCH_baseline.json --against "$prev_baseline"
-rm -f "$prev_baseline"
+  --check .bench_out/bench_smoke.json --against BENCH_baseline.json
 
 echo "== wire gate: each examples/benchmark workload once, checked against BENCH_wire.json"
 # BENCHMARK.json's command at the settings BENCH_wire.json was measured
 # at. Each workload must answer every request correctly, keep rss_mb
 # within 1.05x of its committed median and server_cpu_us and setup_s
 # within 3x (bench_smoke's module docs give the reasons).
-mkdir -p .bench_out
 rm -f .bench_out/ci-wire.jsonl
 for workload in query_hot ingest_durable day_rollover cold_window; do
   cargo run --release --offline --quiet --manifest-path examples/benchmark/Cargo.toml -- \

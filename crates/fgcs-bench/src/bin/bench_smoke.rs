@@ -1,11 +1,13 @@
 //! Bench smoke: the workspace's micro-benchmarks, each bounded to a few
-//! milliseconds per sample, emitting `BENCH_baseline.json` with one ns/op
-//! figure per bench — the perf-trajectory artifact CI regenerates and
-//! checks on every run — plus the check on the wire benchmark's result
-//! lines.
+//! milliseconds per sample, emitting a baseline file with one ns/op figure
+//! per bench, plus the check on the wire benchmark's result lines. The
+//! committed `BENCH_baseline.json` is the perf-trajectory artifact: CI
+//! writes a fresh run to `.bench_out/bench_smoke.json` and checks it
+//! `--against` the committed file, and re-recording that file is a
+//! deliberate `bench_smoke --out BENCH_baseline.json`.
 //!
 //! ```text
-//! bench_smoke [--out PATH]                 # run the benches, write the baseline
+//! bench_smoke [--out PATH]                 # run the benches, write PATH (default BENCH_baseline.json)
 //! bench_smoke --check PATH                 # validate a baseline file, exit 1 on problems
 //! bench_smoke --check PATH --against OLD   # also flag >1.25x regressions vs OLD
 //! bench_smoke --wire RESULTS --against REF # gate examples/benchmark result lines

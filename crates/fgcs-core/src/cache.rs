@@ -364,8 +364,9 @@ impl QhCache {
     /// Returns the *stale* kernel for the query coordinates, if any: an
     /// entry matching everything but the history length. This is the
     /// degraded-mode fallback — when fresh estimation fails (e.g. the live
-    /// history was quarantined away), a kernel estimated from an earlier
-    /// history snapshot is still a far better TR source than a prior.
+    /// history no longer covers the window), a kernel estimated from an
+    /// earlier history snapshot is still a far better TR source than a
+    /// prior.
     ///
     /// When several lengths are cached the longest history wins (history
     /// lengths are unique per coordinate set, so the winner is

@@ -23,8 +23,7 @@
 //!   the interval transition probabilities ([`smp::SparseSolver`]),
 //! * the end-to-end **temporal reliability predictor** and its evaluation
 //!   harness ([`predictor::SmpPredictor`], [`predictor::evaluate_window`]),
-//! * **graceful degradation** for corrupted or missing history: lossy
-//!   ingestion ([`log::HistoryStore::from_samples_lossy`]) and the tagged
+//! * **graceful degradation** for sparse or missing history: the tagged
 //!   fallback chain ([`robust::RobustPredictor`]),
 //! * a **sharded streaming registry** for long-running serving: hash-by-host
 //!   shards, per-shard kernel caches, O(1) incremental Q/H updates and an
@@ -53,7 +52,7 @@ pub use batch::TrCurve;
 pub use cache::{KernelDedup, QhCache};
 pub use classify::StateClassifier;
 pub use error::CoreError;
-pub use log::{DayLog, HistoryStore, IngestReport, StateLog};
+pub use log::{DayLog, HistoryStore, StateLog};
 pub use model::{AvailabilityModel, LoadSample};
 pub use predictor::{
     empirical_tr, evaluate_window, evaluate_window_markov, SmpPredictor, SolverPolicy,

@@ -17,77 +17,6 @@ use crate::model::{AvailabilityModel, LoadSample};
 use crate::state::{self, State};
 use crate::window::{DayType, TimeWindow};
 
-/// What [`HistoryStore::from_samples_lossy`] did to a corrupted stream:
-/// how much was repaired, quarantined, or dropped. Serialisable so chaos
-/// campaigns can log it alongside their metrics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct IngestReport {
-    /// Samples offered to the ingestor (including any trailing partial day).
-    pub total_samples: usize,
-    /// Samples whose readings were insane and repaired by hold-last.
-    pub repaired_samples: usize,
-    /// Whole days accepted into the store.
-    pub days_ingested: usize,
-    /// Whole days rejected as irreparable (more than half repaired).
-    pub days_quarantined: usize,
-    /// Samples of a trailing partial day dropped from the tail.
-    pub trailing_samples_dropped: usize,
-}
-
-impl_json_struct!(IngestReport {
-    total_samples,
-    repaired_samples,
-    days_ingested,
-    days_quarantined,
-    trailing_samples_dropped,
-});
-
-impl IngestReport {
-    /// Whether the whole stream was ingested untouched.
-    #[must_use]
-    pub fn is_clean(&self) -> bool {
-        self.repaired_samples == 0
-            && self.days_quarantined == 0
-            && self.trailing_samples_dropped == 0
-    }
-}
-
-/// Fraction of a day's samples above which the day is quarantined rather
-/// than repaired: a day that is mostly hold-last interpolation carries no
-/// signal and would bias the kernel estimate.
-const QUARANTINE_REPAIR_FRACTION: f64 = 0.5;
-
-/// Repairs insane readings in a sample stream by holding the last sane
-/// sample (per the whole reading — CPU and memory travel together, since a
-/// monitor glitch rarely corrupts one field in isolation). A stream that
-/// *starts* insane holds `seed` instead. Returns the repaired stream and
-/// the number of repaired samples.
-///
-/// Idempotent: the repaired stream is entirely sane, so repairing it again
-/// changes nothing (a property test asserts this).
-pub fn sanitize_samples(samples: &[LoadSample], seed: LoadSample) -> (Vec<LoadSample>, usize) {
-    let mut held = seed;
-    let mut repaired = 0usize;
-    let out = samples
-        .iter()
-        .map(|&s| {
-            if s.is_sane() {
-                held = s;
-                s
-            } else {
-                repaired += 1;
-                // A dead heartbeat is real signal even when the readings
-                // are garbage: keep `alive` from the observation.
-                LoadSample {
-                    alive: s.alive,
-                    ..held
-                }
-            }
-        })
-        .collect();
-    (out, repaired)
-}
-
 /// Index of the last sample of the run that starts at `start`, searched a
 /// block of samples at a time.
 fn run_end<T: Copy + PartialEq>(samples: &[T], start: usize) -> usize {
@@ -536,73 +465,6 @@ impl HistoryStore {
         Ok(store)
     }
 
-    /// Builds a history store from a stream that may be corrupted or
-    /// incomplete, degrading instead of erroring where
-    /// [`HistoryStore::from_samples`] would fail:
-    ///
-    /// * insane readings (NaN, ±inf, out-of-range — see
-    ///   [`LoadSample::is_sane`]) are repaired by holding the last sane
-    ///   sample;
-    /// * days needing more than half their samples repaired are
-    ///   **quarantined** — excluded from the store, though their calendar
-    ///   slot still advances so later days keep their weekday/weekend tag;
-    /// * a trailing partial day is dropped rather than rejected.
-    ///
-    /// On a clean whole-day stream this is exactly equivalent to
-    /// `from_samples`. The returned [`IngestReport`] accounts for every
-    /// repair; `core.ingest.*` counters mirror it in the metrics registry.
-    #[must_use]
-    pub fn from_samples_lossy(
-        model: &AvailabilityModel,
-        samples: &[LoadSample],
-        first_day_index: usize,
-    ) -> (HistoryStore, IngestReport) {
-        let per_day = model.samples_per_day();
-        let mut report = IngestReport {
-            total_samples: samples.len(),
-            ..IngestReport::default()
-        };
-        let whole = samples.len() / per_day * per_day;
-        report.trailing_samples_dropped = samples.len() - whole;
-        let classifier = StateClassifier::new(*model);
-        let mut store = HistoryStore::new();
-        // Seed the hold-last repair with a sample a guest could run beside.
-        let fallback_mem = model.guest_working_set_mb * 4.0;
-        let mut held_seed = LoadSample::idle(fallback_mem);
-        for (i, chunk) in samples[..whole].chunks(per_day).enumerate() {
-            let (repaired, n_repaired) = sanitize_samples(chunk, held_seed);
-            report.repaired_samples += n_repaired;
-            // Carry the last sane reading across the day boundary so a
-            // stream starting a day insane holds yesterday's level.
-            if let Some(&last_sane) = repaired.iter().rev().find(|s| s.is_sane()) {
-                held_seed = last_sane;
-            }
-            if n_repaired as f64 > QUARANTINE_REPAIR_FRACTION * per_day as f64 {
-                report.days_quarantined += 1;
-                continue;
-            }
-            let states = classifier.classify(&repaired);
-            store.push_day(DayLog::new(
-                first_day_index + i,
-                StateLog::new(model.monitor_period_secs, states),
-            ));
-            report.days_ingested += 1;
-        }
-        fgcs_runtime::counter_add!(
-            "core.ingest.repaired_samples",
-            report.repaired_samples as u64
-        );
-        fgcs_runtime::counter_add!(
-            "core.ingest.quarantined_days",
-            report.days_quarantined as u64
-        );
-        fgcs_runtime::counter_add!(
-            "core.ingest.dropped_trailing_samples",
-            report.trailing_samples_dropped as u64
-        );
-        (store, report)
-    }
-
     /// Appends a day log (days are expected in chronological order).
     pub fn push_day(&mut self, day: DayLog) {
         self.days.push(day);
@@ -799,92 +661,6 @@ mod tests {
         assert_eq!(store.days()[0].day_type, DayType::Weekday);
         assert_eq!(store.days()[5].day_type, DayType::Weekend);
         assert!(store.days()[0].log.states().iter().all(|&s| s == State::S1));
-    }
-
-    fn nan_sample() -> LoadSample {
-        LoadSample {
-            host_cpu: f64::NAN,
-            free_mem_mb: f64::NAN,
-            alive: true,
-        }
-    }
-
-    #[test]
-    fn lossy_matches_strict_on_clean_input() {
-        let model = AvailabilityModel::default();
-        let per_day = model.samples_per_day();
-        let mut samples = vec![LoadSample::idle(512.0); per_day * 3];
-        // Mix in busy and revoked stretches so classification is non-trivial.
-        for s in &mut samples[100..400] {
-            s.host_cpu = 0.9;
-        }
-        for s in &mut samples[per_day..per_day + 50] {
-            *s = LoadSample::revoked();
-        }
-        let strict = HistoryStore::from_samples(&model, &samples, 2).unwrap();
-        let (lossy, report) = HistoryStore::from_samples_lossy(&model, &samples, 2);
-        assert_eq!(strict, lossy);
-        assert!(report.is_clean());
-        assert_eq!(report.days_ingested, 3);
-    }
-
-    #[test]
-    fn lossy_repairs_insane_samples_by_hold_last() {
-        let model = AvailabilityModel::default();
-        let per_day = model.samples_per_day();
-        let mut samples = vec![LoadSample::idle(512.0); per_day];
-        samples[10].host_cpu = 0.9; // S3-level load…
-        samples[11] = nan_sample(); // …held through the glitch
-        samples[12].host_cpu = f64::INFINITY;
-        let (store, report) = HistoryStore::from_samples_lossy(&model, &samples, 0);
-        assert_eq!(report.repaired_samples, 2);
-        assert_eq!(report.days_ingested, 1);
-        let states = store.days()[0].log.states();
-        // The held 0.9 load classifies 11 and 12 like their neighbor 10.
-        assert_eq!(states[11], states[10]);
-        assert_eq!(states[12], states[10]);
-    }
-
-    #[test]
-    fn lossy_quarantines_mostly_garbage_days_but_keeps_calendar() {
-        let model = AvailabilityModel::default();
-        let per_day = model.samples_per_day();
-        let mut samples = vec![LoadSample::idle(512.0); per_day * 3];
-        // Corrupt > half of day 1.
-        for s in &mut samples[per_day..per_day + per_day / 2 + 10] {
-            *s = nan_sample();
-        }
-        let (store, report) = HistoryStore::from_samples_lossy(&model, &samples, 0);
-        assert_eq!(report.days_quarantined, 1);
-        assert_eq!(report.days_ingested, 2);
-        // Day indices 0 and 2 survive: the quarantined slot still advanced.
-        let indices: Vec<usize> = store.days().iter().map(|d| d.day_index).collect();
-        assert_eq!(indices, vec![0, 2]);
-    }
-
-    #[test]
-    fn lossy_drops_trailing_partial_day() {
-        let model = AvailabilityModel::default();
-        let per_day = model.samples_per_day();
-        let samples = vec![LoadSample::idle(512.0); per_day + 123];
-        let (store, report) = HistoryStore::from_samples_lossy(&model, &samples, 0);
-        assert_eq!(store.len(), 1);
-        assert_eq!(report.trailing_samples_dropped, 123);
-    }
-
-    #[test]
-    fn lossy_preserves_dead_heartbeat_through_repair() {
-        let model = AvailabilityModel::default();
-        let per_day = model.samples_per_day();
-        let mut samples = vec![LoadSample::idle(512.0); per_day];
-        samples[20] = LoadSample {
-            alive: false,
-            ..nan_sample()
-        };
-        let (store, report) = HistoryStore::from_samples_lossy(&model, &samples, 0);
-        assert_eq!(report.repaired_samples, 1);
-        // The dead heartbeat survives the value repair: state is S5.
-        assert_eq!(store.days()[0].log.states()[20], State::S5);
     }
 
     /// The windows [`HistoryStore::for_each_recent_window`] visits, expanded

@@ -4,9 +4,9 @@
 //! The strict [`SmpPredictor`] is the right
 //! tool when history is known-good: an empty or uncovered window is a
 //! caller bug and deserves an error. A scheduler polling dozens of faulty
-//! volunteer hosts is in a different regime — history may be quarantined,
-//! truncated, or temporarily missing, and "no answer" forces the scheduler
-//! to invent one (the old `unwrap_or(0.5)`). [`RobustPredictor`] makes the
+//! volunteer hosts is in a different regime — history may be short, full
+//! of monitor gaps, or temporarily missing, and "no answer" forces the
+//! scheduler to invent one (the old `unwrap_or(0.5)`). [`RobustPredictor`] makes the
 //! inventing explicit and auditable: every TR is tagged with the
 //! [`PredictionQuality`] of the path that produced it, and the chain
 //! degrades in order of information content:
@@ -183,15 +183,12 @@ impl RobustPredictor {
     }
 
     fn tag(&self, tr: f64, quality: PredictionQuality) -> QualifiedTr {
-        fgcs_runtime::counter_add!(
-            match quality {
-                PredictionQuality::Exact => "core.robust.exact",
-                PredictionQuality::Stale => "core.robust.stale",
-                PredictionQuality::Widened => "core.robust.widened",
-                PredictionQuality::Prior => "core.robust.prior",
-            },
-            1
-        );
+        match quality {
+            PredictionQuality::Exact => fgcs_runtime::counter_add!("core.robust.exact", 1),
+            PredictionQuality::Stale => fgcs_runtime::counter_add!("core.robust.stale", 1),
+            PredictionQuality::Widened => fgcs_runtime::counter_add!("core.robust.widened", 1),
+            PredictionQuality::Prior => fgcs_runtime::counter_add!("core.robust.prior", 1),
+        }
         QualifiedTr {
             tr: tr.clamp(0.0, 1.0),
             quality,

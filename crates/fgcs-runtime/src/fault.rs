@@ -16,9 +16,9 @@
 //! The fault taxonomy mirrors what real fine-grained cycle-sharing monitors
 //! produce: garbage measurements under contention (NaN / ±inf /
 //! out-of-range values), lost and duplicated samples, stuck-at readings,
-//! multi-step monitor outages, truncated day logs, and whole-node blackouts
-//! during cluster sweeps. Injection sites report through `runtime.fault.*`
-//! counters so a campaign can be audited from the metrics snapshot alone.
+//! multi-step monitor outages, and whole-node blackouts during cluster
+//! sweeps. Injection sites report through `runtime.fault.*` counters, one
+//! per class, so a campaign can be audited from the metrics snapshot alone.
 
 use crate::impl_json_struct;
 use crate::rng::splitmix64;
@@ -40,9 +40,9 @@ pub enum ValueFault {
 
 /// Rates and shapes of every injectable fault class.
 ///
-/// All `*_rate` fields are per-sample (or per-day, for truncation)
-/// probabilities in `[0, 1]`; `*_len` fields are run lengths in samples.
-/// The default plan injects nothing.
+/// All `*_rate` fields are per-event probabilities in `[0, 1]` (per
+/// sample, tick, WAL record or snapshot); `*_len` fields are run lengths
+/// in samples. [`FaultPlan::none`] injects nothing.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     /// Seed all fault decisions derive from.
@@ -71,8 +71,6 @@ pub struct FaultPlan {
     pub blackout_rate: f64,
     /// Length of a blackout in ticks.
     pub blackout_len: u64,
-    /// Probability that a day log is truncated (loses its tail).
-    pub truncate_day_rate: f64,
     /// Probability that a WAL append is torn mid-frame (a crash between
     /// `write` and completion persists only a prefix of the frame).
     pub wal_torn_write_rate: f64,
@@ -97,7 +95,6 @@ impl_json_struct!(FaultPlan {
     outage_len,
     blackout_rate,
     blackout_len,
-    truncate_day_rate,
     wal_torn_write_rate,
     wal_bit_flip_rate,
     wal_snapshot_loss_rate,
@@ -121,7 +118,6 @@ impl FaultPlan {
             outage_len: 0,
             blackout_rate: 0.0,
             blackout_len: 0,
-            truncate_day_rate: 0.0,
             wal_torn_write_rate: 0.0,
             wal_bit_flip_rate: 0.0,
             wal_snapshot_loss_rate: 0.0,
@@ -146,7 +142,6 @@ impl FaultPlan {
             outage_len: 40,
             blackout_rate: 0.0005,
             blackout_len: 200,
-            truncate_day_rate: 0.2,
             wal_torn_write_rate: 0.02,
             wal_bit_flip_rate: 0.01,
             wal_snapshot_loss_rate: 0.1,
@@ -164,7 +159,6 @@ impl FaultPlan {
             && self.stuck_rate == 0.0
             && self.outage_rate == 0.0
             && self.blackout_rate == 0.0
-            && self.truncate_day_rate == 0.0
             && self.wal_torn_write_rate == 0.0
             && self.wal_bit_flip_rate == 0.0
             && self.wal_snapshot_loss_rate == 0.0
@@ -182,8 +176,6 @@ mod salt {
     pub const STUCK: u64 = 0x9E6C_63D0_876A_3F6B;
     pub const OUTAGE: u64 = 0xD6E8_FEB8_6659_FD93;
     pub const BLACKOUT: u64 = 0xA076_1D64_95B0_63C2;
-    pub const TRUNCATE: u64 = 0xE703_7ED1_A0B4_28DB;
-    pub const TRUNCATE_FRAC: u64 = 0x8EBC_6AF0_9C88_C6E3;
     pub const WAL_TORN: u64 = 0x4CF5_AD43_2745_937F;
     pub const WAL_TORN_FRAC: u64 = 0x6C62_272E_07BB_0142;
     pub const WAL_FLIP: u64 = 0x27D4_EB2F_1656_67C5;
@@ -262,14 +254,13 @@ impl FaultInjector {
         } else {
             return None;
         };
-        crate::counter_add!(
-            match fault {
-                ValueFault::Nan => "runtime.fault.nan_values",
-                ValueFault::PosInf | ValueFault::NegInf => "runtime.fault.inf_values",
-                ValueFault::OutOfRange => "runtime.fault.out_of_range_values",
-            },
-            1
-        );
+        match fault {
+            ValueFault::Nan => crate::counter_add!("runtime.fault.nan_values", 1),
+            ValueFault::PosInf | ValueFault::NegInf => {
+                crate::counter_add!("runtime.fault.inf_values", 1);
+            }
+            ValueFault::OutOfRange => crate::counter_add!("runtime.fault.out_of_range_values", 1),
+        }
         Some(fault)
     }
 
@@ -339,20 +330,6 @@ impl FaultInjector {
         )
     }
 
-    /// If day `day` of the stream is truncated, the number of samples (out
-    /// of `day_len`) that survive — always at least one and strictly fewer
-    /// than `day_len`. `None` when the day is intact.
-    pub fn truncated_day_len(&self, stream: u64, day: u64, day_len: usize) -> Option<usize> {
-        if day_len < 2 || !self.fires(self.plan.truncate_day_rate, salt::TRUNCATE, stream, day) {
-            return None;
-        }
-        crate::counter_add!("runtime.fault.truncated_days", 1);
-        // Keep between 10% and 90% of the day.
-        let frac = 0.1 + 0.8 * self.roll(salt::TRUNCATE_FRAC, stream, day);
-        let keep = ((day_len as f64 * frac) as usize).clamp(1, day_len - 1);
-        Some(keep)
-    }
-
     /// If the WAL append of record `index` is torn, the number of frame
     /// bytes (out of `frame_len`) that survive — a strict prefix, so
     /// the reader sees a torn tail. `None` when the append completes.
@@ -414,7 +391,6 @@ mod tests {
             assert_eq!(inj.wal_bit_flip(3, i, 64), None);
             assert!(!inj.wal_snapshot_lost(3, i));
         }
-        assert_eq!(inj.truncated_day_len(3, 0, 14_400), None);
     }
 
     #[test]
@@ -492,20 +468,6 @@ mod tests {
             // samples are covered by construction.
             assert!(inj.in_outage(0, i), "gap inside outage at {i}");
         }
-    }
-
-    #[test]
-    fn truncation_keeps_a_proper_prefix() {
-        let plan = FaultPlan {
-            truncate_day_rate: 1.0,
-            ..FaultPlan::none(5)
-        };
-        let inj = FaultInjector::new(plan);
-        for day in 0..50 {
-            let keep = inj.truncated_day_len(2, day, 14_400).expect("rate is 1");
-            assert!((1..14_400).contains(&keep), "keep = {keep}");
-        }
-        assert_eq!(inj.truncated_day_len(2, 0, 1), None, "1-sample day intact");
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //!   crate for kernel-parameter memoization).
 //! - [`fault`] — a seeded, fully deterministic fault-injection plan for
 //!   robustness campaigns (corrupt values, dropped/duplicated/stuck
-//!   samples, monitor outages, truncated days, node blackouts).
+//!   samples, monitor outages, node blackouts, WAL write faults).
 //! - [`shard`] — deterministic hash-by-key shard routing for the
 //!   partitioned serving registry (replaces ad-hoc `DefaultHasher` use,
 //!   which is not stable across runs).

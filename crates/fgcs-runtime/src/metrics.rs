@@ -14,6 +14,9 @@
 //!    branch. [`set_enabled`] turns collection on (the CLI's
 //!    `--metrics-out` flag and the experiment binaries do this at startup).
 //!
+//! Each macro call site caches its instrument in a static, so every macro
+//! takes its name as a string literal: one call site, one name.
+//!
 //! Determinism: [`Snapshot::to_json`] emits instruments sorted by name
 //! (registration order is irrelevant), integers exactly, and floats in
 //! Rust's shortest round-trip form — the same process state always
@@ -322,7 +325,12 @@ pub struct SpanTimer {
 
 impl SpanTimer {
     /// Starts a span against a per-call-site cached timing histogram.
-    /// Returns an inert guard when collection is disabled.
+    /// Returns an inert guard when collection is disabled. The slot binds
+    /// the first `name` it sees and ignores every later one, so each slot
+    /// must serve one name only ([`time_span!`] gives every call site its
+    /// own slot and takes the name as a literal).
+    ///
+    /// [`time_span!`]: crate::time_span
     pub fn start_cached(slot: &'static OnceLock<Arc<Histogram>>, name: &str) -> SpanTimer {
         if !enabled() {
             return SpanTimer::disabled();
@@ -536,11 +544,17 @@ impl Snapshot {
 
 /// Adds `n` to the named process-wide counter. No-op unless the `metrics`
 /// feature is on *and* collection is enabled. The registry lookup happens
-/// once per call site (cached in a static).
+/// once per call site (cached in a static), so the name must be a string
+/// literal; a computed name does not compile:
+///
+/// ```compile_fail
+/// let name = "runtime.fault.nan_values";
+/// fgcs_runtime::counter_add!(name, 1);
+/// ```
 #[cfg(feature = "metrics")]
 #[macro_export]
 macro_rules! counter_add {
-    ($name:expr, $n:expr) => {{
+    ($name:literal, $n:expr) => {{
         if $crate::metrics::enabled() {
             static __SLOT: ::std::sync::OnceLock<::std::sync::Arc<$crate::metrics::Counter>> =
                 ::std::sync::OnceLock::new();
@@ -556,7 +570,7 @@ macro_rules! counter_add {
 #[cfg(not(feature = "metrics"))]
 #[macro_export]
 macro_rules! counter_add {
-    ($name:expr, $n:expr) => {{
+    ($name:literal, $n:expr) => {{
         let _ = ($name, $n);
     }};
 }
@@ -566,7 +580,7 @@ macro_rules! counter_add {
 #[cfg(feature = "metrics")]
 #[macro_export]
 macro_rules! gauge_set {
-    ($name:expr, $v:expr) => {{
+    ($name:literal, $v:expr) => {{
         if $crate::metrics::enabled() {
             static __SLOT: ::std::sync::OnceLock<::std::sync::Arc<$crate::metrics::Gauge>> =
                 ::std::sync::OnceLock::new();
@@ -581,7 +595,7 @@ macro_rules! gauge_set {
 #[cfg(not(feature = "metrics"))]
 #[macro_export]
 macro_rules! gauge_set {
-    ($name:expr, $v:expr) => {{
+    ($name:literal, $v:expr) => {{
         let _ = ($name, $v);
     }};
 }
@@ -591,7 +605,7 @@ macro_rules! gauge_set {
 #[cfg(feature = "metrics")]
 #[macro_export]
 macro_rules! histogram_record {
-    ($name:expr, $v:expr) => {{
+    ($name:literal, $v:expr) => {{
         if $crate::metrics::enabled() {
             static __SLOT: ::std::sync::OnceLock<::std::sync::Arc<$crate::metrics::Histogram>> =
                 ::std::sync::OnceLock::new();
@@ -606,7 +620,7 @@ macro_rules! histogram_record {
 #[cfg(not(feature = "metrics"))]
 #[macro_export]
 macro_rules! histogram_record {
-    ($name:expr, $v:expr) => {{
+    ($name:literal, $v:expr) => {{
         let _ = ($name, $v);
     }};
 }
@@ -622,7 +636,7 @@ macro_rules! histogram_record {
 #[cfg(feature = "metrics")]
 #[macro_export]
 macro_rules! time_span {
-    ($name:expr) => {{
+    ($name:literal) => {{
         static __SLOT: ::std::sync::OnceLock<::std::sync::Arc<$crate::metrics::Histogram>> =
             ::std::sync::OnceLock::new();
         $crate::metrics::SpanTimer::start_cached(&__SLOT, $name)
@@ -634,7 +648,7 @@ macro_rules! time_span {
 #[cfg(not(feature = "metrics"))]
 #[macro_export]
 macro_rules! time_span {
-    ($name:expr) => {{
+    ($name:literal) => {{
         let _ = $name;
         $crate::metrics::SpanTimer::disabled()
     }};

@@ -1,15 +1,12 @@
 //! Seeded chaos campaigns: drive a faulted cluster for thousands of steps
 //! and measure whether the robustness invariants hold.
 //!
-//! A campaign composes every injection boundary in the workspace:
-//!
-//! * the traces themselves are corrupted pre-replay
-//!   ([`fgcs_trace::corrupt_trace`]) — damage that happened *before*
-//!   ingestion,
-//! * every node gets a live [`FaultInjector`](fgcs_runtime::fault) on its
-//!   monitoring stream — damage happening *while* the system runs,
-//! * the scheduler keeps placing jobs through blackouts and degraded
-//!   predictions.
+//! Faults enter a campaign at one place: every node gets a live
+//! [`FaultInjector`](fgcs_runtime::fault) between its machine and its
+//! monitor. The generated traces replay untouched as the machines'
+//! physical load, so injected faults corrupt what the State Manager
+//! observes, never what the guests run on, and the scheduler keeps
+//! placing jobs through blackouts and degraded predictions.
 //!
 //! Everything is deterministic from the [`ChaosConfig`]: the same config
 //! always produces the same [`ChaosReport`], digest included, and a
@@ -21,7 +18,7 @@ use fgcs_core::model::AvailabilityModel;
 use fgcs_core::robust::PredictionQuality;
 use fgcs_runtime::fault::FaultPlan;
 use fgcs_runtime::impl_json_struct;
-use fgcs_trace::{corrupt_trace, TraceConfig, TraceGenerator};
+use fgcs_trace::{TraceConfig, TraceGenerator};
 
 use crate::guest::{GuestJob, GuestOutcome};
 use crate::node::HostNode;
@@ -197,17 +194,13 @@ pub fn run_campaign(config: &ChaosConfig) -> ChaosReport {
     );
     let model = AvailabilityModel::default();
     let per_day = model.samples_per_day();
-    // Enough trace for warm-up plus the measured steps, with a day of
-    // slack so final-day truncation cannot starve the run.
+    // Whole days for warm-up plus the measured steps, and a day to spare.
     let days = config.warmup_days + config.steps / per_day + 2;
 
     let mut nodes: Vec<HostNode> = (0..config.machines as u64)
         .map(|id| {
             let cfg = TraceConfig::lab_machine(config.seed).with_machine_id(id);
-            let mut trace = TraceGenerator::new(cfg).generate_days(days);
-            if let Some(plan) = &config.plan {
-                corrupt_trace(&mut trace, plan);
-            }
+            let trace = TraceGenerator::new(cfg).generate_days(days);
             let node = HostNode::new(trace, model).with_solver_policy(if config.paper_oracle {
                 fgcs_core::predictor::SolverPolicy::PaperOracle
             } else {

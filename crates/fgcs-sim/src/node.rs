@@ -1,7 +1,7 @@
 //! A host node: trace replay + State Manager + Gateway + (at most) one
 //! guest process, wired together exactly as in the paper's Figure 2.
 //!
-//! The node is also the *live* fault-injection boundary: an attached
+//! The node is also the one place monitor faults enter: an attached
 //! [`FaultInjector`] corrupts what the State Manager observes (the
 //! monitoring stream) without touching physical reality (the trace sample
 //! that drives CPU contention). A node with a zero-rate plan behaves
@@ -10,8 +10,7 @@
 use fgcs_core::model::{AvailabilityModel, LoadSample};
 use fgcs_core::robust::QualifiedTr;
 use fgcs_core::state::State;
-use fgcs_runtime::fault::{FaultInjector, FaultPlan};
-use fgcs_trace::fault::corrupt_value;
+use fgcs_runtime::fault::{FaultInjector, FaultPlan, ValueFault};
 use fgcs_trace::MachineTrace;
 
 use crate::contention::CpuContentionModel;
@@ -246,14 +245,11 @@ impl HostNode {
                 GuestAction::Kill(reason) => {
                     // UEC kills are resource-contention evictions (S3 CPU,
                     // S4 memory); URR kills are ownership revocations (S5).
-                    fgcs_runtime::counter_add!(
-                        match reason {
-                            State::S3 => "sim.guest.kills_uec_cpu",
-                            State::S4 => "sim.guest.kills_uec_mem",
-                            _ => "sim.guest.kills_urr",
-                        },
-                        1
-                    );
+                    match reason {
+                        State::S3 => fgcs_runtime::counter_add!("sim.guest.kills_uec_cpu", 1),
+                        State::S4 => fgcs_runtime::counter_add!("sim.guest.kills_uec_mem", 1),
+                        _ => fgcs_runtime::counter_add!("sim.guest.kills_urr", 1),
+                    }
                     job.rollback();
                     self.records.push(GuestRecord {
                         job,
@@ -374,6 +370,29 @@ impl HostNode {
     #[must_use]
     pub fn last_operational(&self) -> State {
         self.manager.last_operational()
+    }
+}
+
+/// Applies one value fault to a sample, leaving the heartbeat intact
+/// (value corruption and machine death are independent failures).
+fn corrupt_value(sample: &mut LoadSample, fault: ValueFault) {
+    match fault {
+        ValueFault::Nan => {
+            sample.host_cpu = f64::NAN;
+            sample.free_mem_mb = f64::NAN;
+        }
+        ValueFault::PosInf => {
+            sample.host_cpu = f64::INFINITY;
+            sample.free_mem_mb = f64::INFINITY;
+        }
+        ValueFault::NegInf => {
+            sample.host_cpu = f64::NEG_INFINITY;
+            sample.free_mem_mb = f64::NEG_INFINITY;
+        }
+        ValueFault::OutOfRange => {
+            sample.host_cpu = 17.5;
+            sample.free_mem_mb = -4096.0;
+        }
     }
 }
 
@@ -541,6 +560,54 @@ mod tests {
         if let Ok(q) = q {
             assert!((0.0..=1.0).contains(&q.tr), "tr {}", q.tr);
         }
+    }
+
+    #[test]
+    fn nan_readings_are_repaired_without_losing_the_heartbeat() {
+        use fgcs_runtime::fault::FaultPlan;
+        // Every reading the monitor takes is NaN. Hold-last repair must
+        // hand the State Manager sane readings that classify like the true
+        // quiet ones, and keep a dead heartbeat dead.
+        let model = AvailabilityModel::default();
+        let gap = (model.heartbeat_gap_secs / model.monitor_period_secs) as usize;
+        let revoked = 100..100 + 10 * gap;
+        let mut trace = quiet_trace(2);
+        for s in &mut trace.samples[revoked.clone()] {
+            *s = LoadSample::revoked();
+        }
+        let plan = FaultPlan {
+            nan_rate: 1.0,
+            ..FaultPlan::none(5)
+        };
+        let mut plain = HostNode::new(trace.clone(), model);
+        let mut faulted = HostNode::new(trace, model).with_fault_injector(plan);
+        plain.warm_up(1);
+        faulted.warm_up(1);
+        assert_eq!(faulted.history(), plain.history());
+        let day = faulted.history().days()[0].log.states();
+        assert!(day[revoked.start + gap..revoked.end]
+            .iter()
+            .all(|&s| s == State::S5));
+
+        // A guest runs on the untouched physical load and sees the same
+        // gateway decisions, so it finishes on the same tick.
+        let finished = |node: &mut HostNode| {
+            node.submit(GuestJob::new(1, 600.0, 50.0)).unwrap();
+            for _ in 0..200 {
+                node.step();
+            }
+            match node.take_records()[..] {
+                [GuestRecord {
+                    outcome: GuestOutcome::Completed { at_tick },
+                    ..
+                }] => at_tick,
+                ref other => panic!("unexpected records {other:?}"),
+            }
+        };
+        assert_eq!(finished(&mut faulted), finished(&mut plain));
+        // What the State Manager receives is sane.
+        let seen = faulted.observe_through_faults(LoadSample::idle(400.0), 0);
+        assert!(seen.is_some_and(|s| s.is_sane()), "{seen:?}");
     }
 
     #[test]

@@ -191,16 +191,13 @@ impl StateManager {
         // Online per-state sample counts and transition count. Counts
         // reflect the decisions as made; the transient-overload rewrite may
         // later fold short S3 runs into the surrounding operational state.
-        fgcs_runtime::counter_add!(
-            match state {
-                State::S1 => "sim.state.s1_samples",
-                State::S2 => "sim.state.s2_samples",
-                State::S3 => "sim.state.s3_samples",
-                State::S4 => "sim.state.s4_samples",
-                State::S5 => "sim.state.s5_samples",
-            },
-            1
-        );
+        match state {
+            State::S1 => fgcs_runtime::counter_add!("sim.state.s1_samples", 1),
+            State::S2 => fgcs_runtime::counter_add!("sim.state.s2_samples", 1),
+            State::S3 => fgcs_runtime::counter_add!("sim.state.s3_samples", 1),
+            State::S4 => fgcs_runtime::counter_add!("sim.state.s4_samples", 1),
+            State::S5 => fgcs_runtime::counter_add!("sim.state.s5_samples", 1),
+        }
         if self.current_day.last().is_some_and(|&prev| prev != state) {
             fgcs_runtime::counter_add!("sim.state.transitions", 1);
         }

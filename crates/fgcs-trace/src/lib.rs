@@ -22,7 +22,6 @@
 //! statistics used to calibrate the generator against the paper's reported
 //! testbed numbers.
 
-pub mod fault;
 pub mod generator;
 pub mod noise;
 pub mod profile;
@@ -32,7 +31,6 @@ pub mod session;
 pub mod stats;
 pub mod trace;
 
-pub use fault::{corrupt_trace, TraceFaultReport};
 pub use generator::{generate_cluster, TraceConfig, TraceGenerator};
 pub use noise::NoiseInjector;
 pub use profile::MachineProfile;

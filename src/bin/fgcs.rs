@@ -270,8 +270,8 @@ fn cmd_metrics(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Runs a seeded chaos campaign (trace corruption + live fault injection +
-/// scheduling under blackouts) and prints the report as JSON. Exits with
+/// Runs a seeded chaos campaign (live fault injection at each node's
+/// monitor + scheduling under blackouts) and prints the report as JSON. Exits with
 /// an error when a robustness invariant is violated, so CI can gate on it.
 fn cmd_chaos(args: &[String]) -> Result<(), String> {
     if flag(args, "--serve") {

@@ -70,7 +70,7 @@ pub use fgcs_trace as trace;
 pub mod prelude {
     pub use fgcs_core::{
         classify::StateClassifier,
-        log::{DayLog, HistoryStore, IngestReport, StateLog},
+        log::{DayLog, HistoryStore, StateLog},
         model::AvailabilityModel,
         predictor::{empirical_tr, SmpPredictor, TrPrediction},
         robust::{PredictionQuality, QualifiedTr, RobustPredictor},
@@ -89,7 +89,7 @@ pub mod prelude {
         paper_lineup, ArModel, ArmaModel, BmModel, LastModel, MaModel, TimeSeriesModel,
     };
     pub use fgcs_trace::{
-        corrupt_trace, generate_cluster, LoadSample, MachineTrace, NoiseInjector, TraceConfig,
-        TraceGenerator, TraceStats,
+        generate_cluster, LoadSample, MachineTrace, NoiseInjector, TraceConfig, TraceGenerator,
+        TraceStats,
     };
 }

@@ -758,108 +758,3 @@ fn guest_job_progress_conserves_work() {
         )
     });
 }
-
-/// A fast model for the lossy-ingestion properties: a 10-minute monitor
-/// period keeps a day at 144 samples so many cases stay cheap.
-fn coarse_model() -> AvailabilityModel {
-    AvailabilityModel {
-        monitor_period_secs: 600,
-        transient_tolerance_secs: 1_200,
-        heartbeat_gap_secs: 1_800,
-        ..AvailabilityModel::default()
-    }
-}
-
-/// A random sample stream of whole and partial days, with a `corrupt`
-/// fraction of insane readings (NaN / ±inf / out-of-range).
-fn random_sample_stream(g: &mut Gen, model: &AvailabilityModel, corrupt: f64) -> Vec<LoadSample> {
-    let per_day = model.samples_per_day();
-    let len = g.usize_in(per_day / 2, 4 * per_day);
-    g.vec_of(len, |g| {
-        let mut s = LoadSample {
-            host_cpu: g.prob(),
-            free_mem_mb: g.f64_in(0.0, 512.0),
-            alive: !g.bool_with(0.02),
-        };
-        if g.bool_with(corrupt) {
-            let garbage = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 42.0, -7.0];
-            s.host_cpu = *g.pick(&garbage);
-            s.free_mem_mb = *g.pick(&garbage);
-        }
-        s
-    })
-}
-
-#[test]
-fn lossy_ingestion_is_deterministic() {
-    use fgcs::core::HistoryStore;
-    check("lossy_ingestion_is_deterministic", CASES, |g| {
-        let model = coarse_model();
-        let samples = random_sample_stream(g, &model, 0.15);
-        let day0 = g.usize_in(0, 13);
-        let (store_a, report_a) = HistoryStore::from_samples_lossy(&model, &samples, day0);
-        let (store_b, report_b) = HistoryStore::from_samples_lossy(&model, &samples, day0);
-        ensure(store_a == store_b, "stores diverged on identical input")?;
-        ensure(report_a == report_b, "reports diverged on identical input")
-    });
-}
-
-#[test]
-fn sample_repair_is_idempotent() {
-    use fgcs::core::log::sanitize_samples;
-    check("sample_repair_is_idempotent", CASES, |g| {
-        let model = coarse_model();
-        let samples = random_sample_stream(g, &model, 0.25);
-        let seed = LoadSample::idle(400.0);
-        let (once, repaired) = sanitize_samples(&samples, seed);
-        ensure(
-            once.iter().all(LoadSample::is_sane),
-            "repair left an insane sample",
-        )?;
-        let (twice, again) = sanitize_samples(&once, seed);
-        ensure(again == 0, format!("second pass repaired {again} samples"))?;
-        ensure(twice == once, "second pass changed the stream")?;
-        // Repairs are exactly the insane samples; the sane ones are
-        // untouched (so on clean input the repair is the identity).
-        let insane = samples.iter().filter(|s| !s.is_sane()).count();
-        ensure(
-            repaired == insane,
-            format!("{repaired} repairs vs {insane} insane"),
-        )?;
-        for (orig, fixed) in samples.iter().zip(&once) {
-            if orig.is_sane() {
-                ensure(orig == fixed, "a sane sample was modified")?;
-            } else {
-                ensure(orig.alive == fixed.alive, "repair dropped the heartbeat")?;
-            }
-        }
-        Ok(())
-    });
-}
-
-#[test]
-fn lossy_ingestion_matches_strict_on_clean_whole_days() {
-    use fgcs::core::HistoryStore;
-    check(
-        "lossy_ingestion_matches_strict_on_clean_whole_days",
-        CASES,
-        |g| {
-            let model = coarse_model();
-            let per_day = model.samples_per_day();
-            let mut samples = random_sample_stream(g, &model, 0.0);
-            samples.truncate(samples.len() / per_day * per_day);
-            let day0 = g.usize_in(0, 13);
-            let strict = HistoryStore::from_samples(&model, &samples, day0)
-                .map_err(|e| format!("strict ingestion failed on clean input: {e}"))?;
-            let (lossy, report) = HistoryStore::from_samples_lossy(&model, &samples, day0);
-            ensure(
-                report.is_clean(),
-                format!("clean input reported {report:?}"),
-            )?;
-            ensure(
-                lossy == strict,
-                "lossy and strict stores differ on clean input",
-            )
-        },
-    );
-}
