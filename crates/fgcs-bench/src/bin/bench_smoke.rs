@@ -4,10 +4,12 @@
 //! committed `BENCH_baseline.json` is the perf-trajectory artifact: CI
 //! writes a fresh run to `.bench_out/bench_smoke.json` and checks it
 //! `--against` the committed file, and re-recording that file is a
-//! deliberate `bench_smoke --out BENCH_baseline.json`.
+//! deliberate `bench_smoke --out BENCH_baseline.json`. Every form names
+//! the file it writes or reads; any other flag combination, no flag at
+//! all included, prints this usage and exits 1 without writing anything:
 //!
 //! ```text
-//! bench_smoke [--out PATH]                 # run the benches, write PATH (default BENCH_baseline.json)
+//! bench_smoke --out PATH                   # run the benches, write PATH
 //! bench_smoke --check PATH                 # validate a baseline file, exit 1 on problems
 //! bench_smoke --check PATH --against OLD   # also flag >1.25x regressions vs OLD
 //! bench_smoke --wire RESULTS --against REF # gate examples/benchmark result lines
@@ -245,6 +247,14 @@ const WIRE_SCHEMA: &str = "fgcs-bench-wire/v1";
 /// docs).
 const WIRE_GATES: [(&str, f64); 3] = [("server_cpu_us", 3.0), ("setup_s", 3.0), ("rss_mb", 1.05)];
 
+/// The module doc's usage block, printed on an unknown flag combination.
+const USAGE: &str = "\
+usage: bench_smoke --out PATH                   # run the benches, write PATH
+       bench_smoke --check PATH                 # validate a baseline file, exit 1 on problems
+       bench_smoke --check PATH --against OLD   # also flag >1.25x regressions vs OLD
+       bench_smoke --wire RESULTS --against REF # gate examples/benchmark result lines
+       bench_smoke --wire RESULTS --out REF     # write each workload's medians to REF";
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let opt = |key: &str| flag::<String>(&args, key);
@@ -270,11 +280,10 @@ fn main() -> ExitCode {
             .and_then(|()| against.map_or(Ok(()), |old| compare_baselines(&path, &old)))
             .map(|()| format!("{path}: baseline OK"))
             .map_err(|e| format!("{path}: {e}")),
-        (None, None, None, out) => {
-            let out = out.unwrap_or_else(|| "BENCH_baseline.json".to_string());
+        (None, None, None, Some(out)) => {
             write(&out, run_smoke()).map(|()| format!("baseline written to {out}"))
         }
-        _ => Err("unknown flag combination; see the usage in the module docs".into()),
+        _ => Err(USAGE.into()),
     };
     match outcome {
         Ok(message) => {

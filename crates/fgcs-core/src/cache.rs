@@ -8,8 +8,9 @@
 //! capacity-bounded LRU over [`fgcs_runtime::cache::LruCache`] keyed by
 //! exactly those coordinates. The history *length* is part of the key, so
 //! appending a day implicitly invalidates every stale entry for that host;
-//! in-place edits of existing days (e.g. `HistoryStore::days_mut`) must
-//! call [`QhCache::invalidate_host`] explicitly.
+//! a history edited or replaced in place (e.g. through
+//! `HistoryStore::days_mut`) keeps its length, so its owner must call
+//! [`QhCache::clear`], as `StateManager::preload_history` does.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -60,10 +61,10 @@ struct DedupEntry {
 /// of 20 machines × 30 days.
 ///
 /// Entries hold only `Weak` handles: dropping the last consumer (e.g.
-/// [`QhCache::invalidate_host`] or LRU eviction) makes the entry dead. An
-/// LRU eviction prunes the dropped kernel's bucket at once, and
+/// [`QhCache::clear`] or LRU eviction) makes the entry dead. An LRU
+/// eviction prunes the dropped kernel's bucket at once, and
 /// [`purge_dead`](KernelDedup::purge_dead) sweeps the whole table (after
-/// `invalidate_host` and `clear`).
+/// `clear`).
 #[derive(Default)]
 pub struct KernelDedup {
     stripes: [Mutex<HashMap<u64, Vec<DedupEntry>>>; DEDUP_STRIPES],
@@ -398,18 +399,6 @@ impl QhCache {
         found
     }
 
-    /// Drops every entry belonging to `host` (needed after in-place
-    /// history mutation; plain appends are covered by the length key).
-    /// Returns how many entries were dropped.
-    pub fn invalidate_host(&self, host: u64) -> usize {
-        let dropped = self.lock().remove_if(|k| k.host == host);
-        fgcs_runtime::counter_add!("core.qh_cache.invalidations", dropped as u64);
-        // Kernels that only this host referenced are now dead; sweep their
-        // dedup entries (and memos) so stale solves cannot be served.
-        self.dedup.purge_dead();
-        dropped
-    }
-
     /// Drops every entry, and every dedup entry no other consumer holds.
     pub fn clear(&self) {
         self.lock().clear();
@@ -534,30 +523,6 @@ mod tests {
             .get_or_estimate(&p, 1, &history, DayType::Weekday, w2)
             .unwrap();
         assert_eq!(cache.len(), 3);
-    }
-
-    #[test]
-    fn invalidate_host_drops_only_that_host() {
-        let cache = QhCache::new(8);
-        let history = store(5);
-        let p = predictor();
-        let w = TimeWindow::new(0, 600);
-        for host in [1, 1, 2] {
-            let w2 = if host == 2 {
-                TimeWindow::new(1200, 600)
-            } else {
-                w
-            };
-            cache
-                .get_or_estimate(&p, host, &history, DayType::Weekday, w2)
-                .unwrap();
-        }
-        cache
-            .get_or_estimate(&p, 1, &history, DayType::Weekday, TimeWindow::new(600, 600))
-            .unwrap();
-        assert_eq!(cache.len(), 3);
-        assert_eq!(cache.invalidate_host(1), 2);
-        assert_eq!(cache.len(), 1);
     }
 
     #[test]
@@ -708,32 +673,6 @@ mod tests {
         assert_eq!(dedup.entries(), 0, "dead weak no longer counts");
         assert_eq!(dedup.purge_dead(), 1);
         assert_eq!(dedup.purge_dead(), 0);
-    }
-
-    #[test]
-    fn invalidate_host_evicts_dedup_entries() {
-        // Two hosts share one canonical kernel (identical histories).
-        // Invalidating one host keeps the kernel alive through the other;
-        // invalidating both sweeps the dedup entry too.
-        let cache = QhCache::new(8);
-        let history = store(5);
-        let p = predictor();
-        let w = TimeWindow::new(0, 600);
-        let a = cache
-            .get_or_estimate(&p, 1, &history, DayType::Weekday, w)
-            .unwrap();
-        let b = cache
-            .get_or_estimate(&p, 2, &history, DayType::Weekday, w)
-            .unwrap();
-        assert!(Arc::ptr_eq(&a, &b), "identical histories share a kernel");
-        assert_eq!(cache.dedup().entries(), 1);
-        assert_eq!(cache.dedup().hits(), 1);
-        drop(a);
-        drop(b);
-        cache.invalidate_host(1);
-        assert_eq!(cache.dedup().entries(), 1, "host 2 still holds the Arc");
-        cache.invalidate_host(2);
-        assert_eq!(cache.dedup().entries(), 0, "last consumer gone");
     }
 
     /// Live plus dead entries across every stripe.

@@ -6,10 +6,13 @@
 //! are estimated from is sparse the same way. Every estimate reads a window
 //! as the runs of its day clipped to the window's fence posts, continued
 //! into the next day across midnight; no window is rebuilt as samples.
+//!
+//! A store has no file form of its own. The serving registry persists each
+//! day as its run text (`StateLog::write_run_text`) in its WAL and
+//! snapshots, and a trace file keeps the raw samples a store is classified
+//! from.
 
 use fgcs_runtime::block;
-use fgcs_runtime::impl_json_struct;
-use fgcs_runtime::json::{FromJson, Json, JsonError, ToJson};
 
 use crate::classify::StateClassifier;
 use crate::error::CoreError;
@@ -89,28 +92,6 @@ pub struct StateLog {
     /// Non-empty and maximal (adjacent runs differ), so the derived
     /// equality is equality of the samples.
     runs: Vec<(State, u32)>,
-}
-
-// The JSON form lists every sample, `{"step_secs":…,"states":[…]}`: the
-// layout of the per-sample log this type replaced.
-impl ToJson for StateLog {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("step_secs".to_string(), self.step_secs.to_json()),
-            ("states".to_string(), self.states().to_json()),
-        ])
-    }
-}
-
-impl FromJson for StateLog {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let step_secs: u32 = v.get("step_secs")?;
-        let states: Vec<State> = v.get("states")?;
-        if step_secs == 0 {
-            return Err(JsonError("step must be positive".to_string()).in_field("step_secs"));
-        }
-        Ok(StateLog::new(step_secs, states))
-    }
 }
 
 impl StateLog {
@@ -399,12 +380,6 @@ pub struct DayLog {
     pub log: StateLog,
 }
 
-impl_json_struct!(DayLog {
-    day_index,
-    day_type,
-    log,
-});
-
 impl DayLog {
     /// Builds a day log, deriving the day type from the index.
     #[must_use]
@@ -424,8 +399,6 @@ impl DayLog {
 pub struct HistoryStore {
     days: Vec<DayLog>,
 }
-
-impl_json_struct!(HistoryStore { days });
 
 impl HistoryStore {
     /// An empty store.
@@ -584,17 +557,6 @@ impl HistoryStore {
             HistoryStore { days: a.to_vec() },
             HistoryStore { days: b.to_vec() },
         )
-    }
-
-    /// Serialises the store to JSON (the on-disk format the State Manager
-    /// persists its history logs in).
-    pub fn to_json(&self) -> Result<String, JsonError> {
-        Ok(fgcs_runtime::json::to_string(self))
-    }
-
-    /// Deserialises a store from JSON.
-    pub fn from_json(json: &str) -> Result<HistoryStore, JsonError> {
-        fgcs_runtime::json::from_str(json)
     }
 
     /// Total unavailability occurrences across all stored days.
@@ -786,55 +748,6 @@ mod tests {
         store.push_day(DayLog::new(1, log_of(vec![S5, S1]))); // entry at boundary
         store.push_day(DayLog::new(2, log_of(vec![S1, S3]))); // entry mid-day
         assert_eq!(store.unavailability_occurrences(), 2);
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let mut store = HistoryStore::new();
-        store.push_day(DayLog::new(0, log_of(vec![State::S1, State::S3])));
-        let json = fgcs_runtime::json::to_string(&store);
-        let back: HistoryStore = fgcs_runtime::json::from_str(&json).unwrap();
-        assert_eq!(store, back);
-    }
-
-    #[test]
-    fn json_bytes_are_pinned() {
-        use State::*;
-        // Captured from the per-sample log this type replaced.
-        const GOLDEN: &str = concat!(
-            "{\"days\":[{\"day_index\":3,\"day_type\":\"Weekday\",\"log\":{\"step_secs\":6,",
-            "\"states\":[\"S2\",\"S5\",\"S5\",\"S1\",\"S1\",\"S1\",\"S4\"]}},",
-            "{\"day_index\":4,\"day_type\":\"Weekday\",\"log\":{\"step_secs\":600,",
-            "\"states\":[\"S1\"]}}]}"
-        );
-        let mut store = HistoryStore::new();
-        store.push_day(DayLog::new(3, log_of(vec![S2, S5, S5, S1, S1, S1, S4])));
-        store.push_day(DayLog::new(4, StateLog::new(600, vec![S1])));
-        assert_eq!(fgcs_runtime::json::to_string(&store), GOLDEN);
-        assert_eq!(HistoryStore::from_json(GOLDEN).unwrap(), store);
-    }
-
-    #[test]
-    fn json_rejects_a_zero_step() {
-        let err = fgcs_runtime::json::from_str::<StateLog>(r#"{"step_secs":0,"states":["S1"]}"#)
-            .unwrap_err();
-        assert_eq!(
-            err.to_string(),
-            "json error: step_secs: step must be positive"
-        );
-    }
-
-    #[test]
-    fn json_persistence_round_trips() {
-        let mut store = HistoryStore::new();
-        store.push_day(DayLog::new(
-            3,
-            log_of(vec![State::S2, State::S5, State::S1]),
-        ));
-        let json = store.to_json().unwrap();
-        let back = HistoryStore::from_json(&json).unwrap();
-        assert_eq!(store, back);
-        assert!(HistoryStore::from_json("{not json").is_err());
     }
 
     /// The window reading as it stood before the log went run-length: the

@@ -32,15 +32,6 @@ pub struct AvailabilityModel {
     pub heartbeat_gap_secs: u32,
 }
 
-impl_json_struct!(AvailabilityModel {
-    th1,
-    th2,
-    monitor_period_secs,
-    transient_tolerance_secs,
-    guest_working_set_mb,
-    heartbeat_gap_secs,
-});
-
 impl Default for AvailabilityModel {
     fn default() -> Self {
         AvailabilityModel {

@@ -4,7 +4,6 @@
 use std::convert::Infallible;
 use std::sync::Arc;
 
-use fgcs_runtime::impl_json_struct;
 use fgcs_runtime::rng::Rng;
 
 use crate::batch::TrCurve;
@@ -444,14 +443,6 @@ pub struct TrPrediction {
     pub history_days: usize,
 }
 
-impl_json_struct!(TrPrediction {
-    tr,
-    ci_low,
-    ci_high,
-    bootstrap_samples,
-    history_days,
-});
-
 /// The outcome of evaluating one (window, day-type) pair against a test set,
 /// as in §6.2: predicted vs. empirically observed temporal reliability.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -465,12 +456,6 @@ pub struct WindowEvaluation {
     /// the window start).
     pub days_used: usize,
 }
-
-impl_json_struct!(WindowEvaluation {
-    predicted,
-    empirical,
-    days_used,
-});
 
 impl WindowEvaluation {
     /// The paper's error metric

@@ -47,13 +47,6 @@ pub enum PredictionQuality {
     Prior,
 }
 
-fgcs_runtime::impl_json_enum!(PredictionQuality {
-    Exact,
-    Stale,
-    Widened,
-    Prior,
-});
-
 impl PredictionQuality {
     /// A multiplicative confidence discount a scheduler can apply when
     /// ranking hosts: degraded answers should lose ties against exact ones.
@@ -95,8 +88,6 @@ pub struct QualifiedTr {
     /// How the prediction was obtained.
     pub quality: PredictionQuality,
 }
-
-fgcs_runtime::impl_json_struct!(QualifiedTr { tr, quality });
 
 impl QualifiedTr {
     /// The TR discounted by the quality confidence — the scalar a
@@ -306,16 +297,5 @@ mod tests {
             quality: Stale,
         };
         assert!((q.score() - 0.8 * 0.95).abs() < 1e-12);
-    }
-
-    #[test]
-    fn qualified_tr_round_trips_through_json() {
-        let q = QualifiedTr {
-            tr: 0.5,
-            quality: PredictionQuality::Widened,
-        };
-        let json = fgcs_runtime::json::to_string(&q);
-        let back: QualifiedTr = fgcs_runtime::json::from_str(&json).unwrap();
-        assert_eq!(q, back);
     }
 }

@@ -34,11 +34,9 @@
 //! time, and the row totals `Q_i(k)`), so every solve and every `Qh`
 //! lookup afterwards is allocation-free, and a cached `Arc<SmpParams>`
 //! shares it across all consumers. Dense rows are built only on demand,
-//! for the paper-order oracle and the JSON form.
+//! for the paper-order oracle.
 
 use std::sync::OnceLock;
-
-use fgcs_runtime::json::{FromJson, Json, JsonError, ToJson};
 
 use crate::log::runs_of;
 use crate::state::State;
@@ -174,7 +172,7 @@ pub struct SmpParams {
     /// The kernel's nonzero events and the views derived from them.
     kernel: SolverKernel,
     /// Lazy FNV-1a content hash (the kernel-dedup lookup key). Derived, so
-    /// excluded from equality and serialization.
+    /// excluded from equality.
     hash: OnceLock<u64>,
 }
 
@@ -189,43 +187,6 @@ impl PartialEq for SmpParams {
             && self.horizon == other.horizon
             && self.sojourns == other.sojourns
             && self.kernel.rows == other.kernel.rows
-    }
-}
-
-// The JSON form carries the kernel as dense `horizon + 1` rows (the layout
-// `impl_json_struct!` produced for the dense kernel) and rebuilds the
-// sparse kernel on parse.
-impl ToJson for SmpParams {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("step_secs".to_string(), self.step_secs.to_json()),
-            ("horizon".to_string(), self.horizon.to_json()),
-            (
-                "kernel".to_string(),
-                [self.dense_row(0), self.dense_row(1)].to_json(),
-            ),
-            ("sojourns".to_string(), self.sojourns.to_json()),
-        ])
-    }
-}
-
-impl FromJson for SmpParams {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let step_secs: u32 = v.get("step_secs")?;
-        let horizon: usize = v.get("horizon")?;
-        let kernel: [[Vec<f64>; 4]; 2] = v.get("kernel")?;
-        let sojourns: [usize; 2] = v.get("sojourns")?;
-        for row in &kernel {
-            for col in row {
-                if col.len() != horizon + 1 {
-                    return Err(JsonError(format!(
-                        "kernel row length {} does not match horizon {horizon}",
-                        col.len()
-                    )));
-                }
-            }
-        }
-        Ok(SmpParams::from_parts(step_secs, horizon, &kernel, sojourns))
     }
 }
 
@@ -582,8 +543,7 @@ impl SmpParams {
 
     /// Dense kernel rows of a source state index (0 → S1, 1 → S2), in
     /// target order `[other, S3, S4, S5]`, each of `horizon + 1` entries
-    /// indexed by holding time. Built on demand for the paper-order solver
-    /// and the JSON form.
+    /// indexed by holding time. Built on demand for the paper-order solver.
     #[must_use]
     pub(crate) fn dense_row(&self, source_idx: usize) -> [Vec<f64>; 4] {
         std::array::from_fn(|k| {
@@ -650,21 +610,11 @@ impl SmpParams {
                 assert_eq!(col.len(), horizon + 1, "inconsistent kernel row lengths");
             }
         }
-        SmpParams::from_parts(step_secs, horizon, &kernel, [0, 0])
-    }
-
-    /// Internal constructor from dense rows of `horizon + 1` entries.
-    fn from_parts(
-        step_secs: u32,
-        horizon: usize,
-        kernel: &[[Vec<f64>; 4]; 2],
-        sojourns: [usize; 2],
-    ) -> SmpParams {
         SmpParams {
             step_secs,
             horizon,
-            sojourns,
-            kernel: SolverKernel::from_dense(kernel, horizon),
+            sojourns: [0, 0],
+            kernel: SolverKernel::from_dense(&kernel, horizon),
             hash: OnceLock::new(),
         }
     }
@@ -943,16 +893,6 @@ mod tests {
     }
 
     #[test]
-    fn json_round_trip_rebuilds_solver_view() {
-        let day: Vec<State> = (0..40).map(|i| if i % 9 < 6 { S1 } else { S2 }).collect();
-        let p = SmpParams::estimate(&[&day], 6, 39);
-        let text = fgcs_runtime::json::to_string(&p);
-        let back: SmpParams = fgcs_runtime::json::from_str(&text).unwrap();
-        assert_eq!(p, back);
-        assert_eq!(p.solver_kernel(), back.solver_kernel());
-    }
-
-    #[test]
     fn content_hash_tracks_equality() {
         let day: Vec<State> = (0..40).map(|i| if i % 9 < 6 { S1 } else { S2 }).collect();
         let a = SmpParams::estimate(&[&day], 6, 39);
@@ -965,49 +905,12 @@ mod tests {
         let c = SmpParams::estimate(&[&day], 12, 39);
         assert_ne!(a, c);
         assert_ne!(a.content_hash(), c.content_hash());
-        // A JSON round trip (fresh OnceLock) preserves both equality and
-        // hash even when one side has already memoized.
-        let text = fgcs_runtime::json::to_string(&a);
-        let back: SmpParams = fgcs_runtime::json::from_str(&text).unwrap();
-        assert_eq!(a, back);
-        assert_eq!(a.content_hash(), back.content_hash());
+        // Equality ignores the memo: a fresh value equals one that has
+        // already memoized its hash, and hashes the same.
+        let fresh = SmpParams::estimate(&[&day], 6, 39);
+        assert_eq!(a, fresh);
+        assert_eq!(a.content_hash(), fresh.content_hash());
     }
-
-    #[test]
-    fn json_rejects_inconsistent_kernel_rows() {
-        let day: Vec<State> = (0..20).map(|i| if i % 3 == 0 { S2 } else { S1 }).collect();
-        let p = SmpParams::estimate(&[&day], 6, 19);
-        let text = fgcs_runtime::json::to_string(&p);
-        let bad = text.replace("\"horizon\":19", "\"horizon\":7");
-        assert!(fgcs_runtime::json::from_str::<SmpParams>(&bad).is_err());
-    }
-
-    #[test]
-    fn json_bytes_are_pinned() {
-        // Three days of S1 runs into S2, S3 or S4, S2 runs into S1 or S5,
-        // and censored tails: masses on both rows and several failure
-        // targets, survival below 1, and dense zeros around the mass.
-        let day_a = [S1, S1, S1, S2, S2, S1, S1, S1, S1, S4, S1, S1];
-        let day_b = [S1, S1, S1, S4, S2, S2, S2, S5, S1, S1, S1, S1];
-        let day_c = [S1, S1, S2, S2, S2, S1, S1, S1, S3, S3, S1, S1, S1];
-        let p = SmpParams::estimate(&[&day_a, &day_b, &day_c], 6, 5);
-        assert_eq!(
-            fgcs_runtime::json::to_string(&p),
-            JSON_GOLDEN,
-            "the SmpParams JSON form changed"
-        );
-        let back: SmpParams = fgcs_runtime::json::from_str(JSON_GOLDEN).unwrap();
-        assert_eq!(back, p);
-        assert_eq!(back.content_hash(), p.content_hash());
-    }
-
-    const JSON_GOLDEN: &str = concat!(
-        "{\"step_secs\":6,\"horizon\":5,\"kernel\":[",
-        "[[0,0,0.14285714285714285,0.17142857142857146,0,0],[0,0,0,0.17142857142857146,0,0],",
-        "[0,0,0,0.17142857142857146,0.3428571428571428,0],[0,0,0,0,0,0]],",
-        "[[0,0,0.3333333333333333,0.33333333333333337,0,0],[0,0,0,0,0,0],[0,0,0,0,0,0],",
-        "[0,0,0,0.33333333333333337,0,0]]],\"sojourns\":[8,3]}"
-    );
 
     /// The dense estimator as it stood before the kernel went sparse: a
     /// per-sample run scan, `horizon + 1` tallies per (source, target),
@@ -1222,23 +1125,11 @@ mod tests {
                 }
             }
             ensure(p.content_hash() == r.hash, format!("content_hash; {ctx}"))?;
-            // The reference's dense rows through the JSON form: equal
-            // content, equal hash, and the same bytes back out.
-            let json = Json::Obj(vec![
-                ("step_secs".to_string(), 6u32.to_json()),
-                ("horizon".to_string(), horizon.to_json()),
-                ("kernel".to_string(), r.kernel.to_json()),
-                ("sojourns".to_string(), r.sojourns.to_json()),
-            ]);
-            let from_ref = SmpParams::from_json(&json).map_err(|e| e.to_string())?;
-            ensure(from_ref == p, format!("==; {ctx}"))?;
+            // The reference's dense rows build the same solver view.
+            let from_ref = SmpParams::from_kernel(6, r.kernel);
             ensure(
-                from_ref.content_hash() == r.hash,
-                format!("content_hash via JSON; {ctx}"),
-            )?;
-            ensure(
-                fgcs_runtime::json::to_string(&p) == json.to_string(),
-                format!("JSON bytes; {ctx}"),
+                from_ref.solver_kernel() == p.solver_kernel(),
+                format!("solver view; {ctx}"),
             )
         });
     }

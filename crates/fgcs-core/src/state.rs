@@ -1,7 +1,6 @@
 //! The five-state resource availability model (paper §3.3, Figure 1).
 
 use fgcs_runtime::block;
-use fgcs_runtime::impl_json_enum;
 
 /// One of the five availability states of a host machine.
 ///
@@ -29,8 +28,6 @@ pub enum State {
     /// Machine unavailability (URR).
     S5,
 }
-
-impl_json_enum!(State { S1, S2, S3, S4, S5 });
 
 impl State {
     /// All five states in index order.

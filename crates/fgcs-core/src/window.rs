@@ -4,8 +4,6 @@
 //! `W = (W_init, T)` (paper §4.2), using the corresponding windows of the most
 //! recent same-type days (weekday vs weekend) as the statistics source.
 
-use fgcs_runtime::{impl_json_enum, impl_json_struct};
-
 /// Seconds in one day.
 pub const SECS_PER_DAY: u32 = 86_400;
 
@@ -19,8 +17,6 @@ pub enum DayType {
     /// Saturday–Sunday.
     Weekend,
 }
-
-impl_json_enum!(DayType { Weekday, Weekend });
 
 impl DayType {
     /// Day type for a zero-based day index, where day 0 is a Monday.
@@ -55,11 +51,6 @@ pub struct TimeWindow {
     /// Window length in seconds.
     pub len_secs: u32,
 }
-
-impl_json_struct!(TimeWindow {
-    start_secs,
-    len_secs
-});
 
 impl TimeWindow {
     /// Creates a window from a start offset and length in seconds.

@@ -1,7 +1,7 @@
 //! A capacity-bounded LRU cache on `std` alone.
 //!
 //! Replaces the `lru` crate for the kernel-parameter memoization layer:
-//! `get`/`put`/`remove` are all O(1) via a slab of doubly-linked nodes
+//! `get` and `put` are O(1) via a slab of doubly-linked nodes
 //! (indices instead of pointers, so no `unsafe`) plus a `HashMap` from key
 //! to slab slot. Eviction returns the displaced entry so callers can count
 //! or inspect it.
@@ -93,12 +93,6 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
         Some(&self.node(idx).value)
     }
 
-    /// Looks up `key` without touching the recency order.
-    #[must_use]
-    pub fn peek(&self, key: &K) -> Option<&V> {
-        self.map.get(key).map(|&idx| &self.node(idx).value)
-    }
-
     /// Inserts or replaces `key`; returns the entry evicted to make room
     /// (replacing an existing key returns its old value under that key).
     pub fn put(&mut self, key: K, value: V) -> Option<(K, V)> {
@@ -137,25 +131,6 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
         self.map.insert(key, idx);
         self.attach_front(idx);
         evicted
-    }
-
-    /// Removes `key`, returning its value.
-    pub fn remove(&mut self, key: &K) -> Option<V> {
-        let idx = self.map.remove(key)?;
-        self.detach(idx);
-        let node = self.slab[idx].take().expect("mapped slot occupied");
-        self.free.push(idx);
-        Some(node.value)
-    }
-
-    /// Removes every entry for which `pred(key)` holds; returns how many
-    /// were dropped.
-    pub fn remove_if<F: Fn(&K) -> bool>(&mut self, pred: F) -> usize {
-        let doomed: Vec<K> = self.map.keys().filter(|k| pred(k)).cloned().collect();
-        for key in &doomed {
-            self.remove(key);
-        }
-        doomed.len()
     }
 
     /// Visits every `(key, value)` pair without touching the recency
@@ -252,45 +227,6 @@ mod tests {
     }
 
     #[test]
-    fn peek_does_not_promote() {
-        let mut c = LruCache::new(2);
-        c.put(1, ());
-        c.put(2, ());
-        assert_eq!(c.peek(&1), Some(&()));
-        // 1 was NOT promoted, so it is still the LRU entry.
-        assert_eq!(c.put(3, ()), Some((1, ())));
-    }
-
-    #[test]
-    fn remove_and_reuse_slot() {
-        let mut c = LruCache::new(3);
-        c.put(1, "a");
-        c.put(2, "b");
-        assert_eq!(c.remove(&1), Some("a"));
-        assert_eq!(c.len(), 1);
-        assert_eq!(c.remove(&1), None);
-        c.put(3, "c");
-        c.put(4, "d");
-        assert_eq!(c.len(), 3);
-        assert_eq!(c.get(&2), Some(&"b"));
-        assert_eq!(c.get(&3), Some(&"c"));
-        assert_eq!(c.get(&4), Some(&"d"));
-    }
-
-    #[test]
-    fn remove_if_filters_by_key() {
-        let mut c = LruCache::new(8);
-        for i in 0..6 {
-            c.put(i, i * 10);
-        }
-        let dropped = c.remove_if(|k| k % 2 == 0);
-        assert_eq!(dropped, 3);
-        assert_eq!(c.len(), 3);
-        assert_eq!(c.get(&0), None);
-        assert_eq!(c.get(&1), Some(&10));
-    }
-
-    #[test]
     fn iter_visits_every_entry_without_promoting() {
         let mut c = LruCache::new(4);
         c.put(1, "a");
@@ -339,7 +275,7 @@ mod tests {
         }
         // The 16 most recent keys survive.
         for i in 984..1000 {
-            assert_eq!(c.peek(&i), Some(&i));
+            assert_eq!(c.get(&i), Some(&i));
         }
     }
 }

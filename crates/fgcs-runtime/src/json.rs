@@ -1,15 +1,18 @@
 //! A minimal JSON value model, parser and writer.
 //!
-//! Replaces `serde`/`serde_json` for the workspace's persistence needs
-//! (traces, histories, simulation records). Design points:
+//! Replaces `serde`/`serde_json` where the workspace writes or reads
+//! JSON: the trace file (`fgcs generate` writes it, every trace-reading
+//! command loads it), the `fgcs chaos` report, the metrics snapshot and
+//! the serve protocol's lines. Design points:
 //!
 //! - Objects keep **insertion order** (`Vec<(String, Json)>`), so writing is
 //!   deterministic: the same value always serializes to the same bytes.
 //! - Numbers are kept as `i64`/`u64` when they are exact integers and `f64`
 //!   otherwise. Floats are written with Rust's `Display`, which since 1.0
 //!   produces the shortest representation that round-trips exactly.
-//! - Serialization is via the [`ToJson`] / [`FromJson`] traits, implemented
-//!   per type (see [`crate::impl_json_struct`] for the common struct case).
+//! - Typed serialization is via the [`ToJson`] / [`FromJson`] traits,
+//!   implemented only for the types a file or reply carries (see
+//!   [`crate::impl_json_struct`] for the struct case).
 //! - Text is read by one recursive descent, one rule per production, in two
 //!   modes: the build mode makes the tree for [`Json::parse`]; the validate
 //!   mode allocates nothing. [`JsonSlice`], the serve request view, runs
@@ -88,17 +91,6 @@ impl Json {
             Json::U64(v) => Some(v),
             Json::I64(v) => u64::try_from(v).ok(),
             Json::F64(v) if v >= 0.0 && v <= 2f64.powi(53) && v.fract() == 0.0 => Some(v as u64),
-            _ => None,
-        }
-    }
-
-    /// Numeric coercion: exact signed integers only.
-    #[must_use]
-    pub fn as_i64(&self) -> Option<i64> {
-        match *self {
-            Json::I64(v) => Some(v),
-            Json::U64(v) => i64::try_from(v).ok(),
-            Json::F64(v) if v.abs() <= 2f64.powi(53) && v.fract() == 0.0 => Some(v as i64),
             _ => None,
         }
     }
@@ -777,41 +769,11 @@ macro_rules! impl_json_uint {
     )+};
 }
 
-impl_json_uint!(u8, u16, u32, u64, usize);
-
-macro_rules! impl_json_int {
-    ($($ty:ty),+) => {$(
-        impl ToJson for $ty {
-            fn to_json(&self) -> Json {
-                Json::I64(i64::from(*self))
-            }
-        }
-        impl FromJson for $ty {
-            fn from_json(v: &Json) -> Result<Self, JsonError> {
-                let raw = v
-                    .as_i64()
-                    .ok_or_else(|| JsonError::new(format!(
-                        "expected integer, found {}",
-                        v.kind()
-                    )))?;
-                <$ty>::try_from(raw)
-                    .map_err(|_| JsonError::new(format!("integer {raw} out of range")))
-            }
-        }
-    )+};
-}
-
-impl_json_int!(i8, i16, i32, i64);
+impl_json_uint!(u32, u64, usize);
 
 impl ToJson for String {
     fn to_json(&self) -> Json {
         Json::Str(self.clone())
-    }
-}
-
-impl ToJson for str {
-    fn to_json(&self) -> Json {
-        Json::Str(self.to_string())
     }
 }
 
@@ -843,57 +805,6 @@ impl<T: FromJson> FromJson for Vec<T> {
     }
 }
 
-impl<T: ToJson, const N: usize> ToJson for [T; N] {
-    fn to_json(&self) -> Json {
-        Json::Arr(self.iter().map(ToJson::to_json).collect())
-    }
-}
-
-impl<T: FromJson + std::fmt::Debug, const N: usize> FromJson for [T; N] {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let items: Vec<T> = Vec::from_json(v)?;
-        let n = items.len();
-        <[T; N]>::try_from(items)
-            .map_err(|_| JsonError::new(format!("expected array of length {N}, found {n}")))
-    }
-}
-
-impl<T: ToJson> ToJson for Option<T> {
-    fn to_json(&self) -> Json {
-        match self {
-            Some(v) => v.to_json(),
-            None => Json::Null,
-        }
-    }
-}
-
-impl<T: FromJson> FromJson for Option<T> {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        match v {
-            Json::Null => Ok(None),
-            other => T::from_json(other).map(Some),
-        }
-    }
-}
-
-impl<A: ToJson, B: ToJson> ToJson for (A, B) {
-    fn to_json(&self) -> Json {
-        Json::Arr(vec![self.0.to_json(), self.1.to_json()])
-    }
-}
-
-impl<A: FromJson, B: FromJson> FromJson for (A, B) {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        match v {
-            Json::Arr(items) if items.len() == 2 => Ok((
-                A::from_json(&items[0]).map_err(|e| e.in_field("[0]"))?,
-                B::from_json(&items[1]).map_err(|e| e.in_field("[1]"))?,
-            )),
-            other => type_err("2-element array", other),
-        }
-    }
-}
-
 /// Implements [`ToJson`]/[`FromJson`] for a struct with named fields, using
 /// the field names as object keys (the layout `serde` derives produced).
 ///
@@ -918,40 +829,6 @@ macro_rules! impl_json_struct {
                 Ok($ty {
                     $( $field: v.get(stringify!($field))?, )+
                 })
-            }
-        }
-    };
-}
-
-/// Implements [`ToJson`]/[`FromJson`] for a C-like enum as its variant name,
-/// matching serde's unit-variant representation (`"S1"`, `"Weekday"`, …).
-#[macro_export]
-macro_rules! impl_json_enum {
-    ($ty:ident { $($variant:ident),+ $(,)? }) => {
-        impl $crate::json::ToJson for $ty {
-            fn to_json(&self) -> $crate::json::Json {
-                let name = match self {
-                    $( $ty::$variant => stringify!($variant), )+
-                };
-                $crate::json::Json::Str(name.to_string())
-            }
-        }
-        impl $crate::json::FromJson for $ty {
-            fn from_json(v: &$crate::json::Json) -> Result<Self, $crate::json::JsonError> {
-                match v {
-                    $crate::json::Json::Str(s) => match s.as_str() {
-                        $( stringify!($variant) => Ok($ty::$variant), )+
-                        other => Err($crate::json::JsonError(format!(
-                            "unknown {} variant `{other}`",
-                            stringify!($ty)
-                        ))),
-                    },
-                    other => Err($crate::json::JsonError(format!(
-                        "expected string for {}, found {}",
-                        stringify!($ty),
-                        other.kind()
-                    ))),
-                }
             }
         }
     };
@@ -1380,7 +1257,7 @@ impl fmt::Write for EscapingSink<'_> {
 }
 
 /// Serializes a value to its compact JSON text.
-pub fn to_string<T: ToJson + ?Sized>(value: &T) -> String {
+pub fn to_string<T: ToJson>(value: &T) -> String {
     value.to_json().to_string()
 }
 
@@ -1470,7 +1347,7 @@ mod tests {
         assert_eq!(Json::parse(&text).unwrap().as_u64(), Some(big));
         let neg = i64::MIN;
         let text = Json::I64(neg).to_string();
-        assert_eq!(Json::parse(&text).unwrap().as_i64(), Some(neg));
+        assert_eq!(Json::parse(&text).unwrap(), Json::I64(neg));
     }
 
     #[test]
@@ -1498,17 +1375,6 @@ mod tests {
             Vec::<f64>::from_json(&Json::parse("[1,2,3]").unwrap()).unwrap(),
             vec![1.0, 2.0, 3.0]
         );
-        assert_eq!(
-            <[f64; 2]>::from_json(&Json::parse("[1,2]").unwrap()).unwrap(),
-            [1.0, 2.0]
-        );
-        assert!(<[f64; 2]>::from_json(&Json::parse("[1]").unwrap()).is_err());
-        assert_eq!(
-            <(u32, f64)>::from_json(&Json::parse("[3,0.5]").unwrap()).unwrap(),
-            (3, 0.5)
-        );
-        assert_eq!(Option::<u32>::from_json(&Json::Null).unwrap(), None);
-        assert_eq!(Option::<u32>::from_json(&Json::U64(1)).unwrap(), Some(1));
     }
 
     #[derive(Debug, PartialEq)]
@@ -1532,20 +1398,6 @@ mod tests {
         let missing = r#"{"id":9,"ratio":0.125}"#;
         let err = from_str::<Demo>(missing).unwrap_err();
         assert!(err.0.contains("tags"), "{err}");
-    }
-
-    #[derive(Debug, PartialEq)]
-    enum Colour {
-        Red,
-        Green,
-    }
-    impl_json_enum!(Colour { Red, Green });
-
-    #[test]
-    fn enum_macro_round_trips() {
-        assert_eq!(to_string(&Colour::Red), r#""Red""#);
-        assert_eq!(from_str::<Colour>(r#""Green""#).unwrap(), Colour::Green);
-        assert!(from_str::<Colour>(r#""Blue""#).is_err());
     }
 
     #[test]

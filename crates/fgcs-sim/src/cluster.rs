@@ -3,7 +3,6 @@
 //! times — the end-to-end loop the paper's §5.1 framework implies.
 
 use fgcs_core::model::AvailabilityModel;
-use fgcs_runtime::impl_json_struct;
 use fgcs_trace::MachineTrace;
 
 use crate::guest::{GuestJob, GuestOutcome};
@@ -66,14 +65,6 @@ pub struct GroupRecord {
     /// Total kills across the group.
     pub kills: usize,
 }
-
-impl_json_struct!(GroupRecord {
-    group,
-    members,
-    arrival_tick,
-    completed_tick,
-    kills,
-});
 
 impl GroupRecord {
     /// Group response time in seconds.
@@ -140,17 +131,6 @@ pub struct JobRecord {
     /// Number of proactive migrations the job went through.
     pub migrations: usize,
 }
-
-impl_json_struct!(JobRecord {
-    id,
-    work_secs,
-    arrival_tick,
-    completed_tick,
-    kills,
-    placements,
-    checkpoint_overhead_secs,
-    migrations,
-});
 
 impl JobRecord {
     /// Response time in seconds (wall time from arrival to completion).

@@ -3,8 +3,6 @@
 //! than throughput is the primary performance metric").
 
 use fgcs_core::state::State;
-use fgcs_runtime::impl_json_struct;
-use fgcs_runtime::json::{FromJson, Json, JsonError, ToJson};
 
 use crate::contention::GuestPriority;
 
@@ -17,11 +15,6 @@ pub struct CheckpointConfig {
     /// Work-time cost of taking one checkpoint, in seconds.
     pub cost_secs: f64,
 }
-
-impl_json_struct!(CheckpointConfig {
-    interval_secs,
-    cost_secs,
-});
 
 /// Why a guest job stopped.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -38,46 +31,6 @@ pub enum GuestOutcome {
         /// The failure state that caused it.
         reason: State,
     },
-}
-
-// Mirrors the externally-tagged layout serde derived for these variants:
-// `{"Completed":{"at_tick":5}}` / `{"Killed":{"at_tick":9,"reason":"S5"}}`.
-impl ToJson for GuestOutcome {
-    fn to_json(&self) -> Json {
-        match *self {
-            GuestOutcome::Completed { at_tick } => Json::Obj(vec![(
-                "Completed".to_string(),
-                Json::Obj(vec![("at_tick".to_string(), at_tick.to_json())]),
-            )]),
-            GuestOutcome::Killed { at_tick, reason } => Json::Obj(vec![(
-                "Killed".to_string(),
-                Json::Obj(vec![
-                    ("at_tick".to_string(), at_tick.to_json()),
-                    ("reason".to_string(), reason.to_json()),
-                ]),
-            )]),
-        }
-    }
-}
-
-impl FromJson for GuestOutcome {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        if let Ok(body) = v.field("Completed") {
-            return Ok(GuestOutcome::Completed {
-                at_tick: body.get("at_tick")?,
-            });
-        }
-        if let Ok(body) = v.field("Killed") {
-            return Ok(GuestOutcome::Killed {
-                at_tick: body.get("at_tick")?,
-                reason: body.get("reason")?,
-            });
-        }
-        Err(JsonError(format!(
-            "expected GuestOutcome object, found {}",
-            v.kind()
-        )))
-    }
 }
 
 /// Execution status of a guest process on a node.

@@ -9,8 +9,6 @@
 //! other node looks sufficiently better — the job is checkpointed and
 //! re-queued.
 
-use fgcs_runtime::impl_json_struct;
-
 /// Configuration of proactive migration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MigrationPolicy {
@@ -26,13 +24,6 @@ pub struct MigrationPolicy {
     /// Work-seconds it costs to checkpoint + transfer the job.
     pub migration_cost_secs: f64,
 }
-
-impl_json_struct!(MigrationPolicy {
-    check_interval_secs,
-    tr_threshold,
-    min_improvement,
-    migration_cost_secs,
-});
 
 impl MigrationPolicy {
     /// A conservative default: re-check every 10 minutes, migrate below

@@ -4,7 +4,6 @@
 //! Generation is fully deterministic from `(seed, machine_id)` so that every
 //! experiment in the repository is reproducible bit-for-bit.
 
-use fgcs_runtime::impl_json_struct;
 use fgcs_runtime::rng::{Rng, Xoshiro256};
 
 use fgcs_core::model::LoadSample;
@@ -32,15 +31,6 @@ pub struct TraceConfig {
     /// curve, modelling day-to-day variation around the repeating pattern.
     pub day_noise_sigma: f64,
 }
-
-impl_json_struct!(TraceConfig {
-    machine_id,
-    seed,
-    profile,
-    step_secs,
-    first_day_index,
-    day_noise_sigma,
-});
 
 impl TraceConfig {
     /// A student-lab machine (the paper's testbed class).

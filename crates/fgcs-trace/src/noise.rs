@@ -6,7 +6,6 @@
 //! time of the added failure state was chosen randomly between 60 and 1800
 //! seconds."
 
-use fgcs_runtime::impl_json_struct;
 use fgcs_runtime::rng::Rng;
 
 use fgcs_core::log::HistoryStore;
@@ -32,15 +31,6 @@ pub struct NoiseInjector {
     /// the ones an N-most-recent-days predictor actually reads.
     pub recent_weekdays_only: Option<usize>,
 }
-
-impl_json_struct!(NoiseInjector {
-    time_of_day_secs,
-    jitter_secs,
-    min_hold_secs,
-    max_hold_secs,
-    failure_state,
-    recent_weekdays_only,
-});
 
 impl Default for NoiseInjector {
     fn default() -> Self {

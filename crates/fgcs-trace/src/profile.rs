@@ -7,8 +7,6 @@
 //! archetypes cover the future-work testbeds the paper names (§8):
 //! enterprise desktops and heavily loaded compute servers.
 
-use fgcs_runtime::impl_json_struct;
-
 use crate::revocation::RevocationConfig;
 use crate::session::{BackgroundConfig, SessionConfig};
 
@@ -33,17 +31,6 @@ pub struct MachineProfile {
     /// Owner revocations and crashes.
     pub revocation: RevocationConfig,
 }
-
-impl_json_struct!(MachineProfile {
-    name,
-    physical_mem_mb,
-    base_mem_mb,
-    weekday_activity,
-    weekend_activity,
-    session,
-    background,
-    revocation,
-});
 
 impl MachineProfile {
     /// The activity curve for the given day type.

@@ -6,7 +6,6 @@
 //! correlate with human presence. Crashes add a small time-uniform
 //! component.
 
-use fgcs_runtime::impl_json_struct;
 use fgcs_runtime::rng::Rng;
 
 use fgcs_runtime::dist;
@@ -24,13 +23,6 @@ pub struct RevocationConfig {
     /// Log-space std of the outage duration.
     pub outage_log_sigma: f64,
 }
-
-impl_json_struct!(RevocationConfig {
-    reboots_per_day,
-    crashes_per_day,
-    outage_log_mean,
-    outage_log_sigma,
-});
 
 impl RevocationConfig {
     /// Student lab: frequent console reboots (median outage ≈ 6 min).

@@ -7,7 +7,6 @@
 //! tolerance are what produce genuine S3 (CPU unavailability) periods;
 //! short background spikes exercise the transient-folding path instead.
 
-use fgcs_runtime::impl_json_struct;
 use fgcs_runtime::rng::Rng;
 
 use fgcs_runtime::dist;
@@ -34,17 +33,6 @@ pub struct SessionConfig {
     /// Mean dwell time (seconds) of each activity level.
     pub level_dwell_secs: [f64; 4],
 }
-
-impl_json_struct!(SessionConfig {
-    duration_log_mean,
-    duration_log_sigma,
-    mem_mean_mb,
-    mem_sigma_mb,
-    mem_hog_prob,
-    mem_hog_range,
-    level_weights,
-    level_dwell_secs,
-});
 
 impl SessionConfig {
     /// Student-lab sessions: bursty, compile-heavy.
@@ -186,14 +174,6 @@ pub struct BackgroundConfig {
     /// Spike CPU range.
     pub spike_cpu_range: (f64, f64),
 }
-
-impl_json_struct!(BackgroundConfig {
-    base_cpu_range,
-    base_redraw_secs,
-    spikes_per_hour,
-    spike_secs_range,
-    spike_cpu_range,
-});
 
 impl Default for BackgroundConfig {
     fn default() -> Self {

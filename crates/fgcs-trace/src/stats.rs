@@ -2,8 +2,6 @@
 //! paper reports about its testbed (§6.1) and that we use to calibrate the
 //! synthetic generator against it.
 
-use fgcs_runtime::impl_json_struct;
-
 use fgcs_core::log::HistoryStore;
 use fgcs_core::state::State;
 
@@ -21,14 +19,6 @@ pub struct TraceStats {
     /// Mean duration of a contiguous failure period, in seconds.
     pub mean_outage_secs: f64,
 }
-
-impl_json_struct!(TraceStats {
-    days,
-    occurrences,
-    by_state,
-    state_fractions,
-    mean_outage_secs,
-});
 
 impl TraceStats {
     /// Computes the statistics from a history store.

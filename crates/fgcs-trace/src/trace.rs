@@ -7,6 +7,7 @@ use fgcs_runtime::json::JsonError;
 use fgcs_core::error::CoreError;
 use fgcs_core::log::HistoryStore;
 use fgcs_core::model::{AvailabilityModel, LoadSample};
+use fgcs_core::window::SECS_PER_DAY;
 
 /// A full monitoring trace of one machine: whole days of uniformly sampled
 /// [`LoadSample`]s. This is the synthetic stand-in for the paper's 3-month
@@ -37,7 +38,7 @@ impl MachineTrace {
     /// Samples per day at this trace's monitoring period.
     #[must_use]
     pub fn samples_per_day(&self) -> usize {
-        (fgcs_core::window::SECS_PER_DAY / self.step_secs) as usize
+        (SECS_PER_DAY / self.step_secs) as usize
     }
 
     /// Number of whole days in the trace.
@@ -75,9 +76,22 @@ impl MachineTrace {
         Ok(fgcs_runtime::json::to_string(self))
     }
 
-    /// Deserialises a trace from JSON.
+    /// Deserialises a trace from JSON. Refuses a step that is 0 or does
+    /// not divide the day, and a `first_day_index` whose days run past
+    /// `usize::MAX`.
     pub fn from_json(json: &str) -> Result<MachineTrace, JsonError> {
-        fgcs_runtime::json::from_str(json)
+        let trace: MachineTrace = fgcs_runtime::json::from_str(json)?;
+        let step = trace.step_secs;
+        if step == 0 || !SECS_PER_DAY.is_multiple_of(step) {
+            let why = format!("{step} s does not divide the {SECS_PER_DAY}-s day");
+            return Err(JsonError(why).in_field("step_secs"));
+        }
+        let (first, days) = (trace.first_day_index, trace.days());
+        if first.checked_add(days).is_none() {
+            let why = format!("day {first} + {days} days overflows");
+            return Err(JsonError(why).in_field("first_day_index"));
+        }
+        Ok(trace)
     }
 }
 
@@ -133,5 +147,72 @@ mod tests {
         let json = t.to_json().unwrap();
         let back = MachineTrace::from_json(&json).unwrap();
         assert_eq!(t, back);
+    }
+
+    /// A one-day trace at a 12-h step, as `fgcs generate` writes it and
+    /// every trace-reading command loads it.
+    #[test]
+    fn json_bytes_are_pinned() {
+        const GOLDEN: &str = concat!(
+            r#"{"machine_id":3,"step_secs":43200,"first_day_index":5,"physical_mem_mb":512,"#,
+            r#""samples":[{"host_cpu":0.1,"free_mem_mb":300.5,"alive":true},"#,
+            r#"{"host_cpu":0.725,"free_mem_mb":0,"alive":false}]}"#
+        );
+        let sample = |host_cpu, free_mem_mb, alive| LoadSample {
+            host_cpu,
+            free_mem_mb,
+            alive,
+        };
+        let t = MachineTrace {
+            machine_id: 3,
+            step_secs: 43_200,
+            first_day_index: 5,
+            physical_mem_mb: 512.0,
+            samples: vec![sample(0.1, 300.5, true), sample(0.725, 0.0, false)],
+        };
+        assert_eq!(t.days(), 1);
+        assert_eq!(t.to_json().unwrap(), GOLDEN);
+        assert_eq!(MachineTrace::from_json(GOLDEN).unwrap(), t);
+    }
+
+    /// A two-day trace at a 12-h step as JSON, with `field` set to `value`.
+    fn with_field(field: &str, value: &str) -> String {
+        let t = MachineTrace {
+            machine_id: 1,
+            step_secs: 43_200,
+            first_day_index: 0,
+            physical_mem_mb: 512.0,
+            samples: vec![LoadSample::idle(400.0); 4],
+        };
+        let json = t.to_json().unwrap();
+        let at = json.find(&format!("\"{field}\":")).expect("field") + field.len() + 3;
+        let end = at + json[at..].find(',').expect("a later field");
+        format!("{}{value}{}", &json[..at], &json[end..])
+    }
+
+    #[test]
+    fn from_json_refuses_a_step_that_does_not_divide_the_day() {
+        for (step, why) in [
+            ("0", "0 s does not divide the 86400-s day"),
+            ("7", "7 s does not divide the 86400-s day"),
+        ] {
+            let err = MachineTrace::from_json(&with_field("step_secs", step)).unwrap_err();
+            assert_eq!(err.to_string(), format!("json error: step_secs: {why}"));
+        }
+    }
+
+    #[test]
+    fn from_json_refuses_days_past_usize_max() {
+        let json = with_field("first_day_index", &usize::MAX.to_string());
+        let err = MachineTrace::from_json(&json).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            format!(
+                "json error: first_day_index: day {} + 2 days overflows",
+                usize::MAX
+            )
+        );
+        let last = with_field("first_day_index", &(usize::MAX - 2).to_string());
+        assert!(MachineTrace::from_json(&last).is_ok());
     }
 }
