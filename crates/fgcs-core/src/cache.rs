@@ -7,10 +7,12 @@
 //! for the same (host, window, day-class, history) over and over. [`QhCache`] is a
 //! capacity-bounded LRU over [`fgcs_runtime::cache::LruCache`] keyed by
 //! exactly those coordinates. The history *length* is part of the key, so
-//! appending a day implicitly invalidates every stale entry for that host;
-//! a history edited or replaced in place (e.g. through
-//! `HistoryStore::days_mut`) keeps its length, so its owner must call
-//! [`QhCache::clear`], as `StateManager::preload_history` does.
+//! appending a day implicitly invalidates every entry for that host: a
+//! lookup only ever matches the current length, and entries keyed by an
+//! older one are never read again and age out of the LRU. A history edited
+//! or replaced in place (e.g. through `HistoryStore::days_mut`) keeps its
+//! length, so its owner must call [`QhCache::clear`], as
+//! `StateManager::preload_history` does.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -362,43 +364,6 @@ impl QhCache {
         Ok(params)
     }
 
-    /// Returns the *stale* kernel for the query coordinates, if any: an
-    /// entry matching everything but the history length. This is the
-    /// degraded-mode fallback — when fresh estimation fails (e.g. the live
-    /// history no longer covers the window), a kernel estimated from an
-    /// earlier history snapshot is still a far better TR source than a
-    /// prior.
-    ///
-    /// When several lengths are cached the longest history wins (history
-    /// lengths are unique per coordinate set, so the winner is
-    /// deterministic regardless of map iteration order). The recency order
-    /// is not touched: serving stale must not keep stale alive.
-    pub fn get_stale(
-        &self,
-        predictor: &SmpPredictor,
-        host: u64,
-        day_type: DayType,
-        window: TimeWindow,
-    ) -> Option<Arc<SmpParams>> {
-        let (max_history_days, same_day_type_only) = predictor.history_selection();
-        let cache = self.lock();
-        let found = cache
-            .iter()
-            .filter(|(k, _)| {
-                k.host == host
-                    && k.day_type == day_type
-                    && k.window == window
-                    && k.max_history_days == max_history_days
-                    && k.same_day_type_only == same_day_type_only
-            })
-            .max_by_key(|(k, _)| k.history_days)
-            .map(|(_, v)| Arc::clone(v));
-        if found.is_some() {
-            fgcs_runtime::counter_add!("core.qh_cache.stale_hits", 1);
-        }
-        found
-    }
-
     /// Drops every entry, and every dedup entry no other consumer holds.
     pub fn clear(&self) {
         self.lock().clear();
@@ -557,32 +522,6 @@ mod tests {
         assert_eq!(cache.capacity(), 2);
         cache.clear();
         assert!(cache.is_empty());
-    }
-
-    #[test]
-    fn get_stale_matches_any_history_length() {
-        let cache = QhCache::new(8);
-        let p = predictor();
-        let w = TimeWindow::new(0, 600);
-        assert!(cache.get_stale(&p, 1, DayType::Weekday, w).is_none());
-        let h4 = store(4);
-        let h5 = store(5);
-        let old = cache
-            .get_or_estimate(&p, 1, &h4, DayType::Weekday, w)
-            .unwrap();
-        let new = cache
-            .get_or_estimate(&p, 1, &h5, DayType::Weekday, w)
-            .unwrap();
-        // The longest cached history wins.
-        let stale = cache.get_stale(&p, 1, DayType::Weekday, w).unwrap();
-        assert!(Arc::ptr_eq(&stale, &new));
-        assert!(!Arc::ptr_eq(&stale, &old));
-        // Other coordinates do not match.
-        assert!(cache.get_stale(&p, 2, DayType::Weekday, w).is_none());
-        assert!(cache.get_stale(&p, 1, DayType::Weekend, w).is_none());
-        assert!(cache
-            .get_stale(&p, 1, DayType::Weekday, TimeWindow::new(600, 600))
-            .is_none());
     }
 
     #[test]

@@ -85,12 +85,6 @@ impl SmpPredictor {
         self
     }
 
-    /// The solver policy in effect.
-    #[must_use]
-    pub fn solver_policy(&self) -> SolverPolicy {
-        self.solver_policy
-    }
-
     /// The availability model configuration.
     #[must_use]
     pub fn model(&self) -> &AvailabilityModel {

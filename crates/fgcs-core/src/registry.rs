@@ -73,7 +73,7 @@ use crate::cache::{KernelDedup, QhCache};
 use crate::error::CoreError;
 use crate::log::{DayLog, HistoryStore, StateLog};
 use crate::model::AvailabilityModel;
-use crate::predictor::{SmpPredictor, SolverPolicy};
+use crate::predictor::SmpPredictor;
 use crate::smp::{IncrementalEstimator, SmpParams};
 use crate::state::State;
 use crate::window::{DayType, TimeWindow};
@@ -84,10 +84,6 @@ pub struct RegistryConfig {
     /// Number of shards (threads ingesting/querying disjoint shards never
     /// contend). Must be at least 1.
     pub shards: usize,
-    /// The availability model whose monitoring period stamps ingested days.
-    pub model: AvailabilityModel,
-    /// Which Eq.-3 solver answers the queries.
-    pub solver_policy: SolverPolicy,
     /// Sliding history bound per estimator (`None` = all qualifying days),
     /// mirroring `SmpPredictor::with_max_history_days`.
     pub max_history_days: Option<usize>,
@@ -116,8 +112,6 @@ impl Default for RegistryConfig {
     fn default() -> RegistryConfig {
         RegistryConfig {
             shards: 8,
-            model: AvailabilityModel::default(),
-            solver_policy: SolverPolicy::default(),
             max_history_days: None,
             qh_capacity_per_shard: 4096,
             max_estimators_per_host: 4,
@@ -337,8 +331,8 @@ impl ShardedRegistry {
     /// Panics when `config.shards` is zero or the cache capacity is zero.
     pub fn open(config: RegistryConfig) -> Result<ShardedRegistry, RegistryError> {
         assert!(config.shards > 0, "registry needs at least one shard");
-        let mut predictor =
-            SmpPredictor::new(config.model).with_solver_policy(config.solver_policy);
+        let model = AvailabilityModel::default();
+        let mut predictor = SmpPredictor::new(model);
         if let Some(n) = config.max_history_days {
             predictor = predictor.with_max_history_days(n);
         }
@@ -350,7 +344,7 @@ impl ShardedRegistry {
         let reg = ShardedRegistry {
             shards,
             predictor,
-            model: config.model,
+            model,
             max_estimators_per_host: config.max_estimators_per_host,
             dedup,
             snapshot_every: config.snapshot_every,
@@ -529,7 +523,7 @@ impl ShardedRegistry {
         let params = self.params_for_locked(shard, host, day_type, window)?;
         let steps = window.steps(self.model.monitor_period_secs);
         // Per-kernel solve memo: hosts sharing the canonical kernel pay the
-        // Eq.-3 recursion once per (policy, steps), for both operational
+        // Eq.-3 recursion once per step count, for both operational
         // inits, and read the stored bits afterwards.
         Ok(self
             .predictor
@@ -1028,7 +1022,7 @@ impl std::fmt::Debug for ShardSession<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::predictor::solve_memo_key;
+    use crate::predictor::{solve_memo_key, SolverPolicy};
     use fgcs_runtime::fault::FaultPlan;
     use fgcs_runtime::rng::{Rng, Xoshiro256};
     use State::*;
@@ -1115,30 +1109,25 @@ mod tests {
 
     #[test]
     fn sweep_matches_predict_tr_curve_bitwise() {
-        for policy in [SolverPolicy::Fast, SolverPolicy::PaperOracle] {
-            let reg = ShardedRegistry::new(RegistryConfig {
-                solver_policy: policy,
-                ..config(3)
-            });
-            let mut rng = Xoshiro256::seed_from_u64(5);
-            let mut oracle_history = HistoryStore::new();
-            for day in 0..8 {
-                let states = random_day(&mut rng, 14_400);
-                oracle_history.push_day(DayLog::new(day, StateLog::new(6, states.clone())));
-                reg.ingest_day(3, Some(day), states).unwrap();
-            }
-            let window = TimeWindow::from_hours(23.0, 2.0); // cross-midnight
-            let oracle = SmpPredictor::new(AvailabilityModel::default()).with_solver_policy(policy);
-            let want = oracle
-                .predict_tr_curve(&oracle_history, DayType::Weekday, window)
-                .unwrap();
-            let got = reg.sweep(3, DayType::Weekday, window).unwrap();
-            for init in [S1, S2] {
-                let (w, g) = (want.curve(init).unwrap(), got.curve(init).unwrap());
-                assert_eq!(w.len(), g.len(), "{policy:?}");
-                for (m, (w, g)) in w.iter().zip(g).enumerate() {
-                    assert_eq!(w.to_bits(), g.to_bits(), "{policy:?} {init} m {m}");
-                }
+        let reg = ShardedRegistry::new(config(3));
+        let mut rng = Xoshiro256::seed_from_u64(5);
+        let mut oracle_history = HistoryStore::new();
+        for day in 0..8 {
+            let states = random_day(&mut rng, 14_400);
+            oracle_history.push_day(DayLog::new(day, StateLog::new(6, states.clone())));
+            reg.ingest_day(3, Some(day), states).unwrap();
+        }
+        let window = TimeWindow::from_hours(23.0, 2.0); // cross-midnight
+        let oracle = SmpPredictor::new(AvailabilityModel::default());
+        let want = oracle
+            .predict_tr_curve(&oracle_history, DayType::Weekday, window)
+            .unwrap();
+        let got = reg.sweep(3, DayType::Weekday, window).unwrap();
+        for init in [S1, S2] {
+            let (w, g) = (want.curve(init).unwrap(), got.curve(init).unwrap());
+            assert_eq!(w.len(), g.len());
+            for (m, (w, g)) in w.iter().zip(g).enumerate() {
+                assert_eq!(w.to_bits(), g.to_bits(), "{init} m {m}");
             }
         }
     }
@@ -1277,86 +1266,75 @@ mod tests {
 
     #[test]
     fn predict_many_matches_scalar_predicts_bitwise() {
-        for policy in [SolverPolicy::Fast, SolverPolicy::PaperOracle] {
-            let cfg = RegistryConfig {
-                solver_policy: policy,
-                ..config(3)
-            };
-            let reg = ShardedRegistry::new(cfg.clone());
-            // Fed the same days, a second registry answers the batch with a
-            // cold solve memo: its values come from the curve solve, where
-            // `reg`'s batch is served from the memo its scalar predicts
-            // fill.
-            let cold = ShardedRegistry::new(cfg);
-            let mut rng = Xoshiro256::seed_from_u64(71);
-            for day in 0..7 {
-                let states = random_day(&mut rng, 14_400);
-                reg.ingest_day(5, Some(day), states.clone()).unwrap();
-                cold.ingest_day(5, Some(day), states).unwrap();
-            }
-            let window = TimeWindow::from_hours(10.0, 1.5);
-            let inits = [S1, S2, S1, S3, S2];
-            let scalars: Vec<_> = inits
-                .iter()
-                .map(|&init| reg.predict(5, DayType::Weekday, window, init))
-                .collect();
-            for (memo, r) in [("warm", &reg), ("cold", &cold)] {
-                let mut s = r.session(r.shard_index(5));
-                let batched = s.predict_many(5, DayType::Weekday, window, &inits);
-                drop(s);
-                for (i, (want, got)) in scalars.iter().zip(&batched).enumerate() {
-                    match (want, got) {
-                        (Ok(w), Ok(g)) => {
-                            assert_eq!(w.to_bits(), g.to_bits(), "{policy:?} {memo} slot {i}");
-                        }
-                        (Err(w), Err(g)) => assert_eq!(w, g, "{policy:?} {memo} slot {i}"),
-                        (w, g) => panic!("{policy:?} {memo} slot {i} diverged: {w:?} vs {g:?}"),
+        let reg = ShardedRegistry::new(config(3));
+        // Fed the same days, a second registry answers the batch with a
+        // cold solve memo: its values come from the curve solve, where
+        // `reg`'s batch is served from the memo its scalar predicts
+        // fill.
+        let cold = ShardedRegistry::new(config(3));
+        let mut rng = Xoshiro256::seed_from_u64(71);
+        for day in 0..7 {
+            let states = random_day(&mut rng, 14_400);
+            reg.ingest_day(5, Some(day), states.clone()).unwrap();
+            cold.ingest_day(5, Some(day), states).unwrap();
+        }
+        let window = TimeWindow::from_hours(10.0, 1.5);
+        let inits = [S1, S2, S1, S3, S2];
+        let scalars: Vec<_> = inits
+            .iter()
+            .map(|&init| reg.predict(5, DayType::Weekday, window, init))
+            .collect();
+        for (memo, r) in [("warm", &reg), ("cold", &cold)] {
+            let mut s = r.session(r.shard_index(5));
+            let batched = s.predict_many(5, DayType::Weekday, window, &inits);
+            drop(s);
+            for (i, (want, got)) in scalars.iter().zip(&batched).enumerate() {
+                match (want, got) {
+                    (Ok(w), Ok(g)) => {
+                        assert_eq!(w.to_bits(), g.to_bits(), "{memo} slot {i}");
                     }
+                    (Err(w), Err(g)) => assert_eq!(w, g, "{memo} slot {i}"),
+                    (w, g) => panic!("{memo} slot {i} diverged: {w:?} vs {g:?}"),
                 }
             }
-            // Unknown-host groups error per slot like scalar predicts do.
-            let mut s = reg.session(reg.shard_index(404));
-            let missing = s.predict_many(404, DayType::Weekday, window, &[S1, S3]);
-            assert!(matches!(missing[0], Err(RegistryError::UnknownHost(404))));
-            assert!(matches!(
-                missing[1],
-                Err(RegistryError::Core(CoreError::FailureInitialState(S3)))
-            ));
         }
+        // Unknown-host groups error per slot like scalar predicts do.
+        let mut s = reg.session(reg.shard_index(404));
+        let missing = s.predict_many(404, DayType::Weekday, window, &[S1, S3]);
+        assert!(matches!(missing[0], Err(RegistryError::UnknownHost(404))));
+        assert!(matches!(
+            missing[1],
+            Err(RegistryError::Core(CoreError::FailureInitialState(S3)))
+        ));
     }
 
     #[test]
     fn one_predict_memoizes_both_operational_inits() {
-        for policy in [SolverPolicy::Fast, SolverPolicy::PaperOracle] {
-            let reg = ShardedRegistry::new(RegistryConfig {
-                solver_policy: policy,
-                ..config(3)
-            });
-            let mut rng = Xoshiro256::seed_from_u64(61);
-            let mut oracle_history = HistoryStore::new();
-            for day in 0..6 {
-                let states = random_day(&mut rng, 14_400);
-                oracle_history.push_day(DayLog::new(day, StateLog::new(6, states.clone())));
-                reg.ingest_day(11, Some(day), states).unwrap();
-            }
-            let window = TimeWindow::from_hours(14.0, 1.5);
-            reg.predict(11, DayType::Weekday, window, S1).unwrap();
-            let params = reg
-                .lock(reg.shard_index(11))
-                .qh
-                .get_stale(&reg.predictor, 11, DayType::Weekday, window)
-                .expect("the predict cached its kernel");
-            let key = solve_memo_key(S2, policy, window.steps(6));
-            let want = SmpPredictor::new(AvailabilityModel::default())
-                .with_solver_policy(policy)
-                .predict(&oracle_history, DayType::Weekday, window, S2)
-                .unwrap();
-            assert_eq!(
-                reg.dedup.memo_get(&params, key).map(f64::to_bits),
-                Some(want.to_bits()),
-                "{policy:?}"
-            );
+        let reg = ShardedRegistry::new(config(3));
+        let mut rng = Xoshiro256::seed_from_u64(61);
+        let mut oracle_history = HistoryStore::new();
+        for day in 0..6 {
+            let states = random_day(&mut rng, 14_400);
+            oracle_history.push_day(DayLog::new(day, StateLog::new(6, states.clone())));
+            reg.ingest_day(11, Some(day), states).unwrap();
         }
+        let window = TimeWindow::from_hours(14.0, 1.5);
+        reg.predict(11, DayType::Weekday, window, S1).unwrap();
+        let params = reg
+            .lock(reg.shard_index(11))
+            .qh
+            .get_or_compute(&reg.predictor, 11, 6, DayType::Weekday, window, || {
+                panic!("the predict cached its kernel")
+            })
+            .unwrap();
+        let key = solve_memo_key(S2, SolverPolicy::Fast, window.steps(6));
+        let want = SmpPredictor::new(AvailabilityModel::default())
+            .predict(&oracle_history, DayType::Weekday, window, S2)
+            .unwrap();
+        assert_eq!(
+            reg.dedup.memo_get(&params, key).map(f64::to_bits),
+            Some(want.to_bits())
+        );
     }
 
     #[test]

@@ -12,13 +12,17 @@
 //! degrades in order of information content:
 //!
 //! 1. **Exact** — fresh kernel from the live history (via the `QhCache`);
-//! 2. **Stale** — a kernel cached from an earlier history snapshot for the
-//!    same coordinates;
-//! 3. **Widened** — re-estimate with relaxed history selection (both day
+//! 2. **Widened** — re-estimate with relaxed history selection (both day
 //!    types, then additionally the midnight-anchored window of the same
 //!    length), trading specificity for coverage;
-//! 4. **Prior** — a conservative fixed TR when the host has no usable
+//! 3. **Prior** — a conservative fixed TR when the host has no usable
 //!    history at all.
+//!
+//! The chain reuses no kernel cached at an earlier history length: its one
+//! caller, `StateManager`, only appends days, so a fresh estimate fails
+//! only where no shorter history estimated either, and an estimate that
+//! succeeds always solves (the horizon is the window's step count and
+//! `init` is checked first).
 //!
 //! Only a failure initial state remains a hard error: predicting
 //! reliability for a guest on an already-failed host is a contract
@@ -38,9 +42,6 @@ use crate::window::{DayType, TimeWindow};
 pub enum PredictionQuality {
     /// Fresh kernel estimated from the live history.
     Exact,
-    /// Kernel reused from an earlier history snapshot of the same
-    /// coordinates.
-    Stale,
     /// Kernel re-estimated under relaxed history selection.
     Widened,
     /// No usable history: the conservative prior.
@@ -54,7 +55,6 @@ impl PredictionQuality {
     pub fn confidence(self) -> f64 {
         match self {
             PredictionQuality::Exact => 1.0,
-            PredictionQuality::Stale => 0.95,
             PredictionQuality::Widened => 0.85,
             PredictionQuality::Prior => 0.70,
         }
@@ -71,7 +71,6 @@ impl std::fmt::Display for PredictionQuality {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let s = match self {
             PredictionQuality::Exact => "exact",
-            PredictionQuality::Stale => "stale",
             PredictionQuality::Widened => "widened",
             PredictionQuality::Prior => "prior",
         };
@@ -147,15 +146,7 @@ impl RobustPredictor {
             }
         }
 
-        // 2. Stale: a kernel from an earlier history snapshot of the same
-        // coordinates.
-        if let Some(params) = cache.get_stale(&self.predictor, host, day_type, window) {
-            if let Ok(tr) = self.predictor.solve_tr(&params, init, steps) {
-                return Ok(self.tag(tr, PredictionQuality::Stale));
-            }
-        }
-
-        // 3. Widened: relax the history selection — first both day types
+        // 2. Widened: relax the history selection — first both day types
         // over the same window, then additionally the midnight-anchored
         // window of the same length (any same-length stretch of any day).
         let widened = self.predictor.with_all_day_types();
@@ -168,7 +159,7 @@ impl RobustPredictor {
             }
         }
 
-        // 4. Prior: nothing usable — answer conservatively rather than
+        // 3. Prior: nothing usable — answer conservatively rather than
         // not at all.
         Ok(self.tag(DEFAULT_PRIOR_TR, PredictionQuality::Prior))
     }
@@ -176,7 +167,6 @@ impl RobustPredictor {
     fn tag(&self, tr: f64, quality: PredictionQuality) -> QualifiedTr {
         match quality {
             PredictionQuality::Exact => fgcs_runtime::counter_add!("core.robust.exact", 1),
-            PredictionQuality::Stale => fgcs_runtime::counter_add!("core.robust.stale", 1),
             PredictionQuality::Widened => fgcs_runtime::counter_add!("core.robust.widened", 1),
             PredictionQuality::Prior => fgcs_runtime::counter_add!("core.robust.prior", 1),
         }
@@ -224,24 +214,6 @@ mod tests {
     }
 
     #[test]
-    fn stale_kernel_serves_after_history_loss() {
-        let cache = QhCache::new(8);
-        let history = quiet_store(5);
-        let r = robust();
-        let w = TimeWindow::new(0, 600);
-        // Warm the cache, then lose the history.
-        let exact = r
-            .predict(&cache, 1, &history, DayType::Weekday, w, S1)
-            .unwrap();
-        let empty = HistoryStore::new();
-        let q = r
-            .predict(&cache, 1, &empty, DayType::Weekday, w, S1)
-            .unwrap();
-        assert_eq!(q.quality, PredictionQuality::Stale);
-        assert_eq!(q.tr.to_bits(), exact.tr.to_bits());
-    }
-
-    #[test]
     fn widened_covers_day_type_starvation() {
         // Weekend-only history, weekday query, cold cache: the same-window
         // cross-day-type widening answers.
@@ -286,16 +258,15 @@ mod tests {
     #[test]
     fn quality_order_and_scores_are_monotone() {
         use PredictionQuality::*;
-        assert!(Exact < Stale && Stale < Widened && Widened < Prior);
-        assert!(Exact.confidence() > Stale.confidence());
-        assert!(Stale.confidence() > Widened.confidence());
+        assert!(Exact < Widened && Widened < Prior);
+        assert!(Exact.confidence() > Widened.confidence());
         assert!(Widened.confidence() > Prior.confidence());
         assert!(!Exact.is_degraded());
         assert!(Prior.is_degraded());
         let q = QualifiedTr {
             tr: 0.8,
-            quality: Stale,
+            quality: Widened,
         };
-        assert!((q.score() - 0.8 * 0.95).abs() < 1e-12);
+        assert!((q.score() - 0.8 * 0.85).abs() < 1e-12);
     }
 }

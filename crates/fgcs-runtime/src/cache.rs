@@ -3,8 +3,10 @@
 //! Replaces the `lru` crate for the kernel-parameter memoization layer:
 //! `get` and `put` are O(1) via a slab of doubly-linked nodes
 //! (indices instead of pointers, so no `unsafe`) plus a `HashMap` from key
-//! to slab slot. Eviction returns the displaced entry so callers can count
-//! or inspect it.
+//! to slab slot. A `put` into a full cache writes the new node into the
+//! evicted slot, so the slab never outgrows the capacity and needs no free
+//! list. Eviction returns the displaced entry so callers can count or
+//! inspect it.
 
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -40,9 +42,8 @@ struct Node<K, V> {
 #[derive(Debug, Clone)]
 pub struct LruCache<K, V> {
     map: HashMap<K, usize>,
-    /// Slots are `None` only while parked on the free list.
-    slab: Vec<Option<Node<K, V>>>,
-    free: Vec<usize>,
+    /// At most `capacity` nodes, every one linked.
+    slab: Vec<Node<K, V>>,
     head: usize,
     tail: usize,
     capacity: usize,
@@ -60,7 +61,6 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
         LruCache {
             map: HashMap::with_capacity(capacity),
             slab: Vec::with_capacity(capacity),
-            free: Vec::new(),
             head: NIL,
             tail: NIL,
             capacity,
@@ -90,94 +90,62 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
         let idx = *self.map.get(key)?;
         self.detach(idx);
         self.attach_front(idx);
-        Some(&self.node(idx).value)
+        Some(&self.slab[idx].value)
     }
 
     /// Inserts or replaces `key`; returns the entry evicted to make room
     /// (replacing an existing key returns its old value under that key).
     pub fn put(&mut self, key: K, value: V) -> Option<(K, V)> {
         if let Some(&idx) = self.map.get(&key) {
-            let old = std::mem::replace(&mut self.node_mut(idx).value, value);
+            let old = std::mem::replace(&mut self.slab[idx].value, value);
             self.detach(idx);
             self.attach_front(idx);
             return Some((key, old));
         }
-        let evicted = if self.map.len() == self.capacity {
-            let lru = self.tail;
-            self.detach(lru);
-            let node = self.slab[lru].take().expect("tail slot occupied");
-            self.map.remove(&node.key);
-            self.free.push(lru);
-            Some((node.key, node.value))
-        } else {
-            None
-        };
         let node = Node {
             key: key.clone(),
             value,
             prev: NIL,
             next: NIL,
         };
-        let idx = match self.free.pop() {
-            Some(slot) => {
-                self.slab[slot] = Some(node);
-                slot
-            }
-            None => {
-                self.slab.push(Some(node));
-                self.slab.len() - 1
-            }
+        let (idx, evicted) = if self.map.len() == self.capacity {
+            // Full: the new entry takes over the least-recently-used slot.
+            let lru = self.tail;
+            self.detach(lru);
+            let old = std::mem::replace(&mut self.slab[lru], node);
+            self.map.remove(&old.key);
+            (lru, Some((old.key, old.value)))
+        } else {
+            self.slab.push(node);
+            (self.slab.len() - 1, None)
         };
         self.map.insert(key, idx);
         self.attach_front(idx);
         evicted
     }
 
-    /// Visits every `(key, value)` pair without touching the recency
-    /// order. Iteration order is unspecified (it follows the internal map),
-    /// so callers needing determinism must reduce with an order-insensitive
-    /// operation (e.g. `max_by_key` over unique keys).
-    pub fn iter(&self) -> impl Iterator<Item = (&K, &V)> {
-        self.map.values().map(|&idx| {
-            let node = self.node(idx);
-            (&node.key, &node.value)
-        })
-    }
-
     /// Drops every entry.
     pub fn clear(&mut self) {
         self.map.clear();
         self.slab.clear();
-        self.free.clear();
         self.head = NIL;
         self.tail = NIL;
     }
 
-    fn node(&self, idx: usize) -> &Node<K, V> {
-        self.slab[idx].as_ref().expect("linked slot occupied")
-    }
-
-    fn node_mut(&mut self, idx: usize) -> &mut Node<K, V> {
-        self.slab[idx].as_mut().expect("linked slot occupied")
-    }
-
     /// Unlinks a node from the recency list.
     fn detach(&mut self, idx: usize) {
-        let (prev, next) = {
-            let node = self.node(idx);
-            (node.prev, node.next)
-        };
+        let Node { prev, next, .. } = self.slab[idx];
         if prev != NIL {
-            self.node_mut(prev).next = next;
+            self.slab[prev].next = next;
         } else if self.head == idx {
             self.head = next;
         }
         if next != NIL {
-            self.node_mut(next).prev = prev;
+            self.slab[next].prev = prev;
         } else if self.tail == idx {
             self.tail = prev;
         }
-        let node = self.node_mut(idx);
+        let node = &mut self.slab[idx];
         node.prev = NIL;
         node.next = NIL;
     }
@@ -185,13 +153,11 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
     /// Links a node at the most-recently-used end.
     fn attach_front(&mut self, idx: usize) {
         let head = self.head;
-        {
-            let node = self.node_mut(idx);
-            node.prev = NIL;
-            node.next = head;
-        }
+        let node = &mut self.slab[idx];
+        node.prev = NIL;
+        node.next = head;
         if head != NIL {
-            self.node_mut(head).prev = idx;
+            self.slab[head].prev = idx;
         }
         self.head = idx;
         if self.tail == NIL {
@@ -224,20 +190,6 @@ mod tests {
         assert_eq!(c.put("k", 2), Some(("k", 1)));
         assert_eq!(c.len(), 1);
         assert_eq!(c.get(&"k"), Some(&2));
-    }
-
-    #[test]
-    fn iter_visits_every_entry_without_promoting() {
-        let mut c = LruCache::new(4);
-        c.put(1, "a");
-        c.put(2, "b");
-        c.put(3, "c");
-        let mut seen: Vec<(i32, &str)> = c.iter().map(|(&k, &v)| (k, v)).collect();
-        seen.sort_unstable();
-        assert_eq!(seen, vec![(1, "a"), (2, "b"), (3, "c")]);
-        // Iteration must not promote: 1 is still the LRU entry.
-        c.put(4, "d");
-        assert_eq!(c.put(5, "e"), Some((1, "a")));
     }
 
     #[test]
@@ -277,5 +229,46 @@ mod tests {
         for i in 984..1000 {
             assert_eq!(c.get(&i), Some(&i));
         }
+    }
+
+    #[test]
+    fn churn_reuses_slots_and_evicts_in_lru_order() {
+        // A reference LRU (a plain vector, most recent last) beside the
+        // cache: every get and put must agree with it, and the slab must
+        // stay at `capacity` nodes however many entries pass through.
+        let capacity = 8;
+        let mut c = LruCache::new(capacity);
+        let mut reference: Vec<u32> = Vec::new();
+        let mut x = 0x2545_f491_u32;
+        for _ in 0..5_000 {
+            x ^= x << 13;
+            x ^= x >> 17;
+            x ^= x << 5;
+            let key = x % 24;
+            if x & (1 << 20) == 0 {
+                let hit = c.get(&key).copied();
+                let pos = reference.iter().position(|&k| k == key);
+                assert_eq!(hit, pos.map(|_| key));
+                if let Some(pos) = pos {
+                    reference.remove(pos);
+                    reference.push(key);
+                }
+            } else {
+                let evicted = c.put(key, key);
+                if let Some(pos) = reference.iter().position(|&k| k == key) {
+                    reference.remove(pos);
+                    assert_eq!(evicted, Some((key, key)));
+                } else if reference.len() == capacity {
+                    let lru = reference.remove(0);
+                    assert_eq!(evicted, Some((lru, lru)));
+                } else {
+                    assert_eq!(evicted, None);
+                }
+                reference.push(key);
+            }
+            assert!(c.slab.len() <= capacity, "slab grew to {}", c.slab.len());
+            assert_eq!(c.len(), reference.len());
+        }
+        assert_eq!(c.slab.len(), capacity);
     }
 }

@@ -8,11 +8,14 @@
 //! observes, never what the guests run on, and the scheduler keeps
 //! placing jobs through blackouts and degraded predictions.
 //!
+//! The workload is fixed: every `PREDICT_EVERY_STEPS` steps the scheduler
+//! sweeps the cluster for quality-tagged TRs, and every `JOB_EVERY_STEPS`
+//! steps it places a job of `JOB_WORK_SECS`.
 //! Everything is deterministic from the [`ChaosConfig`]: the same config
 //! always produces the same [`ChaosReport`], digest included, and a
 //! zero-fault plan produces bit-identical results to no plan at all.
 //! Those two properties are what `tests/chaos.rs` and the CI chaos smoke
-//! stage assert.
+//! stage assert; `tests/chaos.rs` also pins two whole reports.
 
 use fgcs_core::model::AvailabilityModel;
 use fgcs_core::robust::PredictionQuality;
@@ -22,7 +25,16 @@ use fgcs_trace::{TraceConfig, TraceGenerator};
 
 use crate::guest::{GuestJob, GuestOutcome};
 use crate::node::HostNode;
-use crate::scheduler::{predict_cluster_qualified, JobScheduler, SchedulingPolicy};
+use crate::scheduler::{
+    predict_cluster_qualified, reliability_horizon, JobScheduler, SchedulingPolicy,
+};
+
+/// Sweep the whole cluster for qualified TRs every this many steps.
+const PREDICT_EVERY_STEPS: usize = 25;
+/// Submit a fresh job every this many steps.
+const JOB_EVERY_STEPS: usize = 50;
+/// Work per submitted job, in CPU-seconds.
+const JOB_WORK_SECS: f64 = 1_800.0;
 
 /// Configuration of one chaos campaign. Fully determines the run.
 #[derive(Debug, Clone, PartialEq)]
@@ -37,18 +49,6 @@ pub struct ChaosConfig {
     pub steps: usize,
     /// The fault plan; `None` runs the pristine, unfaulted pipeline.
     pub plan: Option<FaultPlan>,
-    /// Sweep the whole cluster for qualified TRs every this many steps.
-    pub predict_every_steps: usize,
-    /// Submit a fresh job every this many steps.
-    pub job_every_steps: usize,
-    /// Work per submitted job, in CPU-seconds.
-    pub job_work_secs: f64,
-    /// Run every prediction through the verbatim paper-order solver
-    /// instead of the default error-bounded fast path. Scheduling
-    /// decisions must be identical either way (`decision_digest` agrees);
-    /// TR bits may differ within the 1e-12 fast-path budget, so `digest`
-    /// may not.
-    pub paper_oracle: bool,
 }
 
 impl ChaosConfig {
@@ -61,11 +61,17 @@ impl ChaosConfig {
             warmup_days: 2,
             steps: 10_000,
             plan: Some(FaultPlan::chaos(seed)),
-            predict_every_steps: 25,
-            job_every_steps: 50,
-            job_work_secs: 1_800.0,
-            paper_oracle: false,
         }
+    }
+
+    /// Days of trace each node replays: the warm-up, the measured steps in
+    /// whole days, and a day to spare. `None` when that many days, or
+    /// their samples, overflow `usize`.
+    #[must_use]
+    pub fn trace_days(&self) -> Option<usize> {
+        let per_day = AvailabilityModel::default().samples_per_day();
+        let days = self.warmup_days.checked_add(self.steps / per_day + 2)?;
+        days.checked_mul(per_day).map(|_| days)
     }
 
     /// The same campaign with no fault plan at all (the pristine
@@ -80,13 +86,6 @@ impl ChaosConfig {
     #[must_use]
     pub fn with_plan(mut self, plan: FaultPlan) -> ChaosConfig {
         self.plan = Some(plan);
-        self
-    }
-
-    /// Forces every prediction through the verbatim paper-order solver.
-    #[must_use]
-    pub fn with_paper_oracle(mut self) -> ChaosConfig {
-        self.paper_oracle = true;
         self
     }
 }
@@ -111,8 +110,6 @@ pub struct ChaosReport {
     pub blackout_rejections: u64,
     /// Answers per quality tier.
     pub exact: u64,
-    /// Stale-kernel answers.
-    pub stale: u64,
     /// Widened-window answers.
     pub widened: u64,
     /// Conservative-prior answers.
@@ -131,12 +128,6 @@ pub struct ChaosReport {
     pub killed: u64,
     /// Order-sensitive FNV-1a digest over predictions and decisions.
     pub digest: u64,
-    /// Order-sensitive FNV-1a digest over scheduling outcomes only (the
-    /// chosen node index, no-candidate rounds, blackout rejections) —
-    /// *not* the TR bits. This is the quantity the fast-vs-oracle solver
-    /// equivalence check compares: solvers may differ in the last few TR
-    /// ulps, but the decisions they drive must be identical.
-    pub decision_digest: u64,
 }
 
 impl_json_struct!(ChaosReport {
@@ -147,7 +138,6 @@ impl_json_struct!(ChaosReport {
     out_of_range,
     blackout_rejections,
     exact,
-    stale,
     widened,
     prior,
     tr_min,
@@ -157,7 +147,6 @@ impl_json_struct!(ChaosReport {
     completed,
     killed,
     digest,
-    decision_digest,
 });
 
 impl ChaosReport {
@@ -185,27 +174,24 @@ fn fnv(mut hash: u64, value: u64) -> u64 {
 /// same report, bit for bit (including `tr_min`/`tr_max`/`digest`).
 ///
 /// # Panics
-/// Panics when `config.machines` is zero.
+/// Panics when `config.machines` is zero or its trace length overflows
+/// ([`ChaosConfig::trace_days`]).
 #[must_use]
 pub fn run_campaign(config: &ChaosConfig) -> ChaosReport {
     assert!(
         config.machines > 0,
         "chaos campaign needs at least one node"
     );
+    let days = config
+        .trace_days()
+        .expect("chaos campaign trace length overflows usize");
     let model = AvailabilityModel::default();
-    let per_day = model.samples_per_day();
-    // Whole days for warm-up plus the measured steps, and a day to spare.
-    let days = config.warmup_days + config.steps / per_day + 2;
 
     let mut nodes: Vec<HostNode> = (0..config.machines as u64)
         .map(|id| {
             let cfg = TraceConfig::lab_machine(config.seed).with_machine_id(id);
             let trace = TraceGenerator::new(cfg).generate_days(days);
-            let node = HostNode::new(trace, model).with_solver_policy(if config.paper_oracle {
-                fgcs_core::predictor::SolverPolicy::PaperOracle
-            } else {
-                fgcs_core::predictor::SolverPolicy::Fast
-            });
+            let node = HostNode::new(trace, model);
             match &config.plan {
                 Some(plan) => node.with_fault_injector(plan.clone()),
                 None => node,
@@ -217,7 +203,7 @@ pub fn run_campaign(config: &ChaosConfig) -> ChaosReport {
     }
 
     let mut scheduler = JobScheduler::new(SchedulingPolicy::MaxReliability, config.seed);
-    let horizon = ((config.job_work_secs * scheduler.runtime_slack) as u32).max(60);
+    let horizon = reliability_horizon(JOB_WORK_SECS);
 
     let mut report = ChaosReport {
         steps: 0,
@@ -227,7 +213,6 @@ pub fn run_campaign(config: &ChaosConfig) -> ChaosReport {
         out_of_range: 0,
         blackout_rejections: 0,
         exact: 0,
-        stale: 0,
         widened: 0,
         prior: 0,
         tr_min: 1.0,
@@ -237,12 +222,11 @@ pub fn run_campaign(config: &ChaosConfig) -> ChaosReport {
         completed: 0,
         killed: 0,
         digest: FNV_OFFSET,
-        decision_digest: FNV_OFFSET,
     };
     let mut next_job_id = 1u64;
 
     for step in 0..config.steps {
-        if config.predict_every_steps > 0 && step % config.predict_every_steps == 0 {
+        if step % PREDICT_EVERY_STEPS == 0 {
             for result in predict_cluster_qualified(&nodes, horizon) {
                 match result {
                     Ok(q) => {
@@ -254,7 +238,6 @@ pub fn run_campaign(config: &ChaosConfig) -> ChaosReport {
                         report.tr_max = report.tr_max.max(q.tr);
                         match q.quality {
                             PredictionQuality::Exact => report.exact += 1,
-                            PredictionQuality::Stale => report.stale += 1,
                             PredictionQuality::Widened => report.widened += 1,
                             PredictionQuality::Prior => report.prior += 1,
                         }
@@ -264,19 +247,17 @@ pub fn run_campaign(config: &ChaosConfig) -> ChaosReport {
                     Err(_) => {
                         report.blackout_rejections += 1;
                         report.digest = fnv(report.digest, 0xB1AC_0007);
-                        report.decision_digest = fnv(report.decision_digest, 0xB1AC_0007);
                     }
                 }
             }
         }
-        if config.job_every_steps > 0 && step % config.job_every_steps == 0 {
-            let job = GuestJob::new(next_job_id, config.job_work_secs, 50.0);
+        if step % JOB_EVERY_STEPS == 0 {
+            let job = GuestJob::new(next_job_id, JOB_WORK_SECS, 50.0);
             next_job_id += 1;
             match scheduler.choose(&nodes, &job) {
                 Some(idx) => {
                     report.decisions += 1;
                     report.digest = fnv(report.digest, idx as u64);
-                    report.decision_digest = fnv(report.decision_digest, idx as u64);
                     let job = scheduler.configure_job(&nodes[idx], job);
                     match nodes[idx].submit(job) {
                         Ok(()) => report.submitted += 1,
@@ -286,7 +267,6 @@ pub fn run_campaign(config: &ChaosConfig) -> ChaosReport {
                 None => {
                     report.no_candidate_rounds += 1;
                     report.digest = fnv(report.digest, u64::MAX);
-                    report.decision_digest = fnv(report.decision_digest, u64::MAX);
                 }
             }
         }
@@ -353,13 +333,11 @@ mod tests {
     }
 
     #[test]
-    fn paper_oracle_campaign_makes_identical_decisions() {
-        let fast = run_campaign(&small(13));
-        let oracle = run_campaign(&small(13).with_paper_oracle());
-        assert_eq!(fast.decision_digest, oracle.decision_digest);
-        assert_eq!(fast.decisions, oracle.decisions);
-        assert_eq!(fast.submitted, oracle.submitted);
-        assert_eq!(fast.completed, oracle.completed);
-        assert_eq!(fast.killed, oracle.killed);
+    #[should_panic(expected = "trace length overflows")]
+    fn overflowing_trace_length_panics_before_generating() {
+        let _ = run_campaign(&ChaosConfig {
+            warmup_days: usize::MAX,
+            ..small(3)
+        });
     }
 }

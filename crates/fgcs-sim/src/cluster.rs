@@ -8,7 +8,7 @@ use fgcs_trace::MachineTrace;
 use crate::guest::{GuestJob, GuestOutcome};
 use crate::migration::MigrationPolicy;
 use crate::node::HostNode;
-use crate::scheduler::JobScheduler;
+use crate::scheduler::{reliability_horizon, JobScheduler};
 
 /// A job to be injected into the cluster at a given tick.
 #[derive(Debug, Clone, PartialEq)]
@@ -275,7 +275,7 @@ impl Cluster {
             if let Some(policy) = migration {
                 let interval = policy.check_interval_steps(self.step_secs);
                 if now % interval == 0 {
-                    self.run_migration_round(policy, scheduler, now, &mut records, &mut pending);
+                    self.run_migration_round(policy, now, &mut records, &mut pending);
                 }
             }
 
@@ -319,7 +319,6 @@ impl Cluster {
     fn run_migration_round(
         &mut self,
         policy: MigrationPolicy,
-        scheduler: &JobScheduler,
         now: u64,
         records: &mut [JobRecord],
         pending: &mut Vec<(u64, GuestJob)>,
@@ -334,7 +333,7 @@ impl Cluster {
             let Some(remaining) = self.nodes[i].guest_remaining_secs() else {
                 continue;
             };
-            let horizon = ((remaining * scheduler.runtime_slack) as u32).max(60);
+            let horizon = reliability_horizon(remaining);
             let Ok(current_tr) = self.nodes[i].predict_tr(horizon) else {
                 continue;
             };

@@ -1,5 +1,9 @@
 //! The iShare Gateway (paper §5.1): translates the State Manager's online
 //! decisions into guest-process control — renice, suspend, resume, kill.
+//!
+//! The gateway keeps no state. A suspended guest resumes on the first
+//! operational period after the spike, so each period's action follows from
+//! that period's decision alone.
 
 use fgcs_core::state::State;
 
@@ -9,88 +13,23 @@ use crate::state_manager::OnlineDecision;
 /// The control action applied to the guest process this period.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GuestAction {
-    /// Run at default priority (host load below `Th1`).
-    RunDefault,
-    /// Run reniced to the lowest priority (`Th1 ≤ L_H ≤ Th2`).
-    RunLow,
-    /// Keep the guest suspended (transient overload, or cooling down).
+    /// Run at this priority: the default below `Th1`, reniced to the lowest
+    /// for `Th1 ≤ L_H ≤ Th2`.
+    Run(GuestPriority),
+    /// Keep the guest suspended (transient overload above `Th2`).
     Suspend,
     /// Kill the guest: the failure state is unrecoverable for it.
     Kill(State),
 }
 
-/// Per-guest control state machine.
-#[derive(Debug, Clone, Copy)]
-pub struct Gateway {
-    /// Consecutive operational periods required after a suspension before
-    /// the guest resumes (the paper resumes after the contention has
-    /// diminished; one quiet monitoring period is the minimum).
-    pub resume_quiet_steps: usize,
-    suspended: bool,
-    quiet: usize,
-}
-
-impl Gateway {
-    /// Creates a gateway resuming after `resume_quiet_steps` quiet periods.
-    #[must_use]
-    pub fn new(resume_quiet_steps: usize) -> Gateway {
-        Gateway {
-            resume_quiet_steps,
-            suspended: false,
-            quiet: 0,
-        }
-    }
-
-    /// Resets the control state (a new guest was launched).
-    pub fn reset(&mut self) {
-        self.suspended = false;
-        self.quiet = 0;
-    }
-
-    /// Computes the action for this period from the manager's decision.
-    pub fn step(&mut self, decision: OnlineDecision) -> GuestAction {
-        match decision {
-            OnlineDecision::Failed(state) => {
-                self.suspended = false;
-                self.quiet = 0;
-                GuestAction::Kill(state)
-            }
-            OnlineDecision::Transient => {
-                self.suspended = true;
-                self.quiet = 0;
-                GuestAction::Suspend
-            }
-            OnlineDecision::Operational(state) => {
-                if self.suspended {
-                    self.quiet += 1;
-                    if self.quiet < self.resume_quiet_steps {
-                        return GuestAction::Suspend;
-                    }
-                    self.suspended = false;
-                    self.quiet = 0;
-                }
-                match state {
-                    State::S1 => GuestAction::RunDefault,
-                    _ => GuestAction::RunLow,
-                }
-            }
-        }
-    }
-}
-
-impl Default for Gateway {
-    fn default() -> Self {
-        Gateway::new(1)
-    }
-}
-
-/// Maps a running action to the scheduler priority it implies.
+/// The action for this period, from the manager's decision.
 #[must_use]
-pub fn action_priority(action: GuestAction) -> Option<GuestPriority> {
-    match action {
-        GuestAction::RunDefault => Some(GuestPriority::Default),
-        GuestAction::RunLow => Some(GuestPriority::Lowest),
-        _ => None,
+pub fn action(decision: OnlineDecision) -> GuestAction {
+    match decision {
+        OnlineDecision::Operational(State::S1) => GuestAction::Run(GuestPriority::Default),
+        OnlineDecision::Operational(_) => GuestAction::Run(GuestPriority::Lowest),
+        OnlineDecision::Transient => GuestAction::Suspend,
+        OnlineDecision::Failed(state) => GuestAction::Kill(state),
     }
 }
 
@@ -99,65 +38,23 @@ mod tests {
     use super::*;
 
     #[test]
-    fn operational_states_map_to_priorities() {
-        let mut g = Gateway::default();
-        assert_eq!(
-            g.step(OnlineDecision::Operational(State::S1)),
-            GuestAction::RunDefault
-        );
-        assert_eq!(
-            g.step(OnlineDecision::Operational(State::S2)),
-            GuestAction::RunLow
-        );
-    }
-
-    #[test]
-    fn transient_suspends_and_quiet_resumes() {
-        let mut g = Gateway::new(2);
-        assert_eq!(g.step(OnlineDecision::Transient), GuestAction::Suspend);
-        // One quiet period is not enough with resume_quiet_steps = 2.
-        assert_eq!(
-            g.step(OnlineDecision::Operational(State::S1)),
-            GuestAction::Suspend
-        );
-        assert_eq!(
-            g.step(OnlineDecision::Operational(State::S1)),
-            GuestAction::RunDefault
-        );
-    }
-
-    #[test]
-    fn failure_kills_immediately() {
-        let mut g = Gateway::default();
-        g.step(OnlineDecision::Transient);
-        assert_eq!(
-            g.step(OnlineDecision::Failed(State::S4)),
-            GuestAction::Kill(State::S4)
-        );
-    }
-
-    #[test]
-    fn reset_clears_suspension() {
-        let mut g = Gateway::new(5);
-        g.step(OnlineDecision::Transient);
-        g.reset();
-        assert_eq!(
-            g.step(OnlineDecision::Operational(State::S1)),
-            GuestAction::RunDefault
-        );
-    }
-
-    #[test]
-    fn priority_mapping() {
-        assert_eq!(
-            action_priority(GuestAction::RunDefault),
-            Some(GuestPriority::Default)
-        );
-        assert_eq!(
-            action_priority(GuestAction::RunLow),
-            Some(GuestPriority::Lowest)
-        );
-        assert_eq!(action_priority(GuestAction::Suspend), None);
-        assert_eq!(action_priority(GuestAction::Kill(State::S5)), None);
+    fn decisions_map_to_the_control_ladder() {
+        use GuestAction::{Kill, Run, Suspend};
+        use OnlineDecision::{Failed, Operational, Transient};
+        // Renice with the load, suspend through a spike, resume on the first
+        // operational period after it, kill on any failure.
+        let ladder = [
+            (Operational(State::S1), Run(GuestPriority::Default)),
+            (Operational(State::S2), Run(GuestPriority::Lowest)),
+            (Transient, Suspend),
+            (Transient, Suspend),
+            (Operational(State::S1), Run(GuestPriority::Default)),
+            (Failed(State::S3), Kill(State::S3)),
+            (Failed(State::S4), Kill(State::S4)),
+            (Failed(State::S5), Kill(State::S5)),
+        ];
+        for (decision, want) in ladder {
+            assert_eq!(action(decision), want, "{decision:?}");
+        }
     }
 }

@@ -10,9 +10,9 @@
 //! * [`monitor`] — the non-intrusive Resource Monitor with heartbeat-gap
 //!   URR detection (§5.2),
 //! * [`state_manager`] — online state classification, history logging and
-//!   the prediction endpoint,
-//! * [`gateway`] — the guest control ladder: renice → suspend → resume /
-//!   terminate,
+//!   the prediction endpoint (one quality-tagged Eq.-3 answer per query),
+//! * [`gateway`] — the guest control ladder as one stateless function of
+//!   the manager's decision: renice → suspend → resume / terminate,
 //! * [`guest`] — CPU-bound guest jobs with optional checkpointing,
 //!   [`checkpoint`] — failure-aware (prediction-driven) checkpoint policies,
 //!   and [`migration`] — proactive migration off a host whose predicted
@@ -20,10 +20,12 @@
 //! * [`node`] / [`cluster`] — one host node replaying a trace, and a fleet
 //!   of them running a workload,
 //! * [`scheduler`] — the client-side Job Scheduler with the proactive
-//!   (max-reliability) policy and prediction-oblivious baselines,
-//! * [`chaos`] — seeded fault-injection campaigns asserting the
-//!   robustness invariants (no panics, in-range TRs, deterministic
-//!   reports, zero-fault ≡ unfaulted).
+//!   (max-reliability) policy and prediction-oblivious baselines, and the
+//!   one reliability horizon every placement, migration check and campaign
+//!   asks TR over,
+//! * [`chaos`] — seeded fault-injection campaigns over a fixed workload
+//!   asserting the robustness invariants (no panics, in-range TRs,
+//!   deterministic reports, zero-fault ≡ unfaulted).
 
 pub mod chaos;
 pub mod checkpoint;
@@ -41,7 +43,7 @@ pub use chaos::{run_campaign, ChaosConfig, ChaosReport};
 pub use checkpoint::{youngs_interval, CheckpointPolicy};
 pub use cluster::{group_records, Cluster, GroupRecord, JobRecord, JobSpec};
 pub use contention::{CpuContentionModel, GuestPriority, MemoryModel};
-pub use gateway::{Gateway, GuestAction};
+pub use gateway::GuestAction;
 pub use guest::{CheckpointConfig, GuestJob, GuestOutcome, GuestStatus};
 pub use migration::MigrationPolicy;
 pub use monitor::{MonitorReport, ResourceMonitor};

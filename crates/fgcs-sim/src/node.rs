@@ -14,7 +14,7 @@ use fgcs_runtime::fault::{FaultInjector, FaultPlan, ValueFault};
 use fgcs_trace::MachineTrace;
 
 use crate::contention::CpuContentionModel;
-use crate::gateway::{action_priority, Gateway, GuestAction};
+use crate::gateway::{self, GuestAction};
 use crate::guest::{GuestJob, GuestOutcome, GuestStatus};
 use crate::state_manager::StateManager;
 
@@ -56,7 +56,6 @@ pub struct HostNode {
     pub id: u64,
     trace: MachineTrace,
     manager: StateManager,
-    gateway: Gateway,
     cpu_model: CpuContentionModel,
     guest: Option<(GuestJob, GuestStatus, u64)>,
     cursor: usize,
@@ -77,7 +76,6 @@ impl HostNode {
             id: trace.machine_id,
             trace,
             manager,
-            gateway: Gateway::default(),
             cpu_model: CpuContentionModel::default(),
             guest: None,
             cursor: 0,
@@ -85,15 +83,6 @@ impl HostNode {
             faults: None,
             held_sample,
         }
-    }
-
-    /// Selects the Eq.-3 solver the node's prediction endpoints run:
-    /// the default error-bounded fast path, or the verbatim paper-order
-    /// oracle for audits. Scheduling decisions are identical either way.
-    #[must_use]
-    pub fn with_solver_policy(mut self, policy: fgcs_core::predictor::SolverPolicy) -> HostNode {
-        self.manager = self.manager.with_solver_policy(policy);
-        self
     }
 
     /// Attaches a fault injector: from now on every observation the State
@@ -108,9 +97,12 @@ impl HostNode {
     }
 
     /// Replays the first `days` of the trace into the history store without
-    /// accepting guests — the training phase of the experiments.
+    /// accepting guests — the training phase of the experiments. More days
+    /// than the trace holds replay all of it.
     pub fn warm_up(&mut self, days: usize) {
-        let until = (days * self.trace.samples_per_day()).min(self.trace.samples.len());
+        let until = days
+            .saturating_mul(self.trace.samples_per_day())
+            .min(self.trace.samples.len());
         while self.cursor < until {
             self.step();
         }
@@ -219,7 +211,6 @@ impl HostNode {
             return Err(job);
         }
         fgcs_runtime::counter_add!("sim.guest.submitted", 1);
-        self.gateway.reset();
         self.guest = Some((
             job,
             GuestStatus::Running(crate::contention::GuestPriority::Default),
@@ -240,8 +231,7 @@ impl HostNode {
         let decision = self.manager.observe(truth);
 
         if let Some((mut job, _status, launched_at)) = self.guest.take() {
-            let action = self.gateway.step(decision);
-            match action {
+            match gateway::action(decision) {
                 GuestAction::Kill(reason) => {
                     // UEC kills are resource-contention evictions (S3 CPU,
                     // S4 memory); URR kills are ownership revocations (S5).
@@ -264,9 +254,7 @@ impl HostNode {
                     fgcs_runtime::counter_add!("sim.guest.suspended_steps", 1);
                     self.guest = Some((job, GuestStatus::Suspended, launched_at));
                 }
-                running => {
-                    let priority =
-                        action_priority(running).expect("running action always maps to a priority");
+                GuestAction::Run(priority) => {
                     let alloc = self
                         .cpu_model
                         .allocate(&[sample.host_cpu], 1.0, priority)

@@ -68,6 +68,17 @@ fn candidate_predictions(
     results
 }
 
+/// Slack on a job's remaining work for contention-induced slowdown: the
+/// window a placement asks reliability over is this much longer.
+const RUNTIME_SLACK: f64 = 1.3;
+
+/// The reliability window, in seconds, for a job with `remaining_secs` of
+/// work left: the work with 30 % slack, and never under a minute.
+#[must_use]
+pub(crate) fn reliability_horizon(remaining_secs: f64) -> u32 {
+    ((remaining_secs * RUNTIME_SLACK) as u32).max(60)
+}
+
 /// Consecutive failed queries before a node is blacklisted.
 const BLACKLIST_THRESHOLD: u32 = 3;
 /// Initial blacklist duration, in scheduling rounds.
@@ -113,9 +124,6 @@ pub struct JobScheduler {
     round: u64,
     /// Nodes whose queries keep failing, barred with exponential backoff.
     blacklist: HashMap<u64, BlacklistEntry>,
-    /// Multiplier applied to the job's remaining work to estimate the
-    /// reliability window (slack for contention-induced slowdown).
-    pub runtime_slack: f64,
     /// Checkpointing applied to jobs at placement time.
     pub checkpoint: CheckpointPolicy,
 }
@@ -131,7 +139,6 @@ impl JobScheduler {
             rr_cursor: 0,
             round: 0,
             blacklist: HashMap::new(),
-            runtime_slack: 1.3,
             checkpoint: CheckpointPolicy::None,
         }
     }
@@ -147,10 +154,9 @@ impl JobScheduler {
     /// consulting the node's prediction when the policy is adaptive.
     pub fn configure_job(&self, node: &HostNode, job: GuestJob) -> GuestJob {
         let tr = match self.checkpoint {
-            CheckpointPolicy::Adaptive { .. } => {
-                let horizon = (job.remaining_secs() * self.runtime_slack) as u32;
-                node.predict_tr(horizon.max(60)).ok()
-            }
+            CheckpointPolicy::Adaptive { .. } => node
+                .predict_tr(reliability_horizon(job.remaining_secs()))
+                .ok(),
             _ => None,
         };
         self.checkpoint.apply(job, tr)
@@ -192,12 +198,12 @@ impl JobScheduler {
                 la.total_cmp(&lb)
             }),
             SchedulingPolicy::MaxReliability => {
-                let horizon = (job.remaining_secs() * self.runtime_slack) as u32;
-                self.prediction_pick(nodes, &candidates, horizon.max(60), false)
+                let horizon = reliability_horizon(job.remaining_secs());
+                self.prediction_pick(nodes, &candidates, horizon, false)
             }
             SchedulingPolicy::ReliabilitySpeed => {
-                let horizon = (job.remaining_secs() * self.runtime_slack) as u32;
-                self.prediction_pick(nodes, &candidates, horizon.max(60), true)
+                let horizon = reliability_horizon(job.remaining_secs());
+                self.prediction_pick(nodes, &candidates, horizon, true)
             }
         }
     }

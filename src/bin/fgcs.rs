@@ -288,6 +288,11 @@ fn cmd_chaos(args: &[String]) -> Result<(), String> {
     config.steps = steps;
     config.machines = machines;
     config.warmup_days = warmup_days;
+    if config.trace_days().is_none() {
+        return Err(format!(
+            "--warmup-days {warmup_days} with --steps {steps} overflows the campaign's trace length"
+        ));
+    }
     if flag(args, "--no-faults") {
         config = config.without_faults();
     }

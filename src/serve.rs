@@ -82,8 +82,9 @@
 //! `panic` error reply, the half-written reply bytes are rolled back, and
 //! any shard mutex poisoned by the unwind is recovered by the registry —
 //! the shard keeps serving, its predictions tagged `"quality":"stale"`
-//! (the [`fgcs_core::robust::PredictionQuality`] vocabulary) until the
-//! process is restarted. With [`ServeConfig::data_dir`] set the registry
+//! (the wire's own word for a poisoned shard, not a
+//! [`fgcs_core::robust::PredictionQuality`] tier) until the process is
+//! restarted. With [`ServeConfig::data_dir`] set the registry
 //! write-ahead-logs every ingest before acknowledging it and the server
 //! fsyncs + snapshots on graceful shutdown; see the fgcs-core registry
 //! docs for the durability model.

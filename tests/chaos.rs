@@ -4,13 +4,14 @@
 //!   exactly the readings the value faults corrupted, and completes with
 //!   no panics and only in-range, quality-tagged TRs,
 //! * the same seed reproduces byte-identical metrics,
-//! * a zero-fault plan is bit-identical to the unfaulted pipeline.
+//! * a zero-fault plan is bit-identical to the unfaulted pipeline,
+//! * two golden campaigns print the same report, digest included.
 
 use std::sync::Mutex;
 
 use fgcs::runtime::fault::FaultPlan;
 use fgcs::runtime::metrics;
-use fgcs::sim::{run_campaign, ChaosConfig};
+use fgcs::sim::{run_campaign, ChaosConfig, ChaosReport};
 
 /// Serializes the tests in this binary: campaigns and the metrics
 /// byte-identity check both touch the process-wide registry.
@@ -60,7 +61,7 @@ fn ten_thousand_step_campaign_upholds_all_invariants() {
     assert!(report.predictions > 0);
     assert_eq!(
         report.predictions,
-        report.exact + report.stale + report.widened + report.prior,
+        report.exact + report.widened + report.prior,
         "every prediction carries exactly one quality tag: {report:?}"
     );
     assert_eq!(report.decisions + report.no_candidate_rounds, 200);
@@ -171,4 +172,87 @@ fn different_seeds_produce_different_campaigns() {
         ..ChaosConfig::new(2)
     });
     assert_ne!(a.digest, b.digest, "campaigns collapsed across seeds");
+}
+
+/// The report's keys as `(name, value)` pairs, floats by their bits, so a
+/// golden comparison names every key that moved.
+fn keys(r: &ChaosReport) -> Vec<(&'static str, u64)> {
+    vec![
+        ("steps", r.steps),
+        ("decisions", r.decisions),
+        ("no_candidate_rounds", r.no_candidate_rounds),
+        ("predictions", r.predictions),
+        ("out_of_range", r.out_of_range),
+        ("blackout_rejections", r.blackout_rejections),
+        ("exact", r.exact),
+        ("widened", r.widened),
+        ("prior", r.prior),
+        ("tr_min", r.tr_min.to_bits()),
+        ("tr_max", r.tr_max.to_bits()),
+        ("submitted", r.submitted),
+        ("submit_rejected", r.submit_rejected),
+        ("completed", r.completed),
+        ("killed", r.killed),
+        ("digest", r.digest),
+    ]
+}
+
+/// Pins two whole campaigns, digest included: the CI smoke seed, and a
+/// one-machine run with no warm-up long enough to reach every quality
+/// tier. A change that moves one decision or one TR bit fails here, where
+/// the relative checks above (same seed twice, zero plan against none)
+/// cannot see it.
+#[test]
+fn golden_campaigns_keep_every_key() {
+    let _guard = lock();
+    let ci = run_campaign(&ChaosConfig {
+        machines: 4,
+        steps: 2_000,
+        ..ChaosConfig::new(20_060_625)
+    });
+    let expected = [
+        ("steps", 2_000),
+        ("decisions", 30),
+        ("no_candidate_rounds", 10),
+        ("predictions", 288),
+        ("out_of_range", 0),
+        ("blackout_rejections", 32),
+        ("exact", 288),
+        ("widened", 0),
+        ("prior", 0),
+        ("tr_min", 0.0f64.to_bits()),
+        ("tr_max", 1.0f64.to_bits()),
+        ("submitted", 25),
+        ("submit_rejected", 5),
+        ("completed", 14),
+        ("killed", 7),
+        ("digest", 12_990_550_845_966_926_020),
+    ];
+    assert_eq!(keys(&ci), expected);
+
+    let tiers = run_campaign(&ChaosConfig {
+        machines: 1,
+        steps: 30_000,
+        warmup_days: 0,
+        ..ChaosConfig::new(7)
+    });
+    let expected = [
+        ("steps", 30_000),
+        ("decisions", 110),
+        ("no_candidate_rounds", 490),
+        ("predictions", 1_135),
+        ("out_of_range", 0),
+        ("blackout_rejections", 65),
+        ("exact", 576),
+        ("widened", 7),
+        ("prior", 552),
+        ("tr_min", 0.0f64.to_bits()),
+        ("tr_max", 1.0f64.to_bits()),
+        ("submitted", 94),
+        ("submit_rejected", 16),
+        ("completed", 57),
+        ("killed", 36),
+        ("digest", 14_089_668_343_647_993_941),
+    ];
+    assert_eq!(keys(&tiers), expected);
 }

@@ -239,3 +239,29 @@ fn cli_help_succeeds() {
     assert!(out.status.success());
     assert!(String::from_utf8_lossy(&out.stdout).contains("USAGE"));
 }
+
+#[test]
+fn cli_chaos_refuses_a_trace_length_that_overflows() {
+    // Only overflowing values: a large one that fits runs the trace
+    // generator for minutes.
+    let max = "18446744073709551615";
+    let cases: [(&[&str], &str); 2] = [
+        (&["--warmup-days", max, "--steps", "10"], "--warmup-days"),
+        (&["--steps", max], "--steps"),
+    ];
+    for (flags, named) in cases {
+        let out = fgcs()
+            .args(["chaos", "--machines", "1"])
+            .args(flags)
+            .output()
+            .expect("runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{flags:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{flags:?} printed a report");
+        assert!(
+            stderr.contains(named) && stderr.contains("overflows"),
+            "{flags:?}: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{flags:?}: {stderr}");
+    }
+}
